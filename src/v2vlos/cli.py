@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +46,13 @@ from .rng import derive_subseed, mix64
 from .states import CANONICAL_STATES, Density, Environment, LosState
 from .traces import (
     MobilityProfile,
+    atomic_output,
     dwell_statistics,
     merge_dwell,
     read_distance_trace,
     read_labeled_traces,
     synth_distance_trace,
+    write_state_traces,
 )
 from .umi import UmiParams, generate_batch_umi
 
@@ -79,33 +79,72 @@ def _provenance(command: str, scenario: str | None = None, seed: int | None = No
 
 
 def _write_atomic(path: str | Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_output(path) as handle:
+        handle.write(text)
 
 
-def _load_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Fill unset options from a JSON config file; flags win over the file."""
-    if not getattr(args, "config", None):
-        return
-    try:
-        obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config {args.config}: {exc}")
-    if not isinstance(obj, dict):
-        parser.error("config file must hold a JSON object")
-    known = set(vars(args))
-    unknown = [k for k in obj if k not in known or k in ("config", "command", "func")]
-    if unknown:
-        parser.error(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key, value in obj.items():
+def _positive(convert):
+    """argparse type: ``convert`` the text and require a result above zero."""
+
+    def check(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = 0
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"expected a positive {convert.__name__}, got {text!r}")
+        return value
+
+    return check
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
+
+
+# JSON value types a config file may give for an option of each argparse type.
+_CONFIG_TYPES = {None: (str,), int: (int,), _positive_int: (int,), float: (int, float), _positive_float: (int, float)}
+
+
+class _ConfigFile(argparse.Action):
+    """``--config PATH``: a JSON object of defaults for unset options of this subcommand.
+
+    Each value is checked like the flag it stands for, so a bad value is a
+    usage error before any work starts.
+    """
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            parser.error(f"cannot read config {path}: {exc}")
+        if not isinstance(obj, dict):
+            parser.error("config file must hold a JSON object")
+        options = {a.dest: a for a in parser._actions if a.option_strings and a.dest not in ("help", self.dest)}
+        unknown = [k for k in obj if k not in options]
+        if unknown:
+            parser.error(f"unknown config keys: {', '.join(sorted(unknown))}")
+        setattr(namespace, self.dest, {key: _config_value(parser, options[key], v) for key, v in obj.items()})
+
+
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, value):
+    accepted = (bool,) if action.nargs == 0 else _CONFIG_TYPES[action.type]
+    if type(value) not in accepted:
+        parser.error(f"config key {action.dest}: expected {' or '.join(t.__name__ for t in accepted)}, "
+                     f"got {json.dumps(value)}")
+    if action.type is not None:
+        try:
+            value = action.type(value)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"config key {action.dest}: {exc}")
+    if action.choices is not None and value not in action.choices:
+        parser.error(f"config key {action.dest}: {value!r} is not one of {', '.join(map(str, action.choices))}")
+    return value
+
+
+def _apply_config(args: argparse.Namespace) -> None:
+    """Fill unset options from the config file; flags win over the file."""
+    for key, value in (args.config or {}).items():
         if getattr(args, key) is None:
             setattr(args, key, value)
 
@@ -144,12 +183,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     traces = _build_distance_traces(args)
     state_traces = generate_batch(model, traces, args.seed, over_range=args.over_range)
 
-    lines = _provenance("generate", scenario=model.tag, seed=args.seed)
-    lines.append("t,d,state")
-    for trace in state_traces:
-        for k in range(len(trace)):
-            lines.append(f"{int(trace.times[k])},{float(trace.distances[k])!r},{trace.state(k).name}")
-    _write_atomic(args.out, "\n".join(lines) + "\n")
+    write_state_traces(state_traces, args.out, _provenance("generate", scenario=model.tag, seed=args.seed))
 
     dwell = merge_dwell(dwell_statistics(t) for t in state_traces)
     total = sum(len(t) for t in state_traces)
@@ -311,14 +345,14 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_trace_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--steps", type=int, default=None, help="steps per synthetic trace")
+    p.add_argument("--steps", type=_positive_int, default=None, help="steps per synthetic trace")
     p.add_argument("--profile", choices=PROFILE_CHOICES, default=None,
                    help="synthetic mobility (default separate1ms: move apart at 1 m/s)")
     p.add_argument("--speed", type=float, default=None, help="profile speed in m/s")
     p.add_argument("--vmax", type=float, default=None, help="walk profile speed bound in m/s")
     p.add_argument("--d0", type=float, default=1.0, help="initial Tx-Rx distance in m")
     p.add_argument("--trace-in", default=None, help="read the distance trace from a file instead")
-    p.add_argument("--count", type=int, default=1, help="number of traces")
+    p.add_argument("--count", type=_positive_int, default=1, help="number of traces")
     p.add_argument("--over-range", choices=OVER_RANGE_POLICIES, default="error",
                    help="policy for distances above 500 m")
 
@@ -334,17 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_flags(g)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True, help="output trace file")
-    g.add_argument("--config", default=None, help="JSON file with defaults for unset flags")
+    g.add_argument("--config", action=_ConfigFile, default=None, help="JSON file with defaults for unset flags")
     g.set_defaults(func=_cmd_generate)
 
     c = sub.add_parser("curves", help="emit probability and transition curves")
     _add_scenario_flags(c)
     c.add_argument("--d-min", type=float, default=1.0)
     c.add_argument("--d-max", type=float, default=500.0)
-    c.add_argument("--d-step", type=float, default=1.0)
+    c.add_argument("--d-step", type=_positive_float, default=1.0)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)
-    c.add_argument("--config", default=None)
+    c.add_argument("--config", action=_ConfigFile, default=None)
     c.set_defaults(func=_cmd_curves)
 
     m = sub.add_parser("compare", help="proposed model vs urban-micro baseline with path loss")
@@ -355,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--pathloss-params", default=None, help="JSON path-loss parameter file")
     m.add_argument("--umi-d1", type=float, default=18.0)
     m.add_argument("--umi-d2", type=float, default=36.0)
-    m.add_argument("--config", default=None)
+    m.add_argument("--config", action=_ConfigFile, default=None)
     m.set_defaults(func=_cmd_compare)
 
     e = sub.add_parser("estimate", help="empirical statistics and correlation report")
@@ -366,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out-report", default=None, help="correlation report file (stdout when omitted)")
     e.add_argument("--fit", action="store_true", help="refit the reference curve families")
     e.add_argument("--out-model", default=None, help="fitted scenario parameter file")
-    e.add_argument("--config", default=None)
+    e.add_argument("--config", action=_ConfigFile, default=None)
     e.set_defaults(func=_cmd_estimate)
     return parser
 
@@ -374,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _load_config(parser, args)
+    _apply_config(args)
     try:
         return args.func(args)
     except V2vLosError as exc:

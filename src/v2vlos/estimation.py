@@ -38,11 +38,13 @@ from .markov import StateTrace
 
 BIN_WIDTH = 10.0
 N_BINS = 50
+# The last bin is closed, so that the model's d_max falls in it.
+_D_EDGE = BIN_WIDTH * N_BINS
 
 
 @dataclass(frozen=True)
 class DistanceBin:
-    """Half-open 10 m distance interval [10*index, 10*(index+1))."""
+    """10 m distance interval [10*index, 10*(index+1)); the last one also holds 500 m."""
 
     index: int
 
@@ -64,9 +66,9 @@ class DistanceBin:
 
 
 def bin_of(d: float) -> DistanceBin:
-    if not (isinstance(d, (int, float)) and math.isfinite(d)) or d < 0.0 or d >= BIN_WIDTH * N_BINS:
-        raise RangeError(f"distance must be in [0, {BIN_WIDTH * N_BINS}), got {d!r}")
-    return DistanceBin(int(d // BIN_WIDTH))
+    if not (isinstance(d, (int, float)) and math.isfinite(d)) or d < 0.0 or d > _D_EDGE:
+        raise RangeError(f"distance must be in [0, {_D_EDGE}], got {d!r}")
+    return DistanceBin(min(int(d // BIN_WIDTH), N_BINS - 1))
 
 
 def bin_centers() -> np.ndarray:
@@ -112,10 +114,10 @@ class EmpiricalStats:
 def accumulate(stats: EmpiricalStats, trace: StateTrace) -> EmpiricalStats:
     """New statistics with one trace counted in. The input is not mutated."""
     d = trace.distances
-    if d.size and (float(d.min()) < 0.0 or float(d.max()) >= BIN_WIDTH * N_BINS):
+    if d.size and (float(d.min()) < 0.0 or float(d.max()) > _D_EDGE):
         bad = float(d.min()) if float(d.min()) < 0.0 else float(d.max())
-        raise RangeError(f"trace distance {bad} outside [0, {BIN_WIDTH * N_BINS})")
-    bins = (d // BIN_WIDTH).astype(np.int64)
+        raise RangeError(f"trace distance {bad} outside [0, {_D_EDGE}]")
+    bins = np.minimum(d // BIN_WIDTH, N_BINS - 1).astype(np.int64)
     s = trace.states.astype(np.int64)
 
     occ = stats.occupancy.copy()

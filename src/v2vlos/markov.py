@@ -7,27 +7,30 @@ generated. The sampler consults nothing but (previous state, current
 distance), so the output is a Markov chain by construction.
 
 Each trace is a strict one-second grid; the transition probabilities are
-per-second quantities and traces at other spacings are rejected. A single
-generation is inherently sequential; batches give every trace its own
-sub-seeded generator, so traces may be processed in any order or in
-parallel without changing the result.
+per-second quantities and traces at other spacings are rejected. Step ``k``
+of a trace consumes draw ``k`` of its seed's counter-based splitmix64
+stream. A single generation is inherently sequential; batches give every
+trace its own sub-seed by index, so traces may be processed in any order or
+in parallel without changing the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import assembly
 from .errors import BatchError, DomainError
 from .params import ScenarioModel
-from .rng import RngSeed, SplitMix64, derive_subseed
+from .rng import RngSeed, SplitMix64, derive_subseed, uniform_block
 from .states import LosState
 
-# Row memo bound; beyond this the rows are recomputed instead of cached.
+# Threshold memo bound; beyond this thresholds are recomputed instead of cached.
 _ROW_CACHE_MAX = 1 << 18
+# Uniforms per block; bounds the engine's memory on long traces.
+_UNIFORM_BLOCK = 1 << 16
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -105,15 +108,78 @@ def sample_initial_state(probs: assembly.StateProbVector, rng: SplitMix64) -> Lo
     return LosState.NLOSb
 
 
-def _cumulative_row(model, origin_idx, d, over_range, cache):
-    key = (origin_idx, d)
-    cum = cache.get(key)
-    if cum is None:
-        p0, p1, _ = assembly.transition_row(model, LosState(origin_idx), d, over_range=over_range)
-        cum = (p0, p0 + p1)
-        if len(cache) < _ROW_CACHE_MAX:
-            cache[key] = cum
-    return cum
+class _Sampler:
+    """Generation engine shared by one batch of traces.
+
+    ``thresholds(origin, d)`` gives the cumulative thresholds (c0, c1) of a
+    draw from state ``origin`` at distance ``d``, origin -1 being the initial
+    draw; a uniform u picks state 0 when u < c0, state 1 when u < c1 and
+    state 2 otherwise. They are memoised per (origin, d) across the batch, up
+    to ``_ROW_CACHE_MAX`` entries. Each trace's uniforms come from
+    :func:`uniform_block` in fixed-size blocks, which one scalar loop walks
+    alongside the distances.
+    """
+
+    __slots__ = ("thresholds", "tag", "memo")
+
+    def __init__(self, thresholds: Callable[[int, float], tuple[float, float]], tag: str):
+        self.thresholds = thresholds
+        self.tag = tag
+        self.memo: dict[tuple[int, float], tuple[float, float]] = {}
+
+    def states(self, distances: list[float], seed: RngSeed) -> list[int]:
+        memo, thresholds = self.memo, self.thresholds
+        get = memo.get
+        out: list[int] = []
+        emit = out.append
+        s = -1
+        for start in range(0, len(distances), _UNIFORM_BLOCK):
+            ds = distances[start:start + _UNIFORM_BLOCK]
+            for u, d in zip(uniform_block(seed, start, len(ds)).tolist(), ds):
+                c = get((s, d))
+                if c is None:
+                    c = thresholds(s, d)
+                    if len(memo) < _ROW_CACHE_MAX:
+                        memo[(s, d)] = c
+                c0, c1 = c
+                s = 0 if u < c0 else 1 if u < c1 else 2
+                emit(s)
+        return out
+
+    def trace(self, trace: DistanceTrace, seed: RngSeed) -> StateTrace:
+        states = np.array(self.states(trace.distances.tolist(), seed), dtype=np.int8)
+        return StateTrace(trace.times, trace.distances, states, scenario=self.tag, seed=seed)
+
+    def batch(self, traces: Iterable[DistanceTrace], seed: RngSeed) -> Iterator[StateTrace]:
+        """Trace ``i`` uses sub-seed ``derive_subseed(seed, i)``."""
+        for i, trace in enumerate(traces):
+            yield self.trace(trace, derive_subseed(seed, i))
+
+    def collect(self, traces: Sequence[DistanceTrace], seed: RngSeed) -> list[StateTrace]:
+        """Every trace is attempted; failures are raised together as a BatchError."""
+        out: list[StateTrace] = []
+        failures: list[tuple[int, Exception]] = []
+        for i, trace in enumerate(traces):
+            try:
+                out.append(self.trace(trace, derive_subseed(seed, i)))
+            except DomainError as exc:
+                failures.append((i, exc))
+        if failures:
+            raise BatchError(failures)
+        return out
+
+
+def _chain_sampler(model: ScenarioModel, over_range: str) -> _Sampler:
+    # The thresholds come from the scalar assembly only: numpy's exp can
+    # differ from math.exp in the last bit, which would change the stream.
+    def thresholds(origin: int, d: float) -> tuple[float, float]:
+        if origin < 0:
+            p = assembly.state_probabilities(model, d, over_range=over_range).as_tuple()
+        else:
+            p = assembly.transition_row(model, LosState(origin), d, over_range=over_range)
+        return p[0], p[0] + p[1]
+
+    return _Sampler(thresholds, model.tag)
 
 
 def generate_states(
@@ -121,24 +187,9 @@ def generate_states(
     trace: DistanceTrace,
     seed: RngSeed,
     over_range: str = "error",
-    _row_cache: dict | None = None,
 ) -> StateTrace:
     """Generate one state sequence. Equal inputs and seed give equal output."""
-    rng = SplitMix64(seed)
-    ds = trace.distances.tolist()
-    n = len(ds)
-    out = np.empty(n, dtype=np.int8)
-    cache = _row_cache if _row_cache is not None else {}
-
-    first = assembly.state_probabilities(model, ds[0], over_range=over_range)
-    s = int(sample_initial_state(first, rng))
-    out[0] = s
-    for k in range(1, n):
-        c0, c1 = _cumulative_row(model, s, ds[k], over_range, cache)
-        u = rng.next_float()
-        s = 0 if u < c0 else (1 if u < c1 else 2)
-        out[k] = s
-    return StateTrace(trace.times, trace.distances, out, scenario=model.tag, seed=seed)
+    return _chain_sampler(model, over_range).trace(trace, seed)
 
 
 def iter_generate_batch(
@@ -153,9 +204,7 @@ def iter_generate_batch(
     depends only on its own input and index. Raises on the first failure;
     use :func:`generate_batch` for aggregated error reporting.
     """
-    cache: dict = {}
-    for i, trace in enumerate(traces):
-        yield generate_states(model, trace, derive_subseed(seed, i), over_range=over_range, _row_cache=cache)
+    return _chain_sampler(model, over_range).batch(traces, seed)
 
 
 def generate_batch(
@@ -169,14 +218,4 @@ def generate_batch(
     All traces are attempted; failures are collected and raised together as
     a :class:`BatchError` carrying (index, error) pairs.
     """
-    cache: dict = {}
-    out: list[StateTrace] = []
-    failures: list[tuple[int, Exception]] = []
-    for i, trace in enumerate(traces):
-        try:
-            out.append(generate_states(model, trace, derive_subseed(seed, i), over_range=over_range, _row_cache=cache))
-        except DomainError as exc:
-            failures.append((i, exc))
-    if failures:
-        raise BatchError(failures)
-    return out
+    return _chain_sampler(model, over_range).collect(traces, seed)

@@ -15,9 +15,12 @@ so several traces can live in one labeled file.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -195,21 +198,51 @@ _HEADER_DISTANCE = ("t", "d")
 _HEADER_LABELED = ("t", "d", "state")
 
 
-def _format_float(v: float) -> str:
-    return repr(float(v))
+_STATE_NAMES = tuple(state.name for state in LosState)
+
+
+def _umask() -> int:
+    # The umask can only be read by setting it; it is restored at once.
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
+@contextmanager
+def atomic_output(path: str | Path) -> Iterator[TextIO]:
+    """Text handle whose contents replace ``path`` only once the block succeeds.
+
+    The data goes to a temporary file in the same directory, which is renamed
+    over ``path`` at the end, so readers never see a partial file. The result
+    gets the mode a newly created file would get under the process umask.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
+    try:
+        os.fchmod(fd, 0o666 & ~_umask())
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_state_trace(trace: StateTrace, path: str | Path) -> None:
     write_state_traces([trace], path)
 
 
-def write_state_traces(traces: Sequence[StateTrace], path: str | Path) -> None:
-    """Write labeled traces; several traces are separated by time restarts."""
-    lines = ["t,d,state"]
-    for trace in traces:
-        for k in range(len(trace)):
-            lines.append(f"{int(trace.times[k])},{_format_float(trace.distances[k])},{trace.state(k).name}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_state_traces(traces: Iterable[StateTrace], path: str | Path, provenance: Sequence[str] = ()) -> None:
+    """Write labeled traces atomically; several traces are separated by time restarts.
+
+    ``provenance`` lines (each starting with ``#``) precede the header.
+    """
+    with atomic_output(path) as handle:
+        handle.write("".join(line + "\n" for line in provenance) + "t,d,state\n")
+        for trace in traces:
+            rows = zip(trace.times.tolist(), trace.distances.tolist(), trace.states.tolist())
+            handle.write("".join([f"{t},{d!r},{_STATE_NAMES[s]}\n" for t, d, s in rows]))
 
 
 def _parse_header(parts: list[str], lineno: int) -> bool:

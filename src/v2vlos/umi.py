@@ -12,12 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import DomainError
-from .markov import DistanceTrace, StateTrace
-from .rng import RngSeed, SplitMix64, derive_subseed
-from .states import LosState
+from .markov import DistanceTrace, StateTrace, _Sampler
+from .rng import RngSeed
 
 UMI_SCENARIO_TAG = "umi"
 
@@ -42,25 +39,19 @@ def umi_los_probability(d: float, p: UmiParams = UmiParams()) -> float:
     return min(p.d1 / d, 1.0) * (1.0 - e) + e
 
 
-def generate_states_umi(
-    trace: DistanceTrace,
-    p: UmiParams = UmiParams(),
-    seed: RngSeed = 0,
-    _prob_cache: dict | None = None,
-) -> StateTrace:
+def _umi_sampler(p: UmiParams) -> _Sampler:
+    # Every draw, initial or not, is LOS when u < P(LOS) and NLOSb otherwise:
+    # with c0 == c1 the engine never picks NLOSv.
+    def thresholds(origin: int, d: float) -> tuple[float, float]:
+        los = umi_los_probability(d, p)
+        return los, los
+
+    return _Sampler(thresholds, UMI_SCENARIO_TAG)
+
+
+def generate_states_umi(trace: DistanceTrace, p: UmiParams = UmiParams(), seed: RngSeed = 0) -> StateTrace:
     """Per-step independent LOS/NLOSb draw; NLOSv is never emitted."""
-    rng = SplitMix64(seed)
-    ds = trace.distances.tolist()
-    out = np.empty(len(ds), dtype=np.int8)
-    cache = _prob_cache if _prob_cache is not None else {}
-    blocked = int(LosState.NLOSb)
-    for k, d in enumerate(ds):
-        prob = cache.get(d)
-        if prob is None:
-            prob = umi_los_probability(d, p)
-            cache[d] = prob
-        out[k] = 0 if rng.next_float() < prob else blocked
-    return StateTrace(trace.times, trace.distances, out, scenario=UMI_SCENARIO_TAG, seed=seed)
+    return _umi_sampler(p).trace(trace, seed)
 
 
 def iter_generate_batch_umi(
@@ -69,9 +60,7 @@ def iter_generate_batch_umi(
     seed: RngSeed = 0,
 ) -> Iterator[StateTrace]:
     """Lazy batch with the same per-index sub-seeding as the chain engine."""
-    cache: dict = {}
-    for i, trace in enumerate(traces):
-        yield generate_states_umi(trace, p, derive_subseed(seed, i), _prob_cache=cache)
+    return _umi_sampler(p).batch(traces, seed)
 
 
 def generate_batch_umi(
@@ -79,4 +68,5 @@ def generate_batch_umi(
     p: UmiParams = UmiParams(),
     seed: RngSeed = 0,
 ) -> list[StateTrace]:
-    return list(iter_generate_batch_umi(traces, p, seed))
+    """Whole batch; failures are raised together as a BatchError."""
+    return _umi_sampler(p).collect(traces, seed)

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from v2vlos import load_scenario, read_labeled_traces
+from v2vlos.cli import main
 from v2vlos.estimation import read_curve_table
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -199,3 +202,84 @@ def test_version_flag():
     r = run_cli("--version")
     assert r.returncode == 0
     assert "v2vlos" in r.stdout
+
+
+def readme_commands():
+    """The ``v2vlos`` lines of the README's command-line block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line) for line in joined.splitlines() if line.startswith("v2vlos ")]
+
+
+def test_readme_commands_run_as_written(tmp_path):
+    commands = readme_commands()
+    assert [c[1] for c in commands] == ["generate", "curves", "compare", "estimate"]
+    for argv in commands:
+        r = run_cli(*argv[1:], cwd=str(tmp_path))
+        assert r.returncode == 0, f"{' '.join(argv)}: {r.stderr}"
+    assert load_scenario(tmp_path / "fit.json").environment.value == "urban"
+
+
+def run_in_process(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+GENERATE = ["generate", "--env", "urban", "--density", "low"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--steps", "10", "--count", "0"],
+    ["--steps", "10", "--count", "-2"],
+    ["--steps", "0"],
+    ["--steps", "-5"],
+    ["--steps", "ten"],
+], ids=["count-0", "count-negative", "steps-0", "steps-negative", "steps-not-a-number"])
+def test_non_positive_sizes_are_usage_errors(tmp_path, capsys, flags):
+    out = tmp_path / "t.csv"
+    code, err = run_in_process(GENERATE + flags + ["--out", str(out)], capsys)
+    assert code == 2
+    assert "positive int" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "nan"])
+def test_curves_non_positive_step_is_usage_error(tmp_path, capsys, step):
+    out = tmp_path / "c.csv"
+    code, err = run_in_process(["curves", "--env", "urban", "--density", "low", "--d-step", step,
+                                "--out", str(out)], capsys)
+    assert code == 2
+    assert "--d-step" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"steps": "10"},
+    {"steps": 2.5},
+    {"steps": True},
+    {"steps": None},
+    {"steps": 0},
+    {"steps": 10, "speed": "fast"},
+    {"steps": 10, "profile": "teleport"},
+], ids=["string-int", "float-int", "bool-int", "null", "zero", "string-float", "bad-choice"])
+def test_config_values_of_wrong_type_are_usage_errors(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "t.csv"
+    code, err = run_in_process(GENERATE + ["--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert "config key" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_output_files_get_the_umask_mode(tmp_path):
+    out = tmp_path / "t.csv"
+    old = os.umask(0o027)
+    try:
+        assert main(GENERATE + ["--steps", "5", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]  # no temporary file left behind

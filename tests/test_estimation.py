@@ -51,7 +51,8 @@ def test_bin_of_boundaries():
     assert bin_of(10.0).index == 1
     assert bin_of(499.0).index == 49
     assert bin_of(499.999).index == 49
-    for bad in (-0.001, 500.0, 501.0, math.nan):
+    assert bin_of(500.0).index == 49  # the last bin is closed at the model's d_max
+    for bad in (-0.001, 500.001, 501.0, math.nan):
         with pytest.raises(RangeError):
             bin_of(bad)
 
@@ -89,7 +90,13 @@ def test_accumulate_does_not_mutate_input():
 
 def test_accumulate_range_error():
     with pytest.raises(RangeError):
-        accumulate(EmpiricalStats(), labeled([500.0], [0]))
+        accumulate(EmpiricalStats(), labeled([500.001], [0]))
+
+
+def test_accumulate_counts_d_max_in_last_bin():
+    stats = accumulate(EmpiricalStats(), labeled([495.0, 500.0], [0, 2]))
+    assert stats.occupancy[49].tolist() == [1, 0, 1]
+    assert stats.transitions[49, 0, 2] == 1
 
 
 def test_transition_attributed_to_from_step_bin():
