@@ -5,23 +5,25 @@ complement to one. Curve-fit imperfection can drive the complement negative
 at extreme distances, in which case a deterministic repair is applied: the
 smallest of the three values is forced to zero, the best-supported (largest)
 explicit value is kept, and the remaining one is set to one minus the kept
-value. All functions here are pure and safe to call concurrently.
+value. Each scenario's state vector and transition rows are compiled once
+into flat evaluators over the curves' ``raw`` methods. All functions here
+are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .curves import eval_curve
+from .curves import CurveSpec
 from .errors import ConvergenceError
-from .params import ScenarioModel, effective_distance
+from .params import OVER_RANGE_POLICIES, ScenarioModel, effective_distance
 from .states import CANONICAL_STATES, LosState
 
 SUM_TOLERANCE = 1e-9
-
-KEEP_POLICIES = ("largest", "first")
 
 
 @dataclass(frozen=True)
@@ -75,24 +77,18 @@ class TransitionMatrix:
         return StateProbVector(float(r[0]), float(r[1]), float(r[2]))
 
 
-def repair_vector(values: tuple[float, float, float], keep: str = "largest") -> tuple[float, float, float]:
+def repair_vector(values: tuple[float, float, float]) -> tuple[float, float, float]:
     """Return a valid probability triple, repairing an invalid one.
 
     Already-valid input is returned unchanged. Otherwise the smallest entry
-    (earliest state on ties) is zeroed, one of the remaining entries is kept
-    (the largest by default, the earlier one under ``keep="first"``), and the
-    other is set to one minus the kept value.
+    (earliest state on ties) is zeroed, the largest remaining entry (earlier
+    state on ties) is kept, and the other is set to one minus the kept value.
     """
-    if keep not in KEEP_POLICIES:
-        raise ValueError(f"keep must be one of {KEEP_POLICIES}, got {keep!r}")
     if min(values) >= 0.0 and abs(sum(values) - 1.0) <= SUM_TOLERANCE:
         return values
     i_small = min(range(3), key=lambda i: (values[i], i))
     rest = [i for i in range(3) if i != i_small]
-    if keep == "largest":
-        i_keep = max(rest, key=lambda i: (values[i], -i))
-    else:
-        i_keep = rest[0]
+    i_keep = max(rest, key=lambda i: (values[i], -i))
     i_other = rest[1] if i_keep == rest[0] else rest[0]
     out = [0.0, 0.0, 0.0]
     out[i_keep] = min(max(values[i_keep], 0.0), 1.0)
@@ -100,55 +96,84 @@ def repair_vector(values: tuple[float, float, float], keep: str = "largest") -> 
     return (out[0], out[1], out[2])
 
 
-def _assemble(explicit: dict, complement: LosState, d: float, keep: str) -> tuple[float, float, float]:
-    vals = [0.0, 0.0, 0.0]
-    total = 0.0
-    for state, spec in explicit.items():
-        v = eval_curve(spec, d)
-        vals[int(state)] = v
-        total += v
-    vals[int(complement)] = 1.0 - total
-    return repair_vector((vals[0], vals[1], vals[2]), keep=keep)
+_Vector = Callable[[float], tuple[float, float, float]]
 
 
-def state_probabilities(
-    model: ScenarioModel,
-    d: float,
-    over_range: str = "error",
-    keep: str = "largest",
-) -> StateProbVector:
+def _compile_vector(explicit: Mapping[LosState, CurveSpec], complement: LosState) -> _Vector:
+    """Evaluator of one probability triple at an in-domain distance.
+
+    Both explicit curves are clamped into [0, 1], the complement state gets
+    one minus their sum, and :func:`repair_vector` runs only when that triple
+    is invalid. The clamped values are never negative, so only the complement
+    needs the sign test; ``x + y + z`` is the sum ``repair_vector`` takes.
+    """
+    (i, f), (j, g) = sorted((int(state), spec.raw) for state, spec in explicit.items())
+    k = int(complement)
+
+    def vector(d: float) -> tuple[float, float, float]:
+        x = f(d)
+        if x < 0.0:
+            x = 0.0
+        elif x > 1.0:
+            x = 1.0
+        y = g(d)
+        if y < 0.0:
+            y = 0.0
+        elif y > 1.0:
+            y = 1.0
+        z = 1.0 - (x + y)
+        v = (x, y, z) if k == 2 else (x, z, y) if k == 1 else (z, x, y)
+        if z >= 0.0 and abs(v[0] + v[1] + v[2] - 1.0) <= SUM_TOLERANCE:
+            return v
+        return repair_vector(v)
+
+    return vector
+
+
+# Per live model: (d_min, d_max, state vector, rows by origin), built on first
+# use. Kept here rather than on the model, so that models stay picklable.
+_COMPILED: dict[int, tuple[float, float, _Vector, tuple[_Vector, _Vector, _Vector]]] = {}
+
+
+def _compiled(model: ScenarioModel) -> tuple[float, float, _Vector, tuple[_Vector, _Vector, _Vector]]:
+    key = id(model)
+    c = _COMPILED.get(key)
+    if c is None:
+        sp = model.state_probs
+        rows = tuple(_compile_vector(r.explicit, r.complement) for r in model.rows)
+        c = _COMPILED[key] = (model.d_min, model.d_max, _compile_vector(sp.explicit, sp.complement), rows)
+        # The entry leaves with its model, before the id can be reused.
+        weakref.finalize(model, _COMPILED.pop, key, None)
+    return c
+
+
+# Each public function below takes a plain in-range float as it is and sends
+# everything else (ints, numpy scalars, NaN, clamping, bad policies) through
+# effective_distance.
+
+
+def state_probabilities(model: ScenarioModel, d: float, over_range: str = "error") -> StateProbVector:
     """Probability of LOS/NLOSv/NLOSb at distance ``d`` for one scenario."""
-    d_eff = effective_distance(d, model.d_min, model.d_max, over_range)
-    sp = model.state_probs
-    return StateProbVector(*_assemble(sp.explicit, sp.complement, d_eff, keep))
+    d_min, d_max, vector, _ = _compiled(model)
+    if not (type(d) is float and d_min <= d <= d_max and over_range in OVER_RANGE_POLICIES):
+        d = effective_distance(d, d_min, d_max, over_range)
+    return StateProbVector(*vector(d))
 
 
-def transition_row(
-    model: ScenarioModel,
-    origin: LosState,
-    d: float,
-    over_range: str = "error",
-    keep: str = "largest",
-) -> tuple[float, float, float]:
-    """One outgoing-probability row, in canonical state order."""
-    d_eff = effective_distance(d, model.d_min, model.d_max, over_range)
-    row = model.row(origin)
-    return _assemble(row.explicit, row.complement, d_eff, keep)
+def transition_row(model: ScenarioModel, origin: int, d: float, over_range: str = "error") -> tuple[float, float, float]:
+    """One outgoing-probability row, in canonical state order; ``origin`` is a state or its int."""
+    d_min, d_max, _, rows = _compiled(model)
+    if not (type(d) is float and d_min <= d <= d_max and over_range in OVER_RANGE_POLICIES):
+        d = effective_distance(d, d_min, d_max, over_range)
+    return rows[origin](d)
 
 
-def transition_matrix(
-    model: ScenarioModel,
-    d: float,
-    over_range: str = "error",
-    keep: str = "largest",
-) -> TransitionMatrix:
+def transition_matrix(model: ScenarioModel, d: float, over_range: str = "error") -> TransitionMatrix:
     """Row-stochastic transition matrix assembled at exact distance ``d``."""
-    d_eff = effective_distance(d, model.d_min, model.d_max, over_range)
-    rows = [
-        _assemble(model.row(origin).explicit, model.row(origin).complement, d_eff, keep)
-        for origin in CANONICAL_STATES
-    ]
-    return TransitionMatrix(np.array(rows, dtype=float), d=d_eff)
+    d_min, d_max, _, rows = _compiled(model)
+    if not (type(d) is float and d_min <= d <= d_max and over_range in OVER_RANGE_POLICIES):
+        d = effective_distance(d, d_min, d_max, over_range)
+    return TransitionMatrix(np.array([row(d) for row in rows], dtype=float), d=d)
 
 
 @dataclass(frozen=True)

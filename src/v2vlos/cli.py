@@ -110,7 +110,9 @@ class _ConfigFile(argparse.Action):
     """``--config PATH``: a JSON object of defaults for unset options of this subcommand.
 
     Each value is checked like the flag it stands for, so a bad value is a
-    usage error before any work starts.
+    usage error before any work starts. The values become the subcommand's
+    defaults; :func:`main` then parses the command line again, so that every
+    option given as a flag wins over the file, wherever it stands.
     """
 
     def __call__(self, parser, namespace, path, option_string=None):
@@ -124,7 +126,9 @@ class _ConfigFile(argparse.Action):
         unknown = [k for k in obj if k not in options]
         if unknown:
             parser.error(f"unknown config keys: {', '.join(sorted(unknown))}")
-        setattr(namespace, self.dest, {key: _config_value(parser, options[key], v) for key, v in obj.items()})
+        values = {key: _config_value(parser, options[key], v) for key, v in obj.items()}
+        parser.set_defaults(**values)
+        setattr(namespace, self.dest, values)
 
 
 def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, value):
@@ -140,13 +144,6 @@ def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, valu
     if action.choices is not None and value not in action.choices:
         parser.error(f"config key {action.dest}: {value!r} is not one of {', '.join(map(str, action.choices))}")
     return value
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file; flags win over the file."""
-    for key, value in (args.config or {}).items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
 
 
 def _scenario(args: argparse.Namespace) -> ScenarioModel:
@@ -408,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config(args)
+    if args.config is not None:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except V2vLosError as exc:

@@ -1,8 +1,9 @@
 """Distance-to-probability curve families and their evaluation.
 
-Every curve maps a Tx-Rx distance in meters to a raw value; probabilities
-are obtained by clamping the raw value into [0, 1]. The families cover all
-fitted shapes used by the scenario models:
+Every curve maps a Tx-Rx distance in meters to a raw value (its ``raw``
+method, which carries no domain checks); probabilities are obtained by
+clamping the raw value into [0, 1]. The families cover all fitted shapes
+used by the scenario models:
 
 * ``Poly2``: a*d^2 + b*d + c
 * ``ExpDecay``: a * exp(-b*d)
@@ -30,6 +31,9 @@ class Poly2:
         if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
             raise ValueError("Poly2 coefficients must be finite")
 
+    def raw(self, d: float) -> float:
+        return (self.a * d + self.b) * d + self.c
+
 
 @dataclass(frozen=True)
 class ExpDecay:
@@ -39,6 +43,9 @@ class ExpDecay:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.a, self.b)):
             raise ValueError("ExpDecay coefficients must be finite")
+
+    def raw(self, d: float) -> float:
+        return self.a * math.exp(-self.b * d)
 
 
 @dataclass(frozen=True)
@@ -53,6 +60,10 @@ class LogBell:
         if self.s <= 0.0 or self.k <= 0.0:
             raise ValueError("LogBell requires s > 0 and k > 0")
 
+    def raw(self, d: float) -> float:
+        t = math.log(d) - self.mu
+        return (1.0 / (self.s * d)) * math.exp(-(t * t) / self.k)
+
 
 @dataclass(frozen=True)
 class OffsetMinusLogBell:
@@ -62,6 +73,9 @@ class OffsetMinusLogBell:
     def __post_init__(self):
         if not math.isfinite(self.offset):
             raise ValueError("offset must be finite")
+
+    def raw(self, d: float) -> float:
+        return self.offset - self.inner.raw(d)
 
 
 @dataclass(frozen=True)
@@ -73,6 +87,10 @@ class Piecewise:
     def __post_init__(self):
         if not (math.isfinite(self.d_t) and self.d_t > 0.0):
             raise ValueError("threshold distance must be finite and positive")
+
+    def raw(self, d: float) -> float:
+        # Ties at the threshold take the high-distance branch.
+        return (self.low if d < self.d_t else self.high).raw(d)
 
 
 CurveSpec = Union[Poly2, ExpDecay, LogBell, OffsetMinusLogBell, Piecewise]
@@ -95,32 +113,16 @@ def _check_domain(spec: CurveSpec, d: float) -> None:
         raise DomainError(f"log-domain curve undefined for d <= 0, got {d!r}")
 
 
-def _raw(spec: CurveSpec, d: float) -> float:
-    if isinstance(spec, Poly2):
-        return (spec.a * d + spec.b) * d + spec.c
-    if isinstance(spec, ExpDecay):
-        return spec.a * math.exp(-spec.b * d)
-    if isinstance(spec, LogBell):
-        t = math.log(d) - spec.mu
-        return (1.0 / (spec.s * d)) * math.exp(-(t * t) / spec.k)
-    if isinstance(spec, OffsetMinusLogBell):
-        return spec.offset - _raw(spec.inner, d)
-    if isinstance(spec, Piecewise):
-        # Ties at the threshold take the high-distance branch.
-        return _raw(spec.low if d < spec.d_t else spec.high, d)
-    raise TypeError(f"unknown curve spec {type(spec).__name__}")
-
-
 def raw_value(spec: CurveSpec, d: float) -> float:
     """Family value before the [0, 1] clamp. Same domain rules as eval_curve."""
     _check_domain(spec, d)
-    return _raw(spec, d)
+    return spec.raw(d)
 
 
 def eval_curve(spec: CurveSpec, d: float) -> float:
     """Probability at distance ``d``: the family value clamped into [0, 1]."""
     _check_domain(spec, d)
-    v = _raw(spec, d)
+    v = spec.raw(d)
     if v < 0.0:
         return 0.0
     if v > 1.0:

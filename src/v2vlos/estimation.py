@@ -10,7 +10,8 @@ Bins that saw no data stay flagged undefined rather than reading as zero
 probability. Curve refitting mirrors the published families: plain least
 squares for the polynomial family, log-linear least squares for exponential
 decay, and a coarse grid search with local refinement for the log-domain
-bell shapes.
+bell shapes. Only that refinement uses scipy, which is imported on first use
+so that the rest of the package starts without it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .curves import (
     CurveSpec,
@@ -281,6 +281,8 @@ def fit_logbell(points: Iterable[tuple[float, float]]) -> FitResult:
     if not np.any(y > 0.0):
         raise DegenerateError("all values are zero")
 
+    from scipy.optimize import least_squares  # slow import, needed only by the refits
+
     grid_sse, (s0, mu0, k0) = _logbell_grid(d, y)
 
     def residuals(theta):
@@ -321,6 +323,7 @@ def fit_offset_minus_logbell(points: Iterable[tuple[float, float]]) -> FitResult
     if best is None:
         raise DegenerateError("no usable offset candidate")
     off0, s0, mu0, k0 = best
+    from scipy.optimize import least_squares  # slow import, needed only by the refits
 
     def residuals(theta):
         off, s, mu, k = theta[0], math.exp(theta[1]), theta[2], math.exp(theta[3])

@@ -176,7 +176,7 @@ def _chain_sampler(model: ScenarioModel, over_range: str) -> _Sampler:
         if origin < 0:
             p = assembly.state_probabilities(model, d, over_range=over_range).as_tuple()
         else:
-            p = assembly.transition_row(model, LosState(origin), d, over_range=over_range)
+            p = assembly.transition_row(model, origin, d, over_range=over_range)
         return p[0], p[0] + p[1]
 
     return _Sampler(thresholds, model.tag)

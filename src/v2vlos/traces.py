@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError, RangeError
 from .markov import DistanceTrace, StateTrace
-from .rng import RngSeed, SplitMix64
+from .rng import RngSeed, uniform_block
 from .states import LosState
 
 SPEED_OF_LIGHT = 299792458.0
@@ -96,7 +96,6 @@ def synth_distance_trace(
     d_max: float = 500.0,
 ) -> DistanceTrace:
     """Deterministic synthetic distance trace for one profile and seed."""
-    rng = SplitMix64(seed)
     ds = [profile.d0]
     if profile.kind in ("constant", "opposing_highway"):
         vel = profile.speed if profile.kind == "constant" else -abs(profile.speed)
@@ -106,10 +105,10 @@ def synth_distance_trace(
                 vel = -vel
             ds.append(nxt)
     else:
+        # Step k + 1 takes draw k of the seed's stream.
         bound = profile.step_bound
-        for _ in range(profile.n_steps - 1):
-            delta = (2.0 * rng.next_float() - 1.0) * bound
-            nxt, _ = _reflect(ds[-1] + delta, d_min, d_max)
+        for u in uniform_block(seed, 0, profile.n_steps - 1).tolist():
+            nxt, _ = _reflect(ds[-1] + (2.0 * u - 1.0) * bound, d_min, d_max)
             ds.append(nxt)
     return DistanceTrace.from_distances(ds)
 
@@ -146,14 +145,22 @@ def dwell_statistics(trace: StateTrace) -> DwellStats:
     if len(trace) == 0:
         raise DomainError("dwell statistics need a non-empty trace")
     s = trace.states
-    boundaries = np.flatnonzero(np.diff(s.astype(np.int16)) != 0)
-    changes = int(boundaries.size)
-    hist: dict[LosState, dict[int, int]] = {state: {} for state in LosState}
-    starts = np.concatenate([[0], boundaries + 1, [s.size]])
-    for i in range(starts.size - 1):
-        run = int(starts[i + 1] - starts[i])
-        state = LosState(int(s[starts[i]]))
-        hist[state][run] = hist[state].get(run, 0) + 1
+    last = np.empty(s.size, dtype=bool)  # True at the last step of each run
+    np.not_equal(s[1:], s[:-1], out=last[:-1])
+    last[-1] = True
+    ends = last.nonzero()[0]
+    changes = int(ends.size) - 1
+    runs = ends.copy()
+    runs[1:] -= ends[:-1]
+    runs[0] += 1
+    # One bincount over state * width + run length gives all three histograms.
+    width = int(runs.max()) + 1
+    counts = np.bincount(s[ends].astype(np.intp) * width + runs, minlength=3 * width).reshape(3, width)
+    hist: dict[LosState, dict[int, int]] = {}
+    for state in LosState:
+        row = counts[state]
+        lengths = row.nonzero()[0]
+        hist[state] = dict(zip(lengths.tolist(), row[lengths].tolist()))
     return DwellStats(n_steps=int(s.size), n_traces=1, changes=changes, histograms=hist)
 
 

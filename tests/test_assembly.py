@@ -109,13 +109,6 @@ def test_repair_tie_breaks_earliest_state():
     assert got == (0.0, 1.0 - 0.9, 0.9)
 
 
-def test_repair_keep_first_policy():
-    got = repair_vector((0.3, 0.9, -0.2), keep="first")
-    assert got == (0.3, 1.0 - 0.3, 0.0)
-    with pytest.raises(ValueError):
-        repair_vector((0.3, 0.9, -0.2), keep="best")
-
-
 def test_repair_is_idempotent():
     for vec in [(1.2, 0.1, -0.3), (0.9985, -0.00079, 0.00229), (0.5, 0.6, -0.1)]:
         once = repair_vector(vec)

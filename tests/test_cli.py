@@ -179,6 +179,32 @@ def test_config_file_supplies_defaults(tmp_path):
     assert len(read_labeled_traces(out)[0]) == 25
 
 
+def test_config_file_fills_options_that_have_defaults(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"count": 3, "steps": 4, "seed": 9, "d0": 5.0, "profile": "constant",
+                                  "speed": 2.0}), encoding="utf-8")
+    out = tmp_path / "t.csv"
+    assert main(GENERATE + ["--config", str(config), "--out", str(out)]) == 0
+    traces = read_labeled_traces(out)
+    assert [len(t) for t in traces] == [4, 4, 4]
+    assert traces[0].seed == 9
+    assert traces[0].distances.tolist() == [5.0, 7.0, 9.0, 11.0]
+    # Flags win over the file, before or after --config.
+    assert main(GENERATE + ["--count", "2", "--config", str(config), "--seed", "1", "--out", str(out)]) == 0
+    traces = read_labeled_traces(out)
+    assert len(traces) == 2 and traces[0].seed == 1
+
+
+def test_config_file_sets_curve_range(tmp_path):
+    curves_cfg = tmp_path / "curves.json"
+    curves_cfg.write_text(json.dumps({"d_min": 10.0, "d_max": 30.0, "d_step": 10.0}), encoding="utf-8")
+    out = tmp_path / "c.csv"
+    assert main(["curves", "--env", "urban", "--density", "low", "--config", str(curves_cfg),
+                 "--out", str(out)]) == 0
+    rows = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")][1:]
+    assert [float(r.split(",")[0]) for r in rows] == [10.0, 20.0, 30.0]
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"stepz": 25}), encoding="utf-8")
@@ -283,3 +309,46 @@ def test_output_files_get_the_umask_mode(tmp_path):
         os.umask(old)
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]  # no temporary file left behind
+
+
+def test_scipy_stays_off_the_start_path(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    r = subprocess.run([sys.executable, "-X", "importtime", "-m", "v2vlos.cli", "--version"],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0 and "v2vlos" in r.stdout
+    assert "v2vlos.estimation" in r.stderr and "scipy" not in r.stderr
+    out = tmp_path / "t.csv"
+    script = f"""
+import sys
+import v2vlos
+assert "scipy" not in sys.modules, "import v2vlos"
+from v2vlos.cli import main
+base = ["--env", "urban", "--density", "low", "--seed", "2"]
+assert main(["generate", *base, "--steps", "30", "--count", "2", "--out", {str(out)!r}]) == 0
+assert main(["compare", *base, "--steps", "30", "--out", {str(tmp_path / "cmp.csv")!r}]) == 0
+assert main(["curves", *base, "--d-step", "50", "--out", {str(tmp_path / "c.csv")!r}]) == 0
+assert main(["estimate", *base, "--traces", {str(out)!r}, "--out-report", {str(tmp_path / "r.txt")!r}]) == 0
+assert "scipy" not in sys.modules, "generate, compare, curves, estimate"
+"""
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+
+
+def test_estimate_fit_still_refits_with_scipy(tmp_path):
+    traces = tmp_path / "t.csv"
+    assert main(GENERATE + ["--steps", "300", "--seed", "1", "--count", "10", "--out", str(traces)]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    fitted = tmp_path / "fit.json"
+    script = f"""
+import sys
+from v2vlos.cli import main
+assert main(["estimate", "--env", "urban", "--density", "low", "--traces", {str(traces)!r},
+             "--out-report", {str(tmp_path / "r.txt")!r}, "--fit", "--out-model", {str(fitted)!r}]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    model = load_scenario(fitted)
+    assert model.environment.value == "urban" and model.density.value == "low"

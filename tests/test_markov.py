@@ -132,9 +132,9 @@ def test_sampler_consults_only_previous_state_and_current_distance(monkeypatch):
     calls = []
     real = v2vlos.assembly.transition_row
 
-    def instrumented(model, origin, d, over_range="error", keep="largest"):
+    def instrumented(model, origin, d, over_range="error"):
         calls.append((int(origin), float(d)))
-        return real(model, origin, d, over_range=over_range, keep=keep)
+        return real(model, origin, d, over_range=over_range)
 
     monkeypatch.setattr(v2vlos.assembly, "transition_row", instrumented)
     # Strictly increasing distances keep the row memo cold, one call per step.
