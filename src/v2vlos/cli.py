@@ -60,6 +60,9 @@ _SYNTH_SALT = 0x53594E54  # distance synthesis draws from its own seed stream
 
 PROFILE_CHOICES = ("separate1ms", "constant", "walk", "opposing", "same-direction", "urban-mixed")
 
+# Transition-probability column names, p_<origin>_<target>, in matrix order.
+_TRANSITION_COLUMNS = tuple(f"p_{o.name.lower()}_{t.name.lower()}" for o in CANONICAL_STATES for t in CANONICAL_STATES)
+
 _PROFILE_KIND = {
     "constant": "constant",
     "walk": "walk",
@@ -194,11 +197,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_curves(args: argparse.Namespace) -> int:
     model = _scenario(args)
     lines = _provenance("curves", scenario=model.tag, seed=args.seed)
-    header = ["d", "p_los", "p_nlosv", "p_nlosb"]
-    for origin in CANONICAL_STATES:
-        for target in CANONICAL_STATES:
-            header.append(f"p_{origin.name.lower()}_{target.name.lower()}")
-    lines.append(",".join(header))
+    lines.append(",".join(["d", "p_los", "p_nlosv", "p_nlosb", *_TRANSITION_COLUMNS]))
     n = int((args.d_max - args.d_min) / args.d_step) + 1
     for i in range(n):
         d = args.d_min + i * args.d_step
@@ -305,10 +304,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         emp_state = empirical_state_probs(stats)
         emp_trans = empirical_transition_probs(stats)
         lines = _provenance("estimate", scenario=model.tag, seed=args.seed)
-        header = ["bin", "center", "n_los", "n_nlosv", "n_nlosb", "p_los", "p_nlosv", "p_nlosb"]
-        for origin in CANONICAL_STATES:
-            for target in CANONICAL_STATES:
-                header.append(f"p_{origin.name.lower()}_{target.name.lower()}")
+        header = ["bin", "center", "n_los", "n_nlosv", "n_nlosb", "p_los", "p_nlosv", "p_nlosb", *_TRANSITION_COLUMNS]
         lines.append(",".join(header))
         centers = bin_centers()
         for b in range(len(centers)):

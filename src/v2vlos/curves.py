@@ -10,19 +10,24 @@ used by the scenario models:
 * ``LogBell``: (1 / (s*d)) * exp(-(ln d - mu)^2 / k)
 * ``OffsetMinusLogBell``: offset - LogBell(d)
 * ``Piecewise``: one curve below a threshold distance, another at or above it
+
+Each family is one frozen dataclass: its ``family`` tag names it in
+parameter files, its ``float`` fields are coefficients and its other fields
+are nested curves, which is all the generic (de)serialisation below needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import Field, dataclass, fields
+from typing import ClassVar, Union, get_args
 
 from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class Poly2:
+    family: ClassVar[str] = "poly2"
     a: float
     b: float
     c: float
@@ -37,6 +42,7 @@ class Poly2:
 
 @dataclass(frozen=True)
 class ExpDecay:
+    family: ClassVar[str] = "exp_decay"
     a: float
     b: float
 
@@ -50,6 +56,7 @@ class ExpDecay:
 
 @dataclass(frozen=True)
 class LogBell:
+    family: ClassVar[str] = "log_bell"
     s: float
     mu: float
     k: float
@@ -67,12 +74,15 @@ class LogBell:
 
 @dataclass(frozen=True)
 class OffsetMinusLogBell:
+    family: ClassVar[str] = "offset_minus_log_bell"
     offset: float
     inner: LogBell
 
     def __post_init__(self):
         if not math.isfinite(self.offset):
             raise ValueError("offset must be finite")
+        if not isinstance(self.inner, LogBell):
+            raise ValueError("offset_minus_log_bell inner curve must be log_bell")
 
     def raw(self, d: float) -> float:
         return self.offset - self.inner.raw(d)
@@ -80,6 +90,7 @@ class OffsetMinusLogBell:
 
 @dataclass(frozen=True)
 class Piecewise:
+    family: ClassVar[str] = "piecewise"
     d_t: float
     low: "CurveSpec"
     high: "CurveSpec"
@@ -95,15 +106,19 @@ class Piecewise:
 
 CurveSpec = Union[Poly2, ExpDecay, LogBell, OffsetMinusLogBell, Piecewise]
 
+# JSON tag -> family class, for parameter files.
+FAMILIES = {cls.family: cls for cls in get_args(CurveSpec)}
+
+
+def _is_curve(f: Field) -> bool:
+    # Coefficients are annotated ``float``; every other field holds a nested curve.
+    return f.type != "float"
+
 
 def contains_log_bell(spec: CurveSpec) -> bool:
-    if isinstance(spec, LogBell):
-        return True
-    if isinstance(spec, OffsetMinusLogBell):
-        return True
-    if isinstance(spec, Piecewise):
-        return contains_log_bell(spec.low) or contains_log_bell(spec.high)
-    return False
+    return isinstance(spec, LogBell) or any(
+        contains_log_bell(getattr(spec, f.name)) for f in fields(spec) if _is_curve(f)
+    )
 
 
 def _check_domain(spec: CurveSpec, d: float) -> None:
@@ -131,52 +146,40 @@ def eval_curve(spec: CurveSpec, d: float) -> float:
 
 
 def curve_to_dict(spec: CurveSpec) -> dict:
-    if isinstance(spec, Poly2):
-        return {"family": "poly2", "a": spec.a, "b": spec.b, "c": spec.c}
-    if isinstance(spec, ExpDecay):
-        return {"family": "exp_decay", "a": spec.a, "b": spec.b}
-    if isinstance(spec, LogBell):
-        return {"family": "log_bell", "s": spec.s, "mu": spec.mu, "k": spec.k}
-    if isinstance(spec, OffsetMinusLogBell):
-        return {
-            "family": "offset_minus_log_bell",
-            "offset": spec.offset,
-            "inner": curve_to_dict(spec.inner),
-        }
-    if isinstance(spec, Piecewise):
-        return {
-            "family": "piecewise",
-            "d_t": spec.d_t,
-            "low": curve_to_dict(spec.low),
-            "high": curve_to_dict(spec.high),
-        }
-    raise TypeError(f"unknown curve spec {type(spec).__name__}")
+    if type(spec) not in FAMILIES.values():
+        raise TypeError(f"unknown curve spec {type(spec).__name__}")
+    out = {"family": spec.family}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        out[f.name] = curve_to_dict(value) if _is_curve(f) else value
+    return out
 
 
-def _require_keys(obj: dict, keys: set[str]) -> None:
-    got = set(obj)
-    if got != keys:
-        raise ValueError(f"curve object keys {sorted(got)} do not match expected {sorted(keys)}")
+def check_object(obj, keys: set[str], what: str) -> dict:
+    """``obj`` itself, once it is known to be a JSON object with exactly ``keys``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if set(obj) != keys:
+        raise ValueError(f"{what} keys {sorted(obj)} do not match expected {sorted(keys)}")
+    return obj
+
+
+def as_float(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
 
 
 def curve_from_dict(obj: dict) -> CurveSpec:
+    if not isinstance(obj, dict):
+        raise ValueError(f"curve must be a JSON object, got {type(obj).__name__}")
     family = obj.get("family")
-    if family == "poly2":
-        _require_keys(obj, {"family", "a", "b", "c"})
-        return Poly2(float(obj["a"]), float(obj["b"]), float(obj["c"]))
-    if family == "exp_decay":
-        _require_keys(obj, {"family", "a", "b"})
-        return ExpDecay(float(obj["a"]), float(obj["b"]))
-    if family == "log_bell":
-        _require_keys(obj, {"family", "s", "mu", "k"})
-        return LogBell(float(obj["s"]), float(obj["mu"]), float(obj["k"]))
-    if family == "offset_minus_log_bell":
-        _require_keys(obj, {"family", "offset", "inner"})
-        inner = curve_from_dict(obj["inner"])
-        if not isinstance(inner, LogBell):
-            raise ValueError("offset_minus_log_bell inner curve must be log_bell")
-        return OffsetMinusLogBell(float(obj["offset"]), inner)
-    if family == "piecewise":
-        _require_keys(obj, {"family", "d_t", "low", "high"})
-        return Piecewise(float(obj["d_t"]), curve_from_dict(obj["low"]), curve_from_dict(obj["high"]))
-    raise ValueError(f"unknown curve family {family!r}")
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise ValueError(f"unknown curve family {family!r}")
+    check_object(obj, {"family"} | {f.name for f in fields(cls)}, f"{family} curve")
+    return cls(**{
+        f.name: curve_from_dict(obj[f.name]) if _is_curve(f) else as_float(obj[f.name], f"{family}.{f.name}")
+        for f in fields(cls)
+    })

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,9 +30,8 @@ from .curves import (
     OffsetMinusLogBell,
     Piecewise,
     Poly2,
-    raw_value,
 )
-from .errors import ConvergenceError, DegenerateError, DomainError, ParseError, RangeError, SingularError
+from .errors import ConvergenceError, DegenerateError, DomainError, RangeError, SingularError
 from .markov import StateTrace
 
 BIN_WIDTH = 10.0
@@ -355,35 +353,3 @@ def fit_same_family(template: CurveSpec, points: Iterable[tuple[float, float]]) 
         high = fit_same_family(template.high, high_pts)
         return FitResult(Piecewise(template.d_t, low.spec, high.spec), low.sse + high.sse)
     raise TypeError(f"unknown curve spec {type(template).__name__}")
-
-
-def sample_curve(spec: CurveSpec, ds: Sequence[float]) -> np.ndarray:
-    """Raw (unclamped) family values at each distance."""
-    return np.asarray([raw_value(spec, float(d)) for d in ds], dtype=float)
-
-
-def read_curve_table(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a delimited curve table: '#' comments, a header row, float columns."""
-    names: list[str] | None = None
-    columns: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if names is None:
-                names = parts
-                columns = [[] for _ in names]
-                continue
-            if len(parts) != len(names):
-                raise ParseError(f"expected {len(names)} columns, got {len(parts)}", line=lineno)
-            try:
-                values = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-            for col, v in zip(columns, values):
-                col.append(v)
-    if names is None:
-        raise ParseError("no header row found")
-    return {name: np.asarray(col, dtype=float) for name, col in zip(names, columns)}

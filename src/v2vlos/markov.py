@@ -27,8 +27,11 @@ from .params import ScenarioModel
 from .rng import RngSeed, SplitMix64, derive_subseed, uniform_block
 from .states import LosState
 
-# Threshold memo bound; beyond this thresholds are recomputed instead of cached.
-_ROW_CACHE_MAX = 1 << 18
+# Threshold memo bound; beyond it thresholds are recomputed instead of cached.
+# Integer-metre distances need only about 1,500 entries (500 distances x 3
+# origins), while continuous distances never repeat, so a larger memo only
+# holds misses that never hit (about 28 MB at 2^18 entries).
+_ROW_CACHE_MAX = 1 << 12
 # Uniforms per block; bounds the engine's memory on long traces.
 _UNIFORM_BLOCK = 1 << 16
 

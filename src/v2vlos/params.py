@@ -1,10 +1,13 @@
 """Scenario parameter sets: fitted curves per environment and vehicle density.
 
 Six builtin scenarios (urban/highway x low/medium/high density) carry the
-published fitted coefficients verbatim. Each scenario stores two explicit
+published fitted coefficients verbatim. Their only copy is the shipped
+parameter files ``data/{environment}_{density}.json``, which
+:func:`builtin_model` reads. Each scenario stores two explicit
 state-probability curves plus two explicit outgoing-transition curves per
 origin state; the third value is always the complement to one, assembled in
-:mod:`v2vlos.assembly`.
+:mod:`v2vlos.assembly`. Highway transitions out of NLOSv are piecewise, with
+a density-dependent threshold: 70 m at low density, 90 m at medium and high.
 
 Models are immutable after construction and safe to share across threads.
 """
@@ -19,16 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .curves import (
-    CurveSpec,
-    ExpDecay,
-    LogBell,
-    OffsetMinusLogBell,
-    Piecewise,
-    Poly2,
-    curve_from_dict,
-    curve_to_dict,
-)
+from .curves import CurveSpec, as_float, check_object, curve_from_dict, curve_to_dict
 from .errors import DistanceClampWarning, DomainError
 from .states import CANONICAL_STATES, Density, Environment, LosState
 
@@ -39,6 +33,8 @@ DEFAULT_D_MIN = 1.0
 DEFAULT_D_MAX = 500.0
 
 OVER_RANGE_POLICIES = ("error", "clamp")
+
+_STATE_NAMES = tuple(s.name for s in CANONICAL_STATES)
 
 
 @dataclass(frozen=True)
@@ -132,95 +128,26 @@ def effective_distance(
     return d
 
 
-# Fitted coefficients, stored exactly as published (no re-derivation).
-
-L, V, B = LosState.LOS, LosState.NLOSv, LosState.NLOSb
-
-_URBAN_STATE_CURVES = {
-    Density.LOW: {L: ExpDecay(0.8548, 0.0064), V: LogBell(0.0396, 5.2718, 3.4827)},
-    Density.MEDIUM: {L: ExpDecay(0.8372, 0.0114), V: LogBell(0.0312, 5.0063, 2.4544)},
-    Density.HIGH: {L: ExpDecay(0.8962, 0.017), V: LogBell(0.0242, 5.0115, 2.2092)},
-}
-
-_HIGHWAY_STATE_CURVES = {
-    Density.LOW: {L: Poly2(1.5e-6, -0.0015, 1.0), B: Poly2(-2.9e-7, 0.00059, 0.0017)},
-    Density.MEDIUM: {L: Poly2(2.7e-6, -0.0025, 1.0), B: Poly2(-3.7e-7, 0.00061, 0.015)},
-    Density.HIGH: {L: Poly2(3.2e-6, -0.003, 1.0), B: Poly2(-4.1e-7, 0.00067, 0.0)},
-}
-
-_URBAN_TRANSITIONS = {
-    Density.LOW: {
-        L: {L: Poly2(1.6e-6, -1.2e-3, 0.99), B: Poly2(-8.7e-7, 6.7e-4, -0.012)},
-        B: {L: Poly2(1.6e-6, -1.1e-3, 0.2), B: Poly2(-1.2e-6, 9.1e-4, 0.83)},
-        V: {L: Poly2(-1.4e-6, 6.7e-4, 0.079), B: Poly2(-3e-7, 2.7e-4, -0.0059)},
-    },
-    Density.MEDIUM: {
-        L: {L: Poly2(1.5e-6, -1.2e-3, 0.93), B: Poly2(-5.9e-7, 5.4e-4, 0.0069)},
-        B: {L: Poly2(1e-6, -7.1e-4, 0.12), B: Poly2(-1.1e-6, 7.8e-4, 0.86)},
-        V: {L: Poly2(8.1e-8, -2.1e-4, 0.14), B: Poly2(-4.9e-7, 3.6e-4, -0.0046)},
-    },
-    Density.HIGH: {
-        L: {L: Poly2(2.1e-7, -6.5e-4, 0.86), B: Poly2(-9e-8, 3e-4, 0.025)},
-        B: {L: Poly2(7.7e-7, -5.3e-4, 0.083), B: Poly2(-9e-7, 6.4e-4, 0.89)},
-        V: {L: Poly2(6.8e-7, -5.7e-4, 0.14), B: Poly2(-4e-7, 2.7e-4, 0.0058)},
-    },
-}
-
-# Highway transitions involving NLOSv are piecewise with a density-dependent
-# threshold: 70 m at low density, 90 m at medium and high.
-_HIGHWAY_TRANSITIONS = {
-    Density.LOW: {
-        L: {L: Poly2(6.7e-7, -4.8e-4, 0.99), B: Poly2(4e-9, -2.7e-6, 0.018)},
-        B: {
-            L: LogBell(0.0289, 5.2782, 1.8424),
-            B: OffsetMinusLogBell(1.0, LogBell(0.0289, 5.2782, 1.8424)),
-        },
-        V: {
-            L: Piecewise(70.0, Poly2(-9.8e-6, 8.9e-4, 0.97), Poly2(-2e-6, 1.6e-3, 0.051)),
-            B: Piecewise(70.0, Poly2(9.8e-6, -8.9e-4, 0.03), Poly2(-1.4e-7, 9.1e-5, -0.0016)),
-        },
-    },
-    Density.MEDIUM: {
-        L: {L: Poly2(1.6e-6, -1.2e-3, 1.0), B: Poly2(-8.4e-8, 3.5e-5, 0.016)},
-        B: {
-            L: LogBell(0.0346, 5.021, 1.5875),
-            B: OffsetMinusLogBell(0.9132, LogBell(0.0484, 4.7076, 0.7480)),
-        },
-        V: {
-            L: Piecewise(90.0, Poly2(-4.8e-5, -5.62e-3, 1.11), Poly2(-2.286e-6, 1.443e-3, 0.1022)),
-            B: Piecewise(90.0, Poly2(4.4e-6, -8.335e-4, 0.042), Poly2(-2.7e-7, 1.5e-4, -0.0031)),
-        },
-    },
-    Density.HIGH: {
-        L: {L: Poly2(2.1e-6, -1.5e-3, 1.0), B: Poly2(-1.1e-7, 4.3e-5, 0.015)},
-        B: {
-            L: LogBell(0.0411, 4.927, 1.4876),
-            B: OffsetMinusLogBell(0.9264, LogBell(0.056, 4.7012, 0.8186)),
-        },
-        V: {
-            L: Piecewise(90.0, Poly2(-6.51e-5, -1.04e-3, 0.8706), Poly2(-1.412e-6, 6.196e-4, 0.2216)),
-            B: Piecewise(90.0, Poly2(1.254e-7, -3.775e-5, 9.853e-3), Poly2(-1.4e-7, 8.3e-5, -0.0065)),
-        },
-    },
-}
+def _block_to_dict(block: StateProbModel | TransitionRowModel) -> dict:
+    return {
+        "explicit": {s.name: curve_to_dict(c) for s, c in block.explicit.items()},
+        "complement": block.complement.name,
+    }
 
 
-@lru_cache(maxsize=None)
-def builtin_model(env: Environment, density: Density) -> ScenarioModel:
-    """Scenario model with the published coefficients for ``env`` x ``density``."""
-    env = Environment(env)
-    density = Density(density)
-    if env is Environment.URBAN:
-        state = StateProbModel(dict(_URBAN_STATE_CURVES[density]), complement=B)
-        trans = _URBAN_TRANSITIONS[density]
-    else:
-        state = StateProbModel(dict(_HIGHWAY_STATE_CURVES[density]), complement=V)
-        trans = _HIGHWAY_TRANSITIONS[density]
-    rows = tuple(
-        TransitionRowModel(origin, dict(trans[origin]), complement=V)
-        for origin in CANONICAL_STATES
-    )
-    return ScenarioModel(env, density, state, rows)
+def _state(name) -> LosState:
+    if name not in _STATE_NAMES:
+        raise ValueError(f"unknown state {name!r}; expected one of {', '.join(_STATE_NAMES)}")
+    return LosState[name]
+
+
+def _block_from_dict(obj, what: str) -> tuple[dict[LosState, CurveSpec], LosState]:
+    """The ``explicit`` curves and the ``complement`` state of one vector or row."""
+    check_object(obj, {"explicit", "complement"}, what)
+    explicit = obj["explicit"]
+    if not isinstance(explicit, dict):
+        raise ValueError(f"{what}.explicit must be a JSON object, got {type(explicit).__name__}")
+    return {_state(name): curve_from_dict(c) for name, c in explicit.items()}, _state(obj["complement"])
 
 
 def scenario_to_dict(model: ScenarioModel) -> dict:
@@ -230,47 +157,30 @@ def scenario_to_dict(model: ScenarioModel) -> dict:
         "environment": model.environment.value,
         "density": model.density.value,
         "valid_range": {"d_min": model.d_min, "d_max": model.d_max},
-        "state_probs": {
-            "explicit": {s.name: curve_to_dict(c) for s, c in model.state_probs.explicit.items()},
-            "complement": model.state_probs.complement.name,
-        },
-        "transitions": {
-            row.origin.name: {
-                "explicit": {s.name: curve_to_dict(c) for s, c in row.explicit.items()},
-                "complement": row.complement.name,
-            }
-            for row in model.rows
-        },
+        "state_probs": _block_to_dict(model.state_probs),
+        "transitions": {row.origin.name: _block_to_dict(row) for row in model.rows},
     }
 
 
 def scenario_from_dict(obj: dict) -> ScenarioModel:
+    """Parse a scenario parameter file's JSON tree; malformed input raises ValueError."""
     expected = {"format", "version", "environment", "density", "valid_range", "state_probs", "transitions"}
-    if set(obj) != expected:
-        raise ValueError(f"scenario keys {sorted(obj)} do not match expected {sorted(expected)}")
+    check_object(obj, expected, "scenario")
     if obj["format"] != SCENARIO_FORMAT or obj["version"] != SCENARIO_FORMAT_VERSION:
-        raise ValueError(f"unsupported scenario format {obj.get('format')!r} v{obj.get('version')!r}")
-    state_obj = obj["state_probs"]
-    state = StateProbModel(
-        {LosState[name]: curve_from_dict(c) for name, c in state_obj["explicit"].items()},
-        complement=LosState[state_obj["complement"]],
-    )
+        raise ValueError(f"unsupported scenario format {obj['format']!r} v{obj['version']!r}")
+    transitions = check_object(obj["transitions"], set(_STATE_NAMES), "transitions")
     rows = tuple(
-        TransitionRowModel(
-            origin,
-            {LosState[name]: curve_from_dict(c) for name, c in obj["transitions"][origin.name]["explicit"].items()},
-            complement=LosState[obj["transitions"][origin.name]["complement"]],
-        )
+        TransitionRowModel(origin, *_block_from_dict(transitions[origin.name], f"transitions.{origin.name}"))
         for origin in CANONICAL_STATES
     )
-    rng = obj["valid_range"]
+    valid_range = check_object(obj["valid_range"], {"d_min", "d_max"}, "valid_range")
     return ScenarioModel(
         Environment(obj["environment"]),
         Density(obj["density"]),
-        state,
+        StateProbModel(*_block_from_dict(obj["state_probs"], "state_probs")),
         rows,
-        d_min=float(rng["d_min"]),
-        d_max=float(rng["d_max"]),
+        d_min=as_float(valid_range["d_min"], "valid_range.d_min"),
+        d_max=as_float(valid_range["d_max"], "valid_range.d_max"),
     )
 
 
@@ -287,7 +197,9 @@ def load_scenario(path: str | Path) -> ScenarioModel:
     return scenario_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def builtin_scenario_text(env: Environment, density: Density) -> str:
-    """Contents of the shipped parameter file for one builtin scenario."""
+@lru_cache(maxsize=None)
+def builtin_model(env: Environment, density: Density) -> ScenarioModel:
+    """Scenario model with the published coefficients for ``env`` x ``density``."""
     name = f"{Environment(env).value}_{Density(density).value}.json"
-    return resources.files("v2vlos").joinpath("data", name).read_text(encoding="utf-8")
+    text = resources.files("v2vlos").joinpath("data", name).read_text(encoding="utf-8")
+    return scenario_from_dict(json.loads(text))

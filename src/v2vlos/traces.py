@@ -173,22 +173,6 @@ def merge_dwell(stats: Iterable[DwellStats]) -> DwellStats:
     return total
 
 
-def format_dwell_report(stats: DwellStats) -> str:
-    lines = [
-        f"traces={stats.n_traces}",
-        f"steps={stats.n_steps}",
-        f"state_changes={stats.changes}",
-        f"mean_dwell_s={stats.mean_dwell:.4f}",
-    ]
-    for state in LosState:
-        hist = stats.histograms.get(state, {})
-        runs = sum(hist.values())
-        seconds = sum(length * count for length, count in hist.items())
-        lines.append(f"{state.name}_runs={runs}")
-        lines.append(f"{state.name}_seconds={seconds}")
-    return "\n".join(lines) + "\n"
-
-
 def fresnel_clearance_radius(d1: float, d2: float, f: float) -> float:
     """Radius of 60% of the first Fresnel zone at distances d1, d2 from the ends."""
     if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in (d1, d2, f)):

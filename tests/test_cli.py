@@ -9,11 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from v2vlos import load_scenario, read_labeled_traces
 from v2vlos.cli import main
-from v2vlos.estimation import read_curve_table
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -79,6 +79,12 @@ def test_invalid_density_lists_valid_values(tmp_path):
         assert value in r.stderr
 
 
+def read_table(path):
+    """A CLI table as a structured array, one field per column, provenance lines skipped."""
+    lines = [line for line in Path(path).read_text().splitlines() if not line.startswith("#")]
+    return np.genfromtxt(lines, delimiter=",", names=True)
+
+
 def test_runtime_error_exits_one(tmp_path):
     r = run_cli("generate", "--env", "urban", "--density", "low",
                 "--trace-in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x.csv"))
@@ -91,11 +97,11 @@ def test_curves_output_values_and_closure(tmp_path):
     r = run_cli("curves", "--env", "urban", "--density", "high",
                 "--d-max", "3", "--out", str(out))
     assert r.returncode == 0, r.stderr
-    table = read_curve_table(out)
+    table = read_table(out)
     assert table["d"][0] == 1.0
     assert table["p_los"][0] == pytest.approx(0.8962 * math.exp(-0.017), abs=1e-6)
     # Columns cover the state vector and the full matrix.
-    assert len(table) == 13
+    assert len(table.dtype.names) == 13
     sums = table["p_los"] + table["p_nlosv"] + table["p_nlosb"]
     assert all(abs(s - 1.0) < 1e-7 for s in sums)
 
@@ -105,7 +111,7 @@ def test_curves_show_piecewise_branch_switch(tmp_path):
     r = run_cli("curves", "--env", "highway", "--density", "medium",
                 "--d-min", "85", "--d-max", "95", "--out", str(out))
     assert r.returncode == 0, r.stderr
-    table = read_curve_table(out)
+    table = read_table(out)
     d = table["d"]
     low_at_89 = -4.8e-5 * 89.0**2 - 5.62e-3 * 89.0 + 1.11
     high_at_90 = -2.286e-6 * 90.0**2 + 1.443e-3 * 90.0 + 0.1022
@@ -153,7 +159,7 @@ def test_estimate_report_and_fit(tmp_path):
         for target in ("LOS", "NLOSb", "NLOSv"):
             assert f"{origin}->{target}=" in text
 
-    table = read_curve_table(stats)
+    table = read_table(stats)
     assert len(table["bin"]) == 50
 
     fitted = load_scenario(model_out)

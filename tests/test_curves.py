@@ -1,8 +1,10 @@
 """Curve family evaluation: values, clamping, branch selection, domains."""
 
+import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from v2vlos import (
     DomainError,
@@ -102,6 +104,9 @@ def test_constructor_validation():
         Poly2(math.nan, 0.0, 1.0)
     with pytest.raises(ValueError):
         ExpDecay(math.inf, 0.01)
+    # The inner curve of an offset-minus-bell is a bell, in code as in files.
+    with pytest.raises(ValueError):
+        OffsetMinusLogBell(1.0, Poly2(0, 0, 1))
 
 
 def test_poly2_matches_independent_horner():
@@ -135,6 +140,26 @@ def test_curve_dict_round_trip():
     )
     assert curve_from_dict(curve_to_dict(spec)) == spec
     assert curve_from_dict(curve_to_dict(ExpDecay(0.85, 0.006))) == ExpDecay(0.85, 0.006)
+
+
+_coefficients = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_bells = st.builds(LogBell, _positive, _coefficients, _positive)
+_curves = st.recursive(
+    st.one_of(
+        st.builds(Poly2, _coefficients, _coefficients, _coefficients),
+        st.builds(ExpDecay, _coefficients, _coefficients),
+        _bells,
+        st.builds(OffsetMinusLogBell, _coefficients, _bells),
+    ),
+    lambda inner: st.builds(Piecewise, _positive, inner, inner),
+    max_leaves=8,
+)
+
+
+@given(_curves)
+def test_curve_trees_round_trip_through_json(spec):
+    assert curve_from_dict(json.loads(json.dumps(curve_to_dict(spec)))) == spec
 
 
 def test_curve_dict_rejects_bad_input():

@@ -37,7 +37,7 @@ from v2vlos import (
     stationary_distribution,
     transition_matrix,
 )
-from v2vlos.estimation import DistanceBin, bin_centers, read_curve_table, sample_curve
+from v2vlos.estimation import DistanceBin, bin_centers
 
 
 def labeled(ds, states, t0=0):
@@ -198,8 +198,7 @@ def test_pearson_errors():
 def test_pearson_on_perturbed_curve():
     spec = ExpDecay(0.8372, 0.0114)
     ds = bin_centers()
-    ys = sample_curve(spec, ds)
-    assert np.array_equal(ys, [raw_value(spec, float(d)) for d in ds])
+    ys = np.array([raw_value(spec, float(d)) for d in ds])
     rng = np.random.default_rng(7)
     noisy = ys * (1.0 + 0.01 * rng.standard_normal(ys.size))
     assert pearson(ys, noisy) > 0.99
@@ -309,20 +308,3 @@ def test_fit_same_family_piecewise():
     assert fit.sse < 1e-18
     for d in (5.0, 85.0, 90.0, 95.0, 495.0):
         assert raw_value(fit.spec, d) == pytest.approx(raw_value(true, d), abs=1e-9)
-
-
-def test_read_curve_table(tmp_path):
-    path = tmp_path / "table.csv"
-    path.write_text("# comment\nd,y\n1,0.5\n2,0.25\n", encoding="utf-8")
-    table = read_curve_table(path)
-    assert table["d"].tolist() == [1.0, 2.0]
-    assert table["y"].tolist() == [0.5, 0.25]
-
-
-def test_read_curve_table_errors(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("d,y\n1,0.5\n2\n", encoding="utf-8")
-    from v2vlos import ParseError
-    with pytest.raises(ParseError) as err:
-        read_curve_table(path)
-    assert err.value.line == 3

@@ -2,6 +2,7 @@
 
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -22,11 +23,11 @@ from v2vlos import (
     save_scenario,
     scenario_json,
 )
+from v2vlos.curves import curve_from_dict
 from v2vlos.params import (
     ScenarioModel,
     StateProbModel,
     TransitionRowModel,
-    builtin_scenario_text,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -108,9 +109,21 @@ def test_scenario_file_round_trip(tmp_path):
         assert load_scenario(path) == model
 
 
-def test_shipped_files_match_builtins_byte_for_byte():
+def shipped_file(env, density):
+    return resources.files("v2vlos").joinpath("data", f"{env.value}_{density.value}.json")
+
+
+def test_builtin_models_are_the_shipped_files():
     for env, density in ALL_SCENARIOS:
-        assert builtin_scenario_text(env, density) == scenario_json(builtin_model(env, density))
+        with resources.as_file(shipped_file(env, density)) as path:
+            loaded = load_scenario(path)
+        assert builtin_model(env, density) == loaded
+
+
+def test_shipped_files_round_trip_byte_for_byte():
+    for env, density in ALL_SCENARIOS:
+        with resources.as_file(shipped_file(env, density)) as path:
+            assert scenario_json(load_scenario(path)) == path.read_text(encoding="utf-8")
 
 
 def test_scenario_dict_rejects_unknown_keys():
@@ -149,3 +162,52 @@ def test_scenario_json_is_valid_json_tree():
     assert obj["environment"] == "highway"
     assert obj["density"] == "medium"
     assert obj["transitions"]["NLOSv"]["explicit"]["LOS"]["family"] == "piecewise"
+
+
+POLY = {"family": "poly2", "a": 0.0, "b": 0.0, "c": 0.5}
+
+
+def _scenario_with(edit):
+    obj = scenario_to_dict(builtin_model(Environment.HIGHWAY, Density.LOW))
+    edit(obj)
+    return obj
+
+
+MALFORMED = {
+    # curve_from_dict
+    "curve-not-an-object": (curve_from_dict, lambda: [POLY]),
+    "nested-curve-not-an-object": (curve_from_dict, lambda: {"family": "piecewise", "d_t": 70.0, "low": 1.0,
+                                                             "high": dict(POLY)}),
+    "family-not-a-string": (curve_from_dict, lambda: {**POLY, "family": ["poly2"]}),
+    "list-coefficient": (curve_from_dict, lambda: {**POLY, "a": [1.0]}),
+    "null-coefficient": (curve_from_dict, lambda: {**POLY, "b": None}),
+    "text-coefficient": (curve_from_dict, lambda: {**POLY, "c": "half"}),
+    "huge-integer-coefficient": (curve_from_dict, lambda: {**POLY, "c": 10 ** 400}),
+    "inner-not-log-bell": (curve_from_dict, lambda: {"family": "offset_minus_log_bell", "offset": 1.0,
+                                                     "inner": dict(POLY)}),
+    # scenario_from_dict
+    "scenario-not-an-object": (scenario_from_dict, lambda: []),
+    "missing-transition-origin": (scenario_from_dict, lambda: _scenario_with(
+        lambda o: o["transitions"].pop("NLOSb"))),
+    "unknown-explicit-state": (scenario_from_dict, lambda: _scenario_with(
+        lambda o: o["state_probs"]["explicit"].__setitem__("LOS?", o["state_probs"]["explicit"].pop("LOS")))),
+    "unknown-complement-state": (scenario_from_dict, lambda: _scenario_with(
+        lambda o: o["transitions"]["LOS"].__setitem__("complement", "NLOSx"))),
+    "complement-not-a-string": (scenario_from_dict, lambda: _scenario_with(
+        lambda o: o["state_probs"].__setitem__("complement", ["NLOSv"]))),
+    "explicit-not-an-object": (scenario_from_dict, lambda: _scenario_with(
+        lambda o: o["state_probs"].__setitem__("explicit", [["LOS", POLY]]))),
+    "missing-d-min": (scenario_from_dict, lambda: _scenario_with(lambda o: o["valid_range"].pop("d_min"))),
+    "null-d-max": (scenario_from_dict, lambda: _scenario_with(
+        lambda o: o["valid_range"].__setitem__("d_max", None))),
+    "valid-range-not-an-object": (scenario_from_dict, lambda: _scenario_with(
+        lambda o: o.__setitem__("valid_range", [1.0, 500.0]))),
+    "unknown-environment": (scenario_from_dict, lambda: _scenario_with(
+        lambda o: o.__setitem__("environment", "rural"))),
+}
+
+
+@pytest.mark.parametrize("parse, make", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_parameter_input_raises_value_error(parse, make):
+    with pytest.raises(ValueError):
+        parse(make())

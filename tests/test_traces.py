@@ -26,7 +26,6 @@ from v2vlos import (
     write_state_trace,
     write_state_traces,
 )
-from v2vlos.traces import format_dwell_report
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -152,13 +151,6 @@ def test_merge_dwell_aggregates():
     assert merged.mean_dwell == pytest.approx(20.0 / 11.0)
     with pytest.raises(DomainError):
         merge_dwell([])
-
-
-def test_dwell_report_format():
-    report = format_dwell_report(dwell_statistics(state_trace([0, 0, 1])))
-    assert "mean_dwell_s=" in report
-    assert "state_changes=1" in report
-    assert "LOS_runs=1" in report
 
 
 def test_fresnel_hand_evaluated():
