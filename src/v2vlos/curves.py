@@ -98,6 +98,8 @@ class Piecewise:
     def __post_init__(self):
         if not (math.isfinite(self.d_t) and self.d_t > 0.0):
             raise ValueError("threshold distance must be finite and positive")
+        if not all(type(branch) in FAMILIES.values() for branch in (self.low, self.high)):
+            raise ValueError("piecewise branches must be curves")
 
     def raw(self, d: float) -> float:
         # Ties at the threshold take the high-distance branch.
@@ -165,10 +167,13 @@ def check_object(obj, keys: set[str], what: str) -> dict:
 
 
 def as_float(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    """A JSON number as a float; text and booleans are not numbers here."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 def curve_from_dict(obj: dict) -> CurveSpec:

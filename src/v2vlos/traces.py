@@ -17,8 +17,10 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -190,6 +192,36 @@ _HEADER_LABELED = ("t", "d", "state")
 
 
 _STATE_NAMES = tuple(state.name for state in LosState)
+_STATE_CODES = {name: code for code, name in enumerate(_STATE_NAMES)}
+_TIME_MIN, _TIME_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+# Lines per block of a trace file read; bounds the reader's memory.
+_BLOCK_LINES = 1 << 15
+# One parsed row; state -1 when the file has no state column.
+_ROW_DTYPE = np.dtype([("t", np.int64), ("d", np.float64), ("state", np.int8)])
+_BULK_DTYPE = {
+    False: [("t", np.int64), ("d", np.float64)],
+    True: [("t", np.int64), ("d", np.float64), ("state", "U6")],
+}
+# ASCII characters that np.loadtxt skips (around numbers) or drops (at the end
+# of strings) where int, float and the state check would not.
+_BULK_UNSAFE = "\x00\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt_refuses_float_integers() -> bool:
+    # Older numpy releases read "1.0" as the integer 1 (with a
+    # DeprecationWarning) where int() refuses it; there every block is parsed
+    # row by row.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            np.loadtxt(["1.0"], dtype=np.int64)
+        except ValueError:
+            return True
+    return False
+
+
+_USE_LOADTXT = _loadtxt_refuses_float_integers()
 
 
 def _umask() -> int:
@@ -246,76 +278,164 @@ def _parse_header(parts: list[str], lineno: int) -> bool:
     raise ParseError(f"header must be 't,d' or 't,d,state', got {','.join(parts)!r}", line=lineno)
 
 
-def _parse_rows(path: str | Path) -> tuple[bool, list[tuple[int, float, LosState | None]], dict[str, str]]:
+def _parse_row(parts: list[str], lineno: int, labeled: bool) -> tuple[int, float, int]:
+    """One data row as (time, distance, state code; -1 without a state column).
+
+    These are the rules for a row; the bulk conversion below only takes
+    blocks whose every row it reads exactly as this function does.
+    """
+    expected = 3 if labeled else 2
+    if len(parts) != expected:
+        raise ParseError(f"expected {expected} columns, got {len(parts)}", line=lineno)
+    try:
+        t = int(parts[0])
+        d = float(parts[1])
+    except ValueError as exc:
+        raise ParseError(str(exc), line=lineno) from exc
+    if not math.isfinite(d) or d <= 0.0:
+        raise RangeError(f"line {lineno}: distance must be finite and positive, got {parts[1]}")
+    state = -1
+    if labeled:
+        name = parts[2].strip()
+        if name not in _STATE_CODES:
+            raise ParseError(f"unknown state {name!r}", line=lineno)
+        state = _STATE_CODES[name]
+    if not _TIME_MIN <= t <= _TIME_MAX:
+        raise ParseError(f"time {t} does not fit in a 64-bit integer", line=lineno)
+    return t, d, state
+
+
+def _read_comment(line: str, meta: dict[str, str]) -> None:
+    """Record a ``# key=value`` line in ``meta``; other comments carry nothing."""
+    body = line.lstrip("#").strip()
+    if "=" in body:
+        key, _, value = body.partition("=")
+        meta[key.strip()] = value.strip()
+
+
+def _drop_comments(lines: list[str], numbers: Sequence[int], meta: dict[str, str]) -> tuple[list[str], list[int]]:
+    """The lines that are not comments, with their numbers; comments go to ``meta``."""
+    kept: list[str] = []
+    kept_numbers: list[int] = []
+    for lineno, raw in zip(numbers, lines):
+        line = raw.strip()
+        if line.startswith("#"):
+            _read_comment(line, meta)
+        else:
+            kept.append(raw)
+            kept_numbers.append(lineno)
+    return kept, kept_numbers
+
+
+def _bulk_rows(lines: list[str], text: str, labeled: bool) -> np.ndarray | None:
+    """The block's rows read by ``np.loadtxt``; None when a row needs a closer look.
+
+    ``loadtxt`` reads printable ASCII numbers exactly as ``int``/``float`` do,
+    but takes some other characters for digits or spaces and drops trailing
+    NULs from strings, so blocks holding any of those go row by row. A state
+    name longer than the ``U6`` field is cut to six characters and so still
+    matches no name.
+    """
+    if not _USE_LOADTXT or not text.isascii() or any(c in text for c in _BULK_UNSAFE):
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=_BULK_DTYPE[labeled], ndmin=1)
+    except ValueError:
+        return None
+    d = table["d"]
+    if not (np.isfinite(d).all() and (d > 0.0).all()):
+        return None
+    rows = np.empty(table.size, dtype=_ROW_DTYPE)
+    rows["t"] = table["t"]
+    rows["d"] = d
+    rows["state"] = -1
+    if labeled:
+        names, state = table["state"], rows["state"]
+        for name, code in _STATE_CODES.items():
+            state[names == name] = code
+        if (state < 0).any():
+            return None
+    return rows
+
+
+def _parse_block(lines: list[str], numbers: Sequence[int], labeled: bool, text: str) -> np.ndarray:
+    """Rows of a block of data and blank lines (``text`` is their join)."""
+    rows = _bulk_rows(lines, text, labeled)
+    if rows is None:
+        rows = np.array(
+            [_parse_row(line.split(","), lineno, labeled) for lineno, raw in zip(numbers, lines) if (line := raw.strip())],
+            dtype=_ROW_DTYPE,
+        )
+    return rows
+
+
+def _read_rows(path: str | Path) -> tuple[bool, np.ndarray, dict[str, str]]:
+    """Header kind, all data rows as a ``_ROW_DTYPE`` array, and ``#`` metadata.
+
+    After the header the file is read in blocks of ``_BLOCK_LINES`` lines,
+    each converted in bulk or, when that fails, row by row, so the first bad
+    row raises the error a row-by-row reader would.
+    """
     labeled: bool | None = None
-    rows: list[tuple[int, float, LosState | None]] = []
     meta: dict[str, str] = {}
+    blocks = [np.empty(0, dtype=_ROW_DTYPE)]
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            parts = line.split(",")
-            if labeled is None:
-                labeled = _parse_header(parts, lineno)
-                continue
-            expected = 3 if labeled else 2
-            if len(parts) != expected:
-                raise ParseError(f"expected {expected} columns, got {len(parts)}", line=lineno)
+                _read_comment(line, meta)
+            elif line:
+                labeled = _parse_header(line.split(","), lineno)
+                break
+        if labeled is None:
+            raise ParseError("no header row found")
+        first = lineno + 1
+        while True:
+            block: list[str] = []
+            undecodable = None
             try:
-                t = int(parts[0])
-                d = float(parts[1])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-            if not math.isfinite(d) or d <= 0.0:
-                raise RangeError(f"line {lineno}: distance must be finite and positive, got {parts[1]}")
-            state: LosState | None = None
-            if labeled:
-                name = parts[2].strip()
-                if name not in LosState.__members__:
-                    raise ParseError(f"unknown state {name!r}", line=lineno)
-                state = LosState[name]
-            rows.append((t, d, state))
-    if labeled is None:
-        raise ParseError("no header row found")
-    if not rows:
+                block.extend(islice(handle, _BLOCK_LINES))
+            except UnicodeDecodeError as exc:
+                # The lines decoded before the error are parsed first.
+                undecodable = exc
+            lines, numbers = block, range(first, first + len(block))
+            first += len(block)
+            text = "".join(lines)
+            if "#" in text:
+                lines, numbers = _drop_comments(lines, numbers, meta)
+                text = "".join(lines)
+            if text.strip():
+                blocks.append(_parse_block(lines, numbers, labeled, text))
+            if undecodable is not None:
+                raise undecodable
+            if len(block) < _BLOCK_LINES:
+                break
+    rows = np.concatenate(blocks)
+    if rows.size == 0:
         raise ParseError("no data rows found")
     return labeled, rows, meta
 
 
-def _split_traces(rows: list[tuple[int, float, LosState | None]]) -> list[list[tuple[int, float, LosState | None]]]:
-    groups: list[list[tuple[int, float, LosState | None]]] = [[rows[0]]]
-    for prev, cur in zip(rows, rows[1:]):
-        if cur[0] <= prev[0]:
-            groups.append([cur])
-        else:
-            groups[-1].append(cur)
-    return groups
+def _trace_starts(t: np.ndarray) -> np.ndarray:
+    """Indices where a new trace starts: the time does not increase."""
+    return np.flatnonzero(t[1:] <= t[:-1]) + 1
 
 
 def read_distance_trace(path: str | Path) -> DistanceTrace:
     """Read a single distance trace; a state column, when present, is ignored."""
-    _, rows, _ = _parse_rows(path)
-    groups = _split_traces(rows)
-    if len(groups) > 1:
-        raise ParseError(f"expected a single trace, found {len(groups)} (time restarts)")
-    ts = np.asarray([r[0] for r in rows], dtype=np.int64)
-    ds = np.asarray([r[1] for r in rows], dtype=float)
+    _, rows, _ = _read_rows(path)
+    starts = _trace_starts(rows["t"])
+    if starts.size:
+        raise ParseError(f"expected a single trace, found {starts.size + 1} (time restarts)")
     try:
-        return DistanceTrace(ts, ds)
+        return DistanceTrace(rows["t"], rows["d"])
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def read_labeled_traces(path: str | Path) -> list[StateTrace]:
     """Read one or more labeled traces from a single file."""
-    labeled, rows, meta = _parse_rows(path)
+    labeled, rows, meta = _read_rows(path)
     if not labeled:
         raise ParseError("file has no state column")
     scenario = meta.get("scenario", "unknown")
@@ -323,12 +443,13 @@ def read_labeled_traces(path: str | Path) -> list[StateTrace]:
         seed = int(meta.get("seed", "0"))
     except ValueError:
         seed = 0
-    traces = []
-    for group in _split_traces(rows):
-        ts = np.asarray([r[0] for r in group], dtype=np.int64)
-        ds = np.asarray([r[1] for r in group], dtype=float)
-        ss = np.asarray([int(r[2]) for r in group], dtype=np.int8)
-        if ts.size > 1 and np.any(np.diff(ts) != 1):
-            raise ParseError("time steps within a trace must increase by exactly one second")
-        traces.append(StateTrace(ts, ds, ss, scenario=scenario, seed=seed))
-    return traces
+    t = rows["t"]
+    starts = _trace_starts(t)
+    steps = np.diff(t)
+    steps[starts - 1] = 1  # a restart is not a step
+    if np.any(steps != 1):
+        raise ParseError("time steps within a trace must increase by exactly one second")
+    return [
+        StateTrace(group["t"], group["d"], group["state"], scenario=scenario, seed=seed)
+        for group in np.split(rows, starts)
+    ]

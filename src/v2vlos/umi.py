@@ -35,15 +35,24 @@ def umi_los_probability(d: float, p: UmiParams = UmiParams()) -> float:
         raise DomainError(f"distance must be finite, got {d!r}")
     if d <= 0.0:
         raise DomainError(f"distance must be positive, got {d!r}")
-    e = math.exp(-d / p.d2)
-    return min(p.d1 / d, 1.0) * (1.0 - e) + e
+    return raw(d, p.d1, p.d2)
+
+
+def raw(d: float, d1: float, d2: float) -> float:
+    """P(LOS) without the checks on ``d``, which must be finite and positive."""
+    e = math.exp(-d / d2)
+    return min(d1 / d, 1.0) * (1.0 - e) + e
 
 
 def _umi_sampler(p: UmiParams) -> _Sampler:
     # Every draw, initial or not, is LOS when u < P(LOS) and NLOSb otherwise:
-    # with c0 == c1 the engine never picks NLOSv.
+    # with c0 == c1 the engine never picks NLOSv. A DistanceTrace holds only
+    # finite, positive distances, so the checks of umi_los_probability are
+    # skipped.
+    d1, d2 = p.d1, p.d2
+
     def thresholds(origin: int, d: float) -> tuple[float, float]:
-        los = umi_los_probability(d, p)
+        los = raw(d, d1, d2)
         return los, los
 
     return _Sampler(thresholds, UMI_SCENARIO_TAG)

@@ -92,6 +92,17 @@ def test_runtime_error_exits_one(tmp_path):
     assert "error:" in r.stderr
 
 
+def test_trace_time_beyond_int64_exits_one_naming_the_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("t,d,state\n0,10.0,LOS\n99999999999999999999,11.0,LOS\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    for args in (("estimate", "--traces", str(path)), ("generate", "--trace-in", str(path), "--out", str(out))):
+        r = run_cli(args[0], "--env", "urban", "--density", "low", *args[1:])
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("error: line 3: ") and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_curves_output_values_and_closure(tmp_path):
     out = tmp_path / "curves.csv"
     r = run_cli("curves", "--env", "urban", "--density", "high",

@@ -107,6 +107,11 @@ def test_constructor_validation():
     # The inner curve of an offset-minus-bell is a bell, in code as in files.
     with pytest.raises(ValueError):
         OffsetMinusLogBell(1.0, Poly2(0, 0, 1))
+    # Piecewise branches are curves, checked when built rather than when evaluated.
+    with pytest.raises(ValueError):
+        Piecewise(70.0, 1.0, 2.0)
+    with pytest.raises(ValueError):
+        Piecewise(70.0, Poly2(0, 0, 1), {"family": "poly2", "a": 0, "b": 0, "c": 1})
 
 
 def test_poly2_matches_independent_horner():

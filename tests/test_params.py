@@ -183,6 +183,9 @@ MALFORMED = {
     "null-coefficient": (curve_from_dict, lambda: {**POLY, "b": None}),
     "text-coefficient": (curve_from_dict, lambda: {**POLY, "c": "half"}),
     "huge-integer-coefficient": (curve_from_dict, lambda: {**POLY, "c": 10 ** 400}),
+    "numeric-text-coefficient": (curve_from_dict, lambda: {**POLY, "a": "0.5"}),
+    "boolean-coefficient": (curve_from_dict, lambda: {**POLY, "b": True}),
+    "text-and-boolean-coefficients": (curve_from_dict, lambda: {"family": "poly2", "a": "0.5", "b": True, "c": 0}),
     "inner-not-log-bell": (curve_from_dict, lambda: {"family": "offset_minus_log_bell", "offset": 1.0,
                                                      "inner": dict(POLY)}),
     # scenario_from_dict
@@ -200,6 +203,10 @@ MALFORMED = {
     "missing-d-min": (scenario_from_dict, lambda: _scenario_with(lambda o: o["valid_range"].pop("d_min"))),
     "null-d-max": (scenario_from_dict, lambda: _scenario_with(
         lambda o: o["valid_range"].__setitem__("d_max", None))),
+    "numeric-text-d-min": (scenario_from_dict, lambda: _scenario_with(
+        lambda o: o["valid_range"].__setitem__("d_min", "1.0"))),
+    "boolean-d-max": (scenario_from_dict, lambda: _scenario_with(
+        lambda o: o["valid_range"].__setitem__("d_max", True))),
     "valid-range-not-an-object": (scenario_from_dict, lambda: _scenario_with(
         lambda o: o.__setitem__("valid_range", [1.0, 500.0]))),
     "unknown-environment": (scenario_from_dict, lambda: _scenario_with(

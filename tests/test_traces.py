@@ -1,10 +1,16 @@
 """Synthetic mobility, dwell statistics, trace files, Fresnel clearance."""
 
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from v2vlos import traces as trace_io
 from v2vlos import (
     Density,
     DistanceTrace,
@@ -273,4 +279,305 @@ def test_time_gap_rejected(tmp_path):
     path = tmp_path / "gap.csv"
     path.write_text("t,d,state\n0,10.0,LOS\n2,11.0,LOS\n", encoding="utf-8")
     with pytest.raises(ParseError):
+        read_labeled_traces(path)
+
+
+# The block reader against the row-by-row reader it replaced. The reference
+# below is that reader, unchanged: one Python tuple per row, traces split by
+# comparing neighbouring tuples.
+
+
+def ref_parse_rows(path):
+    labeled = None
+    rows = []
+    meta = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if "=" in body:
+                    key, _, value = body.partition("=")
+                    meta[key.strip()] = value.strip()
+                continue
+            parts = line.split(",")
+            if labeled is None:
+                lowered = tuple(p.strip().lower() for p in parts)
+                if lowered == ("t", "d"):
+                    labeled = False
+                elif lowered == ("t", "d", "state"):
+                    labeled = True
+                else:
+                    raise ParseError(f"header must be 't,d' or 't,d,state', got {','.join(parts)!r}", line=lineno)
+                continue
+            expected = 3 if labeled else 2
+            if len(parts) != expected:
+                raise ParseError(f"expected {expected} columns, got {len(parts)}", line=lineno)
+            try:
+                t = int(parts[0])
+                d = float(parts[1])
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+            if not math.isfinite(d) or d <= 0.0:
+                raise RangeError(f"line {lineno}: distance must be finite and positive, got {parts[1]}")
+            state = None
+            if labeled:
+                name = parts[2].strip()
+                if name not in LosState.__members__:
+                    raise ParseError(f"unknown state {name!r}", line=lineno)
+                state = LosState[name]
+            rows.append((t, d, state))
+    if labeled is None:
+        raise ParseError("no header row found")
+    if not rows:
+        raise ParseError("no data rows found")
+    return labeled, rows, meta
+
+
+def ref_split_traces(rows):
+    groups = [[rows[0]]]
+    for prev, cur in zip(rows, rows[1:]):
+        if cur[0] <= prev[0]:
+            groups.append([cur])
+        else:
+            groups[-1].append(cur)
+    return groups
+
+
+def ref_read_distance_trace(path):
+    _, rows, _ = ref_parse_rows(path)
+    groups = ref_split_traces(rows)
+    if len(groups) > 1:
+        raise ParseError(f"expected a single trace, found {len(groups)} (time restarts)")
+    ts = np.asarray([r[0] for r in rows], dtype=np.int64)
+    ds = np.asarray([r[1] for r in rows], dtype=float)
+    try:
+        return DistanceTrace(ts, ds)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def ref_read_labeled_traces(path):
+    labeled, rows, meta = ref_parse_rows(path)
+    if not labeled:
+        raise ParseError("file has no state column")
+    scenario = meta.get("scenario", "unknown")
+    try:
+        seed = int(meta.get("seed", "0"))
+    except ValueError:
+        seed = 0
+    traces = []
+    for group in ref_split_traces(rows):
+        ts = np.asarray([r[0] for r in group], dtype=np.int64)
+        ds = np.asarray([r[1] for r in group], dtype=float)
+        ss = np.asarray([int(r[2]) for r in group], dtype=np.int8)
+        if ts.size > 1 and np.any(np.diff(ts) != 1):
+            raise ParseError("time steps within a trace must increase by exactly one second")
+        traces.append(StateTrace(ts, ds, ss, scenario=scenario, seed=seed))
+    return traces
+
+
+def outcome(read, path):
+    """What a reader makes of a file: its traces bit for bit, or its exception."""
+    try:
+        result = read(path)
+    except Exception as exc:
+        return ("raises", type(exc), str(exc), getattr(exc, "line", None))
+    digests = []
+    for trace in result if isinstance(result, list) else [result]:
+        digest = [trace.times.dtype.str, trace.times.tobytes(), trace.distances.dtype.str, trace.distances.tobytes()]
+        if isinstance(trace, StateTrace):
+            digest += [trace.states.dtype.str, trace.states.tobytes(), trace.scenario, trace.seed]
+        digests.append(tuple(digest))
+    return ("reads", digests)
+
+
+def assert_readers_agree(path):
+    for new, ref in ((read_labeled_traces, ref_read_labeled_traces), (read_distance_trace, ref_read_distance_trace)):
+        assert outcome(new, path) == outcome(ref, path)
+
+
+_STATE_NAMES = ("LOS", "NLOSv", "NLOSb")
+_PAD = st.sampled_from(["", "", " ", "  ", "\t", "\x0b", "\xa0", " "])
+_FILLER = st.sampled_from(
+    ["", " ", "\t", " \t ", "#", "# note", "# scenario=urban-low", "#seed=7", "  # seed = 12",
+     "## seed=x", "# scenario = a=b", "#=", "# t,d,state"]
+)
+_DISTANCE = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e6).map(repr),
+    st.floats(min_value=0.001, max_value=500.0).map(lambda x: f"{x:.3f}"),
+    st.floats(min_value=1e-3, max_value=500.0).map(lambda x: f"{x:e}"),
+    st.integers(1, 500).map(str),
+    st.sampled_from(["1_0.5", "１２.5", "+3.5", "5.", ".5", "1e2", "500.0"]),
+)
+# Replacement fields, each making a row that the reference reader rejects,
+# except for a few odd but valid spellings.
+_BAD_TIME = st.sampled_from(["1.5", "x", "", "1e3", "0x1", "Ǿ12", "12\x1c", "- 1", "1 2", "١٢"])
+_BAD_FLOAT = st.sampled_from(["abc", "", "1.2.3", "1.5x", "1.5\x1c", "\x1f2.5", "1_5", "Ǿ"])
+_BAD_DISTANCE = st.sampled_from(["nan", "inf", "-inf", "0", "-1.5", "0.0", "-0.0", "1e-400", "1e400", "NaN", "Infinity"])
+_BAD_STATE = st.sampled_from(["los", "LOSX", "", "NLOSbb", "LOS\x00", "NLOS", "LOSLOSLOS", "Ǿ", "LOS\x1c", "\x85NLOSv"])
+
+
+def _time_text(draw, t, clean):
+    form = "plain" if clean else draw(st.sampled_from(["plain", "plus", "zeros", "underscore", "fullwidth"]))
+    if t < 0 or form == "plain":
+        return str(t)
+    if form == "plus":
+        return f"+{t}"
+    if form == "zeros":
+        return f"00{t}"
+    if form == "underscore":
+        return "_".join(str(t)) if t >= 10 else str(t)
+    return "".join(chr(ord(c) - ord("0") + ord("０")) for c in str(t))
+
+
+@st.composite
+def trace_files(draw):
+    """Text of a trace file: comments and blank lines anywhere, several traces, one mutation at most.
+
+    Half the files pad no field and spell every time plainly, so that whole
+    blocks reach the bulk conversion.
+    """
+    labeled = draw(st.booleans())
+    clean = draw(st.booleans())
+    pad = st.just("") if clean else _PAD
+    lines = []  # each entry a string, or a data row as a list of fields
+
+    def filler():
+        lines.extend(draw(st.lists(_FILLER, max_size=2)))
+
+    filler()
+    names = ("t", "d", "state") if labeled else ("t", "d")
+    lines.append(",".join(draw(_PAD) + draw(st.sampled_from([n, n.upper(), n.title()])) + draw(_PAD) for n in names))
+    header = len(lines) - 1
+    rows = []
+    last = None
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(-3, 12)) if last is None else last - draw(st.integers(0, 3))
+        for k in range(draw(st.integers(1, 6))):
+            filler()
+            fields = [start + k, draw(_DISTANCE)] + ([draw(st.sampled_from(_STATE_NAMES))] if labeled else [])
+            lines.append(fields)
+            rows.append(len(lines) - 1)
+            last = start + k
+    filler()
+
+    mutation = draw(st.sampled_from([None, None, "columns", "time", "float", "distance", "state", "gap", "no data", "no header"]))
+    row = lines[draw(st.sampled_from(rows))]
+    if mutation == "columns":
+        if draw(st.booleans()):
+            row.append(draw(st.sampled_from(["", "LOS", "1"])))
+        else:
+            row.pop()
+    elif mutation == "time":
+        row[0] = draw(_BAD_TIME)
+    elif mutation == "float":
+        row[1] = draw(_BAD_FLOAT)
+    elif mutation == "distance":
+        row[1] = draw(_BAD_DISTANCE)
+    elif mutation == "state" and labeled:
+        row[2] = draw(_BAD_STATE)
+    elif mutation == "gap":
+        row[0] += draw(st.integers(1, 3))
+    elif mutation == "no data":
+        lines = [line for line in lines if isinstance(line, str)]
+    elif mutation == "no header":
+        del lines[header]
+
+    text = []
+    for line in lines:
+        if isinstance(line, list):
+            fields = [_time_text(draw, line[0], clean) if isinstance(line[0], int) else line[0], *line[1:]]
+            line = ",".join(draw(pad) + f + draw(pad) for f in fields)
+        text.append(line)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(text) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=trace_files(), block=st.integers(1, 5))
+def test_block_reader_matches_row_reader(text, block):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(trace_io, "_BLOCK_LINES", block):
+        path = Path(tmp) / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_readers_agree(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    (0, "Ǿ12"), (0, "12Ǿ"), (0, "١٢"), (0, "１２"), (0, "12\x1c"), (0, "\x1f12"), (0, "1_2"), (0, "12\xa0"),
+    (1, "\x1c2.5"), (1, "2.5\x1d"), (1, "Ǿ"), (1, "１.5"), (1, "2_5.5"), (1, "\u20032.5"),
+    (2, "LOS\x00"), (2, "LOS\x00\x00\x00"), (2, "NLOSv\x1e"), (2, "\x85NLOSb"), (2, "LOSXXXXXXX"), (2, "\x0bLOS"),
+])
+def test_fields_np_loadtxt_reads_differently(tmp_path, field, value):
+    """Fields that np.loadtxt reads otherwise than int, float and the state check, in a clean file."""
+    rows = [[str(t), f"{10.0 + t}", "NLOSv"] for t in range(6)]
+    rows[3][field] = value
+    path = tmp_path / "quirk.csv"
+    path.write_text("t,d,state\n" + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    for block in (2, 4, 1 << 15):
+        with mock.patch.object(trace_io, "_BLOCK_LINES", block):
+            assert_readers_agree(path)
+
+
+def test_block_reader_matches_row_reader_across_full_blocks(tmp_path):
+    rng = np.random.default_rng(5)
+    n = trace_io._BLOCK_LINES
+    traces = [
+        StateTrace(np.arange(size), rng.uniform(1.0, 500.0, size), rng.integers(0, 3, size), scenario="urban-low", seed=4)
+        for size in (n - 3, 7, n + 11)
+    ]
+    path = tmp_path / "big.csv"
+    write_state_traces(traces, path, provenance=["# scenario=urban-low", "# seed=4"])
+    assert_readers_agree(path)
+    with mock.patch.object(trace_io, "_USE_LOADTXT", False):  # as under older numpy
+        assert_readers_agree(path)
+    back = read_labeled_traces(path)
+    assert [len(t) for t in back] == [n - 3, 7, n + 11]
+    # A state spelled with spaces takes the row-by-row path in one block only.
+    lines = path.read_text().splitlines()
+    lines[n + 40] = lines[n + 40].replace(",", " , ")
+    path.write_text("\n".join(lines) + "\n")
+    assert_readers_agree(path)
+    lines[2 * n + 5] = lines[2 * n + 5].rsplit(",", 1)[0] + ",LOS?"
+    path.write_text("\n".join(lines) + "\n")
+    assert_readers_agree(path)
+    with pytest.raises(ParseError) as err:
+        read_labeled_traces(path)
+    assert err.value.line == 2 * n + 6
+
+
+def test_undecodable_bytes_raise_after_earlier_rows(tmp_path):
+    body = b"t,d,state\n0,1.5,LOS\n" + b"".join(b"%d,2.5,NLOSv\n" % t for t in range(1, 3000))
+    path = tmp_path / "bad.csv"
+    with mock.patch.object(trace_io, "_BLOCK_LINES", 64):
+        # The row error comes first, as in a reader that goes line by line.
+        path.write_bytes(body.replace(b"\n7,2.5,", b"\n7,-2.5,") + b"\xff\n")
+        assert_readers_agree(path)
+        with pytest.raises(RangeError, match="line 9"):
+            read_labeled_traces(path)
+        path.write_bytes(body[:100] + b"\xff" + body[100:])
+        assert_readers_agree(path)
+        with pytest.raises(UnicodeDecodeError):
+            read_labeled_traces(path)
+
+
+def test_time_beyond_int64_is_parse_error(tmp_path):
+    path = tmp_path / "big.csv"
+    for value in ("9223372036854775808", "-9223372036854775809", "99999999999999999999"):
+        path.write_text(f"# seed=1\nt,d,state\n{value},10.0,LOS\n", encoding="utf-8")
+        for read in (read_labeled_traces, read_distance_trace):
+            with pytest.raises(ParseError, match="64-bit") as err:
+                read(path)
+            assert err.value.line == 3
+        # The row reader accepted the row and failed later, outside ParseError.
+        with pytest.raises(OverflowError):
+            ref_read_labeled_traces(path)
+    path.write_text("t,d\n9223372036854775806,10.0\n9223372036854775807,11.0\n-9223372036854775808,3.0\n")
+    assert_readers_agree(path)
+    # The step from the smallest to the largest time wraps in int64 arithmetic.
+    path.write_text("t,d,state\n-9223372036854775808,1.0,LOS\n9223372036854775807,2.0,LOS\n")
+    assert_readers_agree(path)
+    with pytest.raises(ParseError, match="exactly one second"):
         read_labeled_traces(path)

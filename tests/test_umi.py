@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2vlos import (
     DistanceTrace,
@@ -40,6 +42,17 @@ def test_probability_non_increasing_beyond_d1():
     ds = np.arange(18.0, 2000.0, 0.5)
     ps = [umi_los_probability(float(d)) for d in ds]
     assert all(a >= b - 1e-12 for a, b in zip(ps, ps[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.floats(min_value=1e-3, max_value=1e4),
+    d1=st.floats(min_value=1e-2, max_value=100.0),
+    d2=st.floats(min_value=1e-2, max_value=100.0),
+)
+def test_probability_is_the_closed_form_bit_for_bit(d, d1, d2):
+    e = math.exp(-d / d2)
+    assert umi_los_probability(d, UmiParams(d1, d2)) == min(d1 / d, 1.0) * (1.0 - e) + e
 
 
 def test_domain_and_param_validation():
