@@ -47,7 +47,6 @@ from .estimation import (
     EmpiricalStats,
     FitResult,
     accumulate,
-    accumulate_traces,
     bin_centers,
     bin_of,
     empirical_state_probs,
@@ -59,14 +58,7 @@ from .estimation import (
     fit_same_family,
     pearson,
 )
-from .markov import (
-    DistanceTrace,
-    StateTrace,
-    generate_batch,
-    generate_states,
-    iter_generate_batch,
-    sample_initial_state,
-)
+from .markov import DistanceTrace, Sampler, StateTrace, chain
 from .params import (
     ScenarioModel,
     StateProbModel,
@@ -95,13 +87,6 @@ from .traces import (
     read_distance_trace,
     read_labeled_traces,
     synth_distance_trace,
-    write_state_trace,
     write_state_traces,
 )
-from .umi import (
-    UmiParams,
-    generate_batch_umi,
-    generate_states_umi,
-    iter_generate_batch_umi,
-    umi_los_probability,
-)
+from .umi import UmiParams, baseline, umi_los_probability

@@ -182,34 +182,24 @@ class StationaryResult:
 
     probs: StateProbVector
     unique: bool
-    iterations: int
     residual: float
 
 
-def stationary_distribution(
-    tm: TransitionMatrix,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> StationaryResult:
-    """Left eigenvector for eigenvalue one, found by power iteration.
+def stationary_distribution(tm: TransitionMatrix) -> StationaryResult:
+    """Left eigenvector for eigenvalue one: the solution of pi (M - I) = 0, sum(pi) = 1.
 
     ``unique`` is False when the chain is reducible (several eigenvalues at
     one), in which case the returned vector is one of many equilibria.
-    Periodic chains do not converge and raise :class:`ConvergenceError`.
+    Periodic chains (an eigenvalue on the unit circle other than one) have no
+    limiting distribution and raise :class:`ConvergenceError`.
     """
-    m = np.asarray(tm.m, dtype=float)
-    # Asymmetric start: the uniform vector is a fixed point of every doubly
-    # stochastic matrix and would mask periodic chains.
-    pi = np.array([0.5, 0.3, 0.2])
-    for it in range(1, max_iter + 1):
-        nxt = pi @ m
-        nxt /= nxt.sum()
-        residual = float(np.max(np.abs(nxt - pi)))
-        pi = nxt
-        if residual < tol:
-            eigvals = np.linalg.eigvals(m)
-            unique = int(np.sum(np.abs(eigvals - 1.0) < 1e-8)) == 1
-            pi = pi / pi.sum()
-            probs = StateProbVector(float(pi[0]), float(pi[1]), float(pi[2]))
-            return StationaryResult(probs, unique, it, residual)
-    raise ConvergenceError(f"power iteration did not reach residual {tol} in {max_iter} iterations")
+    m = tm.m
+    eigvals = np.linalg.eigvals(m)
+    at_one = np.abs(eigvals - 1.0) < 1e-8
+    if np.any(~at_one & (np.abs(np.abs(eigvals) - 1.0) < 1e-8)):
+        raise ConvergenceError(f"periodic chain: eigenvalues {eigvals} lie on the unit circle")
+    system = np.vstack([(m - np.eye(3)).T, np.ones(3)])
+    pi = np.linalg.lstsq(system, np.array([0.0, 0.0, 0.0, 1.0]), rcond=None)[0]
+    residual = float(np.max(np.abs(pi @ m - pi)))
+    probs = StateProbVector(float(pi[0]), float(pi[1]), float(pi[2]))
+    return StationaryResult(probs, int(np.sum(at_one)) == 1, residual)

@@ -32,7 +32,7 @@ from .estimation import (
     fit_same_family,
     pearson,
 )
-from .markov import DistanceTrace, generate_batch
+from .markov import DistanceTrace, chain
 from .params import (
     OVER_RANGE_POLICIES,
     ScenarioModel,
@@ -43,7 +43,7 @@ from .params import (
 )
 from .pathloss import PathLossParams, render_path_loss
 from .rng import derive_subseed, mix64
-from .states import CANONICAL_STATES, Density, Environment, LosState
+from .states import CANONICAL_STATES, STATE_NAMES, Density, Environment, LosState
 from .traces import (
     MobilityProfile,
     atomic_output,
@@ -54,7 +54,7 @@ from .traces import (
     synth_distance_trace,
     write_state_traces,
 )
-from .umi import UmiParams, generate_batch_umi
+from .umi import UmiParams, baseline
 
 _SYNTH_SALT = 0x53594E54  # distance synthesis draws from its own seed stream
 
@@ -181,7 +181,7 @@ def _build_distance_traces(args: argparse.Namespace) -> list[DistanceTrace]:
 def _cmd_generate(args: argparse.Namespace) -> int:
     model = _scenario(args)
     traces = _build_distance_traces(args)
-    state_traces = generate_batch(model, traces, args.seed, over_range=args.over_range)
+    state_traces = list(chain(model, args.over_range).batch(traces, args.seed))
 
     write_state_traces(state_traces, args.out, _provenance("generate", scenario=model.tag, seed=args.seed))
 
@@ -219,19 +219,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     umi_params = UmiParams(d1=args.umi_d1, d2=args.umi_d2)
     pl_params = PathLossParams.from_file(args.pathloss_params) if args.pathloss_params else PathLossParams.defaults()
 
-    proposed = generate_batch(model, traces, args.seed, over_range=args.over_range)
-    baseline = generate_batch_umi(traces, umi_params, args.seed)
+    proposed = list(chain(model, args.over_range).batch(traces, args.seed))
+    memoryless = list(baseline(umi_params).batch(traces, args.seed))
 
-    series_model = render_path_loss(proposed[0], pl_params)
-    series_umi = render_path_loss(baseline[0], pl_params)
+    first, first_umi = proposed[0], memoryless[0]
+    rows = zip(first.times.tolist(), first.distances.tolist(),
+               first.states.tolist(), render_path_loss(first, pl_params).tolist(),
+               first_umi.states.tolist(), render_path_loss(first_umi, pl_params).tolist())
     lines = _provenance("compare", scenario=model.tag, seed=args.seed)
     lines.append("t,d,state_model,pl_model_db,state_umi,pl_umi_db")
-    for (t, d, sm, plm), (_, _, su, plu) in zip(series_model, series_umi):
-        lines.append(f"{t},{d!r},{sm.name},{plm:.6f},{su.name},{plu:.6f}")
+    lines.extend(f"{t},{d!r},{STATE_NAMES[sm]},{plm:.6f},{STATE_NAMES[su]},{plu:.6f}"
+                 for t, d, sm, plm, su, plu in rows)
     _write_atomic(args.out, "\n".join(lines) + "\n")
 
     dwell_model = merge_dwell(dwell_statistics(t) for t in proposed)
-    dwell_umi = merge_dwell(dwell_statistics(t) for t in baseline)
+    dwell_umi = merge_dwell(dwell_statistics(t) for t in memoryless)
     print(f"wrote {args.out}: traces={len(traces)} scenario={model.tag} seed={args.seed}")
     print(f"model=proposed state_changes={dwell_model.changes} mean_dwell_s={dwell_model.mean_dwell:.3f}")
     print(f"model=umi state_changes={dwell_umi.changes} mean_dwell_s={dwell_umi.mean_dwell:.3f}")

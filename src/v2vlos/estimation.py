@@ -126,13 +126,6 @@ def accumulate(stats: EmpiricalStats, trace: StateTrace) -> EmpiricalStats:
     return EmpiricalStats(occ, trans)
 
 
-def accumulate_traces(traces: Iterable[StateTrace]) -> EmpiricalStats:
-    stats = EmpiricalStats()
-    for trace in traces:
-        stats = accumulate(stats, trace)
-    return stats
-
-
 @dataclass(frozen=True)
 class BinnedStateProbs:
     """Per-bin state frequencies; undefined bins are NaN with defined=False."""

@@ -12,6 +12,9 @@ of a trace consumes draw ``k`` of its seed's counter-based splitmix64
 stream. A single generation is inherently sequential; batches give every
 trace its own sub-seed by index, so traces may be processed in any order or
 in parallel without changing the result.
+
+:func:`chain` returns the chain's :class:`Sampler`, whose ``trace`` and
+``batch`` methods are the two ways to generate.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from . import assembly
 from .errors import BatchError, DomainError
 from .params import ScenarioModel
-from .rng import RngSeed, SplitMix64, derive_subseed, uniform_block
+from .rng import RngSeed, derive_subseed, uniform_block
 from .states import LosState
 
 # Threshold memo bound; beyond it thresholds are recomputed instead of cached.
@@ -36,9 +39,18 @@ _ROW_CACHE_MAX = 1 << 12
 _UNIFORM_BLOCK = 1 << 16
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.setflags(write=False)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only column, copied only when it can still be written.
+
+    An array is taken as it is when neither it nor the array it views is
+    writeable; anything else (a writeable array, or a read-only view of one)
+    is copied once, so later writes by the caller never reach a trace.
+    """
+    base = a.base
+    shared = base is not None and (not isinstance(base, np.ndarray) or base.flags.writeable)
+    if a.flags.writeable or shared:
+        a = a.copy()
+        a.setflags(write=False)
     return a
 
 
@@ -58,8 +70,8 @@ class DistanceTrace:
             raise DomainError("time steps must increase by exactly one second")
         if np.any(~np.isfinite(d)) or np.any(d <= 0.0):
             raise DomainError("distances must be finite and positive")
-        object.__setattr__(self, "times", _as_readonly(t))
-        object.__setattr__(self, "distances", _as_readonly(d))
+        object.__setattr__(self, "times", _frozen(t))
+        object.__setattr__(self, "distances", _frozen(d))
 
     @classmethod
     def from_distances(cls, distances: Sequence[float], t0: int = 0) -> "DistanceTrace":
@@ -86,9 +98,9 @@ class StateTrace:
             raise DomainError("states must align with time steps")
         if s.size and (s.min() < 0 or s.max() > 2):
             raise DomainError("states must be LOS, NLOSv or NLOSb")
-        object.__setattr__(self, "times", _as_readonly(np.asarray(self.times, dtype=np.int64)))
-        object.__setattr__(self, "distances", _as_readonly(np.asarray(self.distances, dtype=float)))
-        object.__setattr__(self, "states", _as_readonly(s))
+        object.__setattr__(self, "times", _frozen(np.asarray(self.times, dtype=np.int64)))
+        object.__setattr__(self, "distances", _frozen(np.asarray(self.distances, dtype=float)))
+        object.__setattr__(self, "states", _frozen(s))
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -96,31 +108,18 @@ class StateTrace:
     def state(self, i: int) -> LosState:
         return LosState(int(self.states[i]))
 
-    def occupancy(self) -> dict[LosState, float]:
-        n = max(len(self), 1)
-        return {s: float(np.count_nonzero(self.states == int(s))) / n for s in LosState}
 
-
-def sample_initial_state(probs: assembly.StateProbVector, rng: SplitMix64) -> LosState:
-    """Inverse-CDF draw over (LOS, NLOSv, NLOSb)."""
-    u = rng.next_float()
-    if u < probs.los:
-        return LosState.LOS
-    if u < probs.los + probs.nlosv:
-        return LosState.NLOSv
-    return LosState.NLOSb
-
-
-class _Sampler:
-    """Generation engine shared by one batch of traces.
+class Sampler:
+    """The generation engine: state traces from distance traces and seeds.
 
     ``thresholds(origin, d)`` gives the cumulative thresholds (c0, c1) of a
     draw from state ``origin`` at distance ``d``, origin -1 being the initial
     draw; a uniform u picks state 0 when u < c0, state 1 when u < c1 and
-    state 2 otherwise. They are memoised per (origin, d) across the batch, up
-    to ``_ROW_CACHE_MAX`` entries. Each trace's uniforms come from
-    :func:`uniform_block` in fixed-size blocks, which one scalar loop walks
-    alongside the distances.
+    state 2 otherwise. They are memoised per (origin, d) across all traces of
+    the sampler, up to ``_ROW_CACHE_MAX`` entries. Each trace's uniforms come
+    from :func:`uniform_block` in fixed-size blocks, which one scalar loop
+    walks alongside the distances. :func:`chain` and :func:`umi.baseline`
+    build the two samplers of the package.
     """
 
     __slots__ = ("thresholds", "tag", "memo")
@@ -130,7 +129,7 @@ class _Sampler:
         self.tag = tag
         self.memo: dict[tuple[int, float], tuple[float, float]] = {}
 
-    def states(self, distances: list[float], seed: RngSeed) -> list[int]:
+    def _states(self, distances: list[float], seed: RngSeed) -> list[int]:
         memo, thresholds = self.memo, self.thresholds
         get = memo.get
         out: list[int] = []
@@ -150,29 +149,34 @@ class _Sampler:
         return out
 
     def trace(self, trace: DistanceTrace, seed: RngSeed) -> StateTrace:
-        states = np.array(self.states(trace.distances.tolist(), seed), dtype=np.int8)
+        """One state trace; step ``k`` takes draw ``k`` of ``seed``'s stream."""
+        states = np.array(self._states(trace.distances.tolist(), seed), dtype=np.int8)
+        states.setflags(write=False)
         return StateTrace(trace.times, trace.distances, states, scenario=self.tag, seed=seed)
 
     def batch(self, traces: Iterable[DistanceTrace], seed: RngSeed) -> Iterator[StateTrace]:
-        """Trace ``i`` uses sub-seed ``derive_subseed(seed, i)``."""
-        for i, trace in enumerate(traces):
-            yield self.trace(trace, derive_subseed(seed, i))
+        """Lazily generate one state trace per input trace.
 
-    def collect(self, traces: Sequence[DistanceTrace], seed: RngSeed) -> list[StateTrace]:
-        """Every trace is attempted; failures are raised together as a BatchError."""
-        out: list[StateTrace] = []
+        Trace ``i`` uses sub-seed ``derive_subseed(seed, i)``, so each output
+        depends only on its own input and index. Every trace is attempted; a
+        trace that fails is skipped, and after the last one the failures are
+        raised together as one :class:`BatchError` with their indices.
+        """
         failures: list[tuple[int, Exception]] = []
         for i, trace in enumerate(traces):
             try:
-                out.append(self.trace(trace, derive_subseed(seed, i)))
+                out = self.trace(trace, derive_subseed(seed, i))
             except DomainError as exc:
                 failures.append((i, exc))
+                continue
+            yield out
         if failures:
             raise BatchError(failures)
-        return out
 
 
-def _chain_sampler(model: ScenarioModel, over_range: str) -> _Sampler:
+def chain(model: ScenarioModel, over_range: str = "error") -> Sampler:
+    """The sampler of a scenario's distance-dependent chain."""
+
     # The thresholds come from the scalar assembly only: numpy's exp can
     # differ from math.exp in the last bit, which would change the stream.
     def thresholds(origin: int, d: float) -> tuple[float, float]:
@@ -182,43 +186,4 @@ def _chain_sampler(model: ScenarioModel, over_range: str) -> _Sampler:
             p = assembly.transition_row(model, origin, d, over_range=over_range)
         return p[0], p[0] + p[1]
 
-    return _Sampler(thresholds, model.tag)
-
-
-def generate_states(
-    model: ScenarioModel,
-    trace: DistanceTrace,
-    seed: RngSeed,
-    over_range: str = "error",
-) -> StateTrace:
-    """Generate one state sequence. Equal inputs and seed give equal output."""
-    return _chain_sampler(model, over_range).trace(trace, seed)
-
-
-def iter_generate_batch(
-    model: ScenarioModel,
-    traces: Iterable[DistanceTrace],
-    seed: RngSeed,
-    over_range: str = "error",
-) -> Iterator[StateTrace]:
-    """Lazily generate one state trace per input trace.
-
-    Trace ``i`` uses sub-seed ``derive_subseed(seed, i)``, so each output
-    depends only on its own input and index. Raises on the first failure;
-    use :func:`generate_batch` for aggregated error reporting.
-    """
-    return _chain_sampler(model, over_range).batch(traces, seed)
-
-
-def generate_batch(
-    model: ScenarioModel,
-    traces: Sequence[DistanceTrace],
-    seed: RngSeed,
-    over_range: str = "error",
-) -> list[StateTrace]:
-    """Generate state traces for a whole batch.
-
-    All traces are attempted; failures are collected and raised together as
-    a :class:`BatchError` carrying (index, error) pairs.
-    """
-    return _chain_sampler(model, over_range).collect(traces, seed)
+    return Sampler(thresholds, model.tag)

@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .curves import CurveSpec, as_float, check_object, curve_from_dict, curve_to_dict
 from .errors import DistanceClampWarning, DomainError
-from .states import CANONICAL_STATES, Density, Environment, LosState
+from .states import CANONICAL_STATES, STATE_NAMES, Density, Environment, LosState
 
 SCENARIO_FORMAT = "v2v-los-scenario"
 SCENARIO_FORMAT_VERSION = 1
@@ -33,8 +33,6 @@ DEFAULT_D_MIN = 1.0
 DEFAULT_D_MAX = 500.0
 
 OVER_RANGE_POLICIES = ("error", "clamp")
-
-_STATE_NAMES = tuple(s.name for s in CANONICAL_STATES)
 
 
 @dataclass(frozen=True)
@@ -136,8 +134,8 @@ def _block_to_dict(block: StateProbModel | TransitionRowModel) -> dict:
 
 
 def _state(name) -> LosState:
-    if name not in _STATE_NAMES:
-        raise ValueError(f"unknown state {name!r}; expected one of {', '.join(_STATE_NAMES)}")
+    if name not in STATE_NAMES:
+        raise ValueError(f"unknown state {name!r}; expected one of {', '.join(STATE_NAMES)}")
     return LosState[name]
 
 
@@ -168,7 +166,7 @@ def scenario_from_dict(obj: dict) -> ScenarioModel:
     check_object(obj, expected, "scenario")
     if obj["format"] != SCENARIO_FORMAT or obj["version"] != SCENARIO_FORMAT_VERSION:
         raise ValueError(f"unsupported scenario format {obj['format']!r} v{obj['version']!r}")
-    transitions = check_object(obj["transitions"], set(_STATE_NAMES), "transitions")
+    transitions = check_object(obj["transitions"], set(STATE_NAMES), "transitions")
     rows = tuple(
         TransitionRowModel(origin, *_block_from_dict(transitions[origin.name], f"transitions.{origin.name}"))
         for origin in CANONICAL_STATES

@@ -18,6 +18,9 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
 
 from .errors import DomainError
 from .markov import StateTrace
@@ -100,26 +103,23 @@ class PathLossParams:
         return cls.from_dict(json.loads(text))
 
 
+def _per_state(p: PathLossParams) -> tuple[Callable[[float], float], ...]:
+    """Path loss in dB of LOS, NLOSv and NLOSb, in state order, at a checked distance."""
+    f, extra = p.carrier_freq_hz, p.nlosv_extra_db
+    return (p.los.at, lambda d: free_space_pl(d, f) + extra, p.nlosb.at)
+
+
 def state_path_loss(state: LosState, d: float, p: PathLossParams) -> float:
     """Path loss in dB for one state at distance ``d`` (d >= 1 m)."""
     if not (isinstance(d, (int, float)) and math.isfinite(d)) or d < 1.0:
         raise DomainError(f"distance must be >= 1 m, got {d!r}")
-    state = LosState(state)
-    if state is LosState.LOS:
-        return p.los.at(d)
-    if state is LosState.NLOSb:
-        return p.nlosb.at(d)
-    return free_space_pl(d, p.carrier_freq_hz) + p.nlosv_extra_db
+    return _per_state(p)[LosState(state)](d)
 
 
-def render_path_loss(
-    trace: StateTrace,
-    p: PathLossParams,
-) -> list[tuple[int, float, LosState, float]]:
-    """Pointwise (t, d, state, path loss dB) series for a state trace."""
-    out = []
-    for k in range(len(trace)):
-        d = float(trace.distances[k])
-        s = trace.state(k)
-        out.append((int(trace.times[k]), d, s, state_path_loss(s, d, p)))
-    return out
+def render_path_loss(trace: StateTrace, p: PathLossParams) -> np.ndarray:
+    """Path loss in dB at each step of a state trace, as :func:`state_path_loss` gives it."""
+    short = np.flatnonzero(trace.distances < 1.0)
+    if short.size:
+        raise DomainError(f"distance must be >= 1 m, got {trace.distances[short[0]].item()!r}")
+    per_state = _per_state(p)
+    return np.array([per_state[s](d) for s, d in zip(trace.states.tolist(), trace.distances.tolist())], dtype=float)

@@ -24,6 +24,9 @@ CANONICAL_STATES: tuple[LosState, LosState, LosState] = (
     LosState.NLOSb,
 )
 
+# State names in canonical order, as trace and parameter files spell them.
+STATE_NAMES = tuple(s.name for s in CANONICAL_STATES)
+
 
 class Environment(str, Enum):
     URBAN = "urban"

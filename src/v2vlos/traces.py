@@ -27,9 +27,9 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .errors import DomainError, ParseError, RangeError
-from .markov import DistanceTrace, StateTrace
+from .markov import DistanceTrace, StateTrace, _frozen
 from .rng import RngSeed, uniform_block
-from .states import LosState
+from .states import STATE_NAMES, LosState
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -191,8 +191,7 @@ _HEADER_DISTANCE = ("t", "d")
 _HEADER_LABELED = ("t", "d", "state")
 
 
-_STATE_NAMES = tuple(state.name for state in LosState)
-_STATE_CODES = {name: code for code, name in enumerate(_STATE_NAMES)}
+_STATE_CODES = {name: code for code, name in enumerate(STATE_NAMES)}
 _TIME_MIN, _TIME_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 # Lines per block of a trace file read; bounds the reader's memory.
@@ -252,10 +251,6 @@ def atomic_output(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def write_state_trace(trace: StateTrace, path: str | Path) -> None:
-    write_state_traces([trace], path)
-
-
 def write_state_traces(traces: Iterable[StateTrace], path: str | Path, provenance: Sequence[str] = ()) -> None:
     """Write labeled traces atomically; several traces are separated by time restarts.
 
@@ -265,7 +260,7 @@ def write_state_traces(traces: Iterable[StateTrace], path: str | Path, provenanc
         handle.write("".join(line + "\n" for line in provenance) + "t,d,state\n")
         for trace in traces:
             rows = zip(trace.times.tolist(), trace.distances.tolist(), trace.states.tolist())
-            handle.write("".join([f"{t},{d!r},{_STATE_NAMES[s]}\n" for t, d, s in rows]))
+            handle.write("".join([f"{t},{d!r},{STATE_NAMES[s]}\n" for t, d, s in rows]))
 
 
 def _parse_header(parts: list[str], lineno: int) -> bool:
@@ -449,7 +444,6 @@ def read_labeled_traces(path: str | Path) -> list[StateTrace]:
     steps[starts - 1] = 1  # a restart is not a step
     if np.any(steps != 1):
         raise ParseError("time steps within a trace must increase by exactly one second")
-    return [
-        StateTrace(group["t"], group["d"], group["state"], scenario=scenario, seed=seed)
-        for group in np.split(rows, starts)
-    ]
+    # Each column is frozen once; the traces hold read-only views of it.
+    columns = [np.split(_frozen(rows[name]), starts) for name in ("t", "d", "state")]
+    return [StateTrace(t, d, s, scenario=scenario, seed=seed) for t, d, s in zip(*columns)]

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
-from .markov import DistanceTrace, StateTrace, _Sampler
-from .rng import RngSeed
+from .markov import Sampler
 
 UMI_SCENARIO_TAG = "umi"
 
@@ -44,38 +42,18 @@ def raw(d: float, d1: float, d2: float) -> float:
     return min(d1 / d, 1.0) * (1.0 - e) + e
 
 
-def _umi_sampler(p: UmiParams) -> _Sampler:
-    # Every draw, initial or not, is LOS when u < P(LOS) and NLOSb otherwise:
-    # with c0 == c1 the engine never picks NLOSv. A DistanceTrace holds only
-    # finite, positive distances, so the checks of umi_los_probability are
-    # skipped.
+def baseline(p: UmiParams = UmiParams()) -> Sampler:
+    """The sampler of the baseline: a per-step independent LOS/NLOSb draw.
+
+    Every draw, initial or not, is LOS when u < P(LOS) and NLOSb otherwise:
+    with c0 == c1 the engine never picks NLOSv.
+    """
+    # A DistanceTrace holds only finite, positive distances, so the checks of
+    # umi_los_probability are skipped.
     d1, d2 = p.d1, p.d2
 
     def thresholds(origin: int, d: float) -> tuple[float, float]:
         los = raw(d, d1, d2)
         return los, los
 
-    return _Sampler(thresholds, UMI_SCENARIO_TAG)
-
-
-def generate_states_umi(trace: DistanceTrace, p: UmiParams = UmiParams(), seed: RngSeed = 0) -> StateTrace:
-    """Per-step independent LOS/NLOSb draw; NLOSv is never emitted."""
-    return _umi_sampler(p).trace(trace, seed)
-
-
-def iter_generate_batch_umi(
-    traces: Iterable[DistanceTrace],
-    p: UmiParams = UmiParams(),
-    seed: RngSeed = 0,
-) -> Iterator[StateTrace]:
-    """Lazy batch with the same per-index sub-seeding as the chain engine."""
-    return _umi_sampler(p).batch(traces, seed)
-
-
-def generate_batch_umi(
-    traces: Sequence[DistanceTrace],
-    p: UmiParams = UmiParams(),
-    seed: RngSeed = 0,
-) -> list[StateTrace]:
-    """Whole batch; failures are raised together as a BatchError."""
-    return _umi_sampler(p).collect(traces, seed)
+    return Sampler(thresholds, UMI_SCENARIO_TAG)

@@ -22,14 +22,14 @@ from v2vlos import (
     Poly2,
     UmiParams,
     accumulate,
+    baseline,
     builtin_model,
+    chain,
     empirical_transition_probs,
     eval_curve,
     fit_poly2,
     fit_same_family,
     fresnel_clearance_radius,
-    generate_states,
-    iter_generate_batch,
     pearson,
     raw_value,
     state_probabilities,
@@ -39,7 +39,6 @@ from v2vlos import (
 )
 from v2vlos.estimation import bin_centers
 from v2vlos.traces import dwell_statistics, merge_dwell, write_state_traces
-from v2vlos.umi import iter_generate_batch_umi
 
 from conftest import ALL_SCENARIOS, all_models, model_curves
 from test_cli import run_cli
@@ -94,8 +93,8 @@ def test_criterion_3_estimator_recovery():
 
         def estimate(n, seed):
             trace = DistanceTrace(np.arange(n), np.full(n, d))
-            chain = generate_states(model, trace, seed=seed)
-            est = empirical_transition_probs(accumulate(EmpiricalStats(), chain))
+            states = chain(model).trace(trace, seed)
+            est = empirical_transition_probs(accumulate(EmpiricalStats(), states))
             assert np.all(est.defined[10])
             return float(np.max(np.abs(est.probs[10] - ref)))
 
@@ -115,16 +114,16 @@ def test_criterion_4_dwell_statistics():
     trace = DistanceTrace.from_distances(np.arange(1.0, 501.0))
 
     proposed = merge_dwell(
-        dwell_statistics(s) for s in iter_generate_batch(model, repeat(trace, n_traces), seed=2024)
+        dwell_statistics(s) for s in chain(model).batch(repeat(trace, n_traces), 2024)
     )
-    baseline = merge_dwell(
-        dwell_statistics(s) for s in iter_generate_batch_umi(repeat(trace, n_traces), UmiParams(), seed=2024)
+    memoryless = merge_dwell(
+        dwell_statistics(s) for s in baseline(UmiParams()).batch(repeat(trace, n_traces), 2024)
     )
     elapsed = time.perf_counter() - t0
 
-    ok = (4.0 <= baseline.mean_dwell <= 6.0) and (13.0 <= proposed.mean_dwell <= 21.0) and elapsed < 600.0
+    ok = (4.0 <= memoryless.mean_dwell <= 6.0) and (13.0 <= proposed.mean_dwell <= 21.0) and elapsed < 600.0
     report("criterion 4 (dwell statistics)", ok,
-           f"umi mean dwell {baseline.mean_dwell:.2f} s in [4, 6], "
+           f"umi mean dwell {memoryless.mean_dwell:.2f} s in [4, 6], "
            f"proposed {proposed.mean_dwell:.2f} s in [13, 21], {elapsed:.0f} s")
 
 
@@ -203,7 +202,7 @@ def test_criterion_9_correlation_substitute(tmp_path):
     r_ok = r > 0.99
 
     trace = DistanceTrace.from_distances(np.arange(1.0, 451.0))
-    traces = list(iter_generate_batch(model, repeat(trace, 20), seed=5))
+    traces = list(chain(model).batch(repeat(trace, 20), 5))
     trace_file = tmp_path / "labeled.csv"
     write_state_traces(traces, trace_file)
     result = run_cli("estimate", "--env", "urban", "--density", "medium", "--traces", str(trace_file))

@@ -150,7 +150,7 @@ def test_stationary_identity_flagged_non_unique():
 def test_stationary_periodic_chain_does_not_converge():
     perm = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ConvergenceError):
-        stationary_distribution(TransitionMatrix(perm, d=10.0), max_iter=500)
+        stationary_distribution(TransitionMatrix(perm, d=10.0))
 
 
 def test_stationary_vs_fitted_probabilities_reported_not_asserted():

@@ -247,10 +247,16 @@ def test_version_flag():
     assert "v2vlos" in r.stdout
 
 
+def readme_block(section):
+    """The first fenced block of a README section, without its language tag."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split(f"## {section}", 1)[1].split("```", 2)[1]
+    return block.split("\n", 1)[1]
+
+
 def readme_commands():
     """The ``v2vlos`` lines of the README's command-line block, continuations joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    block = readme_block("Command line")
     joined = block.replace("\\\n", " ")
     return [shlex.split(line) for line in joined.splitlines() if line.startswith("v2vlos ")]
 
@@ -262,6 +268,14 @@ def test_readme_commands_run_as_written(tmp_path):
         r = run_cli(*argv[1:], cwd=str(tmp_path))
         assert r.returncode == 0, f"{' '.join(argv)}: {r.stderr}"
     assert load_scenario(tmp_path / "fit.json").environment.value == "urban"
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    block = readme_block("Quick start")
+    assert "chain(model).trace(" in block
+    exec(compile(block, "README.md", "exec"), {})
+    occupancy = capsys.readouterr().out.splitlines()[-1]
+    assert sum(float(x) for x in occupancy.strip("[]").split()) == pytest.approx(1.0)
 
 
 def run_in_process(argv, capsys):

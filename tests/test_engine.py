@@ -1,13 +1,14 @@
 """The counter-based generation engine against a step-by-step reference.
 
 The reference below is the plain sampler: one ``SplitMix64.next_float`` per
-step, the initial state drawn from ``state_probabilities`` and every later one
-from a freshly assembled ``transition_row``; the urban-micro baseline draws
-LOS when the uniform falls below P(LOS). The engine must reproduce it
-byte for byte.
+step, the initial state drawn from ``state_probabilities`` by inverse CDF and
+every later one from a freshly assembled ``transition_row``; the urban-micro
+baseline draws LOS when the uniform falls below P(LOS). The engine must
+reproduce it byte for byte.
 """
 
 import warnings
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -25,15 +26,10 @@ from v2vlos import (
     MobilityProfile,
     SplitMix64,
     UmiParams,
+    baseline,
     builtin_model,
+    chain,
     derive_subseed,
-    generate_batch,
-    generate_batch_umi,
-    generate_states,
-    generate_states_umi,
-    iter_generate_batch,
-    iter_generate_batch_umi,
-    sample_initial_state,
     state_probabilities,
     synth_distance_trace,
     transition_row,
@@ -48,7 +44,9 @@ URBAN_MEDIUM = builtin_model(Environment.URBAN, Density.MEDIUM)
 def reference_states(model, trace, seed, over_range="error"):
     rng = SplitMix64(seed)
     ds = trace.distances.tolist()
-    s = int(sample_initial_state(state_probabilities(model, ds[0], over_range=over_range), rng))
+    p = state_probabilities(model, ds[0], over_range=over_range)
+    u = rng.next_float()
+    s = 0 if u < p.los else (1 if u < p.los + p.nlosv else 2)
     out = [s]
     for d in ds[1:]:
         p0, p1, _ = transition_row(model, LosState(s), d, over_range=over_range)
@@ -80,27 +78,27 @@ def assert_batch_matches(model, traces, seed, batch):
 def test_all_scenarios_match_reference(scenario):
     traces = [DistanceTrace.from_distances(np.arange(1.0, 501.0)), walk_trace(400, 3), walk_trace(300, 4, d0=20.0)]
     for trace in traces:
-        out = generate_states(scenario, trace, seed=123)
+        out = chain(scenario).trace(trace, 123)
         assert out.states.tobytes() == reference_states(scenario, trace, 123).tobytes()
-    assert_batch_matches(scenario, traces, 77, generate_batch(scenario, traces, seed=77))
+    assert_batch_matches(scenario, traces, 77, list(chain(scenario).batch(traces, 77)))
 
 
 def test_ragged_batch_matches_reference():
     lengths = [1, 2, 7, 500, 3, markov._UNIFORM_BLOCK + 5, 1]
     traces = [walk_trace(n, i) for i, n in enumerate(lengths)]
-    assert_batch_matches(URBAN_MEDIUM, traces, 2024, generate_batch(URBAN_MEDIUM, traces, seed=2024))
-    assert_batch_matches(URBAN_MEDIUM, traces, 5, list(iter_generate_batch(URBAN_MEDIUM, traces, seed=5)))
+    assert_batch_matches(URBAN_MEDIUM, traces, 2024, list(chain(URBAN_MEDIUM).batch(traces, 2024)))
+    assert_batch_matches(URBAN_MEDIUM, traces, 5, list(chain(URBAN_MEDIUM).batch(iter(traces), 5)))
 
 
 def test_long_trace_crosses_uniform_blocks():
     trace = DistanceTrace.from_distances(np.tile(np.arange(1.0, 501.0), 200))  # 10^5 steps
-    out = generate_states(URBAN_MEDIUM, trace, seed=31)
+    out = chain(URBAN_MEDIUM).trace(trace, 31)
     assert out.states.tobytes() == reference_states(URBAN_MEDIUM, trace, 31).tobytes()
 
 
 def test_continuous_walk_distances_match_reference():
     traces = [walk_trace(500, 100 + i) for i in range(6)]
-    assert_batch_matches(URBAN_MEDIUM, traces, 9, generate_batch(URBAN_MEDIUM, traces, seed=9))
+    assert_batch_matches(URBAN_MEDIUM, traces, 9, list(chain(URBAN_MEDIUM).batch(traces, 9)))
 
 
 def test_clamped_distances_match_reference():
@@ -108,7 +106,7 @@ def test_clamped_distances_match_reference():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DistanceClampWarning)
         for seed in range(20):
-            out = generate_states(URBAN_MEDIUM, trace, seed, over_range="clamp")
+            out = chain(URBAN_MEDIUM, over_range="clamp").trace(trace, seed)
             ref = reference_states(URBAN_MEDIUM, trace, seed, over_range="clamp")
             assert out.states.tobytes() == ref.tobytes()
 
@@ -116,27 +114,28 @@ def test_clamped_distances_match_reference():
 @pytest.mark.parametrize("seed", [-1, -(2**63), -12345, 2**64, 2**64 + 7, 2**70 + 3])
 def test_out_of_range_seeds_are_masked_like_splitmix(seed):
     trace = walk_trace(300, 1)
-    out = generate_states(URBAN_MEDIUM, trace, seed)
+    out = chain(URBAN_MEDIUM).trace(trace, seed)
     assert out.seed == seed
     assert out.states.tobytes() == reference_states(URBAN_MEDIUM, trace, seed).tobytes()
-    assert out.states.tobytes() == generate_states(URBAN_MEDIUM, trace, seed % 2**64).states.tobytes()
+    assert out.states.tobytes() == chain(URBAN_MEDIUM).trace(trace, seed % 2**64).states.tobytes()
 
 
 def test_umi_matches_reference():
     p = UmiParams(d1=15.0, d2=40.0)
     traces = [walk_trace(500, 7, d0=30.0), DistanceTrace.from_distances(np.arange(1.0, 501.0)), walk_trace(1, 8)]
     for trace in traces:
-        assert generate_states_umi(trace, p, seed=-4).states.tobytes() == reference_umi(trace, p, -4).tobytes()
-    for batch in (generate_batch_umi(traces, p, seed=11), list(iter_generate_batch_umi(traces, p, seed=11))):
-        for i, (trace, out) in enumerate(zip(traces, batch)):
-            assert out.states.tobytes() == reference_umi(trace, p, derive_subseed(11, i)).tobytes()
-            assert out.scenario == "umi"
+        assert baseline(p).trace(trace, -4).states.tobytes() == reference_umi(trace, p, -4).tobytes()
+    batch = list(baseline(p).batch(traces, 11))
+    assert len(batch) == len(traces)
+    for i, (trace, out) in enumerate(zip(traces, batch)):
+        assert out.states.tobytes() == reference_umi(trace, p, derive_subseed(11, i)).tobytes()
+        assert out.scenario == "umi"
 
 
 def test_memo_cap_does_not_change_output(monkeypatch):
     monkeypatch.setattr(markov, "_ROW_CACHE_MAX", 4)
     traces = [walk_trace(200, i) for i in range(3)] + [DistanceTrace.from_distances(np.arange(1.0, 201.0))]
-    assert_batch_matches(URBAN_MEDIUM, traces, 8, generate_batch(URBAN_MEDIUM, traces, seed=8))
+    assert_batch_matches(URBAN_MEDIUM, traces, 8, list(chain(URBAN_MEDIUM).batch(traces, 8)))
 
 
 def test_batch_error_lists_exactly_the_failing_indices():
@@ -145,9 +144,29 @@ def test_batch_error_lists_exactly_the_failing_indices():
     first = DistanceTrace.from_distances([600.0, 100.0])  # fails on its initial draw
     traces = [good, late, good, first, good]
     with pytest.raises(BatchError) as err:
-        generate_batch(URBAN_MEDIUM, traces, seed=3)
+        list(chain(URBAN_MEDIUM).batch(traces, 3))
     assert [i for i, _ in err.value.failures] == [1, 3]
     assert all(isinstance(e, DomainError) for _, e in err.value.failures)
+
+
+def test_batch_yields_the_good_traces_before_its_error():
+    good = walk_trace(50, 1)
+    bad = DistanceTrace.from_distances([600.0, 100.0])
+    batch = chain(URBAN_MEDIUM).batch([bad, good, bad, good], seed=3)
+    done = [next(batch), next(batch)]
+    assert [out.seed for out in done] == [derive_subseed(3, 1), derive_subseed(3, 3)]
+    with pytest.raises(BatchError) as err:
+        next(batch)
+    assert [i for i, _ in err.value.failures] == [0, 2]
+
+
+def test_batch_is_lazy():
+    # An endless input is generated one trace at a time, in index order.
+    batch = chain(URBAN_MEDIUM).batch(repeat(walk_trace(20, 2)), seed=6)
+    first = [next(batch) for _ in range(3)]
+    assert [out.seed for out in first] == [derive_subseed(6, i) for i in range(3)]
+    umi = baseline().batch(repeat(walk_trace(20, 2)), seed=6)
+    assert next(umi).seed == derive_subseed(6, 0)
 
 
 @settings(max_examples=200, deadline=None)

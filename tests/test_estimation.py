@@ -21,9 +21,9 @@ from v2vlos import (
     SingularError,
     StateTrace,
     accumulate,
-    accumulate_traces,
     bin_of,
     builtin_model,
+    chain,
     empirical_state_probs,
     empirical_transition_probs,
     fit_expdecay,
@@ -31,13 +31,20 @@ from v2vlos import (
     fit_offset_minus_logbell,
     fit_poly2,
     fit_same_family,
-    generate_states,
     pearson,
     raw_value,
     stationary_distribution,
     transition_matrix,
 )
 from v2vlos.estimation import DistanceBin, bin_centers
+
+
+def accumulate_traces(traces):
+    """Statistics of several traces, folded one by one as ``estimate`` does."""
+    stats = EmpiricalStats()
+    for trace in traces:
+        stats = accumulate(stats, trace)
+    return stats
 
 
 def labeled(ds, states, t0=0):
@@ -155,8 +162,8 @@ def test_estimator_recovers_assembled_matrix():
     model = builtin_model(Environment.URBAN, Density.HIGH)
     n = 2 * 10**5
     trace = DistanceTrace(np.arange(n), np.full(n, 105.0))
-    chain = generate_states(model, trace, seed=31)
-    stats = accumulate(EmpiricalStats(), chain)
+    states = chain(model).trace(trace, 31)
+    stats = accumulate(EmpiricalStats(), states)
     est = empirical_transition_probs(stats)
     ref = transition_matrix(model, 105.0).m
     assert np.all(est.defined[10])
@@ -166,8 +173,8 @@ def test_estimator_recovers_assembled_matrix():
 def test_long_chain_state_probs_match_stationary():
     model = builtin_model(Environment.URBAN, Density.MEDIUM)
     n = 10**6
-    chain = generate_states(model, DistanceTrace(np.arange(n), np.full(n, 105.0)), seed=13)
-    stats = accumulate(EmpiricalStats(), chain)
+    states = chain(model).trace(DistanceTrace(np.arange(n), np.full(n, 105.0)), 13)
+    stats = accumulate(EmpiricalStats(), states)
     est = empirical_state_probs(stats).probs[10]
     pi = stationary_distribution(transition_matrix(model, 105.0)).probs.as_array()
     assert np.max(np.abs(est - pi)) < 0.01

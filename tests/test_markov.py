@@ -18,16 +18,24 @@ from v2vlos import (
     StateProbVector,
     StateTrace,
     builtin_model,
+    chain,
     derive_subseed,
-    generate_batch,
-    generate_states,
-    sample_initial_state,
     stationary_distribution,
     transition_matrix,
 )
 from v2vlos.params import ScenarioModel, StateProbModel, TransitionRowModel
 
 URBAN_MEDIUM = builtin_model(Environment.URBAN, Density.MEDIUM)
+
+
+def sample_initial_state(probs, rng):
+    """Inverse-CDF draw over (LOS, NLOSv, NLOSb), as the reference samplers take it."""
+    u = rng.next_float()
+    if u < probs.los:
+        return LosState.LOS
+    if u < probs.los + probs.nlosv:
+        return LosState.NLOSv
+    return LosState.NLOSb
 
 
 def constant_trace(d, n, t0=0):
@@ -55,6 +63,28 @@ def test_state_trace_validation():
         StateTrace(np.arange(2), np.ones(2), np.array([0, 7], dtype=np.int8))
 
 
+def test_state_trace_ignores_later_writes_to_its_inputs():
+    times, distances, states = np.arange(4), np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 1, 2, 1], dtype=np.int8)
+    # A read-only view of a writeable array can still change through its base.
+    view = states[:]
+    view.setflags(write=False)
+    trace = StateTrace(times, distances, view)
+    times[0], distances[0], states[0] = 9, 9.0, 2
+    assert trace.times.tolist() == [0, 1, 2, 3]
+    assert trace.distances.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert trace.states.tolist() == [0, 1, 2, 1]
+    for column in (trace.times, trace.distances, trace.states):
+        with pytest.raises(ValueError):
+            column[0] = 1
+
+
+def test_generated_trace_shares_the_frozen_distance_columns():
+    trace = constant_trace(100.0, 5)
+    out = chain(URBAN_MEDIUM).trace(trace, 5)
+    assert out.times is trace.times and out.distances is trace.distances
+    assert not out.states.flags.writeable
+
+
 def test_sample_initial_state_degenerate():
     rng = SplitMix64(123)
     sure_los = StateProbVector(1.0, 0.0, 0.0)
@@ -77,7 +107,7 @@ def test_sample_initial_state_frequencies():
 
 def test_single_step_trace():
     trace = constant_trace(100.0, 1)
-    out = generate_states(URBAN_MEDIUM, trace, seed=5)
+    out = chain(URBAN_MEDIUM).trace(trace, 5)
     assert len(out) == 1
     assert out.scenario == "urban-medium"
     assert out.seed == 5
@@ -100,7 +130,7 @@ def test_identity_rows_freeze_the_state():
     model = _absorbing_model()
     trace = constant_trace(100.0, 200)
     for seed in (0, 1, 2, 3, 17):
-        out = generate_states(model, trace, seed=seed)
+        out = chain(model).trace(trace, seed)
         assert np.all(out.states == out.states[0])
 
 
@@ -109,7 +139,7 @@ def test_one_step_frequencies_match_assembled_row():
     model = URBAN_MEDIUM
     n = 10**5
     trace = constant_trace(50.0, n)
-    out = generate_states(model, trace, seed=11)
+    out = chain(model).trace(trace, 11)
     s = out.states
     ref = transition_matrix(model, 50.0).m
     from_los = s[:-1] == 0
@@ -121,10 +151,10 @@ def test_one_step_frequencies_match_assembled_row():
 
 def test_determinism_bit_identical():
     trace = DistanceTrace.from_distances(np.arange(1.0, 301.0))
-    a = generate_states(URBAN_MEDIUM, trace, seed=99)
-    b = generate_states(URBAN_MEDIUM, trace, seed=99)
+    a = chain(URBAN_MEDIUM).trace(trace, 99)
+    b = chain(URBAN_MEDIUM).trace(trace, 99)
     assert np.array_equal(a.states, b.states)
-    c = generate_states(URBAN_MEDIUM, trace, seed=100)
+    c = chain(URBAN_MEDIUM).trace(trace, 100)
     assert not np.array_equal(a.states, c.states)
 
 
@@ -139,7 +169,7 @@ def test_sampler_consults_only_previous_state_and_current_distance(monkeypatch):
     monkeypatch.setattr(v2vlos.assembly, "transition_row", instrumented)
     # Strictly increasing distances keep the row memo cold, one call per step.
     trace = DistanceTrace.from_distances(np.linspace(10.0, 60.0, 51))
-    out = generate_states(URBAN_MEDIUM, trace, seed=3)
+    out = chain(URBAN_MEDIUM).trace(trace, 3)
     expected = [(int(out.states[k - 1]), float(trace.distances[k])) for k in range(1, len(trace))]
     assert calls == expected
 
@@ -147,7 +177,7 @@ def test_sampler_consults_only_previous_state_and_current_distance(monkeypatch):
 def test_long_run_occupancy_matches_stationary():
     model = URBAN_MEDIUM
     n = 10**6
-    out = generate_states(model, constant_trace(50.0, n), seed=8)
+    out = chain(model).trace(constant_trace(50.0, n), 8)
     pi = stationary_distribution(transition_matrix(model, 50.0)).probs.as_tuple()
     occ = [int((out.states == k).sum()) / n for k in range(3)]
     tv = 0.5 * sum(abs(a - b) for a, b in zip(occ, pi))
@@ -155,18 +185,18 @@ def test_long_run_occupancy_matches_stationary():
 
 
 def test_generate_batch_empty():
-    assert generate_batch(URBAN_MEDIUM, [], seed=1) == []
+    assert list(chain(URBAN_MEDIUM).batch([], 1)) == []
 
 
 def test_generate_batch_order_independence():
     traces = [DistanceTrace.from_distances(np.linspace(10.0 + i, 200.0 + i, 120)) for i in range(8)]
-    batch = generate_batch(URBAN_MEDIUM, traces, seed=42)
+    batch = list(chain(URBAN_MEDIUM).batch(traces, 42))
     # Computing each index on its own, in shuffled order, gives the same output.
     order = list(range(8))
     random.Random(0).shuffle(order)
     redone = {}
     for i in order:
-        redone[i] = generate_states(URBAN_MEDIUM, traces[i], derive_subseed(42, i))
+        redone[i] = chain(URBAN_MEDIUM).trace(traces[i], derive_subseed(42, i))
     for i in range(8):
         assert np.array_equal(batch[i].states, redone[i].states)
         assert batch[i].seed == derive_subseed(42, i)
@@ -176,19 +206,19 @@ def test_generate_batch_aggregates_failures_with_indices():
     good = DistanceTrace.from_distances(np.full(5, 100.0))
     bad = DistanceTrace.from_distances(np.full(5, 600.0))  # above ceiling, error policy
     with pytest.raises(BatchError) as err:
-        generate_batch(URBAN_MEDIUM, [good, bad, good, bad], seed=7)
+        list(chain(URBAN_MEDIUM).batch([good, bad, good, bad], 7))
     assert [i for i, _ in err.value.failures] == [1, 3]
     assert all(isinstance(e, DomainError) for _, e in err.value.failures)
 
 
 def test_first_state_histogram_matches_state_probabilities():
-    from v2vlos import iter_generate_batch, state_probabilities
+    from v2vlos import state_probabilities
     from itertools import repeat
     model = URBAN_MEDIUM
     n = 10**5
     trace = constant_trace(100.0, 1)
     counts = [0, 0, 0]
-    for out in iter_generate_batch(model, repeat(trace, n), seed=1234):
+    for out in chain(model).batch(repeat(trace, n), 1234):
         counts[int(out.states[0])] += 1
     ref = state_probabilities(model, 100.0).as_tuple()
     for k in range(3):
@@ -198,6 +228,6 @@ def test_first_state_histogram_matches_state_probabilities():
 def test_over_range_policy_flows_through():
     trace = DistanceTrace.from_distances(np.full(10, 600.0))
     with pytest.raises(DomainError):
-        generate_states(URBAN_MEDIUM, trace, seed=1)
-    out = generate_states(URBAN_MEDIUM, trace, seed=1, over_range="clamp")
+        chain(URBAN_MEDIUM).trace(trace, 1)
+    out = chain(URBAN_MEDIUM, over_range="clamp").trace(trace, 1)
     assert len(out) == 10

@@ -15,8 +15,8 @@ from v2vlos import (
     PathLossParams,
     StateTrace,
     builtin_model,
+    chain,
     free_space_pl,
-    generate_states,
     render_path_loss,
     state_path_loss,
 )
@@ -77,15 +77,18 @@ def test_state_path_loss_domain():
 
 def test_render_is_pointwise_map():
     model = builtin_model(Environment.URBAN, Density.MEDIUM)
-    trace = generate_states(model, DistanceTrace.from_distances(np.arange(1.0, 101.0)), seed=3)
+    trace = chain(model).trace(DistanceTrace.from_distances(np.arange(1.0, 101.0)), 3)
     p = PathLossParams.defaults()
     series = render_path_loss(trace, p)
-    assert len(series) == len(trace)
-    for k, (t, d, s, pl) in enumerate(series):
-        assert t == int(trace.times[k])
-        assert d == float(trace.distances[k])
-        assert s is trace.state(k)
-        assert pl == state_path_loss(s, d, p)
+    assert series.dtype == np.float64 and series.shape == (len(trace),)
+    for k, pl in enumerate(series.tolist()):
+        assert pl == state_path_loss(trace.state(k), float(trace.distances[k]), p)
+
+
+def test_render_rejects_distances_below_one_metre():
+    trace = StateTrace(np.arange(3), np.array([2.0, 0.5, 0.7]), np.zeros(3, dtype=np.int8))
+    with pytest.raises(DomainError, match="got 0.5$"):
+        render_path_loss(trace, PathLossParams.defaults())
 
 
 def test_render_reversed_trace_gives_reversed_series():
@@ -94,8 +97,8 @@ def test_render_reversed_trace_gives_reversed_series():
     fwd = StateTrace(np.arange(50), ds, states)
     rev = StateTrace(np.arange(50), ds[::-1].copy(), states[::-1].copy())
     p = PathLossParams.defaults()
-    pl_fwd = [row[3] for row in render_path_loss(fwd, p)]
-    pl_rev = [row[3] for row in render_path_loss(rev, p)]
+    pl_fwd = render_path_loss(fwd, p).tolist()
+    pl_rev = render_path_loss(rev, p).tolist()
     assert pl_fwd == pl_rev[::-1]
 
 
@@ -107,7 +110,7 @@ def test_alternating_states_offset_at_fixed_distance():
     series = render_path_loss(trace, p)
     offset = state_path_loss(LosState.NLOSv, d, p) - state_path_loss(LosState.LOS, d, p)
     for a, b in zip(series, series[1:]):
-        assert abs(b[3] - a[3]) == pytest.approx(abs(offset), abs=1e-12)
+        assert abs(b - a) == pytest.approx(abs(offset), abs=1e-12)
 
 
 def test_default_curve_ordering_has_crossover():

@@ -22,14 +22,13 @@ from v2vlos import (
     RangeError,
     StateTrace,
     builtin_model,
+    chain,
     dwell_statistics,
     fresnel_clearance_radius,
-    generate_states,
     merge_dwell,
     read_distance_trace,
     read_labeled_traces,
     synth_distance_trace,
-    write_state_trace,
     write_state_traces,
 )
 
@@ -190,30 +189,33 @@ def test_fresnel_maximal_at_midpoint():
 
 def test_state_trace_write_read_round_trip(tmp_path):
     model = builtin_model(Environment.URBAN, Density.MEDIUM)
-    trace = generate_states(model, DistanceTrace.from_distances(np.arange(1.0, 101.0)), seed=7)
+    trace = chain(model).trace(DistanceTrace.from_distances(np.arange(1.0, 101.0)), 7)
     path = tmp_path / "trace.csv"
-    write_state_trace(trace, path)
+    write_state_traces([trace], path)
     back = read_labeled_traces(path)
     assert len(back) == 1
     assert np.array_equal(back[0].states, trace.states)
     assert np.array_equal(back[0].distances, trace.distances)
     assert np.array_equal(back[0].times, trace.times)
+    for column in (back[0].times, back[0].distances, back[0].states):
+        with pytest.raises(ValueError):
+            column[0] = 1
 
 
 def test_write_read_write_is_byte_stable(tmp_path):
     model = builtin_model(Environment.HIGHWAY, Density.LOW)
-    trace = generate_states(model, DistanceTrace.from_distances(np.linspace(3.7, 402.7, 150)), seed=1)
+    trace = chain(model).trace(DistanceTrace.from_distances(np.linspace(3.7, 402.7, 150)), 1)
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    write_state_trace(trace, p1)
-    write_state_trace(read_labeled_traces(p1)[0], p2)
+    write_state_traces([trace], p1)
+    write_state_traces(read_labeled_traces(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_multi_trace_file(tmp_path):
     model = builtin_model(Environment.URBAN, Density.LOW)
     traces = [
-        generate_states(model, DistanceTrace.from_distances(np.arange(10.0, 60.0)), seed=s)
+        chain(model).trace(DistanceTrace.from_distances(np.arange(10.0, 60.0)), s)
         for s in (1, 2, 3)
     ]
     path = tmp_path / "batch.csv"

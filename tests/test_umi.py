@@ -12,8 +12,7 @@ from v2vlos import (
     DomainError,
     LosState,
     UmiParams,
-    generate_batch_umi,
-    generate_states_umi,
+    baseline,
     umi_los_probability,
 )
 
@@ -67,35 +66,35 @@ def test_domain_and_param_validation():
 
 def test_all_los_when_within_d1():
     trace = DistanceTrace.from_distances(np.linspace(1.0, 18.0, 30))
-    out = generate_states_umi(trace, seed=4)
+    out = baseline().trace(trace, 4)
     assert np.all(out.states == int(LosState.LOS))
 
 
 def test_nlosv_never_emitted():
     trace = DistanceTrace.from_distances(np.linspace(1.0, 500.0, 500))
-    out = generate_states_umi(trace, seed=4)
+    out = baseline().trace(trace, 4)
     assert not np.any(out.states == int(LosState.NLOSv))
     assert out.scenario == "umi"
 
 
 def test_los_fraction_at_36():
     n = 10**5
-    out = generate_states_umi(constant_trace(36.0, n), seed=21)
+    out = baseline().trace(constant_trace(36.0, n), 21)
     frac = int((out.states == 0).sum()) / n
     assert abs(frac - 0.6840) < 0.01
 
 
 def test_determinism():
     trace = DistanceTrace.from_distances(np.linspace(1.0, 400.0, 400))
-    a = generate_states_umi(trace, seed=77)
-    b = generate_states_umi(trace, seed=77)
+    a = baseline().trace(trace, 77)
+    b = baseline().trace(trace, 77)
     assert np.array_equal(a.states, b.states)
 
 
 def test_per_step_independence_lag1():
     # At fixed distance P(LOS | prev LOS) and P(LOS | prev NLOSb) coincide.
     n = 10**6
-    out = generate_states_umi(constant_trace(36.0, n), seed=5)
+    out = baseline().trace(constant_trace(36.0, n), 5)
     s = out.states
     prev_los = s[:-1] == 0
     prev_blk = ~prev_los
@@ -106,9 +105,9 @@ def test_per_step_independence_lag1():
 
 def test_batch_umi_sub_seeding():
     trace = constant_trace(100.0, 50)
-    batch = generate_batch_umi([trace, trace], seed=9)
+    batch = list(baseline().batch([trace, trace], 9))
     assert len(batch) == 2
     assert not np.array_equal(batch[0].states, batch[1].states)
-    again = generate_batch_umi([trace, trace], seed=9)
+    again = list(baseline().batch([trace, trace], 9))
     assert np.array_equal(batch[0].states, again[0].states)
     assert np.array_equal(batch[1].states, again[1].states)
