@@ -43,12 +43,10 @@ from .errors import (
 from .estimation import (
     BinnedStateProbs,
     BinnedTransitionProbs,
-    DistanceBin,
     EmpiricalStats,
     FitResult,
     accumulate,
     bin_centers,
-    bin_of,
     empirical_state_probs,
     empirical_transition_probs,
     fit_expdecay,
@@ -83,7 +81,6 @@ from .traces import (
     MobilityProfile,
     dwell_statistics,
     fresnel_clearance_radius,
-    merge_dwell,
     read_distance_trace,
     read_labeled_traces,
     synth_distance_trace,

@@ -48,7 +48,6 @@ from .traces import (
     MobilityProfile,
     atomic_output,
     dwell_statistics,
-    merge_dwell,
     read_distance_trace,
     read_labeled_traces,
     synth_distance_trace,
@@ -185,10 +184,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
     write_state_traces(state_traces, args.out, _provenance("generate", scenario=model.tag, seed=args.seed))
 
-    dwell = merge_dwell(dwell_statistics(t) for t in state_traces)
-    total = sum(len(t) for t in state_traces)
-    occ = {s: sum(int((t.states == int(s)).sum()) for t in state_traces) / total for s in CANONICAL_STATES}
-    print(f"wrote {args.out}: traces={len(state_traces)} steps={total} scenario={model.tag} seed={args.seed}")
+    dwell = dwell_statistics(state_traces)
+    occ = dwell.occupancy / dwell.n_steps
+    print(f"wrote {args.out}: traces={dwell.n_traces} steps={dwell.n_steps} scenario={model.tag} seed={args.seed}")
     print("occupancy: " + " ".join(f"{s.name}={occ[s]:.4f}" for s in CANONICAL_STATES))
     print(f"state_changes={dwell.changes} mean_dwell_s={dwell.mean_dwell:.3f}")
     return 0
@@ -232,8 +230,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                  for t, d, sm, plm, su, plu in rows)
     _write_atomic(args.out, "\n".join(lines) + "\n")
 
-    dwell_model = merge_dwell(dwell_statistics(t) for t in proposed)
-    dwell_umi = merge_dwell(dwell_statistics(t) for t in memoryless)
+    dwell_model = dwell_statistics(proposed)
+    dwell_umi = dwell_statistics(memoryless)
     print(f"wrote {args.out}: traces={len(traces)} scenario={model.tag} seed={args.seed}")
     print(f"model=proposed state_changes={dwell_model.changes} mean_dwell_s={dwell_model.mean_dwell:.3f}")
     print(f"model=umi state_changes={dwell_umi.changes} mean_dwell_s={dwell_umi.mean_dwell:.3f}")

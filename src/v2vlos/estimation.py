@@ -40,35 +40,6 @@ N_BINS = 50
 _D_EDGE = BIN_WIDTH * N_BINS
 
 
-@dataclass(frozen=True)
-class DistanceBin:
-    """10 m distance interval [10*index, 10*(index+1)); the last one also holds 500 m."""
-
-    index: int
-
-    def __post_init__(self):
-        if not (0 <= self.index < N_BINS):
-            raise RangeError(f"bin index must be in [0, {N_BINS}), got {self.index}")
-
-    @property
-    def low(self) -> float:
-        return BIN_WIDTH * self.index
-
-    @property
-    def high(self) -> float:
-        return BIN_WIDTH * (self.index + 1)
-
-    @property
-    def center(self) -> float:
-        return BIN_WIDTH * self.index + BIN_WIDTH / 2.0
-
-
-def bin_of(d: float) -> DistanceBin:
-    if not (isinstance(d, (int, float)) and math.isfinite(d)) or d < 0.0 or d > _D_EDGE:
-        raise RangeError(f"distance must be in [0, {_D_EDGE}], got {d!r}")
-    return DistanceBin(min(int(d // BIN_WIDTH), N_BINS - 1))
-
-
 def bin_centers() -> np.ndarray:
     return BIN_WIDTH * np.arange(N_BINS) + BIN_WIDTH / 2.0
 
@@ -104,17 +75,15 @@ class EmpiricalStats:
     def total_steps(self) -> int:
         return int(self.occupancy.sum())
 
-    @property
-    def total_transitions(self) -> int:
-        return int(self.transitions.sum())
-
 
 def accumulate(stats: EmpiricalStats, trace: StateTrace) -> EmpiricalStats:
     """New statistics with one trace counted in. The input is not mutated."""
     d = trace.distances
-    if d.size and (float(d.min()) < 0.0 or float(d.max()) > _D_EDGE):
-        bad = float(d.min()) if float(d.min()) < 0.0 else float(d.max())
-        raise RangeError(f"trace distance {bad} outside [0, {_D_EDGE}]")
+    if d.size:
+        lo, hi = float(d.min()), float(d.max())  # NaN when any distance is NaN
+        if not (lo >= 0.0 and hi <= _D_EDGE):
+            bad = hi if lo >= 0.0 else lo
+            raise RangeError(f"trace distance {bad} outside [0, {_D_EDGE}]")
     bins = np.minimum(d // BIN_WIDTH, N_BINS - 1).astype(np.int64)
     s = trace.states.astype(np.int64)
 

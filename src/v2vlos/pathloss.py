@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DistanceClampWarning, DomainError
 from .markov import StateTrace
 from .states import LosState
 
@@ -117,9 +118,19 @@ def state_path_loss(state: LosState, d: float, p: PathLossParams) -> float:
 
 
 def render_path_loss(trace: StateTrace, p: PathLossParams) -> np.ndarray:
-    """Path loss in dB at each step of a state trace, as :func:`state_path_loss` gives it."""
-    short = np.flatnonzero(trace.distances < 1.0)
+    """Path loss in dB at each step of a state trace, as :func:`state_path_loss` gives it.
+
+    Distances in (0, 1) m are evaluated at 1 m, with one
+    :class:`DistanceClampWarning` for the trace, as the chain clamps them.
+    """
+    d = trace.distances
+    bad = np.flatnonzero(~(d > 0.0) | ~np.isfinite(d))
+    if bad.size:
+        raise DomainError(f"distance must be finite and positive, got {d[bad[0]].item()!r}")
+    short = np.flatnonzero(d < 1.0)
     if short.size:
-        raise DomainError(f"distance must be >= 1 m, got {trace.distances[short[0]].item()!r}")
+        warnings.warn(f"{short.size} distance(s) below 1 m evaluated at 1 m (first {d[short[0]].item()!r} m)",
+                      DistanceClampWarning, stacklevel=2)
+        d = np.maximum(d, 1.0)
     per_state = _per_state(p)
-    return np.array([per_state[s](d) for s, d in zip(trace.states.tolist(), trace.distances.tolist())], dtype=float)
+    return np.array([per_state[s](x) for s, x in zip(trace.states.tolist(), d.tolist())], dtype=float)

@@ -6,6 +6,9 @@ up to 20 m/s, same-direction highway up to 25 m/s, opposing highway 50 to
 one-second step. Distances reflect off the valid range instead of clamping,
 to avoid piling mass onto the boundary.
 
+Dwell statistics are counted per batch of traces into one array of run
+lengths per state (:class:`DwellStats`).
+
 Trace files are delimited text with a mandatory header: ``t,d`` for plain
 distance traces, ``t,d,state`` for labeled traces, one row per step, with
 ``#`` comment lines skipped. A non-increasing time value starts a new trace,
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import DomainError, ParseError, RangeError
 from .markov import DistanceTrace, StateTrace, _frozen
 from .rng import RngSeed, uniform_block
-from .states import STATE_NAMES, LosState
+from .states import STATE_NAMES
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -115,64 +118,83 @@ def synth_distance_trace(
     return DistanceTrace.from_distances(ds)
 
 
+# Steps per block of a batch's dwell count; bounds its memory.
+_DWELL_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class DwellStats:
-    """State-change counts and dwell-time histograms for one or more traces."""
+    """Dwell-time counts of a batch of state traces.
 
-    n_steps: int
+    ``runs[s, n]`` is the number of uninterrupted runs of exactly ``n`` steps
+    in state ``s``; a run ends where the state changes and at the end of
+    every trace.
+    """
+
     n_traces: int
-    changes: int
-    histograms: dict[LosState, dict[int, int]]
+    runs: np.ndarray
+
+    @property
+    def occupancy(self) -> np.ndarray:
+        """Steps spent in each state, in state order."""
+        return self.runs @ np.arange(self.runs.shape[1])
+
+    @property
+    def n_steps(self) -> int:
+        return int(self.occupancy.sum())
+
+    @property
+    def changes(self) -> int:
+        """State changes within the traces: every run but the first of each trace."""
+        return int(self.runs.sum()) - self.n_traces
 
     @property
     def mean_dwell(self) -> float:
         """Mean seconds per uninterrupted run: steps / (changes + traces)."""
-        return self.n_steps / (self.changes + self.n_traces)
-
-    def merge(self, other: "DwellStats") -> "DwellStats":
-        hist = {s: dict(self.histograms.get(s, {})) for s in LosState}
-        for s, h in other.histograms.items():
-            for length, count in h.items():
-                hist[s][length] = hist[s].get(length, 0) + count
-        return DwellStats(
-            self.n_steps + other.n_steps,
-            self.n_traces + other.n_traces,
-            self.changes + other.changes,
-            hist,
-        )
+        return self.n_steps / int(self.runs.sum())
 
 
-def dwell_statistics(trace: StateTrace) -> DwellStats:
-    """Count state changes and per-state run lengths (final run included)."""
-    if len(trace) == 0:
-        raise DomainError("dwell statistics need a non-empty trace")
-    s = trace.states
+def _count_runs(runs: np.ndarray, block: list[np.ndarray]) -> np.ndarray:
+    """``runs`` plus the run-length counts of the traces' state columns in ``block``."""
+    s = np.concatenate(block)
     last = np.empty(s.size, dtype=bool)  # True at the last step of each run
     np.not_equal(s[1:], s[:-1], out=last[:-1])
-    last[-1] = True
+    last[np.cumsum([b.size for b in block]) - 1] = True
     ends = last.nonzero()[0]
-    changes = int(ends.size) - 1
-    runs = ends.copy()
-    runs[1:] -= ends[:-1]
-    runs[0] += 1
-    # One bincount over state * width + run length gives all three histograms.
-    width = int(runs.max()) + 1
-    counts = np.bincount(s[ends].astype(np.intp) * width + runs, minlength=3 * width).reshape(3, width)
-    hist: dict[LosState, dict[int, int]] = {}
-    for state in LosState:
-        row = counts[state]
-        lengths = row.nonzero()[0]
-        hist[state] = dict(zip(lengths.tolist(), row[lengths].tolist()))
-    return DwellStats(n_steps=int(s.size), n_traces=1, changes=changes, histograms=hist)
+    lengths = np.diff(ends, prepend=-1)
+    # One bincount over state * width + run length gives all three rows.
+    width = int(lengths.max()) + 1
+    counts = np.bincount(s[ends].astype(np.intp) * width + lengths, minlength=3 * width).reshape(3, width)
+    if width > runs.shape[1]:
+        runs, counts = counts, runs  # add the narrower array into the wider one
+    runs[:, :counts.shape[1]] += counts
+    return runs
 
 
-def merge_dwell(stats: Iterable[DwellStats]) -> DwellStats:
-    total = DwellStats(0, 0, 0, {s: {} for s in LosState})
-    for item in stats:
-        total = total.merge(item)
-    if total.n_traces == 0:
-        raise DomainError("nothing to merge")
-    return total
+def dwell_statistics(traces: Iterable[StateTrace]) -> DwellStats:
+    """Run-length counts of a batch of state traces (final runs included).
+
+    The traces are read once, in order; their states are counted in blocks
+    of about ``_DWELL_BLOCK`` steps, so a lazy batch is never held whole.
+    """
+    runs = np.zeros((3, 1), dtype=np.int64)
+    n_traces = size = 0
+    block: list[np.ndarray] = []
+    for trace in traces:
+        if len(trace) == 0:
+            raise DomainError("dwell statistics need non-empty traces")
+        n_traces += 1
+        block.append(trace.states)
+        size += len(trace)
+        if size >= _DWELL_BLOCK:
+            runs = _count_runs(runs, block)
+            block, size = [], 0
+    if n_traces == 0:
+        raise DomainError("dwell statistics need at least one trace")
+    if block:
+        runs = _count_runs(runs, block)
+    runs.setflags(write=False)
+    return DwellStats(n_traces=n_traces, runs=runs)
 
 
 def fresnel_clearance_radius(d1: float, d2: float, f: float) -> float:

@@ -38,7 +38,7 @@ from v2vlos import (
     umi_los_probability,
 )
 from v2vlos.estimation import bin_centers
-from v2vlos.traces import dwell_statistics, merge_dwell, write_state_traces
+from v2vlos.traces import dwell_statistics, write_state_traces
 
 from conftest import ALL_SCENARIOS, all_models, model_curves
 from test_cli import run_cli
@@ -113,12 +113,8 @@ def test_criterion_4_dwell_statistics():
     model = builtin_model(Environment.URBAN, Density.MEDIUM)
     trace = DistanceTrace.from_distances(np.arange(1.0, 501.0))
 
-    proposed = merge_dwell(
-        dwell_statistics(s) for s in chain(model).batch(repeat(trace, n_traces), 2024)
-    )
-    memoryless = merge_dwell(
-        dwell_statistics(s) for s in baseline(UmiParams()).batch(repeat(trace, n_traces), 2024)
-    )
+    proposed = dwell_statistics(chain(model).batch(repeat(trace, n_traces), 2024))
+    memoryless = dwell_statistics(baseline(UmiParams()).batch(repeat(trace, n_traces), 2024))
     elapsed = time.perf_counter() - t0
 
     ok = (4.0 <= memoryless.mean_dwell <= 6.0) and (13.0 <= proposed.mean_dwell <= 21.0) and elapsed < 600.0

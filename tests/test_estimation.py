@@ -1,6 +1,7 @@
 """Empirical counting, correlation, and curve refitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from v2vlos import (
     SingularError,
     StateTrace,
     accumulate,
-    bin_of,
     builtin_model,
     chain,
     empirical_state_probs,
@@ -36,7 +36,7 @@ from v2vlos import (
     stationary_distribution,
     transition_matrix,
 )
-from v2vlos.estimation import DistanceBin, bin_centers
+from v2vlos.estimation import bin_centers
 
 
 def accumulate_traces(traces):
@@ -52,24 +52,17 @@ def labeled(ds, states, t0=0):
     return StateTrace(np.arange(t0, t0 + ds.size), ds, np.asarray(states, dtype=np.int8))
 
 
-def test_bin_of_boundaries():
-    assert bin_of(0.0).index == 0
-    assert bin_of(9.999).index == 0
-    assert bin_of(10.0).index == 1
-    assert bin_of(499.0).index == 49
-    assert bin_of(499.999).index == 49
-    assert bin_of(500.0).index == 49  # the last bin is closed at the model's d_max
-    for bad in (-0.001, 500.001, 501.0, math.nan):
-        with pytest.raises(RangeError):
-            bin_of(bad)
+def test_accumulate_bin_boundaries():
+    # The last bin is closed at the model's d_max.
+    for d, index in ((0.0, 0), (9.999, 0), (10.0, 1), (499.0, 49), (499.999, 49), (500.0, 49)):
+        stats = accumulate(EmpiricalStats(), labeled([d], [0]))
+        assert stats.occupancy[:, 0].nonzero()[0].tolist() == [index], d
 
 
 def test_bin_geometry():
-    b = bin_of(25.0)
-    assert (b.low, b.high, b.center) == (20.0, 30.0, 25.0)
-    with pytest.raises(RangeError):
-        DistanceBin(50)
-    assert bin_centers()[0] == 5.0 and bin_centers()[-1] == 495.0
+    centers = bin_centers()
+    assert centers.size == 50
+    assert (centers[0], centers[2], centers[-1]) == (5.0, 25.0, 495.0)
 
 
 def test_accumulate_direct_counts():
@@ -96,8 +89,11 @@ def test_accumulate_does_not_mutate_input():
 
 
 def test_accumulate_range_error():
-    with pytest.raises(RangeError):
-        accumulate(EmpiricalStats(), labeled([500.001], [0]))
+    for bad in (-0.001, 500.001, 501.0, -math.inf, math.inf, math.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NaN must not reach the bin cast
+            with pytest.raises(RangeError):
+                accumulate(EmpiricalStats(), labeled([25.0, bad, 25.0], [0, 1, 2]))
 
 
 def test_accumulate_counts_d_max_in_last_bin():
@@ -124,7 +120,7 @@ def test_merge_equals_concat_minus_boundary_transition():
     concat = accumulate(EmpiricalStats(), labeled(ds_a + ds_b, ss_a + ss_b))
     assert np.array_equal(merged.occupancy, concat.occupancy)
     boundary = np.zeros_like(concat.transitions)
-    boundary[bin_of(ds_a[-1]).index, ss_a[-1], ss_b[0]] = 1
+    boundary[2, ss_a[-1], ss_b[0]] = 1  # 25 m lies in bin 2
     assert np.array_equal(concat.transitions, merged.transitions + boundary)
 
 

@@ -75,6 +75,9 @@ def _cases():
         argv=["compare", *urban, "--count", "20", "--trace-in", "in.csv", "--over-range", "clamp",
               "--seed", "9", "--out", "out.csv"],
         outputs=["out.csv"], files={"in.csv": ABOVE_RANGE})
+    cases["compare-below-floor"] = dict(
+        argv=["compare", *urban, "--count", "20", "--trace-in", "in.csv", "--seed", "4", "--out", "out.csv"],
+        outputs=["out.csv"], files={"in.csv": BELOW_FLOOR})
     cases["generate-below-floor"] = dict(
         argv=["generate", *urban, "--count", "20", "--trace-in", "in.csv", "--seed", "4", "--out", "out.csv"],
         outputs=["out.csv"], files={"in.csv": BELOW_FLOOR})
@@ -133,6 +136,7 @@ def run_case(case):
 
 GOLDEN = {
     'compare-above-range-clamp': 'e03b047519f565f18213dad4d6380786158de5c1569a2c83f29618585ec51870',
+    'compare-below-floor': 'b48bb4b762105498403c51ff1482ad2f41ae762eb3c6631af3d825aff0483946',
     'compare-highway-high-walk': '664131d7f32f0bf6a13add799b20f5bb65a37f4521148a3ffb41d58db1695471',
     'compare-urban-medium-separate1ms': 'c56e68a209e4d8159635f0402f8aa1982fda2c95d46b270484c0e4d39a34e0e5',
     'curves-highway-high': 'fdd2e0d008504e755aeb8762ce041c0efde6a4ad60a65cfb88998c85de2422cd',

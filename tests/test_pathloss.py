@@ -7,6 +7,7 @@ import pytest
 
 from v2vlos import (
     Density,
+    DistanceClampWarning,
     DistanceTrace,
     DomainError,
     Environment,
@@ -85,9 +86,24 @@ def test_render_is_pointwise_map():
         assert pl == state_path_loss(trace.state(k), float(trace.distances[k]), p)
 
 
-def test_render_rejects_distances_below_one_metre():
-    trace = StateTrace(np.arange(3), np.array([2.0, 0.5, 0.7]), np.zeros(3, dtype=np.int8))
-    with pytest.raises(DomainError, match="got 0.5$"):
+def test_render_evaluates_distances_below_one_metre_at_one_metre():
+    states = np.array([0, 1, 2], dtype=np.int8)
+    p = PathLossParams.defaults()
+    short = StateTrace(np.arange(3), np.array([2.0, 0.5, 0.7]), states)
+    with pytest.warns(DistanceClampWarning, match="2 distance") as caught:
+        series = render_path_loss(short, p)
+    assert len(caught) == 1
+    floor = StateTrace(np.arange(3), np.array([2.0, 1.0, 1.0]), states)
+    assert series.tolist() == render_path_loss(floor, p).tolist()
+    # The scalar functions keep the floor as a domain limit.
+    with pytest.raises(DomainError):
+        free_space_pl(0.5)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_render_rejects_non_positive_and_non_finite_distances(bad):
+    trace = StateTrace(np.arange(3), np.array([2.0, bad, 0.7]), np.zeros(3, dtype=np.int8))
+    with pytest.raises(DomainError, match="finite and positive"):
         render_path_loss(trace, PathLossParams.defaults())
 
 

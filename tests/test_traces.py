@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from unittest import mock
 
@@ -25,7 +26,6 @@ from v2vlos import (
     chain,
     dwell_statistics,
     fresnel_clearance_radius,
-    merge_dwell,
     read_distance_trace,
     read_labeled_traces,
     synth_distance_trace,
@@ -113,49 +113,138 @@ def state_trace(states, d=50.0):
     return StateTrace(np.arange(s.size), np.full(s.size, d), s)
 
 
+def hist(stats, state):
+    """Run-length histogram of one state as {length: count}."""
+    row = stats.runs[int(state)]
+    lengths = row.nonzero()[0]
+    return dict(zip(lengths.tolist(), row[lengths].tolist()))
+
+
+@dataclass(frozen=True)
+class ReferenceDwell:
+    """Per-trace dwell counts as they were kept before batch counting."""
+
+    n_steps: int
+    n_traces: int
+    changes: int
+    histograms: dict
+
+    @property
+    def mean_dwell(self):
+        return self.n_steps / (self.changes + self.n_traces)
+
+    def merge(self, other):
+        hist = {s: dict(self.histograms.get(s, {})) for s in LosState}
+        for s, h in other.histograms.items():
+            for length, count in h.items():
+                hist[s][length] = hist[s].get(length, 0) + count
+        return ReferenceDwell(self.n_steps + other.n_steps, self.n_traces + other.n_traces,
+                              self.changes + other.changes, hist)
+
+
+def reference_dwell(trace):
+    """One trace's state changes and per-state run lengths (final run included)."""
+    s = trace.states
+    last = np.empty(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=last[:-1])
+    last[-1] = True
+    ends = last.nonzero()[0]
+    runs = ends.copy()
+    runs[1:] -= ends[:-1]
+    runs[0] += 1
+    width = int(runs.max()) + 1
+    counts = np.bincount(s[ends].astype(np.intp) * width + runs, minlength=3 * width).reshape(3, width)
+    histograms = {}
+    for state in LosState:
+        lengths = counts[state].nonzero()[0]
+        histograms[state] = dict(zip(lengths.tolist(), counts[state][lengths].tolist()))
+    return ReferenceDwell(int(s.size), 1, int(ends.size) - 1, histograms)
+
+
+def reference_merge(traces):
+    """Per-trace counts folded one trace at a time."""
+    total = ReferenceDwell(0, 0, 0, {s: {} for s in LosState})
+    for trace in traces:
+        total = total.merge(reference_dwell(trace))
+    return total
+
+
 def test_dwell_all_same_state():
-    stats = dwell_statistics(state_trace([0] * 10))
+    stats = dwell_statistics([state_trace([0] * 10)])
     assert stats.changes == 0
     assert stats.mean_dwell == 10.0
-    assert stats.histograms[LosState.LOS] == {10: 1}
+    assert hist(stats, LosState.LOS) == {10: 1}
 
 
 def test_dwell_alternating():
-    stats = dwell_statistics(state_trace([0, 2] * 5))
+    stats = dwell_statistics([state_trace([0, 2] * 5)])
     assert stats.changes == 9
     assert stats.mean_dwell == 1.0
-    assert stats.histograms[LosState.LOS] == {1: 5}
-    assert stats.histograms[LosState.NLOSb] == {1: 5}
+    assert hist(stats, LosState.LOS) == {1: 5}
+    assert hist(stats, LosState.NLOSb) == {1: 5}
 
 
 def test_dwell_runs_and_histograms():
-    stats = dwell_statistics(state_trace([0, 0, 0, 1, 1, 2, 0, 0]))
+    stats = dwell_statistics([state_trace([0, 0, 0, 1, 1, 2, 0, 0])])
     assert stats.changes == 3
-    assert stats.histograms[LosState.LOS] == {3: 1, 2: 1}
-    assert stats.histograms[LosState.NLOSv] == {2: 1}
-    assert stats.histograms[LosState.NLOSb] == {1: 1}
-    total_seconds = sum(length * n for h in stats.histograms.values() for length, n in h.items())
+    assert hist(stats, LosState.LOS) == {3: 1, 2: 1}
+    assert hist(stats, LosState.NLOSv) == {2: 1}
+    assert hist(stats, LosState.NLOSb) == {1: 1}
+    assert stats.occupancy.tolist() == [5, 2, 1]
+    total_seconds = sum(length * n for s in LosState for length, n in hist(stats, s).items())
     assert total_seconds == stats.n_steps == 8
 
 
 def test_dwell_invariant_under_relabeling():
-    a = dwell_statistics(state_trace([0, 0, 1, 1, 2, 2, 0]))
-    b = dwell_statistics(state_trace([1, 1, 2, 2, 0, 0, 1]))
+    a = dwell_statistics([state_trace([0, 0, 1, 1, 2, 2, 0])])
+    b = dwell_statistics([state_trace([1, 1, 2, 2, 0, 0, 1])])
     assert a.changes == b.changes
     assert a.mean_dwell == b.mean_dwell
-    assert sorted(a.histograms[LosState.LOS].items()) == sorted(b.histograms[LosState.NLOSv].items())
+    assert sorted(hist(a, LosState.LOS).items()) == sorted(hist(b, LosState.NLOSv).items())
 
 
-def test_merge_dwell_aggregates():
-    a = dwell_statistics(state_trace([0] * 10))
-    b = dwell_statistics(state_trace([0, 2] * 5))
-    merged = merge_dwell([a, b])
+def test_dwell_batch_aggregates():
+    merged = dwell_statistics([state_trace([0] * 10), state_trace([0, 2] * 5)])
     assert merged.n_steps == 20
     assert merged.n_traces == 2
     assert merged.changes == 9
     assert merged.mean_dwell == pytest.approx(20.0 / 11.0)
+    assert merged.runs.dtype == np.int64 and not merged.runs.flags.writeable
     with pytest.raises(DomainError):
-        merge_dwell([])
+        dwell_statistics([])
+    with pytest.raises(DomainError):
+        dwell_statistics([state_trace([0]), state_trace([])])
+
+
+def test_dwell_run_ends_at_every_trace_end():
+    # Two traces of one state are two runs, not one run across the boundary.
+    stats = dwell_statistics([state_trace([1, 1, 1]), state_trace([1, 1])])
+    assert hist(stats, LosState.NLOSv) == {3: 1, 2: 1}
+    assert stats.changes == 0
+
+
+_batches = st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=300), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=_batches, block=st.integers(1, 600))
+def test_batch_dwell_matches_per_trace_merge(batch, block):
+    traces = [state_trace(states) for states in batch]
+    expected = reference_merge(traces)
+    yielded = []
+
+    def lazy():
+        for trace in traces:
+            yielded.append(trace)
+            yield trace
+
+    with mock.patch.object(trace_io, "_DWELL_BLOCK", block):
+        stats = dwell_statistics(lazy())
+    assert yielded == traces  # every trace read exactly once
+    assert (stats.n_steps, stats.n_traces, stats.changes) == (expected.n_steps, expected.n_traces, expected.changes)
+    assert {s: hist(stats, s) for s in LosState} == expected.histograms
+    assert stats.occupancy.tolist() == [sum(n * k for k, n in expected.histograms[s].items()) for s in LosState]
+    assert stats.mean_dwell == expected.mean_dwell
 
 
 def test_fresnel_hand_evaluated():
@@ -224,6 +313,29 @@ def test_multi_trace_file(tmp_path):
     assert len(back) == 3
     for orig, loaded in zip(traces, back):
         assert np.array_equal(orig.states, loaded.states)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scenario=st.sampled_from([(e, d) for e in Environment for d in Density]),
+    seed=st.integers(0, 2**64 - 1),
+    batch=st.lists(st.lists(st.floats(1.0, 500.0), min_size=1, max_size=50), min_size=1, max_size=6),
+)
+def test_generated_batch_round_trips_through_labeled_file(scenario, seed, batch):
+    model = builtin_model(*scenario)
+    traces = list(chain(model).batch([DistanceTrace.from_distances(ds) for ds in batch], seed))
+    provenance = [f"# scenario={model.tag}", f"# seed={seed}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        write_state_traces(traces, first, provenance)
+        back = read_labeled_traces(first)
+        write_state_traces(back, second, provenance)
+        assert first.read_bytes() == second.read_bytes()
+    assert len(back) == len(traces)
+    for orig, loaded in zip(traces, back):
+        for column in ("times", "distances", "states"):
+            assert np.array_equal(getattr(orig, column), getattr(loaded, column))
+        assert (loaded.scenario, loaded.seed) == (model.tag, seed)
 
 
 def test_header_variants_dispatch(tmp_path):
