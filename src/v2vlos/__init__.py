@@ -41,8 +41,7 @@ from .errors import (
     V2vLosError,
 )
 from .estimation import (
-    BinnedStateProbs,
-    BinnedTransitionProbs,
+    BinnedProbs,
     EmpiricalStats,
     FitResult,
     accumulate,

@@ -24,7 +24,7 @@ from . import __version__
 from .assembly import state_probabilities, transition_matrix
 from .errors import DegenerateError, V2vLosError
 from .estimation import (
-    EmpiricalStats,
+    BinnedProbs,
     accumulate,
     bin_centers,
     empirical_state_probs,
@@ -173,6 +173,8 @@ def _build_distance_traces(args: argparse.Namespace) -> list[DistanceTrace]:
                 profile = MobilityProfile(kind, d0=args.d0, n_steps=args.steps, speed=args.speed)
     except ValueError as exc:
         raise V2vLosError(str(exc)) from exc
+    if not profile.seeded:
+        return [synth_distance_trace(profile)] * args.count
     synth_master = mix64(args.seed ^ _SYNTH_SALT)
     return [synth_distance_trace(profile, derive_subseed(synth_master, i)) for i in range(args.count)]
 
@@ -249,29 +251,22 @@ def _safe_pearson(xs, ys) -> str:
 _REPORT_ORDER = (LosState.LOS, LosState.NLOSb, LosState.NLOSv)
 
 
-def _correlation_report(model: ScenarioModel, stats: EmpiricalStats) -> str:
-    centers = bin_centers()
+def _correlation_report(model: ScenarioModel, centers: np.ndarray, emp_state: BinnedProbs, emp_trans: BinnedProbs) -> str:
     model_state = np.asarray([state_probabilities(model, float(d)).as_tuple() for d in centers])
     model_trans = np.asarray([transition_matrix(model, float(d)).m for d in centers])
-    emp_state = empirical_state_probs(stats).probs
-    emp_trans = empirical_transition_probs(stats).probs
 
     lines = ["[los_probabilities]"]
     for s in _REPORT_ORDER:
-        lines.append(f"{s.name}={_safe_pearson(emp_state[:, int(s)], model_state[:, int(s)])}")
+        lines.append(f"{s.name}={_safe_pearson(emp_state.probs[:, int(s)], model_state[:, int(s)])}")
     lines.append("[transition_probabilities]")
     for origin in _REPORT_ORDER:
         for target in _REPORT_ORDER:
-            r = _safe_pearson(emp_trans[:, int(origin), int(target)], model_trans[:, int(origin), int(target)])
+            r = _safe_pearson(emp_trans.probs[:, int(origin), int(target)], model_trans[:, int(origin), int(target)])
             lines.append(f"{origin.name}->{target.name}={r}")
     return "\n".join(lines) + "\n"
 
 
-def _refit_model(model: ScenarioModel, stats: EmpiricalStats) -> ScenarioModel:
-    centers = bin_centers()
-    emp_state = empirical_state_probs(stats)
-    emp_trans = empirical_transition_probs(stats)
-
+def _refit_model(model: ScenarioModel, centers: np.ndarray, emp_state: BinnedProbs, emp_trans: BinnedProbs) -> ScenarioModel:
     def points(values, defined):
         return [(float(c), float(v)) for c, v, ok in zip(centers, values, defined) if ok]
 
@@ -295,18 +290,15 @@ def _refit_model(model: ScenarioModel, stats: EmpiricalStats) -> ScenarioModel:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     model = _scenario(args)
-    traces = read_labeled_traces(args.traces)
-    stats = EmpiricalStats()
-    for trace in traces:
-        stats = accumulate(stats, trace)
+    stats = accumulate(read_labeled_traces(args.traces))
+    centers = bin_centers()
+    emp_state = empirical_state_probs(stats)
+    emp_trans = empirical_transition_probs(stats)
 
     if args.out_stats:
-        emp_state = empirical_state_probs(stats)
-        emp_trans = empirical_transition_probs(stats)
         lines = _provenance("estimate", scenario=model.tag, seed=args.seed)
         header = ["bin", "center", "n_los", "n_nlosv", "n_nlosb", "p_los", "p_nlosv", "p_nlosb", *_TRANSITION_COLUMNS]
         lines.append(",".join(header))
-        centers = bin_centers()
         for b in range(len(centers)):
             row = [str(b), f"{centers[b]:.6g}"]
             row += [str(int(stats.occupancy[b, int(s)])) for s in CANONICAL_STATES]
@@ -316,7 +308,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         _write_atomic(args.out_stats, "\n".join(lines) + "\n")
         print(f"wrote {args.out_stats}")
 
-    report = "\n".join(_provenance("estimate", scenario=model.tag, seed=args.seed)) + "\n" + _correlation_report(model, stats)
+    report = "\n".join(_provenance("estimate", scenario=model.tag, seed=args.seed)) + "\n"
+    report += _correlation_report(model, centers, emp_state, emp_trans)
     if args.out_report:
         _write_atomic(args.out_report, report)
         print(f"wrote {args.out_report}")
@@ -326,7 +319,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.fit:
         if not args.out_model:
             raise V2vLosError("--fit requires --out-model")
-        refit = _refit_model(model, stats)
+        refit = _refit_model(model, centers, emp_state, emp_trans)
         _write_atomic(args.out_model, scenario_json(refit))
         print(f"wrote {args.out_model}")
     return 0
@@ -403,6 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.config is not None:
         args = parser.parse_args(argv)
+    if args.command == "curves" and not args.d_min <= args.d_max:
+        parser.error(f"--d-min {args.d_min:g} must not exceed --d-max {args.d_max:g}")
     try:
         return args.func(args)
     except V2vLosError as exc:

@@ -1,10 +1,9 @@
 """Empirical estimation from labeled traces and curve refitting.
 
-Counting runs over 10 m distance bins. A transition between steps t and t+1
-is attributed to the bin of the distance at step t; state occurrences are
-counted per step in each step's own bin. Counts merge associatively, so
-partial statistics can be accumulated in any order (or in parallel) and
-combined afterwards.
+Counting runs over 10 m distance bins, once per batch of labelled traces
+(:func:`accumulate`). A transition between steps t and t+1 of one trace is
+attributed to the bin of the distance at step t; state occurrences are
+counted per step in each step's own bin.
 
 Bins that saw no data stay flagged undefined rather than reading as zero
 probability. Curve refitting mirrors the published families: plain least
@@ -32,7 +31,7 @@ from .curves import (
     Poly2,
 )
 from .errors import ConvergenceError, DegenerateError, DomainError, RangeError, SingularError
-from .markov import StateTrace
+from .markov import StateTrace, _frozen, count_blocks
 
 BIN_WIDTH = 10.0
 N_BINS = 50
@@ -44,87 +43,69 @@ def bin_centers() -> np.ndarray:
     return BIN_WIDTH * np.arange(N_BINS) + BIN_WIDTH / 2.0
 
 
+@dataclass(frozen=True, eq=False)
 class EmpiricalStats:
-    """Per-bin state occurrence counts and transition counts."""
+    """Per-bin counts, read-only int64: ``occupancy[bin, state]`` and ``transitions[bin, from, to]``."""
 
-    __slots__ = ("occupancy", "transitions")
+    occupancy: np.ndarray
+    transitions: np.ndarray
 
-    def __init__(self, occupancy: np.ndarray | None = None, transitions: np.ndarray | None = None):
-        self.occupancy = (
-            np.zeros((N_BINS, 3), dtype=np.int64) if occupancy is None else np.array(occupancy, dtype=np.int64)
-        )
-        self.transitions = (
-            np.zeros((N_BINS, 3, 3), dtype=np.int64) if transitions is None else np.array(transitions, dtype=np.int64)
-        )
+    def __post_init__(self):
+        for name in ("occupancy", "transitions"):
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=np.int64)))
         if self.occupancy.shape != (N_BINS, 3) or self.transitions.shape != (N_BINS, 3, 3):
             raise ValueError("count array shapes must be (50, 3) and (50, 3, 3)")
 
-    def merge(self, other: "EmpiricalStats") -> "EmpiricalStats":
-        return EmpiricalStats(self.occupancy + other.occupancy, self.transitions + other.transitions)
 
-    __add__ = merge
+def accumulate(traces: Iterable[StateTrace]) -> EmpiricalStats:
+    """Per-bin counts of a batch of labelled traces, read once and counted by :func:`count_blocks`.
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EmpiricalStats)
-            and np.array_equal(self.occupancy, other.occupancy)
-            and np.array_equal(self.transitions, other.transitions)
-        )
-
-    @property
-    def total_steps(self) -> int:
-        return int(self.occupancy.sum())
-
-
-def accumulate(stats: EmpiricalStats, trace: StateTrace) -> EmpiricalStats:
-    """New statistics with one trace counted in. The input is not mutated."""
-    d = trace.distances
-    if d.size:
-        lo, hi = float(d.min()), float(d.max())  # NaN when any distance is NaN
-        if not (lo >= 0.0 and hi <= _D_EDGE):
-            bad = hi if lo >= 0.0 else lo
-            raise RangeError(f"trace distance {bad} outside [0, {_D_EDGE}]")
-    bins = np.minimum(d // BIN_WIDTH, N_BINS - 1).astype(np.int64)
-    s = trace.states.astype(np.int64)
-
-    occ = stats.occupancy.copy()
-    trans = stats.transitions.copy()
-    np.add.at(occ, (bins, s), 1)
-    if s.size >= 2:
-        np.add.at(trans, (bins[:-1], s[:-1], s[1:]), 1)
-    return EmpiricalStats(occ, trans)
+    No pair of steps spans two traces. An empty batch gives zero counts.
+    """
+    occupancy = np.zeros(N_BINS * 3, dtype=np.int64)
+    transitions = np.zeros(N_BINS * 9, dtype=np.int64)
+    for block in count_blocks(traces):
+        block = [trace for trace in block if len(trace)]
+        if not block:
+            continue
+        d = np.concatenate([trace.distances for trace in block])
+        inside = (d >= 0.0) & (d <= _D_EDGE)  # False for NaN
+        if not inside.all():
+            raise RangeError(f"trace distance {float(d[~inside][0])} outside [0, {_D_EDGE}]")
+        s = np.concatenate([trace.states for trace in block]).astype(np.intp)
+        cell = np.minimum(d // BIN_WIDTH, N_BINS - 1).astype(np.intp) * 3 + s  # bin * 3 + state
+        occupancy += np.bincount(cell, minlength=occupancy.size)
+        # A pair goes in the bin of its earlier step, unless its later step starts a trace.
+        sizes = np.array([len(trace) for trace in block])
+        starts = np.zeros(d.size, dtype=bool)
+        starts[np.cumsum(sizes) - sizes] = True
+        pairs = (cell[:-1] * 3 + s[1:])[~starts[1:]]
+        transitions += np.bincount(pairs, minlength=transitions.size)
+    return EmpiricalStats(occupancy.reshape(N_BINS, 3), transitions.reshape(N_BINS, 3, 3))
 
 
 @dataclass(frozen=True)
-class BinnedStateProbs:
-    """Per-bin state frequencies; undefined bins are NaN with defined=False."""
+class BinnedProbs:
+    """Per-bin frequencies; undefined bins or rows are NaN with defined=False."""
 
-    probs: np.ndarray   # (N_BINS, 3) float
-    defined: np.ndarray  # (N_BINS,) bool
-
-
-@dataclass(frozen=True)
-class BinnedTransitionProbs:
-    """Per-bin transition frequencies; undefined rows are NaN with defined=False."""
-
-    probs: np.ndarray   # (N_BINS, 3, 3) float
-    defined: np.ndarray  # (N_BINS, 3) bool
+    probs: np.ndarray    # (N_BINS, 3) state or (N_BINS, 3, 3) transition frequencies
+    defined: np.ndarray  # (N_BINS,) or (N_BINS, 3) bool
 
 
-def empirical_state_probs(stats: EmpiricalStats) -> BinnedStateProbs:
+def empirical_state_probs(stats: EmpiricalStats) -> BinnedProbs:
     totals = stats.occupancy.sum(axis=1)
     defined = totals > 0
     probs = np.full((N_BINS, 3), np.nan)
     np.divide(stats.occupancy, totals[:, None], out=probs, where=defined[:, None])
-    return BinnedStateProbs(probs, defined)
+    return BinnedProbs(probs, defined)
 
 
-def empirical_transition_probs(stats: EmpiricalStats) -> BinnedTransitionProbs:
+def empirical_transition_probs(stats: EmpiricalStats) -> BinnedProbs:
     row_totals = stats.transitions.sum(axis=2)
     defined = row_totals > 0
     probs = np.full((N_BINS, 3, 3), np.nan)
     np.divide(stats.transitions, row_totals[:, :, None], out=probs, where=defined[:, :, None])
-    return BinnedTransitionProbs(probs, defined)
+    return BinnedProbs(probs, defined)
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -109,6 +109,24 @@ class StateTrace:
         return LosState(int(self.states[i]))
 
 
+# Steps per block of a batch count; bounds the memory of counting a batch.
+_COUNT_BLOCK = 1 << 16
+
+
+def count_blocks(traces: Iterable[StateTrace]) -> Iterator[list[StateTrace]]:
+    """The traces, read once and in order, in lists of at least ``_COUNT_BLOCK`` steps (the last may be short)."""
+    block: list[StateTrace] = []
+    size = 0
+    for trace in traces:
+        block.append(trace)
+        size += len(trace)
+        if size >= _COUNT_BLOCK:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
 class Sampler:
     """The generation engine: state traces from distance traces and seeds.
 

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .errors import DomainError, ParseError, RangeError
-from .markov import DistanceTrace, StateTrace, _frozen
+from .markov import DistanceTrace, StateTrace, _frozen, count_blocks
 from .rng import RngSeed, uniform_block
 from .states import STATE_NAMES
 
@@ -41,6 +41,9 @@ PROFILE_KINDS = ("constant", "walk", "opposing_highway", "same_direction_highway
 OPPOSING_SPEED_RANGE = (50.0, 100.0)
 SAME_DIRECTION_SPEED_RANGE = (0.0, 25.0)
 URBAN_MIXED_SPEED_RANGE = (0.0, 20.0)
+
+# Width of the [1, 500] m range of d0: no step may cross the whole range.
+_MAX_STEP = 499.0
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,8 @@ class MobilityProfile:
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.kind == "walk":
-            if self.v_max is None or not (0.0 < self.v_max):
-                raise ValueError("walk profile needs v_max > 0")
+            if self.v_max is None or not (0.0 < self.v_max < math.inf):
+                raise ValueError("walk profile needs a finite v_max > 0")
         else:
             if self.speed is None or not math.isfinite(self.speed):
                 raise ValueError(f"{self.kind} profile needs a finite speed")
@@ -79,11 +82,18 @@ class MobilityProfile:
             }.get(self.kind)
             if lo_hi is not None and not (lo_hi[0] <= self.speed <= lo_hi[1]):
                 raise ValueError(f"{self.kind} speed must lie in [{lo_hi[0]}, {lo_hi[1]}] m/s, got {self.speed}")
+        if self.step_bound > _MAX_STEP:
+            raise ValueError(f"a step may move at most {_MAX_STEP:g} m, got {self.step_bound:g} m")
 
     @property
     def step_bound(self) -> float:
         """Largest possible |d(t+1) - d(t)| in meters."""
         return float(self.v_max if self.kind == "walk" else abs(self.speed))
+
+    @property
+    def seeded(self) -> bool:
+        """Whether the trace depends on the seed; the other kinds draw nothing."""
+        return self.kind not in ("constant", "opposing_highway")
 
 
 def _reflect(x: float, lo: float, hi: float) -> tuple[float, bool]:
@@ -102,7 +112,7 @@ def synth_distance_trace(
 ) -> DistanceTrace:
     """Deterministic synthetic distance trace for one profile and seed."""
     ds = [profile.d0]
-    if profile.kind in ("constant", "opposing_highway"):
+    if not profile.seeded:
         vel = profile.speed if profile.kind == "constant" else -abs(profile.speed)
         for _ in range(profile.n_steps - 1):
             nxt, bounced = _reflect(ds[-1] + vel, d_min, d_max)
@@ -116,10 +126,6 @@ def synth_distance_trace(
             nxt, _ = _reflect(ds[-1] + (2.0 * u - 1.0) * bound, d_min, d_max)
             ds.append(nxt)
     return DistanceTrace.from_distances(ds)
-
-
-# Steps per block of a batch's dwell count; bounds its memory.
-_DWELL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -154,12 +160,12 @@ class DwellStats:
         return self.n_steps / int(self.runs.sum())
 
 
-def _count_runs(runs: np.ndarray, block: list[np.ndarray]) -> np.ndarray:
-    """``runs`` plus the run-length counts of the traces' state columns in ``block``."""
-    s = np.concatenate(block)
+def _count_runs(runs: np.ndarray, block: list[StateTrace]) -> np.ndarray:
+    """``runs`` plus the run-length counts of the non-empty traces in ``block``."""
+    s = np.concatenate([trace.states for trace in block])
     last = np.empty(s.size, dtype=bool)  # True at the last step of each run
     np.not_equal(s[1:], s[:-1], out=last[:-1])
-    last[np.cumsum([b.size for b in block]) - 1] = True
+    last[np.cumsum([len(trace) for trace in block]) - 1] = True
     ends = last.nonzero()[0]
     lengths = np.diff(ends, prepend=-1)
     # One bincount over state * width + run length gives all three rows.
@@ -174,25 +180,18 @@ def _count_runs(runs: np.ndarray, block: list[np.ndarray]) -> np.ndarray:
 def dwell_statistics(traces: Iterable[StateTrace]) -> DwellStats:
     """Run-length counts of a batch of state traces (final runs included).
 
-    The traces are read once, in order; their states are counted in blocks
-    of about ``_DWELL_BLOCK`` steps, so a lazy batch is never held whole.
+    The traces are read once, in order, and counted a block at a time
+    (:func:`count_blocks`).
     """
     runs = np.zeros((3, 1), dtype=np.int64)
-    n_traces = size = 0
-    block: list[np.ndarray] = []
-    for trace in traces:
-        if len(trace) == 0:
+    n_traces = 0
+    for block in count_blocks(traces):
+        if not all(len(trace) for trace in block):
             raise DomainError("dwell statistics need non-empty traces")
-        n_traces += 1
-        block.append(trace.states)
-        size += len(trace)
-        if size >= _DWELL_BLOCK:
-            runs = _count_runs(runs, block)
-            block, size = [], 0
+        n_traces += len(block)
+        runs = _count_runs(runs, block)
     if n_traces == 0:
         raise DomainError("dwell statistics need at least one trace")
-    if block:
-        runs = _count_runs(runs, block)
     runs.setflags(write=False)
     return DwellStats(n_traces=n_traces, runs=runs)
 

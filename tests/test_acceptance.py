@@ -15,7 +15,6 @@ import pytest
 from v2vlos import (
     Density,
     DistanceTrace,
-    EmpiricalStats,
     Environment,
     LosState,
     Piecewise,
@@ -94,7 +93,7 @@ def test_criterion_3_estimator_recovery():
         def estimate(n, seed):
             trace = DistanceTrace(np.arange(n), np.full(n, d))
             states = chain(model).trace(trace, seed)
-            est = empirical_transition_probs(accumulate(EmpiricalStats(), states))
+            est = empirical_transition_probs(accumulate([states]))
             assert np.all(est.defined[10])
             return float(np.max(np.abs(est.probs[10] - ref)))
 

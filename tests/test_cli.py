@@ -18,7 +18,7 @@ from v2vlos.cli import main
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -27,6 +27,7 @@ def run_cli(*args, cwd=None):
         text=True,
         env=env,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -310,6 +311,36 @@ def test_curves_non_positive_step_is_usage_error(tmp_path, capsys, step):
     assert code == 2
     assert "--d-step" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flags", "config", "both"])
+def test_curves_d_min_above_d_max_is_usage_error(tmp_path, capsys, how):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_min": 10.0, "d_max": 5.0} if how == "config" else {"d_min": 10.0}),
+                   encoding="utf-8")
+    extra = {"flags": ["--d-min", "10", "--d-max", "5"],
+             "config": ["--config", str(cfg)],
+             "both": ["--config", str(cfg), "--d-max", "5"]}[how]
+    out = tmp_path / "c.csv"
+    code, err = run_in_process(["curves", "--env", "urban", "--density", "low", *extra, "--out", str(out)], capsys)
+    assert code == 2
+    assert "--d-min" in err and "--d-max" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--profile", "walk", "--vmax", "inf"],
+    ["--profile", "walk", "--vmax", "1e300"],
+    ["--profile", "constant", "--speed", "1e12"],
+], ids=["vmax-inf", "vmax-huge", "speed-huge"])
+def test_unbounded_profile_speeds_exit_one(tmp_path, flags):
+    for command in ("generate", "compare"):
+        out = tmp_path / f"{command}.csv"
+        r = run_cli(command, "--env", "urban", "--density", "low", "--steps", "10", *flags, "--out", str(out),
+                    timeout=60)
+        assert r.returncode == 1, r.stderr
+        assert "error:" in r.stderr and "Traceback" not in r.stderr
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("config", [

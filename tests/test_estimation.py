@@ -1,10 +1,15 @@
 """Empirical counting, correlation, and curve refitting."""
 
+import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from v2vlos import (
     DegenerateError,
@@ -36,15 +41,8 @@ from v2vlos import (
     stationary_distribution,
     transition_matrix,
 )
+from v2vlos import markov
 from v2vlos.estimation import bin_centers
-
-
-def accumulate_traces(traces):
-    """Statistics of several traces, folded one by one as ``estimate`` does."""
-    stats = EmpiricalStats()
-    for trace in traces:
-        stats = accumulate(stats, trace)
-    return stats
 
 
 def labeled(ds, states, t0=0):
@@ -52,10 +50,38 @@ def labeled(ds, states, t0=0):
     return StateTrace(np.arange(t0, t0 + ds.size), ds, np.asarray(states, dtype=np.int8))
 
 
+def reference_accumulate(occupancy, transitions, trace):
+    """Counts with one trace added in, as they were kept before batch counting."""
+    d = trace.distances
+    if d.size:
+        lo, hi = float(d.min()), float(d.max())
+        if not (lo >= 0.0 and hi <= 500.0):
+            raise RangeError(f"trace distance {hi if lo >= 0.0 else lo} outside [0, 500.0]")
+    bins = np.minimum(d // 10.0, 49).astype(np.int64)
+    s = trace.states.astype(np.int64)
+    occupancy, transitions = occupancy.copy(), transitions.copy()
+    np.add.at(occupancy, (bins, s), 1)
+    if s.size >= 2:
+        np.add.at(transitions, (bins[:-1], s[:-1], s[1:]), 1)
+    return occupancy, transitions
+
+
+def reference_fold(traces):
+    """Per-trace counts merged one trace at a time."""
+    occupancy, transitions = np.zeros((50, 3), dtype=np.int64), np.zeros((50, 3, 3), dtype=np.int64)
+    for trace in traces:
+        occupancy, transitions = reference_accumulate(occupancy, transitions, trace)
+    return occupancy, transitions
+
+
+def empty_trace():
+    return StateTrace(np.array([], dtype=np.int64), np.array([]), np.array([], dtype=np.int8))
+
+
 def test_accumulate_bin_boundaries():
     # The last bin is closed at the model's d_max.
     for d, index in ((0.0, 0), (9.999, 0), (10.0, 1), (499.0, 49), (499.999, 49), (500.0, 49)):
-        stats = accumulate(EmpiricalStats(), labeled([d], [0]))
+        stats = accumulate([labeled([d], [0])])
         assert stats.occupancy[:, 0].nonzero()[0].tolist() == [index], d
 
 
@@ -67,37 +93,49 @@ def test_bin_geometry():
 
 def test_accumulate_direct_counts():
     trace = labeled([25.0, 25.0, 25.0], [0, 0, 1])  # LOS, LOS, NLOSv
-    stats = accumulate(EmpiricalStats(), trace)
+    stats = accumulate([trace])
     assert stats.transitions[2, 0, 0] == 1
     assert stats.transitions[2, 0, 1] == 1
     assert stats.transitions.sum() == 2
     assert stats.occupancy[2].tolist() == [2, 1, 0]
-    assert stats.total_steps == 3
+    assert stats.occupancy.sum() == 3
 
 
 def test_accumulate_empty_trace_is_identity():
-    empty = StateTrace(np.array([], dtype=np.int64), np.array([]), np.array([], dtype=np.int8))
-    before = accumulate(EmpiricalStats(), labeled([25.0], [0]))
-    after = accumulate(before, empty)
-    assert after == before
+    before = accumulate([labeled([25.0], [0])])
+    after = accumulate([empty_trace(), labeled([25.0], [0]), empty_trace()])
+    assert np.array_equal(after.occupancy, before.occupancy)
+    assert np.array_equal(after.transitions, before.transitions)
+    for batch in ([], [empty_trace()]):
+        stats = accumulate(batch)
+        assert not stats.occupancy.any() and not stats.transitions.any()
 
 
-def test_accumulate_does_not_mutate_input():
-    base = EmpiricalStats()
-    accumulate(base, labeled([25.0, 25.0], [0, 1]))
-    assert base.total_steps == 0
+def test_accumulate_counts_are_read_only_int64():
+    stats = accumulate([labeled([25.0, 25.0], [0, 1])])
+    for counts in (stats.occupancy, stats.transitions):
+        assert counts.dtype == np.int64 and not counts.flags.writeable
+    with pytest.raises(ValueError):
+        stats.occupancy[2, 0] = 5
+
+
+def test_empirical_stats_shape_check():
+    with pytest.raises(ValueError, match="shapes"):
+        EmpiricalStats(np.zeros((49, 3)), np.zeros((50, 3, 3)))
+    with pytest.raises(ValueError, match="shapes"):
+        EmpiricalStats(np.zeros((50, 3)), np.zeros((50, 9)))
 
 
 def test_accumulate_range_error():
     for bad in (-0.001, 500.001, 501.0, -math.inf, math.inf, math.nan):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a NaN must not reach the bin cast
-            with pytest.raises(RangeError):
-                accumulate(EmpiricalStats(), labeled([25.0, bad, 25.0], [0, 1, 2]))
+            with pytest.raises(RangeError, match=r"outside \[0, 500.0\]"):
+                accumulate([labeled([25.0, bad, 25.0], [0, 1, 2])])
 
 
 def test_accumulate_counts_d_max_in_last_bin():
-    stats = accumulate(EmpiricalStats(), labeled([495.0, 500.0], [0, 2]))
+    stats = accumulate([labeled([495.0, 500.0], [0, 2])])
     assert stats.occupancy[49].tolist() == [1, 0, 1]
     assert stats.transitions[49, 0, 2] == 1
 
@@ -105,38 +143,67 @@ def test_accumulate_counts_d_max_in_last_bin():
 def test_transition_attributed_to_from_step_bin():
     # Pair crossing a bin edge counts in the bin of the earlier step.
     trace = labeled([19.0, 21.0], [0, 2])
-    stats = accumulate(EmpiricalStats(), trace)
+    stats = accumulate([trace])
     assert stats.transitions[1, 0, 2] == 1
     assert stats.transitions.sum() == 1
     assert stats.occupancy[1, 0] == 1 and stats.occupancy[2, 2] == 1
 
 
-def test_merge_equals_concat_minus_boundary_transition():
+def test_batch_equals_concat_minus_boundary_transition():
     ds_a, ss_a = [15.0, 15.0, 25.0], [0, 1, 1]
     ds_b, ss_b = [25.0, 35.0, 35.0], [2, 2, 0]
-    half_a = accumulate(EmpiricalStats(), labeled(ds_a, ss_a))
-    half_b = accumulate(EmpiricalStats(), labeled(ds_b, ss_b, t0=3))
-    merged = half_a + half_b
-    concat = accumulate(EmpiricalStats(), labeled(ds_a + ds_b, ss_a + ss_b))
-    assert np.array_equal(merged.occupancy, concat.occupancy)
+    batch = accumulate([labeled(ds_a, ss_a), labeled(ds_b, ss_b, t0=3)])
+    concat = accumulate([labeled(ds_a + ds_b, ss_a + ss_b)])
+    assert np.array_equal(batch.occupancy, concat.occupancy)
     boundary = np.zeros_like(concat.transitions)
     boundary[2, ss_a[-1], ss_b[0]] = 1  # 25 m lies in bin 2
-    assert np.array_equal(concat.transitions, merged.transitions + boundary)
+    assert np.array_equal(concat.transitions, batch.transitions + boundary)
 
 
-def test_merge_is_order_independent():
-    t1 = labeled([15.0, 15.0], [0, 1])
-    t2 = labeled([45.0, 45.0], [2, 2])
-    t3 = labeled([75.0, 75.0], [1, 0])
-    a = accumulate_traces([t1, t2, t3])
-    b = accumulate_traces([t3, t1, t2])
-    assert a == b
+def test_batch_is_order_independent():
+    traces = [labeled([15.0, 15.0], [0, 1]), labeled([45.0, 45.0], [2, 2]), labeled([75.0, 75.0], [1, 0])]
+    a = accumulate(traces)
+    for order in itertools.permutations(traces):
+        b = accumulate(order)
+        assert np.array_equal(a.occupancy, b.occupancy)
+        assert np.array_equal(a.transitions, b.transitions)
+
+
+# Distances that stress the bin rule: bin edges, their neighbours and 500 m.
+_distances = st.one_of(
+    st.floats(0.0, 500.0),
+    st.sampled_from([0.0, 9.999, 10.0, 250.0, 490.0, 499.999, 500.0]),
+)
+_traces = st.integers(0, 300).flatmap(
+    lambda n: st.tuples(hnp.arrays(np.float64, n, elements=_distances), hnp.arrays(np.int8, n, elements=st.integers(0, 2)))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=st.lists(_traces, max_size=12), block=st.integers(1, 600), data=st.data())
+def test_batch_accumulate_matches_per_trace_fold(batch, block, data):
+    traces = [labeled(ds, ss) for ds, ss in batch]
+    occupancy, transitions = reference_fold(traces)
+    yielded = []
+
+    def lazy():
+        for trace in traces:
+            yielded.append(trace)
+            yield trace
+
+    with mock.patch.object(markov, "_COUNT_BLOCK", block):
+        stats = accumulate(lazy())
+        shuffled = accumulate(data.draw(st.permutations(traces)))
+    assert yielded == traces  # every trace read exactly once
+    for got in (stats, shuffled):
+        assert np.array_equal(got.occupancy, occupancy)
+        assert np.array_equal(got.transitions, transitions)
 
 
 def test_empirical_transition_probs_rows():
-    stats = EmpiricalStats()
-    stats.transitions[4, 0] = [2, 1, 1]
-    probs = empirical_transition_probs(stats)
+    transitions = np.zeros((50, 3, 3), dtype=np.int64)
+    transitions[4, 0] = [2, 1, 1]
+    probs = empirical_transition_probs(EmpiricalStats(np.zeros((50, 3), dtype=np.int64), transitions))
     assert probs.probs[4, 0].tolist() == [0.5, 0.25, 0.25]
     assert probs.defined[4, 0]
     # Zero-count rows stay undefined, not zero.
@@ -145,9 +212,9 @@ def test_empirical_transition_probs_rows():
 
 
 def test_empirical_state_probs_bins():
-    stats = EmpiricalStats()
-    stats.occupancy[7] = [3, 1, 0]
-    probs = empirical_state_probs(stats)
+    occupancy = np.zeros((50, 3), dtype=np.int64)
+    occupancy[7] = [3, 1, 0]
+    probs = empirical_state_probs(EmpiricalStats(occupancy, np.zeros((50, 3, 3), dtype=np.int64)))
     assert probs.probs[7].tolist() == [0.75, 0.25, 0.0]
     assert probs.defined[7]
     assert not probs.defined[8]
@@ -159,7 +226,7 @@ def test_estimator_recovers_assembled_matrix():
     n = 2 * 10**5
     trace = DistanceTrace(np.arange(n), np.full(n, 105.0))
     states = chain(model).trace(trace, 31)
-    stats = accumulate(EmpiricalStats(), states)
+    stats = accumulate([states])
     est = empirical_transition_probs(stats)
     ref = transition_matrix(model, 105.0).m
     assert np.all(est.defined[10])
@@ -170,7 +237,7 @@ def test_long_chain_state_probs_match_stationary():
     model = builtin_model(Environment.URBAN, Density.MEDIUM)
     n = 10**6
     states = chain(model).trace(DistanceTrace(np.arange(n), np.full(n, 105.0)), 13)
-    stats = accumulate(EmpiricalStats(), states)
+    stats = accumulate([states])
     est = empirical_state_probs(stats).probs[10]
     pi = stationary_distribution(transition_matrix(model, 105.0)).probs.as_array()
     assert np.max(np.abs(est - pi)) < 0.01

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from v2vlos import markov
 from v2vlos import traces as trace_io
 from v2vlos import (
     Density,
@@ -97,6 +98,29 @@ def test_profile_envelope_validation():
         MobilityProfile("constant", d0=600.0, n_steps=10, speed=1.0)
     with pytest.raises(ValueError):
         MobilityProfile("constant", d0=10.0, n_steps=0, speed=1.0)
+
+
+def test_profile_rejects_unbounded_steps():
+    # A step may cross the 499 m wide range at most once; a larger or
+    # non-finite speed would keep the reflection from ever settling.
+    for kwargs in ({"kind": "walk", "v_max": math.inf}, {"kind": "walk", "v_max": math.nan},
+                   {"kind": "walk", "v_max": 1e300}, {"kind": "walk", "v_max": 499.001},
+                   {"kind": "constant", "speed": 1e12}, {"kind": "constant", "speed": -500.0},
+                   {"kind": "constant", "speed": math.inf}):
+        with pytest.raises(ValueError):
+            MobilityProfile(d0=100.0, n_steps=10, **kwargs)
+    for kwargs in ({"kind": "walk", "v_max": 499.0}, {"kind": "constant", "speed": -499.0}):
+        trace = synth_distance_trace(MobilityProfile(d0=1.0, n_steps=50, **kwargs), seed=3)
+        assert 1.0 <= trace.distances.min() and trace.distances.max() <= 500.0
+
+
+def test_only_seeded_profiles_depend_on_the_seed():
+    for kind, kwargs in (("constant", {"speed": 3.0}), ("opposing_highway", {"speed": 60.0}),
+                         ("walk", {"v_max": 10.0}), ("same_direction_highway", {"speed": 10.0}),
+                         ("urban_mixed", {"speed": 10.0})):
+        profile = MobilityProfile(kind, d0=100.0, n_steps=50, **kwargs)
+        a, b = synth_distance_trace(profile, seed=1), synth_distance_trace(profile, seed=2)
+        assert profile.seeded == (not np.array_equal(a.distances, b.distances)), kind
 
 
 def test_synthesis_is_deterministic_per_seed():
@@ -238,7 +262,7 @@ def test_batch_dwell_matches_per_trace_merge(batch, block):
             yielded.append(trace)
             yield trace
 
-    with mock.patch.object(trace_io, "_DWELL_BLOCK", block):
+    with mock.patch.object(markov, "_COUNT_BLOCK", block):
         stats = dwell_statistics(lazy())
     assert yielded == traces  # every trace read exactly once
     assert (stats.n_steps, stats.n_traces, stats.changes) == (expected.n_steps, expected.n_traces, expected.changes)
