@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -396,8 +397,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.config is not None:
         args = parser.parse_args(argv)
-    if args.command == "curves" and not args.d_min <= args.d_max:
-        parser.error(f"--d-min {args.d_min:g} must not exceed --d-max {args.d_max:g}")
+    if args.command == "curves":
+        for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
+            if not math.isfinite(value):
+                parser.error(f"{flag} must be finite, got {value:g}")
+        if not args.d_min <= args.d_max:
+            parser.error(f"--d-min {args.d_min:g} must not exceed --d-max {args.d_max:g}")
     try:
         return args.func(args)
     except V2vLosError as exc:

@@ -10,9 +10,11 @@ Uniform doubles take the top 53 bits of each output word, giving values in
 :func:`derive_subseed` so results do not depend on processing order.
 
 The stream is counter-based: draw ``k`` (from 0) of a stream seeded with
-``s`` is ``mix64(s + (k + 1) * golden)``. :func:`uniform_block` uses that to
-compute any run of draws at once with numpy ``uint64`` arithmetic, which
-wraps modulo 2**64 exactly as the masked integer code does.
+``s`` is ``mix64(s + (k + 1) * golden)``. :func:`draw_bits` uses that to
+compute any run of draws of any number of streams at once with numpy
+``uint64`` arithmetic, which wraps modulo 2**64 exactly as the masked
+integer code does; :func:`uniform_block` turns one stream's run into
+uniforms.
 """
 
 from __future__ import annotations
@@ -65,19 +67,26 @@ _U64_MIX1 = np.uint64(_MIX1)
 _U64_MIX2 = np.uint64(_MIX2)
 
 
-def uniform_block(seed: RngSeed, start: int, n: int) -> np.ndarray:
-    """Draws ``start .. start + n - 1`` of ``SplitMix64(seed).next_float()``.
+def draw_bits(seeds: np.ndarray | np.uint64, start: int, n: int) -> np.ndarray:
+    """The top 53 bits of draws ``start .. start + n - 1`` of every stream in ``seeds``.
 
-    Bit-identical to calling ``next_float`` ``start + n`` times and keeping
-    the last ``n``.
+    ``seeds`` holds 64-bit stream seeds; the result has shape
+    ``(n, *seeds.shape)``, so row ``k`` holds draw ``start + k`` of each.
     """
-    x = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    x *= _U64_GOLDEN
-    x += np.uint64(seed & _MASK64)
+    x = np.add.outer(np.arange(start + 1, start + n + 1, dtype=np.uint64) * _U64_GOLDEN, seeds)
     x ^= x >> 30
     x *= _U64_MIX1
     x ^= x >> 27
     x *= _U64_MIX2
     x ^= x >> 31
     x >>= 11
-    return x * _INV_2_53
+    return x
+
+
+def uniform_block(seed: RngSeed, start: int, n: int) -> np.ndarray:
+    """Draws ``start .. start + n - 1`` of ``SplitMix64(seed).next_float()``.
+
+    Bit-identical to calling ``next_float`` ``start + n`` times and keeping
+    the last ``n``.
+    """
+    return draw_bits(np.uint64(seed & _MASK64), start, n) * _INV_2_53

@@ -275,13 +275,35 @@ def atomic_output(path: str | Path) -> Iterator[TextIO]:
 def write_state_traces(traces: Iterable[StateTrace], path: str | Path, provenance: Sequence[str] = ()) -> None:
     """Write labeled traces atomically; several traces are separated by time restarts.
 
-    ``provenance`` lines (each starting with ``#``) precede the header.
+    ``provenance`` lines (each starting with ``#``) precede the header. A
+    trace on the same ``times`` and ``distances`` arrays as the trace before
+    it is written from that grid's table of rows (:func:`_grid_rows`), built
+    once for the run of such traces.
     """
     with atomic_output(path) as handle:
         handle.write("".join(line + "\n" for line in provenance) + "t,d,state\n")
+        last = table = None
         for trace in traces:
-            rows = zip(trace.times.tolist(), trace.distances.tolist(), trace.states.tolist())
-            handle.write("".join([f"{t},{d!r},{STATE_NAMES[s]}\n" for t, d, s in rows]))
+            if last is not None and trace.times is last.times and trace.distances is last.distances:
+                if table is None:
+                    table = _grid_rows(trace)
+                grid_rows, offsets = table
+                handle.write("".join(grid_rows.take(offsets + trace.states).tolist()))
+            else:
+                table = None
+                rows = zip(trace.times.tolist(), trace.distances.tolist(), trace.states.tolist())
+                handle.write("".join([f"{t},{d!r},{STATE_NAMES[s]}\n" for t, d, s in rows]))
+            last = trace
+
+
+def _grid_rows(trace: StateTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Every row a trace on this grid can have, and where each step's rows start.
+
+    Row ``3 * k + s`` of the object array is step ``k`` in state ``s``.
+    """
+    prefixes = [f"{t},{d!r}," for t, d in zip(trace.times.tolist(), trace.distances.tolist())]
+    rows = np.array([p + name + "\n" for p in prefixes for name in STATE_NAMES], dtype=object)
+    return rows, np.arange(0, rows.size, 3)
 
 
 def _parse_header(parts: list[str], lineno: int) -> bool:

@@ -313,6 +313,30 @@ def test_curves_non_positive_step_is_usage_error(tmp_path, capsys, step):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--d-min", "--d-max"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_curves_non_finite_bound_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "c.csv"
+    code, err = run_in_process(["curves", "--env", "urban", "--density", "low", f"{flag}={value}",
+                                "--out", str(out)], capsys)
+    assert code == 2
+    assert f"{flag} must be finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["d_min", "d_max"])
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+def test_curves_non_finite_bound_from_config_is_usage_error(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": {value}}}', encoding="utf-8")  # Python's json reads these names
+    out = tmp_path / "c.csv"
+    code, err = run_in_process(["curves", "--env", "urban", "--density", "low", "--config", str(cfg),
+                                "--out", str(out)], capsys)
+    assert code == 2
+    assert f"--{key.replace('_', '-')} must be finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("how", ["flags", "config", "both"])
 def test_curves_d_min_above_d_max_is_usage_error(tmp_path, capsys, how):
     cfg = tmp_path / "cfg.json"

@@ -7,8 +7,10 @@ baseline draws LOS when the uniform falls below P(LOS). The engine must
 reproduce it byte for byte.
 """
 
+import math
 import warnings
 from itertools import repeat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -161,12 +163,108 @@ def test_batch_yields_the_good_traces_before_its_error():
 
 
 def test_batch_is_lazy():
-    # An endless input is generated one trace at a time, in index order.
+    # An endless input is read a bounded run at a time and generated in index order.
     batch = chain(URBAN_MEDIUM).batch(repeat(walk_trace(20, 2)), seed=6)
     first = [next(batch) for _ in range(3)]
     assert [out.seed for out in first] == [derive_subseed(6, i) for i in range(3)]
     umi = baseline().batch(repeat(walk_trace(20, 2)), seed=6)
     assert next(umi).seed == derive_subseed(6, 0)
+
+
+def reference_batch(sampler, traces, seed):
+    """``Sampler.batch`` as a plain loop of ``Sampler.trace``: the outputs, and the failures as (index, message)."""
+    outs, failures = [], []
+    for i, trace in enumerate(traces):
+        try:
+            outs.append(sampler.trace(trace, derive_subseed(seed, i)))
+        except DomainError as exc:
+            failures.append((i, str(exc)))
+    return outs, failures
+
+
+# Below the 1 m floor, inside [1, 500] m (whole metres too) and above 500 m.
+_distances = st.one_of(st.floats(0.01, 0.999), st.floats(1.0, 500.0), st.integers(1, 500).map(float),
+                       st.floats(500.001, 800.0))
+_grids = st.lists(st.lists(_distances, min_size=1, max_size=30), min_size=1, max_size=3)
+_samplers = st.one_of(
+    st.builds(lambda scenario, policy: chain(builtin_model(*scenario), policy),
+              st.sampled_from([(e, d) for e in Environment for d in Density]), st.sampled_from(["error", "clamp"])),
+    st.builds(lambda d1, d2: baseline(UmiParams(d1, d2)), st.floats(1.0, 50.0), st.floats(1.0, 80.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sampler=_samplers,
+    grids=_grids,
+    order=st.lists(st.integers(0, 2), max_size=14),
+    seed=st.integers(0, 2**64 - 1),
+    width=st.integers(1, 5),
+    cap=st.integers(1, 5),
+    block=st.integers(1, 40),
+    lazy=st.booleans(),
+)
+def test_shared_runs_match_per_trace_sampling(sampler, grids, order, seed, width, cap, block, lazy):
+    # Traces that reuse one DistanceTrace share its distance array; the order
+    # interleaves the grids (A A B A A), whose lengths differ.
+    shared = [DistanceTrace.from_distances(ds) for ds in grids]
+    traces = [shared[j % len(shared)] for j in order]
+    read = []
+
+    def once():
+        for trace in traces:
+            read.append(trace)
+            yield trace
+
+    longest = max(len(trace) for trace in shared)
+    with warnings.catch_warnings(), mock.patch.object(markov, "_SHARED_MIN", width), \
+            mock.patch.object(markov, "_SHARED_STEPS", cap * longest), mock.patch.object(markov, "_SHARED_BLOCK", block):
+        warnings.simplefilter("ignore", DistanceClampWarning)
+        # The reference gets a sampler of its own, so the two share no memo.
+        expected, expected_failures = reference_batch(markov.Sampler(sampler.thresholds, sampler.tag), traces, seed)
+        got, failures = [], []
+        try:
+            got.extend(sampler.batch(once() if lazy else traces, seed))
+        except BatchError as exc:
+            failures = [(i, str(e)) for i, e in exc.failures]
+    assert failures == expected_failures
+    assert len(got) == len(expected)
+    for out, ref in zip(got, expected):
+        assert (out.seed, out.scenario) == (ref.seed, ref.scenario)
+        assert out.times is ref.times and out.distances is ref.distances
+        assert out.states.tobytes() == ref.states.tobytes()
+        assert not out.states.flags.writeable
+    if lazy:
+        assert read == traces  # every trace read exactly once
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_steps=st.integers(1, 6), n_traces=st.integers(1, 6), seed=st.integers(0, 2**64 - 1))
+def test_shared_runs_pick_like_the_scalar_loop_at_any_threshold(data, n_steps, n_traces, seed):
+    # Thresholds on and next to the run's own draws, outside [0, 1], NaN, and c1 below c0.
+    draws = np.concatenate([uniform_block(derive_subseed(seed, i), 0, n_steps) for i in range(n_traces)]).tolist()
+    near = sorted({c for u in draws for c in (u, math.nextafter(u, 0.0), math.nextafter(u, 1.0))})
+    value = st.sampled_from(near) | st.floats(allow_nan=True, allow_infinity=True)
+    table = {(origin, k + 1.0): (data.draw(value), data.draw(value)) for origin in (-1, 0, 1, 2) for k in range(n_steps)}
+    trace = DistanceTrace.from_distances([k + 1.0 for k in range(n_steps)])
+    with mock.patch.object(markov, "_SHARED_MIN", 1):
+        got = list(markov.Sampler(lambda origin, d: table[(origin, d)], "t").batch([trace] * n_traces, seed))
+    reference = markov.Sampler(lambda origin, d: table[(origin, d)], "t")
+    for i, out in enumerate(got):
+        assert out.states.tobytes() == reference.trace(trace, derive_subseed(seed, i)).states.tobytes()
+
+
+def test_only_runs_of_the_shared_width_are_sampled_across_traces(monkeypatch):
+    widths = []
+    shared_states = markov._shared_states
+    monkeypatch.setattr(markov, "_shared_states", lambda table, seeds: widths.append(seeds.size) or
+                        shared_states(table, seeds))
+    trace = DistanceTrace.from_distances(np.arange(1.0, 51.0))
+    other = DistanceTrace.from_distances(np.arange(1.0, 51.0))  # equal values in another array
+    n = markov._SHARED_MIN
+    traces = [trace] * (n - 1) + [other] + [trace] * n
+    assert_batch_matches(URBAN_MEDIUM, traces, 1, list(chain(URBAN_MEDIUM).batch(traces, 1)))
+    assert widths == [n]
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,8 @@ exit code, its stdout (and stderr when it fails) and every file it writes,
 with the ``#`` provenance lines removed. Every change must keep these
 digests; a change that means to alter the output must say so and record new
 ones (``python tests/test_golden.py`` prints the digests of the current
-code).
+code). Every case runs twice: as shipped, and with every run of traces
+sampled across its traces, so both sampling paths must give these bytes.
 
 The refitted model of ``estimate --fit`` also depends on scipy's
 least-squares solver, so its digest holds only for the scipy release it was
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 import scipy
 
-from v2vlos import Density, Environment, builtin_model, load_scenario
+from v2vlos import Density, Environment, builtin_model, load_scenario, markov
 from v2vlos.cli import main
 from v2vlos.curves import curve_to_dict
 
@@ -198,6 +199,13 @@ FIT_MODEL_SHA256 = "8b5546585977c5db27e1fdc62fd7b8ae834a7fbeb33ff2de1deea3accd15
 def test_cli_output_is_unchanged(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_case(CASES[name]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_unchanged_across_traces(name, tmp_path, monkeypatch):
+    # At width 1 every run of traces, shared grid or not, is sampled across its traces.
+    monkeypatch.setattr(markov, "_SHARED_MIN", 1)
+    test_cli_output_is_unchanged(name, tmp_path, monkeypatch)
 
 
 def curve_shape(obj):

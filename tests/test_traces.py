@@ -362,6 +362,40 @@ def test_generated_batch_round_trips_through_labeled_file(scenario, seed, batch)
         assert (loaded.scenario, loaded.seed) == (model.tag, seed)
 
 
+def reference_labeled_file(traces, provenance):
+    """The text of a labeled file, formatted one row at a time."""
+    rows = [f"{t},{d!r},{('LOS', 'NLOSv', 'NLOSb')[s]}\n" for trace in traces
+            for t, d, s in zip(trace.times.tolist(), trace.distances.tolist(), trace.states.tolist())]
+    return "".join(line + "\n" for line in provenance) + "t,d,state\n" + "".join(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    grids=st.lists(st.tuples(st.integers(-10**6, 10**6),
+                             st.lists(st.floats(1e-3, 1e6) | st.integers(1, 500).map(float), min_size=1, max_size=25)),
+                   min_size=1, max_size=3),
+    runs=st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), max_size=8),
+    data=st.data(),
+)
+def test_writer_matches_row_by_row_format(grids, runs, data):
+    base = [DistanceTrace.from_distances(ds, t0) for t0, ds in grids]
+    first = base[0]
+    choices = base + [
+        DistanceTrace(first.times + 7, first.distances),  # the same distance array on other times
+        DistanceTrace(first.times.copy(), first.distances.copy()),  # equal values in other arrays
+    ]
+    assert choices[-2].distances is first.distances and choices[-1].distances is not first.distances
+    # Runs of one grid, in any order, so a grid can resume after another (A A B A).
+    order = [choices[j % len(choices)] for j, n in runs for _ in range(n)]
+    traces = [StateTrace(g.times, g.distances, data.draw(st.lists(st.integers(0, 2), min_size=len(g), max_size=len(g))))
+              for g in order]
+    provenance = ["# scenario=test", "# seed=3"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write_state_traces(iter(traces), path, provenance)
+        assert path.read_bytes() == reference_labeled_file(traces, provenance).encode("utf-8")
+
+
 def test_header_variants_dispatch(tmp_path):
     plain = tmp_path / "plain.csv"
     plain.write_text("t,d\n0,10.0\n1,11.0\n", encoding="utf-8")
