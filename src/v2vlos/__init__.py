@@ -27,7 +27,6 @@ from .curves import (
     Piecewise,
     Poly2,
     eval_curve,
-    raw_value,
 )
 from .errors import (
     BatchError,

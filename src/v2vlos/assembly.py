@@ -5,22 +5,23 @@ complement to one. Curve-fit imperfection can drive the complement negative
 at extreme distances, in which case a deterministic repair is applied: the
 smallest of the three values is forced to zero, the best-supported (largest)
 explicit value is kept, and the remaining one is set to one minus the kept
-value. Each scenario's state vector and transition rows are compiled once
-into flat evaluators over the curves' ``raw`` methods. All functions here
-are pure and safe to call concurrently.
+value. :func:`compile_vector` turns a state vector or a transition row into
+one flat evaluator over the curves' ``raw`` methods. Each sampler compiles
+its scenario once (:func:`v2vlos.markov.chain`); the public functions below
+check the distance and compile only the vector or rows they evaluate, so
+nothing is cached. All functions here are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .curves import CurveSpec
 from .errors import ConvergenceError
-from .params import OVER_RANGE_POLICIES, ScenarioModel, effective_distance
+from .params import OVER_RANGE_POLICIES, ScenarioModel, StateProbModel, TransitionRowModel, effective_distance
 from .states import CANONICAL_STATES, LosState
 
 SUM_TOLERANCE = 1e-9
@@ -47,9 +48,6 @@ class StateProbVector:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.los, self.nlosv, self.nlosb)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple(), dtype=float)
-
     def as_dict(self) -> dict[LosState, float]:
         return {s: self[s] for s in CANONICAL_STATES}
 
@@ -71,10 +69,6 @@ class TransitionMatrix:
             raise ValueError(f"rows must sum to 1, got {m.sum(axis=1)}")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
-
-    def row(self, origin: LosState) -> StateProbVector:
-        r = self.m[int(origin)]
-        return StateProbVector(float(r[0]), float(r[1]), float(r[2]))
 
 
 def repair_vector(values: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -99,7 +93,7 @@ def repair_vector(values: tuple[float, float, float]) -> tuple[float, float, flo
 _Vector = Callable[[float], tuple[float, float, float]]
 
 
-def _compile_vector(explicit: Mapping[LosState, CurveSpec], complement: LosState) -> _Vector:
+def compile_vector(block: StateProbModel | TransitionRowModel) -> _Vector:
     """Evaluator of one probability triple at an in-domain distance.
 
     Both explicit curves are clamped into [0, 1], the complement state gets
@@ -107,8 +101,8 @@ def _compile_vector(explicit: Mapping[LosState, CurveSpec], complement: LosState
     is invalid. The clamped values are never negative, so only the complement
     needs the sign test; ``x + y + z`` is the sum ``repair_vector`` takes.
     """
-    (i, f), (j, g) = sorted((int(state), spec.raw) for state, spec in explicit.items())
-    k = int(complement)
+    (i, f), (j, g) = sorted((int(state), spec.raw) for state, spec in block.explicit.items())
+    k = int(block.complement)
 
     def vector(d: float) -> tuple[float, float, float]:
         x = f(d)
@@ -130,50 +124,33 @@ def _compile_vector(explicit: Mapping[LosState, CurveSpec], complement: LosState
     return vector
 
 
-# Per live model: (d_min, d_max, state vector, rows by origin), built on first
-# use. Kept here rather than on the model, so that models stay picklable.
-_COMPILED: dict[int, tuple[float, float, _Vector, tuple[_Vector, _Vector, _Vector]]] = {}
+def _distance(model: ScenarioModel, d: float, over_range: str) -> float:
+    """``d`` under the model's distance policy; a plain in-range float passes as it is.
 
-
-def _compiled(model: ScenarioModel) -> tuple[float, float, _Vector, tuple[_Vector, _Vector, _Vector]]:
-    key = id(model)
-    c = _COMPILED.get(key)
-    if c is None:
-        sp = model.state_probs
-        rows = tuple(_compile_vector(r.explicit, r.complement) for r in model.rows)
-        c = _COMPILED[key] = (model.d_min, model.d_max, _compile_vector(sp.explicit, sp.complement), rows)
-        # The entry leaves with its model, before the id can be reused.
-        weakref.finalize(model, _COMPILED.pop, key, None)
-    return c
-
-
-# Each public function below takes a plain in-range float as it is and sends
-# everything else (ints, numpy scalars, NaN, clamping, bad policies) through
-# effective_distance.
+    Everything else (ints, numpy scalars, NaN, clamping, bad policies) goes
+    through :func:`effective_distance`.
+    """
+    if type(d) is float and model.d_min <= d <= model.d_max and over_range in OVER_RANGE_POLICIES:
+        return d
+    return effective_distance(d, model.d_min, model.d_max, over_range)
 
 
 def state_probabilities(model: ScenarioModel, d: float, over_range: str = "error") -> StateProbVector:
     """Probability of LOS/NLOSv/NLOSb at distance ``d`` for one scenario."""
-    d_min, d_max, vector, _ = _compiled(model)
-    if not (type(d) is float and d_min <= d <= d_max and over_range in OVER_RANGE_POLICIES):
-        d = effective_distance(d, d_min, d_max, over_range)
-    return StateProbVector(*vector(d))
+    d = _distance(model, d, over_range)
+    return StateProbVector(*compile_vector(model.state_probs)(d))
 
 
 def transition_row(model: ScenarioModel, origin: int, d: float, over_range: str = "error") -> tuple[float, float, float]:
     """One outgoing-probability row, in canonical state order; ``origin`` is a state or its int."""
-    d_min, d_max, _, rows = _compiled(model)
-    if not (type(d) is float and d_min <= d <= d_max and over_range in OVER_RANGE_POLICIES):
-        d = effective_distance(d, d_min, d_max, over_range)
-    return rows[origin](d)
+    d = _distance(model, d, over_range)
+    return compile_vector(model.rows[origin])(d)
 
 
 def transition_matrix(model: ScenarioModel, d: float, over_range: str = "error") -> TransitionMatrix:
     """Row-stochastic transition matrix assembled at exact distance ``d``."""
-    d_min, d_max, _, rows = _compiled(model)
-    if not (type(d) is float and d_min <= d <= d_max and over_range in OVER_RANGE_POLICIES):
-        d = effective_distance(d, d_min, d_max, over_range)
-    return TransitionMatrix(np.array([row(d) for row in rows], dtype=float), d=d)
+    d = _distance(model, d, over_range)
+    return TransitionMatrix(np.array([compile_vector(row)(d) for row in model.rows], dtype=float), d=d)
 
 
 @dataclass(frozen=True)

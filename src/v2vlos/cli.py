@@ -63,6 +63,9 @@ PROFILE_CHOICES = ("separate1ms", "constant", "walk", "opposing", "same-directio
 # Transition-probability column names, p_<origin>_<target>, in matrix order.
 _TRANSITION_COLUMNS = tuple(f"p_{o.name.lower()}_{t.name.lower()}" for o in CANONICAL_STATES for t in CANONICAL_STATES)
 
+# Most rows a ``curves`` grid may have; a finer step is a usage error.
+_CURVES_MAX_ROWS = 10**6
+
 _PROFILE_KIND = {
     "constant": "constant",
     "walk": "walk",
@@ -121,7 +124,7 @@ class _ConfigFile(argparse.Action):
     def __call__(self, parser, namespace, path, option_string=None):
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
             parser.error(f"cannot read config {path}: {exc}")
         if not isinstance(obj, dict):
             parser.error("config file must hold a JSON object")
@@ -318,8 +321,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         sys.stdout.write(report)
 
     if args.fit:
-        if not args.out_model:
-            raise V2vLosError("--fit requires --out-model")
         refit = _refit_model(model, centers, emp_state, emp_trans)
         _write_atomic(args.out_model, scenario_json(refit))
         print(f"wrote {args.out_model}")
@@ -403,6 +404,10 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"{flag} must be finite, got {value:g}")
         if not args.d_min <= args.d_max:
             parser.error(f"--d-min {args.d_min:g} must not exceed --d-max {args.d_max:g}")
+        if (args.d_max - args.d_min) / args.d_step >= _CURVES_MAX_ROWS:
+            parser.error(f"--d-step {args.d_step:g} gives more than {_CURVES_MAX_ROWS} rows")
+    if args.command == "estimate" and args.fit and not args.out_model:
+        parser.error("--fit requires --out-model")
     try:
         return args.func(args)
     except V2vLosError as exc:

@@ -130,12 +130,6 @@ def _check_domain(spec: CurveSpec, d: float) -> None:
         raise DomainError(f"log-domain curve undefined for d <= 0, got {d!r}")
 
 
-def raw_value(spec: CurveSpec, d: float) -> float:
-    """Family value before the [0, 1] clamp. Same domain rules as eval_curve."""
-    _check_domain(spec, d)
-    return spec.raw(d)
-
-
 def eval_curve(spec: CurveSpec, d: float) -> float:
     """Probability at distance ``d``: the family value clamped into [0, 1]."""
     _check_domain(spec, d)

@@ -2,9 +2,11 @@
 
 The first state is drawn from the state probabilities at the first distance.
 Every later state is drawn from the transition-matrix row selected by the
-previous state, with the matrix assembled at the distance of the step being
-generated. The sampler consults nothing but (previous state, current
-distance), so the output is a Markov chain by construction.
+previous state, evaluated at the distance of the step being generated. The
+sampler consults nothing but (previous state, current distance), so the
+output is a Markov chain by construction. :func:`chain` compiles its
+scenario's state vector and rows once, for that sampler alone; there is no
+process-wide cache.
 
 Each trace is a strict one-second grid; the transition probabilities are
 per-second quantities and traces at other spacings are rejected. Step ``k``
@@ -30,9 +32,8 @@ import numpy as np
 
 from . import assembly
 from .errors import BatchError, DomainError
-from .params import ScenarioModel
+from .params import ScenarioModel, effective_distance
 from .rng import RngSeed, derive_subseed, draw_bits, uniform_block
-from .states import LosState
 
 # Threshold memo bound; beyond it thresholds are recomputed instead of cached.
 # Integer-metre distances need only about 1,500 entries (500 distances x 3
@@ -88,9 +89,9 @@ class DistanceTrace:
         object.__setattr__(self, "distances", _frozen(d))
 
     @classmethod
-    def from_distances(cls, distances: Sequence[float], t0: int = 0) -> "DistanceTrace":
+    def from_distances(cls, distances: Sequence[float]) -> "DistanceTrace":
         d = np.asarray(distances, dtype=float)
-        return cls(np.arange(t0, t0 + d.size, dtype=np.int64), d)
+        return cls(np.arange(d.size, dtype=np.int64), d)
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -118,9 +119,6 @@ class StateTrace:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def state(self, i: int) -> LosState:
-        return LosState(int(self.states[i]))
 
 
 # Steps per block of a batch count; bounds the memory of counting a batch.
@@ -300,15 +298,23 @@ def _shared_states(table: np.ndarray, seeds: np.ndarray) -> np.ndarray:
 
 
 def chain(model: ScenarioModel, over_range: str = "error") -> Sampler:
-    """The sampler of a scenario's distance-dependent chain."""
+    """The sampler of a scenario's distance-dependent chain.
+
+    The state vector and the three transition rows are compiled here, once;
+    an unknown ``over_range`` policy is rejected here too, not at the first
+    draw. Each step then takes one range test and one evaluator call.
+    """
+    d_min, d_max = model.d_min, model.d_max
+    effective_distance(d_min, d_min, d_max, over_range)  # checks the policy only
+    # Origins 0-2 index the transition rows; origin -1 is the initial draw.
+    vectors = tuple(assembly.compile_vector(block) for block in (*model.rows, model.state_probs))
 
     # The thresholds come from the scalar assembly only: numpy's exp can
     # differ from math.exp in the last bit, which would change the stream.
     def thresholds(origin: int, d: float) -> tuple[float, float]:
-        if origin < 0:
-            p = assembly.state_probabilities(model, d, over_range=over_range).as_tuple()
-        else:
-            p = assembly.transition_row(model, origin, d, over_range=over_range)
+        if not d_min <= d <= d_max:
+            d = effective_distance(d, d_min, d_max, over_range)
+        p = vectors[origin](d)
         return p[0], p[0] + p[1]
 
     return Sampler(thresholds, model.tag)

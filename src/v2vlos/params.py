@@ -78,13 +78,6 @@ class ScenarioModel:
             raise ValueError("require 0 < d_min < d_max")
 
     @property
-    def valid_range(self) -> tuple[float, float]:
-        return (self.d_min, self.d_max)
-
-    def row(self, origin: LosState) -> TransitionRowModel:
-        return self.rows[int(origin)]
-
-    @property
     def tag(self) -> str:
         return f"{self.environment.value}-{self.density.value}"
 

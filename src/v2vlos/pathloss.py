@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .curves import as_float, check_object
 from .errors import DistanceClampWarning, DomainError
 from .markov import StateTrace
 from .states import LosState
@@ -33,7 +34,7 @@ FREE_SPACE_CONSTANT_DB = -147.55
 DEFAULT_PARAMS_RESOURCE = "pathloss_defaults.json"
 
 
-def free_space_pl(d: float, f: float = 2.0e9) -> float:
+def free_space_pl(d: float, f: float) -> float:
     """Friis free-space path loss in dB: 20*log10(d) + 20*log10(f) - 147.55."""
     if not (isinstance(d, (int, float)) and math.isfinite(d)) or d < 1.0:
         raise DomainError(f"distance must be >= 1 m, got {d!r}")
@@ -50,8 +51,8 @@ class LogDistance:
     exponent: float
 
     def __post_init__(self):
-        if not (self.exponent > 0.0 and math.isfinite(self.intercept_db)):
-            raise ValueError("need finite intercept and positive exponent")
+        if not (math.isfinite(self.intercept_db) and math.isfinite(self.exponent) and self.exponent > 0.0):
+            raise ValueError("need finite intercept and finite positive exponent")
 
     def at(self, d: float) -> float:
         return self.intercept_db + 10.0 * self.exponent * math.log10(d)
@@ -65,34 +66,23 @@ class PathLossParams:
     carrier_freq_hz: float = 2.0e9
 
     def __post_init__(self):
-        if self.nlosv_extra_db < 0.0:
-            raise ValueError("nlosv_extra_db must be non-negative")
-        if self.carrier_freq_hz <= 0.0:
-            raise ValueError("carrier frequency must be positive")
+        if not (math.isfinite(self.nlosv_extra_db) and self.nlosv_extra_db >= 0.0):
+            raise ValueError("nlosv_extra_db must be finite and non-negative")
+        if not (math.isfinite(self.carrier_freq_hz) and self.carrier_freq_hz > 0.0):
+            raise ValueError("carrier frequency must be finite and positive")
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "PathLossParams":
-        expected = {"los", "nlosb", "nlosv_extra_db", "carrier_freq_hz"}
-        if set(obj) != expected:
-            raise ValueError(f"path-loss keys {sorted(obj)} do not match expected {sorted(expected)}")
-        def curve(o: dict) -> LogDistance:
-            if set(o) != {"intercept_db", "exponent"}:
-                raise ValueError(f"log-distance keys {sorted(o)} invalid")
-            return LogDistance(float(o["intercept_db"]), float(o["exponent"]))
-        return cls(
-            los=curve(obj["los"]),
-            nlosb=curve(obj["nlosb"]),
-            nlosv_extra_db=float(obj["nlosv_extra_db"]),
-            carrier_freq_hz=float(obj["carrier_freq_hz"]),
-        )
+    def from_dict(cls, obj) -> "PathLossParams":
+        """Parse a path-loss file's JSON tree, as strictly as a scenario file; malformed input raises ValueError."""
+        check_object(obj, {"los", "nlosb", "nlosv_extra_db", "carrier_freq_hz"}, "path-loss")
 
-    def to_dict(self) -> dict:
-        return {
-            "carrier_freq_hz": self.carrier_freq_hz,
-            "los": {"exponent": self.los.exponent, "intercept_db": self.los.intercept_db},
-            "nlosb": {"exponent": self.nlosb.exponent, "intercept_db": self.nlosb.intercept_db},
-            "nlosv_extra_db": self.nlosv_extra_db,
-        }
+        def curve(name: str) -> LogDistance:
+            o = check_object(obj[name], {"intercept_db", "exponent"}, f"{name} log-distance")
+            return LogDistance(as_float(o["intercept_db"], f"{name}.intercept_db"),
+                               as_float(o["exponent"], f"{name}.exponent"))
+
+        return cls(curve("los"), curve("nlosb"), as_float(obj["nlosv_extra_db"], "nlosv_extra_db"),
+                   as_float(obj["carrier_freq_hz"], "carrier_freq_hz"))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PathLossParams":

@@ -104,18 +104,13 @@ def _reflect(x: float, lo: float, hi: float) -> tuple[float, bool]:
     return x, bounced
 
 
-def synth_distance_trace(
-    profile: MobilityProfile,
-    seed: RngSeed = 0,
-    d_min: float = 1.0,
-    d_max: float = 500.0,
-) -> DistanceTrace:
-    """Deterministic synthetic distance trace for one profile and seed."""
+def synth_distance_trace(profile: MobilityProfile, seed: RngSeed = 0) -> DistanceTrace:
+    """Deterministic synthetic distance trace for one profile and seed, reflected into [1, 500] m."""
     ds = [profile.d0]
     if not profile.seeded:
         vel = profile.speed if profile.kind == "constant" else -abs(profile.speed)
         for _ in range(profile.n_steps - 1):
-            nxt, bounced = _reflect(ds[-1] + vel, d_min, d_max)
+            nxt, bounced = _reflect(ds[-1] + vel, 1.0, 500.0)
             if bounced:
                 vel = -vel
             ds.append(nxt)
@@ -123,7 +118,7 @@ def synth_distance_trace(
         # Step k + 1 takes draw k of the seed's stream.
         bound = profile.step_bound
         for u in uniform_block(seed, 0, profile.n_steps - 1).tolist():
-            nxt, _ = _reflect(ds[-1] + (2.0 * u - 1.0) * bound, d_min, d_max)
+            nxt, _ = _reflect(ds[-1] + (2.0 * u - 1.0) * bound, 1.0, 500.0)
             ds.append(nxt)
     return DistanceTrace.from_distances(ds)
 

@@ -30,7 +30,6 @@ from v2vlos import (
     fit_same_family,
     fresnel_clearance_radius,
     pearson,
-    raw_value,
     state_probabilities,
     transition_matrix,
     transition_row,
@@ -144,10 +143,10 @@ def test_criterion_7_fit_round_trip():
     worst_label = ""
     for model in all_models():
         for label, spec in model_curves(model):
-            pts = [(float(c), raw_value(spec, float(c))) for c in centers]
+            pts = [(float(c), spec.raw(float(c))) for c in centers]
             refit = fit_same_family(spec, pts).spec
-            orig = np.array([raw_value(spec, float(d)) for d in grid])
-            got = np.array([raw_value(refit, float(d)) for d in grid])
+            orig = np.array([spec.raw(float(d)) for d in grid])
+            got = np.array([refit.raw(float(d)) for d in grid])
             rel = float(np.max(np.abs(got - orig))) / max(float(np.max(np.abs(orig))), 1e-12)
             if rel > worst:
                 worst, worst_label = rel, f"{model.tag} {label}"
@@ -165,7 +164,7 @@ def test_criterion_7_fit_round_trip():
             for branch, ds in branches:
                 if not isinstance(branch, Poly2):
                     continue
-                fit = fit_poly2([(float(c), raw_value(branch, float(c))) for c in ds]).spec
+                fit = fit_poly2([(float(c), branch.raw(float(c))) for c in ds]).spec
                 coef_worst = max(coef_worst,
                                  abs(fit.a - branch.a), abs(fit.b - branch.b), abs(fit.c - branch.c))
     poly_ok = coef_worst <= 1e-9

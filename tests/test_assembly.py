@@ -168,4 +168,4 @@ def test_vector_accessors():
     assert v[LosState.NLOSv] == 0.3
     assert v[LosState.NLOSb] == 0.5
     assert v.as_dict() == {LosState.LOS: 0.2, LosState.NLOSv: 0.3, LosState.NLOSb: 0.5}
-    assert np.array_equal(v.as_array(), np.array([0.2, 0.3, 0.5]))
+    assert v.as_tuple() == (0.2, 0.3, 0.5)

@@ -1,5 +1,8 @@
 """Command-line interface: determinism, exit codes, output formats."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
@@ -7,12 +10,15 @@ import shlex
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from v2vlos import load_scenario, read_labeled_traces
+from v2vlos import PathLossParams, cli, load_scenario, read_labeled_traces
 from v2vlos.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -438,3 +444,177 @@ assert "scipy.optimize" in sys.modules
     assert r.returncode == 0, r.stderr
     model = load_scenario(fitted)
     assert model.environment.value == "urban" and model.density.value == "low"
+
+
+def test_non_utf8_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"steps": 5, "profile": "\xff\xfe"}')
+    out = tmp_path / "t.csv"
+    code, err = run_in_process(GENERATE + ["--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert "cannot read config" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_estimate_fit_without_out_model_is_usage_error_before_any_work(tmp_path, capsys, how):
+    traces = tmp_path / "t.csv"
+    traces.write_text("t,d,state\n0,10.0,LOS\n1,11.0,NLOSv\n", encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fit": True}), encoding="utf-8")
+    stats, report = tmp_path / "stats.csv", tmp_path / "report.txt"
+    fit = ["--fit"] if how == "flag" else ["--config", str(cfg)]
+    code, err = run_in_process(["estimate", "--env", "urban", "--density", "low", "--traces", str(traces),
+                                "--out-stats", str(stats), "--out-report", str(report), *fit], capsys)
+    assert code == 2
+    assert "--fit requires --out-model" in err
+    assert not stats.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_curves_grid_above_row_cap_is_usage_error(tmp_path, capsys, how):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_step": 1e-300}), encoding="utf-8")
+    step = ["--d-step", "1e-300"] if how == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "c.csv"
+    code, err = run_in_process(["curves", "--env", "urban", "--density", "low", *step, "--out", str(out)], capsys)
+    assert code == 2
+    assert "--d-step" in err and "rows" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_curves_row_cap_is_the_largest_grid_allowed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_CURVES_MAX_ROWS", 10)
+    out = tmp_path / "c.csv"
+    base = ["curves", "--env", "urban", "--density", "low", "--d-min", "1", "--out", str(out)]
+    assert main(base + ["--d-max", "10"]) == 0  # ten rows
+    assert len(read_table(out)) == 10
+    out.unlink()
+    code, err = run_in_process(base + ["--d-max", "11"], capsys)  # eleven rows
+    assert code == 2 and "more than 10 rows" in err
+    assert not out.exists()
+
+
+def _pathloss_file(**changes):
+    obj = dataclasses.asdict(PathLossParams.defaults())
+    obj.update(changes)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("text", [
+    _pathloss_file(los=1),
+    _pathloss_file(los={"intercept_db": "40", "exponent": True}),
+    _pathloss_file(nlosb={"intercept_db": 40.0, "exponent": 2.0, "extra": 1.0}),
+    _pathloss_file(nlosv_extra_db=math.nan),
+    _pathloss_file(carrier_freq_hz=math.inf),
+    _pathloss_file(los={"intercept_db": 40.0, "exponent": math.inf}),
+    "[1, 2]",
+], ids=["curve-not-object", "text-and-bool", "extra-key", "nan-extra", "inf-frequency", "inf-exponent", "list"])
+def test_bad_pathloss_params_exit_one(tmp_path, capsys, text):
+    params = tmp_path / "pl.json"
+    params.write_text(text, encoding="utf-8")
+    out = tmp_path / "cmp.csv"
+    code = main(["compare", "--env", "urban", "--density", "low", "--steps", "5",
+                 "--pathloss-params", str(params), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+# Malformed inputs for the robustness property below. Every size the CLI
+# sees (steps, count, rows of a curves grid, rows of a trace file) stays
+# small, so no example allocates much memory.
+_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 60), st.floats(-5.0, 600.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300]), st.text(max_size=4),
+)
+_JSON = st.recursive(_LEAF, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                                        max_size=3), max_leaves=6)
+_CONFIG_VALUES = {
+    "steps": st.integers(-2, 40) | _LEAF,
+    "count": st.integers(-1, 4) | _LEAF,
+    "d_step": st.floats(0.5, 100.0) | st.sampled_from([0, -1.0, math.nan, math.inf, "1", True, None]),
+    "profile": st.sampled_from(["walk", "constant", "opposing", "urban-mixed", "teleport"]) | _LEAF,
+    "over_range": st.sampled_from(["error", "clamp", "wrap"]) | _LEAF,
+    "env": st.sampled_from(["urban", "highway", "rural"]) | _LEAF,
+    "density": st.sampled_from(["low", "high", "extreme"]) | _LEAF,
+    "seed": st.integers(-2**65, 2**65) | _LEAF,
+    **{key: _LEAF for key in ("speed", "vmax", "d0", "umi_d1", "umi_d2", "d_min", "d_max", "fit", "bogus")},
+}
+_CONFIG_KEYS = {
+    "generate": ("steps", "count", "profile", "speed", "vmax", "d0", "over_range", "env", "density", "seed", "bogus"),
+    "compare": ("steps", "count", "profile", "speed", "vmax", "d0", "over_range", "seed", "umi_d1", "umi_d2", "bogus"),
+    "curves": ("d_min", "d_max", "d_step", "seed", "env", "bogus"),
+    "estimate": ("seed", "fit", "density", "bogus"),
+}
+_TIME = st.integers(-2, 6).map(str) | st.sampled_from(["", "x", "1.5", "99999999999999999999"])
+_DISTANCE = st.floats(-1.0, 700.0).map(repr) | st.sampled_from(["nan", "inf", "-0", "", "1e400", "d"])
+_STATE = st.sampled_from(["LOS", "NLOSv", "NLOSb", "los", "X", ""])
+_TRACE_TEXT = st.tuples(
+    st.sampled_from(["t,d\n", "t,d,state\n", "# seed=3\nt,d,state\n", "x,y\n", ""]),
+    st.lists(st.lists(_TIME | _DISTANCE | _STATE, min_size=1, max_size=4).map(",".join), max_size=8),
+).map(lambda parts: (parts[0] + "\n".join(parts[1]) + "\n").encode())
+_PATHLOSS = st.fixed_dictionaries(
+    {"los": _JSON | st.fixed_dictionaries({"intercept_db": _LEAF, "exponent": _LEAF}), "nlosb": _JSON,
+     "nlosv_extra_db": _LEAF, "carrier_freq_hz": _LEAF},
+    optional={"extra": _LEAF},
+)
+
+
+def _file_bytes(obj_strategy):
+    return st.binary(max_size=40) | _JSON.map(lambda o: json.dumps(o).encode()) | obj_strategy.map(
+        lambda o: json.dumps(o).encode())
+
+
+def _exit_code(argv, files):
+    """Write ``files`` (name -> bytes) to a fresh directory, run ``cli.main`` on it and check the exit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            (Path(tmp) / name).write_bytes(data)
+        argv = [a.format(tmp=tmp) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 1:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+
+
+_OUT = {"estimate": ["--out-report", "{tmp}/report.txt"]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(_CONFIG_KEYS)), data=st.data())
+def test_malformed_config_ends_in_an_exit_code(command, data):
+    config = st.fixed_dictionaries({}, optional={k: _CONFIG_VALUES[k] for k in _CONFIG_KEYS[command]})
+    argv = [command, "--env", "urban", "--density", "low", "--config", "{tmp}/cfg.json"]
+    files = {"cfg.json": data.draw(_file_bytes(config), label="config")}
+    if command in ("generate", "compare") and data.draw(st.booleans(), label="with --steps"):
+        argv += ["--steps", str(data.draw(st.integers(1, 40), label="steps"))]
+    if command == "estimate":
+        argv += ["--traces", "{tmp}/traces.csv"]
+        files["traces.csv"] = b"t,d,state\n0,10.0,LOS\n1,11.0,NLOSv\n"
+    _exit_code(argv + _OUT.get(command, ["--out", "{tmp}/out.csv"]), files)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_file_bytes(_PATHLOSS))
+def test_malformed_pathloss_file_ends_in_an_exit_code(params):
+    argv = ["compare", "--env", "urban", "--density", "low", "--steps", "5",
+            "--pathloss-params", "{tmp}/pl.json", "--out", "{tmp}/out.csv"]
+    _exit_code(argv, {"pl.json": params})
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["generate", "compare", "estimate"]), text=_TRACE_TEXT | st.binary(max_size=40),
+       count=st.integers(1, 3))
+def test_malformed_trace_file_ends_in_an_exit_code(command, text, count):
+    if command == "estimate":
+        argv = ["estimate", "--traces", "{tmp}/in.csv", *_OUT["estimate"]]
+    else:
+        argv = [command, "--trace-in", "{tmp}/in.csv", "--count", str(count), "--out", "{tmp}/out.csv"]
+    _exit_code(argv + ["--env", "urban", "--density", "low"], {"in.csv": text})

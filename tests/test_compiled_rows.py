@@ -29,6 +29,7 @@ from v2vlos import (
     ScenarioModel,
     StateProbModel,
     TransitionRowModel,
+    chain,
     state_probabilities,
     transition_matrix,
     transition_row,
@@ -139,6 +140,18 @@ def test_compiled_rows_match_reference_for_any_complement(origin, d):
     assert bits(compiled(PERMUTED, origin, d)) == bits(ref_vector(PERMUTED, origin, d))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.sampled_from(MODELS + [PERMUTED]),
+    origin=st.sampled_from([-1, 0, 1, 2]),
+    d=st.floats(min_value=2.0, max_value=500.0, allow_nan=False),
+)
+def test_chain_thresholds_match_reference(model, origin, d):
+    # The chain compiles its own rows once; they must agree with the reference too.
+    p = ref_vector(model, origin, d)
+    assert bits(chain(model).thresholds(origin, d)) == bits((p[0], p[0] + p[1]))
+
+
 def test_model_floor_is_the_models_own():
     with pytest.warns(DistanceClampWarning):
         assert transition_row(PERMUTED, 0, 1.5) == transition_row(PERMUTED, 0, 2.0)
@@ -153,9 +166,12 @@ def test_compiled_rows_match_reference_at_edges(model):
     ds = [1.0, 500.0, math.nextafter(1.0, 2.0), math.nextafter(500.0, 0.0)]
     for d_t in _piecewise_thresholds(model):
         ds += [d_t, math.nextafter(d_t, 0.0), math.nextafter(d_t, 500.0)]
+    thresholds = chain(model).thresholds
     for d in ds:
         for origin in (-1, 0, 1, 2):
-            assert bits(compiled(model, origin, d)) == bits(ref_vector(model, origin, d)), (model.tag, origin, d)
+            p = ref_vector(model, origin, d)
+            assert bits(compiled(model, origin, d)) == bits(p), (model.tag, origin, d)
+            assert bits(thresholds(origin, d)) == bits((p[0], p[0] + p[1])), (model.tag, origin, d)
         m = transition_matrix(model, d).m
         for origin in (0, 1, 2):
             assert bits(m[origin]) == bits(ref_vector(model, origin, d))
@@ -205,3 +221,5 @@ def test_distance_policies_apply_to_compiled_rows():
         transition_row(model, 1, 100.0, over_range="wrap")
     with pytest.raises(ValueError):
         state_probabilities(model, 100.0, over_range="wrap")
+    with pytest.raises(ValueError):
+        chain(model, over_range="wrap")  # when the sampler is built, before any draw

@@ -14,7 +14,6 @@ from v2vlos import (
     Piecewise,
     Poly2,
     eval_curve,
-    raw_value,
 )
 from v2vlos.curves import contains_log_bell, curve_from_dict, curve_to_dict
 
@@ -50,14 +49,14 @@ def test_expdecay_hand_evaluated():
 def test_clamping_floor_and_ceiling():
     assert eval_curve(Poly2(0.0, 0.0, -0.25), 10.0) == 0.0
     assert eval_curve(Poly2(0.0, 0.0, 1.75), 10.0) == 1.0
-    assert raw_value(Poly2(0.0, 0.0, -0.25), 10.0) == -0.25
+    assert Poly2(0.0, 0.0, -0.25).raw(10.0) == -0.25
 
 
 def test_offset_minus_logbell():
     inner = LogBell(0.0289, 5.2782, 1.8424)
     spec = OffsetMinusLogBell(1.0, inner)
     d = 150.0
-    assert raw_value(spec, d) == pytest.approx(1.0 - raw_value(inner, d), abs=1e-15)
+    assert spec.raw(d) == pytest.approx(1.0 - inner.raw(d), abs=1e-15)
 
 
 def test_piecewise_branch_selection():
@@ -126,7 +125,7 @@ def test_poly2_matches_independent_horner():
                     continue
                 for d in (1.0, 37.5, 105.0, 250.0, 499.0):
                     expected = s.a * d * d + s.b * d + s.c
-                    assert abs(raw_value(s, d) - expected) <= 4 * math.ulp(max(1.0, abs(expected)))
+                    assert abs(s.raw(d) - expected) <= 4 * math.ulp(max(1.0, abs(expected)))
 
 
 def test_all_builtin_curves_stay_in_unit_interval():

@@ -37,7 +37,6 @@ from v2vlos import (
     fit_poly2,
     fit_same_family,
     pearson,
-    raw_value,
     stationary_distribution,
     transition_matrix,
 )
@@ -239,7 +238,7 @@ def test_long_chain_state_probs_match_stationary():
     states = chain(model).trace(DistanceTrace(np.arange(n), np.full(n, 105.0)), 13)
     stats = accumulate([states])
     est = empirical_state_probs(stats).probs[10]
-    pi = stationary_distribution(transition_matrix(model, 105.0)).probs.as_array()
+    pi = np.array(stationary_distribution(transition_matrix(model, 105.0)).probs.as_tuple())
     assert np.max(np.abs(est - pi)) < 0.01
 
 
@@ -268,7 +267,7 @@ def test_pearson_errors():
 def test_pearson_on_perturbed_curve():
     spec = ExpDecay(0.8372, 0.0114)
     ds = bin_centers()
-    ys = np.array([raw_value(spec, float(d)) for d in ds])
+    ys = np.array([spec.raw(float(d)) for d in ds])
     rng = np.random.default_rng(7)
     noisy = ys * (1.0 + 0.01 * rng.standard_normal(ys.size))
     assert pearson(ys, noisy) > 0.99
@@ -276,7 +275,7 @@ def test_pearson_on_perturbed_curve():
 
 def test_fit_poly2_exact_recovery():
     true = Poly2(2e-6, -1e-3, 0.9)
-    pts = [(d, raw_value(true, d)) for d in np.arange(5.0, 500.0, 10.0)]
+    pts = [(d, true.raw(d)) for d in np.arange(5.0, 500.0, 10.0)]
     fit = fit_poly2(pts)
     assert abs(fit.spec.a - true.a) < 1e-9
     assert abs(fit.spec.b - true.b) < 1e-9
@@ -302,7 +301,7 @@ def test_fit_poly2_noisy_within_three_standard_errors():
     sigma = 0.01
     ds = bin_centers()
     rng = np.random.default_rng(12345)
-    ys = np.array([raw_value(true, float(d)) for d in ds]) + sigma * rng.standard_normal(ds.size)
+    ys = np.array([true.raw(float(d)) for d in ds]) + sigma * rng.standard_normal(ds.size)
     fit = fit_poly2(list(zip(ds, ys)))
     # Standard errors from the scaled design, mapped back to raw coefficients.
     scale = float(np.max(ds))
@@ -316,7 +315,7 @@ def test_fit_poly2_noisy_within_three_standard_errors():
 
 def test_fit_expdecay_exact_recovery():
     true = ExpDecay(0.8372, 0.0114)
-    pts = [(d, raw_value(true, d)) for d in np.arange(5.0, 500.0, 10.0)]
+    pts = [(d, true.raw(d)) for d in np.arange(5.0, 500.0, 10.0)]
     fit = fit_expdecay(pts)
     assert fit.spec.a == pytest.approx(true.a, rel=1e-9)
     assert fit.spec.b == pytest.approx(true.b, rel=1e-9)
@@ -324,7 +323,7 @@ def test_fit_expdecay_exact_recovery():
 
 def test_fit_expdecay_excludes_nonpositive_with_warning():
     true = ExpDecay(0.5, 0.01)
-    pts = [(d, raw_value(true, d)) for d in np.arange(10.0, 200.0, 10.0)] + [(300.0, 0.0)]
+    pts = [(d, true.raw(d)) for d in np.arange(10.0, 200.0, 10.0)] + [(300.0, 0.0)]
     with pytest.warns(UserWarning, match="non-positive"):
         fit = fit_expdecay(pts)
     assert fit.spec.a == pytest.approx(0.5, rel=1e-9)
@@ -333,7 +332,7 @@ def test_fit_expdecay_excludes_nonpositive_with_warning():
 def test_fit_logbell_self_recovery_on_bins():
     true = LogBell(0.0312, 5.0063, 2.4544)
     centers = bin_centers()[1:]  # bins 1..49
-    pts = [(float(d), raw_value(true, float(d))) for d in centers]
+    pts = [(float(d), true.raw(float(d))) for d in centers]
     fit = fit_logbell(pts)
     assert fit.sse < 1e-6
     assert fit.spec.s == pytest.approx(true.s, rel=0.01)
@@ -354,7 +353,7 @@ def test_fit_logbell_degenerate_and_domain():
 
 def test_fit_logbell_on_polynomial_data_fits_worse_than_poly2():
     poly = Poly2(3.2e-6, -0.003, 1.0)  # positive on the sampled range
-    pts = [(d, raw_value(poly, d)) for d in np.arange(5.0, 500.0, 10.0)]
+    pts = [(d, poly.raw(d)) for d in np.arange(5.0, 500.0, 10.0)]
     poly_fit = fit_poly2(pts)
     bell_fit = fit_logbell(pts)
     assert bell_fit.sse > poly_fit.sse
@@ -362,7 +361,7 @@ def test_fit_logbell_on_polynomial_data_fits_worse_than_poly2():
 
 def test_fit_offset_minus_logbell_recovery():
     true = OffsetMinusLogBell(0.9132, LogBell(0.0484, 4.7076, 0.748))
-    pts = [(float(d), raw_value(true, float(d))) for d in bin_centers()]
+    pts = [(float(d), true.raw(float(d))) for d in bin_centers()]
     fit = fit_offset_minus_logbell(pts)
     assert fit.spec.offset == pytest.approx(true.offset, abs=1e-6)
     assert fit.spec.inner.s == pytest.approx(true.inner.s, rel=0.01)
@@ -371,10 +370,10 @@ def test_fit_offset_minus_logbell_recovery():
 
 def test_fit_same_family_piecewise():
     true = Piecewise(90.0, Poly2(-4.8e-5, -5.62e-3, 1.11), Poly2(-2.286e-6, 1.443e-3, 0.1022))
-    pts = [(float(d), raw_value(true, float(d))) for d in bin_centers()]
+    pts = [(float(d), true.raw(float(d))) for d in bin_centers()]
     fit = fit_same_family(true, pts)
     assert isinstance(fit.spec, Piecewise)
     assert fit.spec.d_t == 90.0
     assert fit.sse < 1e-18
     for d in (5.0, 85.0, 90.0, 95.0, 495.0):
-        assert raw_value(fit.spec, d) == pytest.approx(raw_value(true, d), abs=1e-9)
+        assert fit.spec.raw(d) == pytest.approx(true.raw(d), abs=1e-9)

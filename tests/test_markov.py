@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-import v2vlos.assembly
 from v2vlos import (
     BatchError,
     Density,
@@ -158,20 +157,21 @@ def test_determinism_bit_identical():
     assert not np.array_equal(a.states, c.states)
 
 
-def test_sampler_consults_only_previous_state_and_current_distance(monkeypatch):
+def test_sampler_consults_only_previous_state_and_current_distance():
     calls = []
-    real = v2vlos.assembly.transition_row
+    sampler = chain(URBAN_MEDIUM)
+    real = sampler.thresholds
 
-    def instrumented(model, origin, d, over_range="error"):
+    def instrumented(origin, d):
         calls.append((int(origin), float(d)))
-        return real(model, origin, d, over_range=over_range)
+        return real(origin, d)
 
-    monkeypatch.setattr(v2vlos.assembly, "transition_row", instrumented)
+    sampler.thresholds = instrumented
     # Strictly increasing distances keep the row memo cold, one call per step.
     trace = DistanceTrace.from_distances(np.linspace(10.0, 60.0, 51))
-    out = chain(URBAN_MEDIUM).trace(trace, 3)
+    out = sampler.trace(trace, 3)
     expected = [(int(out.states[k - 1]), float(trace.distances[k])) for k in range(1, len(trace))]
-    assert calls == expected
+    assert calls == [(-1, float(trace.distances[0]))] + expected
 
 
 def test_long_run_occupancy_matches_stationary():

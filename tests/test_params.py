@@ -42,14 +42,14 @@ def test_published_coefficient_spot_checks():
     urb_med = builtin_model(Environment.URBAN, Density.MEDIUM)
     assert urb_med.state_probs.explicit[LosState.LOS] == ExpDecay(0.8372, 0.0114)
 
-    row = hw_low.row(LosState.NLOSb)
+    row = hw_low.rows[LosState.NLOSb]
     assert row.explicit[LosState.NLOSb] == OffsetMinusLogBell(1.0, LogBell(0.0289, 5.2782, 1.8424))
 
 
 def test_structure_per_environment():
     for env, density in ALL_SCENARIOS:
         model = builtin_model(env, density)
-        assert model.valid_range == (1.0, 500.0)
+        assert (model.d_min, model.d_max) == (1.0, 500.0)
         if env is Environment.URBAN:
             assert set(model.state_probs.explicit) == {LosState.LOS, LosState.NLOSv}
             assert model.state_probs.complement is LosState.NLOSb
@@ -65,9 +65,9 @@ def test_structure_per_environment():
 
 
 def test_highway_piecewise_thresholds():
-    assert builtin_model(Environment.HIGHWAY, Density.LOW).row(LosState.NLOSv).explicit[LosState.LOS].d_t == 70.0
+    assert builtin_model(Environment.HIGHWAY, Density.LOW).rows[LosState.NLOSv].explicit[LosState.LOS].d_t == 70.0
     for density in (Density.MEDIUM, Density.HIGH):
-        row = builtin_model(Environment.HIGHWAY, density).row(LosState.NLOSv)
+        row = builtin_model(Environment.HIGHWAY, density).rows[LosState.NLOSv]
         assert isinstance(row.explicit[LosState.LOS], Piecewise)
         assert row.explicit[LosState.LOS].d_t == 90.0
         assert row.explicit[LosState.NLOSb].d_t == 90.0

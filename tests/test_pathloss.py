@@ -1,5 +1,7 @@
 """Path-loss curves per state and trace rendering."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -83,7 +85,7 @@ def test_render_is_pointwise_map():
     series = render_path_loss(trace, p)
     assert series.dtype == np.float64 and series.shape == (len(trace),)
     for k, pl in enumerate(series.tolist()):
-        assert pl == state_path_loss(trace.state(k), float(trace.distances[k]), p)
+        assert pl == state_path_loss(LosState(int(trace.states[k])), float(trace.distances[k]), p)
 
 
 def test_render_evaluates_distances_below_one_metre_at_one_metre():
@@ -97,7 +99,7 @@ def test_render_evaluates_distances_below_one_metre_at_one_metre():
     assert series.tolist() == render_path_loss(floor, p).tolist()
     # The scalar functions keep the floor as a domain limit.
     with pytest.raises(DomainError):
-        free_space_pl(0.5)
+        free_space_pl(0.5, 2.0e9)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
@@ -148,8 +150,7 @@ def test_default_curve_ordering_has_crossover():
 def test_params_file_round_trip(tmp_path):
     p = PathLossParams.defaults()
     path = tmp_path / "pl.json"
-    import json
-    path.write_text(json.dumps(p.to_dict()), encoding="utf-8")
+    path.write_text(json.dumps(dataclasses.asdict(p)), encoding="utf-8")
     assert PathLossParams.from_file(path) == p
 
 

@@ -378,7 +378,7 @@ def reference_labeled_file(traces, provenance):
     data=st.data(),
 )
 def test_writer_matches_row_by_row_format(grids, runs, data):
-    base = [DistanceTrace.from_distances(ds, t0) for t0, ds in grids]
+    base = [DistanceTrace(np.arange(t0, t0 + len(ds)), ds) for t0, ds in grids]
     first = base[0]
     choices = base + [
         DistanceTrace(first.times + 7, first.distances),  # the same distance array on other times
