@@ -17,7 +17,6 @@ from .assembly import (
     state_probabilities,
     stationary_distribution,
     transition_matrix,
-    transition_row,
 )
 from .curves import (
     CurveSpec,

@@ -7,10 +7,10 @@ smallest of the three values is forced to zero, the best-supported (largest)
 explicit value is kept, and the remaining one is set to one minus the kept
 value. :func:`compile_vector` turns a state vector or a transition row into
 one flat evaluator over the curves' ``raw`` methods. Each sampler compiles
-its scenario once (:func:`v2vlos.markov.chain`); the public functions below
-check the distance and compile only the vector or rows they evaluate, so
-nothing is cached. All functions here are pure and safe to call
-concurrently.
+its scenario once (:func:`v2vlos.markov.chain`); :func:`state_probabilities`
+and :func:`transition_matrix` apply the distance policy and compile only
+what they evaluate, so nothing is cached. All functions here are pure and
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError
-from .params import OVER_RANGE_POLICIES, ScenarioModel, StateProbModel, TransitionRowModel, effective_distance
+from .params import ScenarioModel, StateProbModel, TransitionRowModel, effective_distance
 from .states import CANONICAL_STATES, LosState
 
 SUM_TOLERANCE = 1e-9
@@ -37,7 +37,7 @@ class StateProbVector:
 
     def __post_init__(self):
         t = (self.los, self.nlosv, self.nlosb)
-        if any(p < -SUM_TOLERANCE or p > 1.0 + SUM_TOLERANCE for p in t):
+        if not all(-SUM_TOLERANCE <= p <= 1.0 + SUM_TOLERANCE for p in t):  # NaN fails too
             raise ValueError(f"probabilities outside [0, 1]: {t}")
         if abs(sum(t) - 1.0) > SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {sum(t)!r}, expected 1")
@@ -63,7 +63,7 @@ class TransitionMatrix:
         m = np.asarray(self.m, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"expected 3x3 matrix, got shape {m.shape}")
-        if np.any(m < -SUM_TOLERANCE) or np.any(m > 1.0 + SUM_TOLERANCE):
+        if not np.all((m >= -SUM_TOLERANCE) & (m <= 1.0 + SUM_TOLERANCE)):  # NaN fails too
             raise ValueError("matrix entries outside [0, 1]")
         if np.any(np.abs(m.sum(axis=1) - 1.0) > SUM_TOLERANCE):
             raise ValueError(f"rows must sum to 1, got {m.sum(axis=1)}")
@@ -124,32 +124,15 @@ def compile_vector(block: StateProbModel | TransitionRowModel) -> _Vector:
     return vector
 
 
-def _distance(model: ScenarioModel, d: float, over_range: str) -> float:
-    """``d`` under the model's distance policy; a plain in-range float passes as it is.
-
-    Everything else (ints, numpy scalars, NaN, clamping, bad policies) goes
-    through :func:`effective_distance`.
-    """
-    if type(d) is float and model.d_min <= d <= model.d_max and over_range in OVER_RANGE_POLICIES:
-        return d
-    return effective_distance(d, model.d_min, model.d_max, over_range)
-
-
 def state_probabilities(model: ScenarioModel, d: float, over_range: str = "error") -> StateProbVector:
     """Probability of LOS/NLOSv/NLOSb at distance ``d`` for one scenario."""
-    d = _distance(model, d, over_range)
+    d = effective_distance(d, model.d_min, model.d_max, over_range)
     return StateProbVector(*compile_vector(model.state_probs)(d))
-
-
-def transition_row(model: ScenarioModel, origin: int, d: float, over_range: str = "error") -> tuple[float, float, float]:
-    """One outgoing-probability row, in canonical state order; ``origin`` is a state or its int."""
-    d = _distance(model, d, over_range)
-    return compile_vector(model.rows[origin])(d)
 
 
 def transition_matrix(model: ScenarioModel, d: float, over_range: str = "error") -> TransitionMatrix:
     """Row-stochastic transition matrix assembled at exact distance ``d``."""
-    d = _distance(model, d, over_range)
+    d = effective_distance(d, model.d_min, model.d_max, over_range)
     return TransitionMatrix(np.array([compile_vector(row)(d) for row in model.rows], dtype=float), d=d)
 
 

@@ -123,22 +123,33 @@ def contains_log_bell(spec: CurveSpec) -> bool:
     )
 
 
-def _check_domain(spec: CurveSpec, d: float) -> None:
+def eval_curve(spec: CurveSpec, d: float) -> float:
+    """Probability at distance ``d``: the family value clamped into [0, 1]."""
     if not math.isfinite(d):
         raise DomainError(f"distance must be finite, got {d!r}")
     if d <= 0.0 and contains_log_bell(spec):
         raise DomainError(f"log-domain curve undefined for d <= 0, got {d!r}")
-
-
-def eval_curve(spec: CurveSpec, d: float) -> float:
-    """Probability at distance ``d``: the family value clamped into [0, 1]."""
-    _check_domain(spec, d)
     v = spec.raw(d)
-    if v < 0.0:
-        return 0.0
-    if v > 1.0:
-        return 1.0
-    return v
+    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+
+
+def check_range(spec: CurveSpec, lo: float, hi: float, what: str) -> None:
+    """Raise ValueError when ``spec`` overflows anywhere on [lo, hi].
+
+    Only ``exp_decay`` can overflow, and it is monotone, so the two ends of
+    the range settle it; a piecewise branch is checked on the sub-range
+    where it applies.
+    """
+    if isinstance(spec, Piecewise):
+        if lo < spec.d_t:
+            check_range(spec.low, lo, min(hi, math.nextafter(spec.d_t, 0.0)), what)
+        if hi >= spec.d_t:
+            check_range(spec.high, max(lo, spec.d_t), hi, what)
+        return
+    try:
+        spec.raw(lo), spec.raw(hi)
+    except OverflowError:
+        raise ValueError(f"{what} ({spec.family}) overflows on [{lo!r}, {hi!r}] m") from None
 
 
 def curve_to_dict(spec: CurveSpec) -> dict:

@@ -5,8 +5,8 @@ Every later state is drawn from the transition-matrix row selected by the
 previous state, evaluated at the distance of the step being generated. The
 sampler consults nothing but (previous state, current distance), so the
 output is a Markov chain by construction. :func:`chain` compiles its
-scenario's state vector and rows once, for that sampler alone; there is no
-process-wide cache.
+scenario's state vector and rows once, for that sampler alone. A sampler
+holds no mutable state: nothing it computes outlives the call that did so.
 
 Each trace is a strict one-second grid; the transition probabilities are
 per-second quantities and traces at other spacings are rejected. Step ``k``
@@ -35,19 +35,14 @@ from .errors import BatchError, DomainError
 from .params import ScenarioModel, effective_distance
 from .rng import RngSeed, derive_subseed, draw_bits, uniform_block
 
-# Threshold memo bound; beyond it thresholds are recomputed instead of cached.
-# Integer-metre distances need only about 1,500 entries (500 distances x 3
-# origins), while continuous distances never repeat, so a larger memo only
-# holds misses that never hit (about 28 MB at 2^18 entries).
-_ROW_CACHE_MAX = 1 << 12
 # Uniforms per block; bounds the engine's memory on long traces.
 _UNIFORM_BLOCK = 1 << 16
 # Narrowest run of traces on one distance array that is sampled across the
 # traces; narrower runs go trace by trace. A step across a narrow run costs
-# about 9 us and one step of one trace about 0.5 us, so the two paths break
-# even near 20 traces (measured on a 2-core Xeon at 200 and 500 steps, chain
-# and UMi alike).
-_SHARED_MIN = 24
+# about 11 us, its table included, and one step of one trace about 1 us, so
+# the two paths break even near 10 traces for the chain and 11-14 for UMi
+# (fitted on a 2-core Xeon at 500 and 5000 steps of an integer grid).
+_SHARED_MIN = 12
 # Steps per shared run; bounds its state matrix (one byte per step).
 _SHARED_STEPS = 1 << 20
 # Draws per block of a shared run (eight bytes each).
@@ -145,69 +140,50 @@ class Sampler:
     ``thresholds(origin, d)`` gives the cumulative thresholds (c0, c1) of a
     draw from state ``origin`` at distance ``d``, origin -1 being the initial
     draw; a uniform u picks state 0 when u < c0, state 1 when u < c1 and
-    state 2 otherwise. They are memoised per (origin, d) across all traces of
-    the sampler, up to ``_ROW_CACHE_MAX`` entries. ``trace`` takes a trace's
-    uniforms from :func:`uniform_block` in fixed-size blocks, which one scalar
-    loop walks alongside the distances; ``batch`` may instead sample a run of
-    traces on one grid together (:func:`_shared_states`). :func:`chain` and
-    :func:`umi.baseline` build the two samplers of the package.
+    state 2 otherwise. ``trace`` calls it once per step, taking the uniforms
+    from :func:`uniform_block` in fixed-size blocks, which one scalar loop
+    walks alongside the distances; ``batch`` may instead sample a run of
+    traces on one grid together from one table of the grid
+    (:func:`_shared_states`). No result is kept, so a sampler holds no
+    mutable state. :func:`chain` and :func:`umi.baseline` build the two
+    samplers of the package.
     """
 
-    __slots__ = ("thresholds", "tag", "memo")
+    __slots__ = ("thresholds", "tag")
 
     def __init__(self, thresholds: Callable[[int, float], tuple[float, float]], tag: str):
         self.thresholds = thresholds
         self.tag = tag
-        self.memo: dict[tuple[int, float], tuple[float, float]] = {}
 
-    def _states(self, distances: list[float], seed: RngSeed) -> list[int]:
-        memo, thresholds = self.memo, self.thresholds
-        get = memo.get
+    def trace(self, trace: DistanceTrace, seed: RngSeed) -> StateTrace:
+        """One state trace; step ``k`` takes draw ``k`` of ``seed``'s stream."""
+        thresholds, distances = self.thresholds, trace.distances.tolist()
         out: list[int] = []
         emit = out.append
         s = -1
         for start in range(0, len(distances), _UNIFORM_BLOCK):
             ds = distances[start:start + _UNIFORM_BLOCK]
             for u, d in zip(uniform_block(seed, start, len(ds)).tolist(), ds):
-                c = get((s, d))
-                if c is None:
-                    c = thresholds(s, d)
-                    if len(memo) < _ROW_CACHE_MAX:
-                        memo[(s, d)] = c
-                c0, c1 = c
+                c0, c1 = thresholds(s, d)
                 s = 0 if u < c0 else 1 if u < c1 else 2
                 emit(s)
-        return out
-
-    def trace(self, trace: DistanceTrace, seed: RngSeed) -> StateTrace:
-        """One state trace; step ``k`` takes draw ``k`` of ``seed``'s stream."""
-        states = np.array(self._states(trace.distances.tolist(), seed), dtype=np.int8)
+        states = np.array(out, dtype=np.int8)
         states.setflags(write=False)
         return StateTrace(trace.times, trace.distances, states, scenario=self.tag, seed=seed)
 
     def _table(self, distances: list[float]) -> np.ndarray:
         """Integer thresholds of one distance grid, shape ``(T, 3, 2)``.
 
-        Row ``k`` holds the thresholds of each origin at step ``k``, taken
-        through the memo; at step 0 every origin row holds the initial draw.
-        A uniform ``u = m / 2**53`` is below a threshold ``c`` exactly when
-        ``m < ceil(c * 2**53)``, and ``c`` is first clipped into [0, 1]
-        (``fmax`` takes NaN to 0), which changes no comparison with a ``u``
-        in [0, 1).
+        Row ``k`` holds the thresholds of each origin at step ``k``; at step 0
+        every origin row holds the initial draw. A uniform ``u = m / 2**53``
+        is below a threshold ``c`` exactly when ``m < ceil(c * 2**53)``, and
+        ``c`` is first clipped into [0, 1] (``fmax`` takes NaN to 0), which
+        changes no comparison with a ``u`` in [0, 1).
         """
-        memo, thresholds = self.memo, self.thresholds
-
-        def cached(s: int, d: float) -> tuple[float, float]:
-            c = memo.get((s, d))
-            if c is None:
-                c = thresholds(s, d)
-                if len(memo) < _ROW_CACHE_MAX:
-                    memo[(s, d)] = c
-            return c
-
+        thresholds = self.thresholds
         c = np.empty((len(distances), 3, 2))
-        c[0] = cached(-1, distances[0])
-        c[1:] = np.array([cached(s, d) for d in distances[1:] for s in (0, 1, 2)]).reshape(-1, 3, 2)
+        c[0] = thresholds(-1, distances[0])
+        c[1:] = np.array([thresholds(s, d) for d in distances[1:] for s in (0, 1, 2)]).reshape(-1, 3, 2)
         k = np.ceil(np.fmin(np.fmax(c, 0.0), 1.0) * 2.0**53).astype(np.uint64)
         # The scalar pick (0 below c0, else 1 below c1, else 2) is then the
         # count of thresholds at or below u once c1 is raised to at least c0.

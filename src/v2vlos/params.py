@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .curves import CurveSpec, as_float, check_object, curve_from_dict, curve_to_dict
+from .curves import CurveSpec, as_float, check_object, check_range, curve_from_dict, curve_to_dict
 from .errors import DistanceClampWarning, DomainError
 from .states import CANONICAL_STATES, STATE_NAMES, Density, Environment, LosState
 
@@ -74,8 +74,12 @@ class ScenarioModel:
     def __post_init__(self):
         if len(self.rows) != 3 or any(r.origin != s for r, s in zip(self.rows, CANONICAL_STATES)):
             raise ValueError("need exactly one transition row per origin state, in canonical order")
-        if not (0.0 < self.d_min < self.d_max):
-            raise ValueError("require 0 < d_min < d_max")
+        if not (0.0 < self.d_min < self.d_max < float("inf")):  # the overflow check needs finite ends
+            raise ValueError("require 0 < d_min < d_max, both finite")
+        blocks = [("state_probs", self.state_probs)] + [(f"transitions.{r.origin.name}", r) for r in self.rows]
+        for what, block in blocks:
+            for state, spec in block.explicit.items():
+                check_range(spec, self.d_min, self.d_max, f"{what}.explicit.{state.name}")
 
     @property
     def tag(self) -> str:

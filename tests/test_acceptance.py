@@ -32,7 +32,6 @@ from v2vlos import (
     pearson,
     state_probabilities,
     transition_matrix,
-    transition_row,
     umi_los_probability,
 )
 from v2vlos.estimation import bin_centers
@@ -73,7 +72,7 @@ def test_criterion_2_table_value_spot_checks():
     p_urb = state_probabilities(builtin_model(Environment.URBAN, Density.MEDIUM), 100.0).los
     ok_urb = abs(p_urb - 0.2678) <= 1e-3
 
-    p_ll = transition_row(builtin_model(Environment.URBAN, Density.MEDIUM), LosState.LOS, 200.0)[0]
+    p_ll = transition_matrix(builtin_model(Environment.URBAN, Density.MEDIUM), 200.0).m[LosState.LOS, LosState.LOS]
     ok_ll = abs(p_ll - 0.75) <= 1e-3
 
     report("criterion 2 (table spot checks)", ok_hw and ok_urb and ok_ll,

@@ -1,5 +1,6 @@
 """Probability vectors, transition matrices, repair rule, stationary solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,15 +10,17 @@ from v2vlos import (
     ConvergenceError,
     Density,
     Environment,
+    LogBell,
     LosState,
+    StateProbModel,
     StateProbVector,
     TransitionMatrix,
     builtin_model,
+    chain,
     repair_vector,
     state_probabilities,
     stationary_distribution,
     transition_matrix,
-    transition_row,
 )
 
 from conftest import all_models
@@ -56,16 +59,16 @@ def test_highway_low_near_zero_distance_repairs_to_degenerate():
 def test_urban_medium_los_row_at_200():
     p_ll = 1.5e-6 * 200.0**2 - 1.2e-3 * 200.0 + 0.93
     p_lb = -5.9e-7 * 200.0**2 + 5.4e-4 * 200.0 + 0.0069
-    row = transition_row(builtin_model(Environment.URBAN, Density.MEDIUM), LosState.LOS, 200.0)
+    row = transition_matrix(builtin_model(Environment.URBAN, Density.MEDIUM), 200.0).m[LosState.LOS].tolist()
     assert row[0] == pytest.approx(p_ll, abs=1e-12)
     assert row[2] == pytest.approx(p_lb, abs=1e-12)
     assert row[1] == pytest.approx(1.0 - p_ll - p_lb, abs=1e-12)
-    assert row == pytest.approx((0.75, 0.1587, 0.0913), abs=1e-4)
+    assert row == pytest.approx([0.75, 0.1587, 0.0913], abs=1e-4)
 
 
 def test_highway_low_nlosb_row_nlosv_exactly_zero():
     # The two explicit curves share the same bell, so the complement vanishes.
-    row = transition_row(builtin_model(Environment.HIGHWAY, Density.LOW), LosState.NLOSb, 150.0)
+    row = transition_matrix(builtin_model(Environment.HIGHWAY, Density.LOW), 150.0).m[LosState.NLOSb]
     assert row[1] == 0.0
     assert row[0] + row[2] == pytest.approx(1.0, abs=1e-12)
 
@@ -73,11 +76,12 @@ def test_highway_low_nlosb_row_nlosv_exactly_zero():
 def test_transition_row_agrees_with_matrix_rows():
     # The chain engine samples single rows; they must match the full matrix.
     for model in all_models():
+        thresholds = chain(model).thresholds
         for d in (1.0, 70.0, 90.0, 250.0, 500.0):
             tm = transition_matrix(model, d)
             for origin in LosState:
-                row = transition_row(model, origin, d)
-                assert np.allclose(tm.m[int(origin)], row, atol=0.0)
+                p0, p1, _ = tm.m[int(origin)].tolist()
+                assert thresholds(int(origin), d) == (p0, p0 + p1)
 
 
 def test_rows_sum_to_one_across_scenarios():
@@ -126,6 +130,35 @@ def test_vector_and_matrix_validation():
         TransitionMatrix(np.eye(2), d=10.0)
     with pytest.raises(ValueError):
         TransitionMatrix(np.full((3, 3), 0.5), d=10.0)
+
+
+def test_vector_and_matrix_reject_non_finite_entries():
+    nan, inf = math.nan, math.inf
+    for t in [(nan, nan, nan), (nan, 0.5, 0.5), (inf, -inf, 1.0)]:
+        with pytest.raises(ValueError):
+            StateProbVector(*t)
+    for m in [np.full((3, 3), nan), [[nan, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+              [[inf, -inf, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]:
+        with pytest.raises(ValueError):
+            TransitionMatrix(m, d=10.0)
+
+
+def test_assembly_never_returns_a_nan_probability():
+    # A loadable curve that is NaN at 100 m: 1/(s*d) overflows to inf and the bell underflows to 0.
+    bell = LogBell(s=5e-324, mu=0.0, k=1e-300)
+    assert math.isnan(bell.raw(100.0))
+    model = builtin_model(Environment.URBAN, Density.MEDIUM)
+    los_row = model.rows[0]
+    explicit = {LosState.LOS: bell, LosState.NLOSb: los_row.explicit[LosState.NLOSb]}
+    model = dataclasses.replace(
+        model,
+        state_probs=StateProbModel(explicit, complement=LosState.NLOSv),
+        rows=(dataclasses.replace(los_row, explicit=explicit), *model.rows[1:]),
+    )
+    with pytest.raises(ValueError):
+        state_probabilities(model, 100.0)
+    with pytest.raises(ValueError):
+        transition_matrix(model, 100.0)
 
 
 def test_matrix_is_immutable():

@@ -32,7 +32,6 @@ from v2vlos import (
     chain,
     state_probabilities,
     transition_matrix,
-    transition_row,
 )
 
 from conftest import all_models
@@ -98,10 +97,15 @@ def bits(values):
     return tuple(float(v).hex() for v in values)
 
 
+def row(model, origin, d, over_range="error"):
+    """One row of the public transition matrix, as a tuple of floats."""
+    return tuple(transition_matrix(model, d, over_range).m[origin].tolist())
+
+
 def compiled(model, origin, d):
     if origin < 0:
         return state_probabilities(model, d).as_tuple()
-    return transition_row(model, origin, d)
+    return row(model, origin, d)
 
 
 L, V, B = LosState.LOS, LosState.NLOSv, LosState.NLOSb
@@ -154,7 +158,7 @@ def test_chain_thresholds_match_reference(model, origin, d):
 
 def test_model_floor_is_the_models_own():
     with pytest.warns(DistanceClampWarning):
-        assert transition_row(PERMUTED, 0, 1.5) == transition_row(PERMUTED, 0, 2.0)
+        assert row(PERMUTED, 0, 1.5) == row(PERMUTED, 0, 2.0)
 
 
 def _piecewise_thresholds(model):
@@ -183,22 +187,22 @@ def test_highway_thresholds_are_covered():
 
 def test_urban_low_nlosb_row_is_repaired_everywhere_and_matches():
     model = next(m for m in MODELS if m.tag == "urban-low")
-    row = model.rows[2]
+    nlosb = model.rows[2]
     for d in np.linspace(1.0, 500.0, 999).tolist():
-        raw = ref_unrepaired(row.explicit, row.complement, d)
+        raw = ref_unrepaired(nlosb.explicit, nlosb.complement, d)
         assert ref_repair(raw) != raw  # the repair branch runs at every distance
-        assert bits(transition_row(model, 2, d)) == bits(ref_repair(raw))
+        assert bits(row(model, 2, d)) == bits(ref_repair(raw))
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.tag)
 def test_non_float_distances_take_the_checked_path(model):
     for origin in (0, 1, 2):
-        expected = transition_row(model, origin, 37.0)
-        assert transition_row(model, origin, 37) == expected
-        assert transition_row(model, origin, np.float64(37.0)) == expected
+        expected = row(model, origin, 37.0)
+        assert row(model, origin, 37) == expected
+        assert row(model, origin, np.float64(37.0)) == expected
     for bad in (True, math.nan, math.inf, -5.0, 0.0, "37"):
         with pytest.raises(DomainError):
-            transition_row(model, 0, bad)
+            transition_matrix(model, bad)
         with pytest.raises(DomainError):
             state_probabilities(model, bad)
 
@@ -206,19 +210,19 @@ def test_non_float_distances_take_the_checked_path(model):
 def test_distance_policies_apply_to_compiled_rows():
     model = MODELS[0]
     with pytest.warns(DistanceClampWarning):
-        low = transition_row(model, 1, 0.25)
-    assert low == transition_row(model, 1, 1.0)
+        low = row(model, 1, 0.25)
+    assert low == row(model, 1, 1.0)
     with pytest.raises(DomainError):
-        transition_row(model, 1, 500.5)
+        row(model, 1, 500.5)
     with pytest.raises(DomainError):
-        transition_matrix(model, 500.5)
+        state_probabilities(model, 500.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert transition_row(model, 1, 500.5, over_range="clamp") == transition_row(model, 1, 500.0)
+        assert row(model, 1, 500.5, over_range="clamp") == row(model, 1, 500.0)
         assert transition_matrix(model, 900.0, over_range="clamp").d == 500.0
     # An unknown policy is rejected even where it would not matter.
     with pytest.raises(ValueError):
-        transition_row(model, 1, 100.0, over_range="wrap")
+        transition_matrix(model, 100.0, over_range="wrap")
     with pytest.raises(ValueError):
         state_probabilities(model, 100.0, over_range="wrap")
     with pytest.raises(ValueError):

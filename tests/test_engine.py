@@ -2,7 +2,7 @@
 
 The reference below is the plain sampler: one ``SplitMix64.next_float`` per
 step, the initial state drawn from ``state_probabilities`` by inverse CDF and
-every later one from a freshly assembled ``transition_row``; the urban-micro
+every later one from a freshly compiled transition row; the urban-micro
 baseline draws LOS when the uniform falls below P(LOS). The engine must
 reproduce it byte for byte.
 """
@@ -32,12 +32,13 @@ from v2vlos import (
     builtin_model,
     chain,
     derive_subseed,
+    effective_distance,
     state_probabilities,
     synth_distance_trace,
-    transition_row,
     umi_los_probability,
 )
 from v2vlos import markov
+from v2vlos.assembly import compile_vector
 from v2vlos.rng import uniform_block
 
 URBAN_MEDIUM = builtin_model(Environment.URBAN, Density.MEDIUM)
@@ -51,7 +52,7 @@ def reference_states(model, trace, seed, over_range="error"):
     s = 0 if u < p.los else (1 if u < p.los + p.nlosv else 2)
     out = [s]
     for d in ds[1:]:
-        p0, p1, _ = transition_row(model, LosState(s), d, over_range=over_range)
+        p0, p1, _ = compile_vector(model.rows[s])(effective_distance(d, model.d_min, model.d_max, over_range))
         u = rng.next_float()
         s = 0 if u < p0 else (1 if u < p0 + p1 else 2)
         out.append(s)
@@ -134,12 +135,6 @@ def test_umi_matches_reference():
         assert out.scenario == "umi"
 
 
-def test_memo_cap_does_not_change_output(monkeypatch):
-    monkeypatch.setattr(markov, "_ROW_CACHE_MAX", 4)
-    traces = [walk_trace(200, i) for i in range(3)] + [DistanceTrace.from_distances(np.arange(1.0, 201.0))]
-    assert_batch_matches(URBAN_MEDIUM, traces, 8, list(chain(URBAN_MEDIUM).batch(traces, 8)))
-
-
 def test_batch_error_lists_exactly_the_failing_indices():
     good = walk_trace(50, 1)
     late = DistanceTrace.from_distances([490.0, 499.0, 505.0])  # fails on its last step
@@ -220,8 +215,7 @@ def test_shared_runs_match_per_trace_sampling(sampler, grids, order, seed, width
     with warnings.catch_warnings(), mock.patch.object(markov, "_SHARED_MIN", width), \
             mock.patch.object(markov, "_SHARED_STEPS", cap * longest), mock.patch.object(markov, "_SHARED_BLOCK", block):
         warnings.simplefilter("ignore", DistanceClampWarning)
-        # The reference gets a sampler of its own, so the two share no memo.
-        expected, expected_failures = reference_batch(markov.Sampler(sampler.thresholds, sampler.tag), traces, seed)
+        expected, expected_failures = reference_batch(sampler, traces, seed)
         got, failures = [], []
         try:
             got.extend(sampler.batch(once() if lazy else traces, seed))

@@ -1,9 +1,9 @@
 """Chain generation: sampling, determinism, Markov structure, batches."""
 
-import random
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2vlos import (
     BatchError,
@@ -22,6 +22,7 @@ from v2vlos import (
     stationary_distribution,
     transition_matrix,
 )
+from v2vlos import markov
 from v2vlos.params import ScenarioModel, StateProbModel, TransitionRowModel
 
 URBAN_MEDIUM = builtin_model(Environment.URBAN, Density.MEDIUM)
@@ -167,11 +168,17 @@ def test_sampler_consults_only_previous_state_and_current_distance():
         return real(origin, d)
 
     sampler.thresholds = instrumented
-    # Strictly increasing distances keep the row memo cold, one call per step.
-    trace = DistanceTrace.from_distances(np.linspace(10.0, 60.0, 51))
-    out = sampler.trace(trace, 3)
-    expected = [(int(out.states[k - 1]), float(trace.distances[k])) for k in range(1, len(trace))]
-    assert calls == [(-1, float(trace.distances[0]))] + expected
+    rising = DistanceTrace.from_distances(np.linspace(10.0, 60.0, 51))
+    repeated = DistanceTrace.from_distances(np.tile([20.0, 20.0, 35.0, 20.0], 13))
+    # The repeated trace runs twice on one sampler: nothing of the first run is kept for the second.
+    outs = []
+    for trace in (rising, repeated, repeated):
+        calls.clear()
+        out = sampler.trace(trace, 3)
+        expected = [(int(out.states[k - 1]), float(trace.distances[k])) for k in range(1, len(trace))]
+        assert calls == [(-1, float(trace.distances[0]))] + expected
+        outs.append(out.states.tobytes())
+    assert outs[1] == outs[2]
 
 
 def test_long_run_occupancy_matches_stationary():
@@ -188,18 +195,40 @@ def test_generate_batch_empty():
     assert list(chain(URBAN_MEDIUM).batch([], 1)) == []
 
 
-def test_generate_batch_order_independence():
-    traces = [DistanceTrace.from_distances(np.linspace(10.0 + i, 200.0 + i, 120)) for i in range(8)]
-    batch = list(chain(URBAN_MEDIUM).batch(traces, 42))
-    # Computing each index on its own, in shuffled order, gives the same output.
-    order = list(range(8))
-    random.Random(0).shuffle(order)
-    redone = {}
-    for i in order:
-        redone[i] = chain(URBAN_MEDIUM).trace(traces[i], derive_subseed(42, i))
-    for i in range(8):
-        assert np.array_equal(batch[i].states, redone[i].states)
-        assert batch[i].seed == derive_subseed(42, i)
+_grids = st.sampled_from([
+    DistanceTrace.from_distances(np.arange(1.0, 41.0)),  # integer metres
+    DistanceTrace.from_distances(np.arange(300.0, 260.0, -1.0)),
+    DistanceTrace.from_distances(np.linspace(10.5, 200.25, 33)),  # continuous
+    DistanceTrace.from_distances(np.linspace(499.5, 3.75, 25)),
+])
+# Runs of traces on one grid, narrower than, as wide as and wider than a shared run.
+_width = st.sampled_from([1, 2, markov._SHARED_MIN - 1, markov._SHARED_MIN, markov._SHARED_MIN + 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scenario=st.sampled_from([(e, d) for e in Environment for d in Density]),
+    runs=st.lists(st.tuples(_grids, _width), min_size=1, max_size=4),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_generate_batch_order_independence(scenario, runs, seed, data):
+    model = builtin_model(*scenario)
+    traces = [grid for grid, width in runs for _ in range(width)]
+    # The whole batch, a permutation of it, and a subset in order (whose runs stay together).
+    n = len(traces)
+    shuffled = data.draw(st.permutations(range(n)))
+    subset = sorted(data.draw(st.lists(st.integers(0, n - 1), unique=True)))
+    reference = chain(model)
+    for picked in (list(range(n)), shuffled, subset):
+        batch = [traces[k] for k in picked]
+        outs = list(chain(model).batch(batch, seed))
+        assert len(outs) == len(batch)
+        # Each trace is redone on its own, in shuffled order, from its sub-seed alone.
+        for i in data.draw(st.permutations(range(len(batch)))):
+            sub = derive_subseed(seed, i)
+            assert outs[i].seed == sub
+            assert outs[i].states.tobytes() == reference.trace(batch[i], sub).states.tobytes()
 
 
 def test_generate_batch_aggregates_failures_with_indices():

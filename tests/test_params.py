@@ -9,6 +9,7 @@ import pytest
 from v2vlos import (
     Density,
     DistanceClampWarning,
+    DistanceTrace,
     DomainError,
     Environment,
     ExpDecay,
@@ -18,10 +19,12 @@ from v2vlos import (
     Piecewise,
     Poly2,
     builtin_model,
+    chain,
     effective_distance,
     load_scenario,
     save_scenario,
     scenario_json,
+    state_probabilities,
 )
 from v2vlos.curves import curve_from_dict
 from v2vlos.params import (
@@ -156,6 +159,46 @@ def test_model_construction_validation():
                       d_min=0.0, d_max=500.0)
 
 
+def _urban_medium_with_exp_decay_b(b, tmp_path):
+    """The shipped urban-medium file with ``b`` set on its every exp_decay curve, written to a file."""
+    text = resources.files("v2vlos").joinpath("data", "urban_medium.json").read_text(encoding="utf-8")
+    obj = json.loads(text, object_hook=lambda o: {**o, "b": b} if o.get("family") == "exp_decay" else o)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+def test_exp_decay_that_overflows_in_range_is_rejected_at_load(tmp_path):
+    # math.exp(10 * 500) overflows; evaluating it would raise a bare OverflowError.
+    with pytest.raises(ValueError, match="overflows"):
+        load_scenario(_urban_medium_with_exp_decay_b(-10.0, tmp_path))
+    # A mildly negative b still loads and evaluates everywhere in [1, 500] m.
+    model = load_scenario(_urban_medium_with_exp_decay_b(-0.01, tmp_path))
+    assert model.state_probs.explicit[LosState.LOS] == ExpDecay(0.8372, -0.01)
+    for d in (1.0, 100.0, 500.0):
+        assert sum(state_probabilities(model, d).as_tuple()) == pytest.approx(1.0, abs=1e-9)
+    chain(model).trace(DistanceTrace.from_distances([1.0, 100.0, 500.0]), 0)
+
+
+def test_piecewise_branches_are_checked_where_they_apply():
+    model = builtin_model(Environment.HIGHWAY, Density.MEDIUM)
+    steep = ExpDecay(0.5, -2.0)  # exp(2 d) overflows above about 355 m
+    flat = Poly2(0.0, 0.0, 0.5)
+
+    def with_los_curve(curve):
+        row = model.rows[LosState.NLOSv]
+        explicit = {**row.explicit, LosState.LOS: curve}
+        rows = tuple(TransitionRowModel(r.origin, explicit, r.complement) if r is row else r for r in model.rows)
+        return ScenarioModel(model.environment, model.density, model.state_probs, rows, model.d_min, model.d_max)
+
+    # Below 300 m the steep branch stays finite, and it never applies above d_max.
+    with_los_curve(Piecewise(300.0, steep, flat))
+    with_los_curve(Piecewise(600.0, flat, Piecewise(700.0, flat, steep)))
+    for curve in (Piecewise(300.0, flat, steep), Piecewise(400.0, steep, flat), steep):
+        with pytest.raises(ValueError, match="transitions.NLOSv.explicit.LOS"):
+            with_los_curve(curve)
+
+
 def test_scenario_json_is_valid_json_tree():
     text = scenario_json(builtin_model(Environment.HIGHWAY, Density.MEDIUM))
     obj = json.loads(text)
@@ -205,6 +248,8 @@ MALFORMED = {
         lambda o: o["valid_range"].__setitem__("d_max", None))),
     "numeric-text-d-min": (scenario_from_dict, lambda: _scenario_with(
         lambda o: o["valid_range"].__setitem__("d_min", "1.0"))),
+    "infinite-d-max": (scenario_from_dict, lambda: _scenario_with(
+        lambda o: o["valid_range"].__setitem__("d_max", math.inf))),
     "boolean-d-max": (scenario_from_dict, lambda: _scenario_with(
         lambda o: o["valid_range"].__setitem__("d_max", True))),
     "valid-range-not-an-object": (scenario_from_dict, lambda: _scenario_with(
