@@ -57,7 +57,6 @@ from .markov import DistanceTrace, Sampler, StateTrace, chain
 from .params import (
     ScenarioModel,
     StateProbModel,
-    TransitionRowModel,
     builtin_model,
     effective_distance,
     load_scenario,

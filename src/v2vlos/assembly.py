@@ -5,12 +5,14 @@ complement to one. Curve-fit imperfection can drive the complement negative
 at extreme distances, in which case a deterministic repair is applied: the
 smallest of the three values is forced to zero, the best-supported (largest)
 explicit value is kept, and the remaining one is set to one minus the kept
-value. :func:`compile_vector` turns a state vector or a transition row into
-one flat evaluator over the curves' ``raw`` methods. Each sampler compiles
-its scenario once (:func:`v2vlos.markov.chain`); :func:`state_probabilities`
-and :func:`transition_matrix` apply the distance policy and compile only
-what they evaluate, so nothing is cached. All functions here are pure and
-safe to call concurrently.
+value. A transition row is the probability vector of the next state, so
+:func:`compile_vector` turns the state vector or any row (each a
+:class:`~v2vlos.params.StateProbModel`) into one flat evaluator over the
+curves' ``raw`` methods. Each sampler compiles its scenario once
+(:func:`v2vlos.markov.chain`); :func:`state_probabilities` and
+:func:`transition_matrix` apply the distance policy and compile only what
+they evaluate, so nothing is cached. All functions here are pure and safe
+to call concurrently.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError
-from .params import ScenarioModel, StateProbModel, TransitionRowModel, effective_distance
+from .params import ScenarioModel, StateProbModel, effective_distance
 from .states import CANONICAL_STATES, LosState
 
 SUM_TOLERANCE = 1e-9
@@ -93,7 +95,7 @@ def repair_vector(values: tuple[float, float, float]) -> tuple[float, float, flo
 _Vector = Callable[[float], tuple[float, float, float]]
 
 
-def compile_vector(block: StateProbModel | TransitionRowModel) -> _Vector:
+def compile_vector(block: StateProbModel) -> _Vector:
     """Evaluator of one probability triple at an in-domain distance.
 
     Both explicit curves are clamped into [0, 1], the complement state gets

@@ -14,6 +14,7 @@ runtime or domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -37,8 +38,6 @@ from .markov import DistanceTrace, chain
 from .params import (
     OVER_RANGE_POLICIES,
     ScenarioModel,
-    StateProbModel,
-    TransitionRowModel,
     builtin_model,
     scenario_json,
 )
@@ -271,25 +270,17 @@ def _correlation_report(model: ScenarioModel, centers: np.ndarray, emp_state: Bi
 
 
 def _refit_model(model: ScenarioModel, centers: np.ndarray, emp_state: BinnedProbs, emp_trans: BinnedProbs) -> ScenarioModel:
-    def points(values, defined):
-        return [(float(c), float(v)) for c, v, ok in zip(centers, values, defined) if ok]
-
-    explicit_state = {
-        s: fit_same_family(spec, points(emp_state.probs[:, int(s)], emp_state.defined)).spec
-        for s, spec in model.state_probs.explicit.items()
-    }
-    rows = []
-    for row in model.rows:
-        explicit_row = {
-            target: fit_same_family(
-                spec,
-                points(emp_trans.probs[:, int(row.origin), int(target)], emp_trans.defined[:, int(row.origin)]),
-            ).spec
-            for target, spec in row.explicit.items()
+    def refit(block, probs, defined):
+        """``block`` with each explicit curve refitted to its state's column over the defined bins."""
+        explicit = {
+            s: fit_same_family(spec, list(zip(centers[defined].tolist(), probs[defined, int(s)].tolist()))).spec
+            for s, spec in block.explicit.items()
         }
-        rows.append(TransitionRowModel(row.origin, explicit_row, row.complement))
-    state_probs = StateProbModel(explicit_state, model.state_probs.complement)
-    return ScenarioModel(model.environment, model.density, state_probs, tuple(rows), model.d_min, model.d_max)
+        return dataclasses.replace(block, explicit=explicit)
+
+    state_probs = refit(model.state_probs, emp_state.probs, emp_state.defined)
+    rows = tuple(refit(row, emp_trans.probs[:, o], emp_trans.defined[:, o]) for o, row in enumerate(model.rows))
+    return dataclasses.replace(model, state_probs=state_probs, rows=rows)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:

@@ -36,7 +36,8 @@ class Poly2:
         if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
             raise ValueError("Poly2 coefficients must be finite")
 
-    def raw(self, d: float) -> float:
+    def raw(self, d):
+        """The value at ``d``, a float or a numpy array."""
         return (self.a * d + self.b) * d + self.c
 
 
@@ -134,11 +135,14 @@ def eval_curve(spec: CurveSpec, d: float) -> float:
 
 
 def check_range(spec: CurveSpec, lo: float, hi: float, what: str) -> None:
-    """Raise ValueError when ``spec`` overflows anywhere on [lo, hi].
+    """Raise ValueError unless ``spec`` is finite at both ends of [lo, hi].
 
-    Only ``exp_decay`` can overflow, and it is monotone, so the two ends of
-    the range settle it; a piecewise branch is checked on the sub-range
-    where it applies.
+    A piecewise branch is checked on the sub-range where it applies. The
+    ends then rule out an error or NaN anywhere in the range. Only
+    ``exp_decay`` can overflow, and it is monotone. Only ``log_bell`` can be
+    NaN: an infinite scale 1/(s*d) times a bell that underflows to zero, and
+    that scale is largest at the low end. (A sum can still reach +-inf
+    inside the range, which the [0, 1] clamp handles.)
     """
     if isinstance(spec, Piecewise):
         if lo < spec.d_t:
@@ -147,9 +151,11 @@ def check_range(spec: CurveSpec, lo: float, hi: float, what: str) -> None:
             check_range(spec.high, max(lo, spec.d_t), hi, what)
         return
     try:
-        spec.raw(lo), spec.raw(hi)
-    except OverflowError:
-        raise ValueError(f"{what} ({spec.family}) overflows on [{lo!r}, {hi!r}] m") from None
+        finite = math.isfinite(spec.raw(lo)) and math.isfinite(spec.raw(hi))
+    except (OverflowError, ZeroDivisionError):  # math.exp overflows, or s*d underflows to zero
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} ({spec.family}) overflows or is not finite on [{lo!r}, {hi!r}] m")
 
 
 def curve_to_dict(spec: CurveSpec) -> dict:

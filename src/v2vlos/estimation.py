@@ -158,7 +158,7 @@ def fit_poly2(points: Iterable[tuple[float, float]]) -> FitResult:
     except np.linalg.LinAlgError as exc:
         raise SingularError(f"normal equations are singular: {exc}") from exc
     spec = Poly2(float(beta[0]) / (scale * scale), float(beta[1]) / scale, float(beta[2]))
-    resid = (spec.a * d + spec.b) * d + spec.c - y
+    resid = spec.raw(d) - y
     return FitResult(spec, float(resid @ resid))
 
 
@@ -278,21 +278,18 @@ def fit_offset_minus_logbell(points: Iterable[tuple[float, float]]) -> FitResult
     return FitResult(spec, refined_sse)
 
 
+# Family class -> its fit; piecewise curves split their points instead.
+_FITS = {Poly2: fit_poly2, ExpDecay: fit_expdecay, LogBell: fit_logbell, OffsetMinusLogBell: fit_offset_minus_logbell}
+
+
 def fit_same_family(template: CurveSpec, points: Iterable[tuple[float, float]]) -> FitResult:
     """Fit the family of ``template`` to the points (piecewise splits kept)."""
-    if isinstance(template, Poly2):
-        return fit_poly2(points)
-    if isinstance(template, ExpDecay):
-        return fit_expdecay(points)
-    if isinstance(template, LogBell):
-        return fit_logbell(points)
-    if isinstance(template, OffsetMinusLogBell):
-        return fit_offset_minus_logbell(points)
     if isinstance(template, Piecewise):
         pts = list(points)
-        low_pts = [p for p in pts if p[0] < template.d_t]
-        high_pts = [p for p in pts if p[0] >= template.d_t]
-        low = fit_same_family(template.low, low_pts)
-        high = fit_same_family(template.high, high_pts)
+        low = fit_same_family(template.low, [p for p in pts if p[0] < template.d_t])
+        high = fit_same_family(template.high, [p for p in pts if p[0] >= template.d_t])
         return FitResult(Piecewise(template.d_t, low.spec, high.spec), low.sse + high.sse)
-    raise TypeError(f"unknown curve spec {type(template).__name__}")
+    fit = _FITS.get(type(template))
+    if fit is None:
+        raise TypeError(f"unknown curve spec {type(template).__name__}")
+    return fit(points)

@@ -3,11 +3,12 @@
 Six builtin scenarios (urban/highway x low/medium/high density) carry the
 published fitted coefficients verbatim. Their only copy is the shipped
 parameter files ``data/{environment}_{density}.json``, which
-:func:`builtin_model` reads. Each scenario stores two explicit
-state-probability curves plus two explicit outgoing-transition curves per
-origin state; the third value is always the complement to one, assembled in
-:mod:`v2vlos.assembly`. Highway transitions out of NLOSv are piecewise, with
-a density-dependent threshold: 70 m at low density, 90 m at medium and high.
+:func:`builtin_model` reads. Each scenario stores four probability vectors:
+the state probabilities and one transition row per origin state, each two
+explicit curves; the third value is always the complement to one, assembled
+in :mod:`v2vlos.assembly`. Highway transitions out of NLOSv are piecewise,
+with a density-dependent threshold: 70 m at low density, 90 m at medium and
+high.
 
 Models are immutable after construction and safe to share across threads.
 """
@@ -37,7 +38,7 @@ OVER_RANGE_POLICIES = ("error", "clamp")
 
 @dataclass(frozen=True)
 class StateProbModel:
-    """Two explicit state-probability curves; the third state is the complement."""
+    """State probabilities, or one origin's transition row: two explicit curves and the complement."""
 
     explicit: Mapping[LosState, CurveSpec]
     complement: LosState
@@ -45,21 +46,7 @@ class StateProbModel:
     def __post_init__(self):
         states = set(self.explicit) | {self.complement}
         if len(self.explicit) != 2 or self.complement in self.explicit or states != set(CANONICAL_STATES):
-            raise ValueError("state-probability model must name two explicit states and a distinct complement")
-
-
-@dataclass(frozen=True)
-class TransitionRowModel:
-    """Two explicit outgoing-transition curves for one origin state."""
-
-    origin: LosState
-    explicit: Mapping[LosState, CurveSpec]
-    complement: LosState
-
-    def __post_init__(self):
-        targets = set(self.explicit) | {self.complement}
-        if len(self.explicit) != 2 or self.complement in self.explicit or targets != set(CANONICAL_STATES):
-            raise ValueError("transition row must name two explicit targets and a distinct complement")
+            raise ValueError("probability vector must name two explicit states and a distinct complement")
 
 
 @dataclass(frozen=True)
@@ -67,17 +54,17 @@ class ScenarioModel:
     environment: Environment
     density: Density
     state_probs: StateProbModel
-    rows: tuple[TransitionRowModel, TransitionRowModel, TransitionRowModel]
+    rows: tuple[StateProbModel, StateProbModel, StateProbModel]  # indexed by origin state
     d_min: float = DEFAULT_D_MIN
     d_max: float = DEFAULT_D_MAX
 
     def __post_init__(self):
-        if len(self.rows) != 3 or any(r.origin != s for r, s in zip(self.rows, CANONICAL_STATES)):
-            raise ValueError("need exactly one transition row per origin state, in canonical order")
-        if not (0.0 < self.d_min < self.d_max < float("inf")):  # the overflow check needs finite ends
+        if len(self.rows) != 3:
+            raise ValueError("need exactly one transition row per origin state")
+        if not (0.0 < self.d_min < self.d_max < float("inf")):  # the curve check needs finite ends
             raise ValueError("require 0 < d_min < d_max, both finite")
-        blocks = [("state_probs", self.state_probs)] + [(f"transitions.{r.origin.name}", r) for r in self.rows]
-        for what, block in blocks:
+        names = ("state_probs", *(f"transitions.{o.name}" for o in CANONICAL_STATES))
+        for what, block in zip(names, (self.state_probs, *self.rows)):
             for state, spec in block.explicit.items():
                 check_range(spec, self.d_min, self.d_max, f"{what}.explicit.{state.name}")
 
@@ -123,7 +110,7 @@ def effective_distance(
     return d
 
 
-def _block_to_dict(block: StateProbModel | TransitionRowModel) -> dict:
+def _block_to_dict(block: StateProbModel) -> dict:
     return {
         "explicit": {s.name: curve_to_dict(c) for s, c in block.explicit.items()},
         "complement": block.complement.name,
@@ -153,7 +140,7 @@ def scenario_to_dict(model: ScenarioModel) -> dict:
         "density": model.density.value,
         "valid_range": {"d_min": model.d_min, "d_max": model.d_max},
         "state_probs": _block_to_dict(model.state_probs),
-        "transitions": {row.origin.name: _block_to_dict(row) for row in model.rows},
+        "transitions": {o.name: _block_to_dict(row) for o, row in zip(CANONICAL_STATES, model.rows)},
     }
 
 
@@ -164,10 +151,8 @@ def scenario_from_dict(obj: dict) -> ScenarioModel:
     if obj["format"] != SCENARIO_FORMAT or obj["version"] != SCENARIO_FORMAT_VERSION:
         raise ValueError(f"unsupported scenario format {obj['format']!r} v{obj['version']!r}")
     transitions = check_object(obj["transitions"], set(STATE_NAMES), "transitions")
-    rows = tuple(
-        TransitionRowModel(origin, *_block_from_dict(transitions[origin.name], f"transitions.{origin.name}"))
-        for origin in CANONICAL_STATES
-    )
+    rows = tuple(StateProbModel(*_block_from_dict(transitions[o.name], f"transitions.{o.name}"))
+                 for o in CANONICAL_STATES)
     valid_range = check_object(obj["valid_range"], {"d_min", "d_max"}, "valid_range")
     return ScenarioModel(
         Environment(obj["environment"]),

@@ -1,6 +1,6 @@
 import pytest
 
-from v2vlos import Density, Environment, builtin_model
+from v2vlos import CANONICAL_STATES, Density, Environment, builtin_model
 
 ALL_SCENARIOS = [(e, d) for e in Environment for d in Density]
 
@@ -17,6 +17,6 @@ def all_models():
 def model_curves(model):
     """Every (label, CurveSpec) pair carried by one scenario model."""
     out = [(f"state:{s.name}", spec) for s, spec in model.state_probs.explicit.items()]
-    for row in model.rows:
-        out.extend((f"row:{row.origin.name}->{t.name}", spec) for t, spec in row.explicit.items())
+    for origin, row in zip(CANONICAL_STATES, model.rows):
+        out.extend((f"row:{origin.name}->{t.name}", spec) for t, spec in row.explicit.items())
     return out

@@ -1,14 +1,19 @@
 """Probability vectors, transition matrices, repair rule, stationary solver."""
 
 import dataclasses
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from v2vlos import (
     ConvergenceError,
     Density,
+    DistanceTrace,
     Environment,
     LogBell,
     LosState,
@@ -17,11 +22,16 @@ from v2vlos import (
     TransitionMatrix,
     builtin_model,
     chain,
+    load_scenario,
     repair_vector,
     state_probabilities,
     stationary_distribution,
     transition_matrix,
 )
+from v2vlos import markov
+from v2vlos.curves import curve_to_dict
+from v2vlos.params import scenario_from_dict, scenario_to_dict
+from v2vlos.states import STATE_NAMES
 
 from conftest import all_models
 
@@ -143,22 +153,72 @@ def test_vector_and_matrix_reject_non_finite_entries():
             TransitionMatrix(m, d=10.0)
 
 
-def test_assembly_never_returns_a_nan_probability():
-    # A loadable curve that is NaN at 100 m: 1/(s*d) overflows to inf and the bell underflows to 0.
+def test_assembly_never_returns_a_nan_probability(tmp_path):
+    # A curve that is NaN at 100 m: 1/(s*d) overflows to inf and the bell underflows to 0.
+    # No model can hold it, so neither assembly nor a sampler ever evaluates it.
     bell = LogBell(s=5e-324, mu=0.0, k=1e-300)
     assert math.isnan(bell.raw(100.0))
     model = builtin_model(Environment.URBAN, Density.MEDIUM)
     los_row = model.rows[0]
     explicit = {LosState.LOS: bell, LosState.NLOSb: los_row.explicit[LosState.NLOSb]}
-    model = dataclasses.replace(
-        model,
-        state_probs=StateProbModel(explicit, complement=LosState.NLOSv),
-        rows=(dataclasses.replace(los_row, explicit=explicit), *model.rows[1:]),
-    )
-    with pytest.raises(ValueError):
-        state_probabilities(model, 100.0)
-    with pytest.raises(ValueError):
-        transition_matrix(model, 100.0)
+    with pytest.raises(ValueError, match="state_probs.explicit.LOS"):
+        dataclasses.replace(model, state_probs=StateProbModel(explicit, complement=LosState.NLOSv))
+    with pytest.raises(ValueError, match="transitions.LOS.explicit.LOS"):
+        dataclasses.replace(model, rows=(dataclasses.replace(los_row, explicit=explicit), *model.rows[1:]))
+    obj = scenario_to_dict(model)
+    obj["transitions"]["LOS"]["explicit"]["LOS"] = curve_to_dict(bell)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValueError, match="transitions.LOS.explicit.LOS"):
+        load_scenario(path)
+
+
+# Finite coefficients over wide magnitudes: plausible values, and any finite float.
+_coef = st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=False, allow_infinity=False))
+_positive = st.one_of(st.floats(1e-3, 10.0), st.floats(min_value=5e-324, allow_infinity=False))
+_log_bell = st.fixed_dictionaries({"family": st.just("log_bell"), "s": _positive, "mu": _coef, "k": _positive})
+_curve = st.recursive(
+    st.one_of(
+        st.fixed_dictionaries({"family": st.just("poly2"), "a": _coef, "b": _coef, "c": _coef}),
+        st.fixed_dictionaries({"family": st.just("exp_decay"), "a": _coef, "b": _coef}),
+        _log_bell,
+        st.fixed_dictionaries({"family": st.just("offset_minus_log_bell"), "offset": _coef, "inner": _log_bell}),
+    ),
+    lambda inner: st.fixed_dictionaries(
+        {"family": st.just("piecewise"), "d_t": st.floats(0.5, 600.0), "low": inner, "high": inner}),
+    max_leaves=2,
+)
+
+
+@st.composite
+def _vector(draw):
+    complement = draw(st.sampled_from(STATE_NAMES))
+    return {"explicit": {s: draw(_curve) for s in STATE_NAMES if s != complement}, "complement": complement}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    state_probs=_vector(),
+    rows=st.tuples(_vector(), _vector(), _vector()),
+    distances=st.lists(st.floats(1.0, 500.0), min_size=1, max_size=20),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_any_loadable_scenario_assembles_everywhere_in_range(state_probs, rows, distances, seed):
+    obj = scenario_to_dict(builtin_model(Environment.URBAN, Density.MEDIUM))
+    obj.update(state_probs=state_probs, transitions=dict(zip(STATE_NAMES, rows)))
+    try:
+        model = scenario_from_dict(obj)
+    except ValueError:
+        assume(False)
+    distances = [1.0, *distances, 500.0]
+    for d in distances:
+        state_probabilities(model, d)
+        transition_matrix(model, d)
+    # Three traces on one grid go trace by trace, or as one shared run when _SHARED_MIN is 1.
+    traces = [DistanceTrace.from_distances(distances)] * 3
+    per_trace = [out.states.tobytes() for out in chain(model).batch(traces, seed)]
+    with mock.patch.object(markov, "_SHARED_MIN", 1):
+        assert [out.states.tobytes() for out in chain(model).batch(traces, seed)] == per_trace
 
 
 def test_matrix_is_immutable():

@@ -28,7 +28,6 @@ from v2vlos import (
     Poly2,
     ScenarioModel,
     StateProbModel,
-    TransitionRowModel,
     chain,
     state_probabilities,
     transition_matrix,
@@ -117,10 +116,10 @@ PERMUTED = ScenarioModel(
     Density.LOW,
     StateProbModel({B: ExpDecay(0.8372, 0.0114), V: LogBell(0.0312, 5.0063, 2.4544)}, complement=L),
     (
-        TransitionRowModel(L, {V: Poly2(1.5e-6, -1.2e-3, 0.93), B: Poly2(-5.9e-7, 5.4e-4, 0.0069)}, complement=L),
-        TransitionRowModel(V, {B: Piecewise(90.0, Poly2(-4.8e-5, -5.62e-3, 1.11), Poly2(-2.286e-6, 1.443e-3, 0.1022)),
-                               L: OffsetMinusLogBell(0.9132, LogBell(0.0484, 4.7076, 0.7480))}, complement=V),
-        TransitionRowModel(B, {L: LogBell(0.0346, 5.021, 1.5875), V: Poly2(-2.7e-7, 1.5e-4, -0.0031)}, complement=B),
+        StateProbModel({V: Poly2(1.5e-6, -1.2e-3, 0.93), B: Poly2(-5.9e-7, 5.4e-4, 0.0069)}, complement=L),
+        StateProbModel({B: Piecewise(90.0, Poly2(-4.8e-5, -5.62e-3, 1.11), Poly2(-2.286e-6, 1.443e-3, 0.1022)),
+                        L: OffsetMinusLogBell(0.9132, LogBell(0.0484, 4.7076, 0.7480))}, complement=V),
+        StateProbModel({L: LogBell(0.0346, 5.021, 1.5875), V: Poly2(-2.7e-7, 1.5e-4, -0.0031)}, complement=B),
     ),
     d_min=2.0,
 )

@@ -23,7 +23,7 @@ from v2vlos import (
     transition_matrix,
 )
 from v2vlos import markov
-from v2vlos.params import ScenarioModel, StateProbModel, TransitionRowModel
+from v2vlos.params import ScenarioModel, StateProbModel
 
 URBAN_MEDIUM = builtin_model(Environment.URBAN, Density.MEDIUM)
 
@@ -119,9 +119,9 @@ def _absorbing_model() -> ScenarioModel:
     state = StateProbModel({LosState.LOS: Poly2(0.0, 0.0, 0.3), LosState.NLOSv: Poly2(0.0, 0.0, 0.4)},
                            complement=LosState.NLOSb)
     rows = (
-        TransitionRowModel(LosState.LOS, {LosState.LOS: one, LosState.NLOSb: zero}, complement=LosState.NLOSv),
-        TransitionRowModel(LosState.NLOSv, {LosState.LOS: zero, LosState.NLOSb: zero}, complement=LosState.NLOSv),
-        TransitionRowModel(LosState.NLOSb, {LosState.LOS: zero, LosState.NLOSb: one}, complement=LosState.NLOSv),
+        StateProbModel({LosState.LOS: one, LosState.NLOSb: zero}, complement=LosState.NLOSv),
+        StateProbModel({LosState.LOS: zero, LosState.NLOSb: zero}, complement=LosState.NLOSv),
+        StateProbModel({LosState.LOS: zero, LosState.NLOSb: one}, complement=LosState.NLOSv),
     )
     return ScenarioModel(Environment.URBAN, Density.LOW, state, rows)
 

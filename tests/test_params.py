@@ -30,7 +30,6 @@ from v2vlos.curves import curve_from_dict
 from v2vlos.params import (
     ScenarioModel,
     StateProbModel,
-    TransitionRowModel,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -150,10 +149,9 @@ def test_model_construction_validation():
     with pytest.raises(ValueError):
         StateProbModel(dict(model.state_probs.explicit), complement=LosState.LOS)
     with pytest.raises(ValueError):
-        TransitionRowModel(LosState.LOS, dict(model.rows[0].explicit), complement=LosState.LOS)
+        StateProbModel(dict(model.rows[0].explicit), complement=LosState.LOS)
     with pytest.raises(ValueError):
-        ScenarioModel(model.environment, model.density, model.state_probs,
-                      (model.rows[1], model.rows[0], model.rows[2]))
+        ScenarioModel(model.environment, model.density, model.state_probs, model.rows[:2])
     with pytest.raises(ValueError):
         ScenarioModel(model.environment, model.density, model.state_probs, model.rows,
                       d_min=0.0, d_max=500.0)
@@ -188,7 +186,7 @@ def test_piecewise_branches_are_checked_where_they_apply():
     def with_los_curve(curve):
         row = model.rows[LosState.NLOSv]
         explicit = {**row.explicit, LosState.LOS: curve}
-        rows = tuple(TransitionRowModel(r.origin, explicit, r.complement) if r is row else r for r in model.rows)
+        rows = tuple(StateProbModel(explicit, r.complement) if r is row else r for r in model.rows)
         return ScenarioModel(model.environment, model.density, model.state_probs, rows, model.d_min, model.d_max)
 
     # Below 300 m the steep branch stays finite, and it never applies above d_max.
@@ -250,6 +248,10 @@ MALFORMED = {
         lambda o: o["valid_range"].__setitem__("d_min", "1.0"))),
     "infinite-d-max": (scenario_from_dict, lambda: _scenario_with(
         lambda o: o["valid_range"].__setitem__("d_max", math.inf))),
+    # s * d_min underflows to zero, so 1 / (s * d) divides by zero at the low end.
+    "log-bell-scale-underflows": (scenario_from_dict, lambda: _scenario_with(lambda o: (
+        o["valid_range"].__setitem__("d_min", 1e-30),
+        o["state_probs"]["explicit"].__setitem__("LOS", {"family": "log_bell", "s": 1e-300, "mu": 0.0, "k": 1.0})))),
     "boolean-d-max": (scenario_from_dict, lambda: _scenario_with(
         lambda o: o["valid_range"].__setitem__("d_max", True))),
     "valid-range-not-an-object": (scenario_from_dict, lambda: _scenario_with(
