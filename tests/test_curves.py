@@ -166,6 +166,12 @@ def test_curve_trees_round_trip_through_json(spec):
     assert curve_from_dict(json.loads(json.dumps(curve_to_dict(spec)))) == spec
 
 
+def test_curve_to_dict_rejects_a_non_curve():
+    for bad in (1.0, "poly2", {"family": "poly2"}):
+        with pytest.raises(TypeError, match="unknown curve spec"):
+            curve_to_dict(bad)
+
+
 def test_curve_dict_rejects_bad_input():
     with pytest.raises(ValueError):
         curve_from_dict({"family": "cubic", "a": 1})

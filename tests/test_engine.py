@@ -275,3 +275,8 @@ def test_uniform_block_equals_splitmix_stream(seed, start, n):
     got = uniform_block(seed, start, n)
     assert got.dtype == np.float64
     assert got.tolist() == expected
+
+
+def test_derive_subseed_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="non-negative"):
+        derive_subseed(7, -1)

@@ -329,6 +329,13 @@ def test_fit_expdecay_excludes_nonpositive_with_warning():
     assert fit.spec.a == pytest.approx(0.5, rel=1e-9)
 
 
+def test_fit_expdecay_needs_two_distinct_positive_points():
+    with pytest.raises(DegenerateError, match="2 distinct"):
+        fit_expdecay([(10.0, 0.5), (10.0, 0.4)])
+    with pytest.warns(UserWarning, match="non-positive"), pytest.raises(DegenerateError, match="2 distinct"):
+        fit_expdecay([(10.0, 0.5), (20.0, 0.0), (30.0, -0.1)])
+
+
 def test_fit_logbell_self_recovery_on_bins():
     true = LogBell(0.0312, 5.0063, 2.4544)
     centers = bin_centers()[1:]  # bins 1..49
@@ -368,6 +375,16 @@ def test_fit_offset_minus_logbell_recovery():
     assert fit.sse < 1e-9
 
 
+def test_fit_offset_minus_logbell_degenerate_and_domain():
+    with pytest.raises(DegenerateError, match="at least 4 points"):
+        fit_offset_minus_logbell([(10.0, 0.5), (20.0, 0.4), (30.0, 0.3)])
+    with pytest.raises(DomainError, match="positive distances"):
+        fit_offset_minus_logbell([(0.0, 0.5), (20.0, 0.4), (30.0, 0.3), (40.0, 0.2)])
+    # At such distances every bell on the grid underflows to zero.
+    with pytest.raises(DegenerateError, match="no usable offset"):
+        fit_offset_minus_logbell([(k * 1e300, 0.5) for k in (1.0, 2.0, 3.0, 4.0)])
+
+
 def test_fit_same_family_piecewise():
     true = Piecewise(90.0, Poly2(-4.8e-5, -5.62e-3, 1.11), Poly2(-2.286e-6, 1.443e-3, 0.1022))
     pts = [(float(d), true.raw(float(d))) for d in bin_centers()]
@@ -377,3 +394,8 @@ def test_fit_same_family_piecewise():
     assert fit.sse < 1e-18
     for d in (5.0, 85.0, 90.0, 95.0, 495.0):
         assert fit.spec.raw(d) == pytest.approx(true.raw(d), abs=1e-9)
+
+
+def test_fit_same_family_rejects_a_non_curve():
+    with pytest.raises(TypeError, match="unknown curve spec"):
+        fit_same_family("poly2", [(10.0, 0.5), (20.0, 0.4), (30.0, 0.3)])

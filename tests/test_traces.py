@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from v2vlos import markov
 from v2vlos import traces as trace_io
 from v2vlos import (
+    BatchError,
     Density,
     DistanceTrace,
     DomainError,
@@ -290,6 +291,12 @@ def test_fresnel_small_d1_limit():
 def test_fresnel_domain():
     for bad in ((0.0, 250.0, 2e9), (250.0, -1.0, 2e9), (250.0, 250.0, 0.0)):
         with pytest.raises(DomainError):
+            fresnel_clearance_radius(*bad)
+
+
+def test_fresnel_rejects_nan():
+    for bad in ((math.nan, 250.0, 2e9), (250.0, 250.0, math.nan)):
+        with pytest.raises(DomainError, match="finite numbers"):
             fresnel_clearance_radius(*bad)
 
 
@@ -733,6 +740,34 @@ def test_undecodable_bytes_raise_after_earlier_rows(tmp_path):
         assert_readers_agree(path)
         with pytest.raises(UnicodeDecodeError):
             read_labeled_traces(path)
+
+
+def test_undecodable_bytes_inside_one_default_block(tmp_path):
+    # About 36 kB of rows: the bad byte lies past the first 8 KiB decode
+    # chunk, so it is met while a block of the default size is being read.
+    body = b"t,d,state\n" + b"".join(b"%d,2.5,NLOSv\n" % t for t in range(3000))
+    assert len(body) > 8192 and body.count(b"\n") < trace_io._BLOCK_LINES
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        read_labeled_traces(path)
+    # A bad row decoded before the bad byte is reported first, with its line.
+    path.write_bytes(body.replace(b"\n5,2.5,", b"\n5,-2.5,") + b"\xff\n")
+    with pytest.raises(RangeError, match="line 7"):
+        read_labeled_traces(path)
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    model = builtin_model(Environment.URBAN, Density.MEDIUM)
+    good = DistanceTrace.from_distances([10.0, 11.0, 12.0])
+    over = DistanceTrace.from_distances([499.0, 500.0, 501.0])
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old contents\n")
+    # The good trace reaches the temporary file before the batch fails.
+    with pytest.raises(BatchError):
+        write_state_traces(chain(model).batch([good, over], 3), path)
+    assert path.read_bytes() == b"old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 def test_time_beyond_int64_is_parse_error(tmp_path):
