@@ -36,6 +36,8 @@ from .estimation import (
 )
 from .markov import DistanceTrace, chain
 from .params import (
+    DEFAULT_D_MAX,
+    DEFAULT_D_MIN,
     OVER_RANGE_POLICIES,
     ScenarioModel,
     builtin_model,
@@ -329,7 +331,7 @@ def _add_trace_flags(p: argparse.ArgumentParser) -> None:
                    help="synthetic mobility (default separate1ms: move apart at 1 m/s)")
     p.add_argument("--speed", type=float, default=None, help="profile speed in m/s")
     p.add_argument("--vmax", type=float, default=None, help="walk profile speed bound in m/s")
-    p.add_argument("--d0", type=float, default=1.0, help="initial Tx-Rx distance in m")
+    p.add_argument("--d0", type=float, default=DEFAULT_D_MIN, help="initial Tx-Rx distance in m")
     p.add_argument("--trace-in", default=None, help="read the distance trace from a file instead")
     p.add_argument("--count", type=_positive_int, default=1, help="number of traces")
     p.add_argument("--over-range", choices=OVER_RANGE_POLICIES, default="error",
@@ -352,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("curves", help="emit probability and transition curves")
     _add_scenario_flags(c)
-    c.add_argument("--d-min", type=float, default=1.0)
-    c.add_argument("--d-max", type=float, default=500.0)
+    c.add_argument("--d-min", type=float, default=DEFAULT_D_MIN)
+    c.add_argument("--d-max", type=float, default=DEFAULT_D_MAX)
     c.add_argument("--d-step", type=_positive_float, default=1.0)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)
@@ -366,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", required=True, help="joint path-loss series file")
     m.add_argument("--pathloss-params", default=None, help="JSON path-loss parameter file")
-    m.add_argument("--umi-d1", type=float, default=18.0)
-    m.add_argument("--umi-d2", type=float, default=36.0)
+    m.add_argument("--umi-d1", type=float, default=UmiParams.d1)
+    m.add_argument("--umi-d2", type=float, default=UmiParams.d2)
     m.add_argument("--config", action=_ConfigFile, default=None)
     m.set_defaults(func=_cmd_compare)
 

@@ -32,11 +32,10 @@ from .curves import (
 )
 from .errors import ConvergenceError, DegenerateError, DomainError, RangeError, SingularError
 from .markov import StateTrace, _frozen, count_blocks
+from .params import DEFAULT_D_MAX
 
 BIN_WIDTH = 10.0
-N_BINS = 50
-# The last bin is closed, so that the model's d_max falls in it.
-_D_EDGE = BIN_WIDTH * N_BINS
+N_BINS = int(DEFAULT_D_MAX / BIN_WIDTH)
 
 
 def bin_centers() -> np.ndarray:
@@ -54,7 +53,7 @@ class EmpiricalStats:
         for name in ("occupancy", "transitions"):
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=np.int64)))
         if self.occupancy.shape != (N_BINS, 3) or self.transitions.shape != (N_BINS, 3, 3):
-            raise ValueError("count array shapes must be (50, 3) and (50, 3, 3)")
+            raise ValueError(f"count array shapes must be ({N_BINS}, 3) and ({N_BINS}, 3, 3)")
 
 
 def accumulate(traces: Iterable[StateTrace]) -> EmpiricalStats:
@@ -65,13 +64,10 @@ def accumulate(traces: Iterable[StateTrace]) -> EmpiricalStats:
     occupancy = np.zeros(N_BINS * 3, dtype=np.int64)
     transitions = np.zeros(N_BINS * 9, dtype=np.int64)
     for block in count_blocks(traces):
-        block = [trace for trace in block if len(trace)]
-        if not block:
-            continue
         d = np.concatenate([trace.distances for trace in block])
-        inside = (d >= 0.0) & (d <= _D_EDGE)  # False for NaN
+        inside = d <= DEFAULT_D_MAX  # the last bin is closed; a grid's distances are positive
         if not inside.all():
-            raise RangeError(f"trace distance {float(d[~inside][0])} outside [0, {_D_EDGE}]")
+            raise RangeError(f"trace distance {float(d[~inside][0])} outside [0, {DEFAULT_D_MAX}]")
         s = np.concatenate([trace.states for trace in block]).astype(np.intp)
         cell = np.minimum(d // BIN_WIDTH, N_BINS - 1).astype(np.intp) * 3 + s  # bin * 3 + state
         occupancy += np.bincount(cell, minlength=occupancy.size)

@@ -8,19 +8,20 @@ output is a Markov chain by construction. :func:`chain` compiles its
 scenario's state vector and rows once, for that sampler alone. A sampler
 holds no mutable state: nothing it computes outlives the call that did so.
 
-Each trace is a strict one-second grid; the transition probabilities are
-per-second quantities and traces at other spacings are rejected. Step ``k``
-of a trace consumes draw ``k`` of its seed's counter-based splitmix64
-stream, and batches give every trace its own sub-seed by index, so any step
-of any trace can be drawn on its own.
+Each trace is a strict one-second grid, a :class:`DistanceTrace`, checked
+once and held by every :class:`StateTrace` on it; the transition
+probabilities are per-second quantities and other spacings are rejected.
+Step ``k`` of a trace consumes draw ``k`` of its seed's counter-based
+splitmix64 stream, and batches give every trace its own sub-seed by index,
+so any step of any trace can be drawn on its own.
 
 :func:`chain` returns the chain's :class:`Sampler`, whose ``trace`` and
 ``batch`` methods are the two ways to generate. ``trace`` walks one trace
 step by step. ``batch`` is the one place that chooses how: a run of enough
-consecutive traces on one distance array, as ``[trace] * n`` gives, shares
-one threshold table of the grid and is sampled one step at a time across
-all of its traces; every other trace goes through ``trace``. Both paths
-give the same bytes.
+consecutive traces on one grid (one :class:`DistanceTrace` object, as
+``[trace] * n`` gives) shares one threshold table of the grid and is sampled
+one step at a time across all of its traces; every other trace goes through
+``trace``. Both paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .rng import RngSeed, derive_subseed, draw_bits, uniform_block
 
 # Uniforms per block; bounds the engine's memory on long traces.
 _UNIFORM_BLOCK = 1 << 16
-# Narrowest run of traces on one distance array that is sampled across the
+# Narrowest run of traces on one grid that is sampled across the
 # traces; narrower runs go trace by trace. A step across a narrow run costs
 # about 11 us, its table included, and one step of one trace about 1 us, so
 # the two paths break even near 10 traces for the chain and 11-14 for UMi
@@ -66,7 +67,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistanceTrace:
-    """Tx-Rx distance per one-second time step."""
+    """Tx-Rx distance per one-second time step: the grid of a trace.
+
+    The grid rules, stated here only: matching non-empty columns, one-second
+    steps and finite positive distances; a breach is a :class:`DomainError`.
+    """
 
     times: np.ndarray
     distances: np.ndarray
@@ -76,9 +81,9 @@ class DistanceTrace:
         d = np.asarray(self.distances, dtype=float)
         if t.ndim != 1 or d.ndim != 1 or t.size != d.size or t.size == 0:
             raise DomainError("trace needs matching, non-empty time and distance vectors")
-        if t.size > 1 and np.any(np.diff(t) != 1):
+        if np.any(np.diff(t) != 1):
             raise DomainError("time steps must increase by exactly one second")
-        if np.any(~np.isfinite(d)) or np.any(d <= 0.0):
+        if not ((d > 0.0) & (d < np.inf)).all():  # both False at NaN
             raise DomainError("distances must be finite and positive")
         object.__setattr__(self, "times", _frozen(t))
         object.__setattr__(self, "distances", _frozen(d))
@@ -94,26 +99,26 @@ class DistanceTrace:
 
 @dataclass(frozen=True)
 class StateTrace:
-    """Distance trace plus one visibility state per step."""
+    """One visibility state per step of ``grid``, whose ``times`` and ``distances`` it shares."""
 
-    times: np.ndarray
-    distances: np.ndarray
+    grid: DistanceTrace
     states: np.ndarray
     scenario: str = ""
     seed: RngSeed = 0
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=np.int8)
-        if s.shape != np.asarray(self.times).shape:
+        if s.shape != self.grid.times.shape:
             raise DomainError("states must align with time steps")
-        if s.size and s.view(np.uint8).max() > 2:  # a negative state reads as 128 or more
+        if s.view(np.uint8).max() > 2:  # a negative state reads as 128 or more
             raise DomainError("states must be LOS, NLOSv or NLOSb")
-        object.__setattr__(self, "times", _frozen(np.asarray(self.times, dtype=np.int64)))
-        object.__setattr__(self, "distances", _frozen(np.asarray(self.distances, dtype=float)))
         object.__setattr__(self, "states", _frozen(s))
 
+    times = property(lambda self: self.grid.times, doc="The grid's read-only time column.")
+    distances = property(lambda self: self.grid.distances, doc="The grid's read-only distance column.")
+
     def __len__(self) -> int:
-        return int(self.times.size)
+        return len(self.grid)
 
 
 # Steps per block of a batch count; bounds the memory of counting a batch.
@@ -156,7 +161,7 @@ class Sampler:
         self.tag = tag
 
     def trace(self, trace: DistanceTrace, seed: RngSeed) -> StateTrace:
-        """One state trace; step ``k`` takes draw ``k`` of ``seed``'s stream."""
+        """One state trace on ``trace`` itself; step ``k`` takes draw ``k`` of ``seed``'s stream."""
         thresholds, distances = self.thresholds, trace.distances.tolist()
         out: list[int] = []
         emit = out.append
@@ -169,7 +174,7 @@ class Sampler:
                 emit(s)
         states = np.array(out, dtype=np.int8)
         states.setflags(write=False)
-        return StateTrace(trace.times, trace.distances, states, scenario=self.tag, seed=seed)
+        return StateTrace(trace, states, scenario=self.tag, seed=seed)
 
     def _table(self, distances: list[float]) -> np.ndarray:
         """Integer thresholds of one distance grid, shape ``(T, 3, 2)``.
@@ -199,7 +204,7 @@ class Sampler:
         raised together as one :class:`BatchError` with their indices.
 
         This is the one place that picks the path: a run of at least
-        ``_SHARED_MIN`` consecutive traces on one distance array
+        ``_SHARED_MIN`` consecutive traces on one grid
         (:func:`_shared_runs`) is sampled across the traces by
         :func:`_shared_states`; any other trace goes through :meth:`trace`.
         Both give the same states.
@@ -227,21 +232,21 @@ class Sampler:
                 continue
             states = _shared_states(table, np.array(seeds, dtype=np.uint64))
             for trace, sub, row in zip(run, seeds, states):
-                yield StateTrace(trace.times, trace.distances, row, scenario=self.tag, seed=sub)
+                yield StateTrace(trace, row, scenario=self.tag, seed=sub)
         if failures:
             raise BatchError(failures)
 
 
 def _shared_runs(traces: Iterable[DistanceTrace]) -> Iterator[list[DistanceTrace]]:
-    """The traces, read once and in order, in runs of consecutive traces on one distance array.
+    """The traces, read once and in order, in runs of consecutive traces on one grid.
 
-    Traces share a distance array when their ``distances`` is the same
+    Traces share a grid when they are the same :class:`DistanceTrace`
     object, as in ``[trace] * n``. A run holds at most ``_SHARED_STEPS``
     steps, but always at least one trace.
     """
     run: list[DistanceTrace] = []
     for trace in traces:
-        if run and (trace.distances is not run[0].distances or (len(run) + 1) * len(trace) > _SHARED_STEPS):
+        if run and (trace is not run[0] or (len(run) + 1) * len(trace) > _SHARED_STEPS):
             yield run
             run = []
         run.append(trace)

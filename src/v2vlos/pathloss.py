@@ -110,13 +110,10 @@ def state_path_loss(state: LosState, d: float, p: PathLossParams) -> float:
 def render_path_loss(trace: StateTrace, p: PathLossParams) -> np.ndarray:
     """Path loss in dB at each step of a state trace, as :func:`state_path_loss` gives it.
 
-    Distances in (0, 1) m are evaluated at 1 m, with one
-    :class:`DistanceClampWarning` for the trace, as the chain clamps them.
+    Its grid holds finite, positive distances; those in (0, 1) m are evaluated
+    at 1 m, with one :class:`DistanceClampWarning`, as the chain clamps them.
     """
     d = trace.distances
-    bad = np.flatnonzero(~(d > 0.0) | ~np.isfinite(d))
-    if bad.size:
-        raise DomainError(f"distance must be finite and positive, got {d[bad[0]].item()!r}")
     short = np.flatnonzero(d < 1.0)
     if short.size:
         warnings.warn(f"{short.size} distance(s) below 1 m evaluated at 1 m (first {d[short[0]].item()!r} m)",

@@ -12,7 +12,8 @@ lengths per state (:class:`DwellStats`).
 Trace files are delimited text with a mandatory header: ``t,d`` for plain
 distance traces, ``t,d,state`` for labeled traces, one row per step, with
 ``#`` comment lines skipped. A non-increasing time value starts a new trace,
-so several traces can live in one labeled file.
+so several traces can live in one labeled file; a trace that breaks the
+:class:`DistanceTrace` rules is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError, RangeError
 from .markov import DistanceTrace, StateTrace, _frozen, count_blocks
+from .params import DEFAULT_D_MAX, DEFAULT_D_MIN
 from .rng import RngSeed, uniform_block
 from .states import STATE_NAMES
 
@@ -42,8 +44,8 @@ OPPOSING_SPEED_RANGE = (50.0, 100.0)
 SAME_DIRECTION_SPEED_RANGE = (0.0, 25.0)
 URBAN_MIXED_SPEED_RANGE = (0.0, 20.0)
 
-# Width of the [1, 500] m range of d0: no step may cross the whole range.
-_MAX_STEP = 499.0
+# Width of the range of d0: no step may cross the whole range.
+_MAX_STEP = DEFAULT_D_MAX - DEFAULT_D_MIN
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,8 @@ class MobilityProfile:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.d0) and 1.0 <= self.d0 <= 500.0):
-            raise ValueError(f"d0 must be within [1, 500] m, got {self.d0!r}")
+        if not (math.isfinite(self.d0) and DEFAULT_D_MIN <= self.d0 <= DEFAULT_D_MAX):
+            raise ValueError(f"d0 must be within [{DEFAULT_D_MIN:g}, {DEFAULT_D_MAX:g}] m, got {self.d0!r}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.kind == "walk":
@@ -110,7 +112,7 @@ def synth_distance_trace(profile: MobilityProfile, seed: RngSeed = 0) -> Distanc
     if not profile.seeded:
         vel = profile.speed if profile.kind == "constant" else -abs(profile.speed)
         for _ in range(profile.n_steps - 1):
-            nxt, bounced = _reflect(ds[-1] + vel, 1.0, 500.0)
+            nxt, bounced = _reflect(ds[-1] + vel, DEFAULT_D_MIN, DEFAULT_D_MAX)
             if bounced:
                 vel = -vel
             ds.append(nxt)
@@ -118,7 +120,7 @@ def synth_distance_trace(profile: MobilityProfile, seed: RngSeed = 0) -> Distanc
         # Step k + 1 takes draw k of the seed's stream.
         bound = profile.step_bound
         for u in uniform_block(seed, 0, profile.n_steps - 1).tolist():
-            nxt, _ = _reflect(ds[-1] + (2.0 * u - 1.0) * bound, 1.0, 500.0)
+            nxt, _ = _reflect(ds[-1] + (2.0 * u - 1.0) * bound, DEFAULT_D_MIN, DEFAULT_D_MAX)
             ds.append(nxt)
     return DistanceTrace.from_distances(ds)
 
@@ -156,7 +158,7 @@ class DwellStats:
 
 
 def _count_runs(runs: np.ndarray, block: list[StateTrace]) -> np.ndarray:
-    """``runs`` plus the run-length counts of the non-empty traces in ``block``."""
+    """``runs`` plus the run-length counts of the traces in ``block``."""
     s = np.concatenate([trace.states for trace in block])
     last = np.empty(s.size, dtype=bool)  # True at the last step of each run
     np.not_equal(s[1:], s[:-1], out=last[:-1])
@@ -181,8 +183,6 @@ def dwell_statistics(traces: Iterable[StateTrace]) -> DwellStats:
     runs = np.zeros((3, 1), dtype=np.int64)
     n_traces = 0
     for block in count_blocks(traces):
-        if not all(len(trace) for trace in block):
-            raise DomainError("dwell statistics need non-empty traces")
         n_traces += len(block)
         runs = _count_runs(runs, block)
     if n_traces == 0:
@@ -271,17 +271,17 @@ def write_state_traces(traces: Iterable[StateTrace], path: str | Path, provenanc
     """Write labeled traces atomically; several traces are separated by time restarts.
 
     ``provenance`` lines (each starting with ``#``) precede the header. A
-    trace on the same ``times`` and ``distances`` arrays as the trace before
-    it is written from that grid's table of rows (:func:`_grid_rows`), built
-    once for the run of such traces.
+    trace on the same grid (the same :class:`DistanceTrace` object) as the
+    trace before it is written from that grid's table of rows
+    (:func:`_grid_rows`), built once for the run of such traces.
     """
     with atomic_output(path) as handle:
         handle.write("".join(line + "\n" for line in provenance) + "t,d,state\n")
         last = table = None
         for trace in traces:
-            if last is not None and trace.times is last.times and trace.distances is last.distances:
+            if last is not None and trace.grid is last.grid:
                 if table is None:
-                    table = _grid_rows(trace)
+                    table = _grid_rows(trace.grid)
                 grid_rows, offsets = table
                 handle.write("".join(grid_rows.take(offsets + trace.states).tolist()))
             else:
@@ -291,12 +291,12 @@ def write_state_traces(traces: Iterable[StateTrace], path: str | Path, provenanc
             last = trace
 
 
-def _grid_rows(trace: StateTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Every row a trace on this grid can have, and where each step's rows start.
+def _grid_rows(grid: DistanceTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Every row a state trace on ``grid`` can have, and where each step's rows start.
 
     Row ``3 * k + s`` of the object array is step ``k`` in state ``s``.
     """
-    prefixes = [f"{t},{d!r}," for t, d in zip(trace.times.tolist(), trace.distances.tolist())]
+    prefixes = [f"{t},{d!r}," for t, d in zip(grid.times.tolist(), grid.distances.tolist())]
     rows = np.array([p + name + "\n" for p in prefixes for name in STATE_NAMES], dtype=object)
     return rows, np.arange(0, rows.size, 3)
 
@@ -467,7 +467,7 @@ def read_distance_trace(path: str | Path) -> DistanceTrace:
 
 
 def read_labeled_traces(path: str | Path) -> list[StateTrace]:
-    """Read one or more labeled traces from a single file."""
+    """Read one or more labeled traces from a single file, each on its own :class:`DistanceTrace`."""
     labeled, rows, meta = _read_rows(path)
     if not labeled:
         raise ParseError("file has no state column")
@@ -476,12 +476,10 @@ def read_labeled_traces(path: str | Path) -> list[StateTrace]:
         seed = int(meta.get("seed", "0"))
     except ValueError:
         seed = 0
-    t = rows["t"]
-    starts = _trace_starts(t)
-    steps = np.diff(t)
-    steps[starts - 1] = 1  # a restart is not a step
-    if np.any(steps != 1):
-        raise ParseError("time steps within a trace must increase by exactly one second")
+    starts = _trace_starts(rows["t"])
     # Each column is frozen once; the traces hold read-only views of it.
     columns = [np.split(_frozen(rows[name]), starts) for name in ("t", "d", "state")]
-    return [StateTrace(t, d, s, scenario=scenario, seed=seed) for t, d, s in zip(*columns)]
+    try:
+        return [StateTrace(DistanceTrace(t, d), s, scenario=scenario, seed=seed) for t, d, s in zip(*columns)]
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc

@@ -46,7 +46,7 @@ from v2vlos.estimation import bin_centers
 
 def labeled(ds, states, t0=0):
     ds = np.asarray(ds, dtype=float)
-    return StateTrace(np.arange(t0, t0 + ds.size), ds, np.asarray(states, dtype=np.int8))
+    return StateTrace(DistanceTrace(np.arange(t0, t0 + ds.size), ds), np.asarray(states, dtype=np.int8))
 
 
 def reference_accumulate(occupancy, transitions, trace):
@@ -73,13 +73,9 @@ def reference_fold(traces):
     return occupancy, transitions
 
 
-def empty_trace():
-    return StateTrace(np.array([], dtype=np.int64), np.array([]), np.array([], dtype=np.int8))
-
-
 def test_accumulate_bin_boundaries():
     # The last bin is closed at the model's d_max.
-    for d, index in ((0.0, 0), (9.999, 0), (10.0, 1), (499.0, 49), (499.999, 49), (500.0, 49)):
+    for d, index in ((5e-324, 0), (9.999, 0), (10.0, 1), (499.0, 49), (499.999, 49), (500.0, 49)):
         stats = accumulate([labeled([d], [0])])
         assert stats.occupancy[:, 0].nonzero()[0].tolist() == [index], d
 
@@ -100,14 +96,12 @@ def test_accumulate_direct_counts():
     assert stats.occupancy.sum() == 3
 
 
-def test_accumulate_empty_trace_is_identity():
-    before = accumulate([labeled([25.0], [0])])
-    after = accumulate([empty_trace(), labeled([25.0], [0]), empty_trace()])
-    assert np.array_equal(after.occupancy, before.occupancy)
-    assert np.array_equal(after.transitions, before.transitions)
-    for batch in ([], [empty_trace()]):
-        stats = accumulate(batch)
-        assert not stats.occupancy.any() and not stats.transitions.any()
+def test_accumulate_empty_batch_gives_zero_counts():
+    stats = accumulate([])
+    assert not stats.occupancy.any() and not stats.transitions.any()
+    # An empty trace is rejected when its grid is built.
+    with pytest.raises(DomainError, match="non-empty"):
+        labeled([], [])
 
 
 def test_accumulate_counts_are_read_only_int64():
@@ -126,11 +120,15 @@ def test_empirical_stats_shape_check():
 
 
 def test_accumulate_range_error():
-    for bad in (-0.001, 500.001, 501.0, -math.inf, math.inf, math.nan):
+    for bad in (500.001, 501.0, 1e300):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a NaN must not reach the bin cast
+            warnings.simplefilter("error")  # a huge distance must not reach the bin cast
             with pytest.raises(RangeError, match=r"outside \[0, 500.0\]"):
                 accumulate([labeled([25.0, bad, 25.0], [0, 1, 2])])
+    # Distances below the bins, or not finite, are rejected when the grid is built.
+    for bad in (-0.001, 0.0, -math.inf, math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite and positive"):
+            labeled([25.0, bad, 25.0], [0, 1, 2])
 
 
 def test_accumulate_counts_d_max_in_last_bin():
@@ -170,10 +168,10 @@ def test_batch_is_order_independent():
 
 # Distances that stress the bin rule: bin edges, their neighbours and 500 m.
 _distances = st.one_of(
-    st.floats(0.0, 500.0),
-    st.sampled_from([0.0, 9.999, 10.0, 250.0, 490.0, 499.999, 500.0]),
+    st.floats(0.0, 500.0, exclude_min=True),
+    st.sampled_from([5e-324, 9.999, 10.0, 250.0, 490.0, 499.999, 500.0]),
 )
-_traces = st.integers(0, 300).flatmap(
+_traces = st.integers(1, 300).flatmap(
     lambda n: st.tuples(hnp.arrays(np.float64, n, elements=_distances), hnp.arrays(np.int8, n, elements=st.integers(0, 2)))
 )
 

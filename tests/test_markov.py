@@ -58,9 +58,9 @@ def test_distance_trace_validation():
 
 def test_state_trace_validation():
     with pytest.raises(DomainError):
-        StateTrace(np.arange(3), np.ones(3), np.array([0, 1], dtype=np.int8))
+        StateTrace(DistanceTrace.from_distances(np.ones(3)), np.array([0, 1], dtype=np.int8))
     with pytest.raises(DomainError):
-        StateTrace(np.arange(2), np.ones(2), np.array([0, 7], dtype=np.int8))
+        StateTrace(DistanceTrace.from_distances(np.ones(2)), np.array([0, 7], dtype=np.int8))
 
 
 def test_state_trace_ignores_later_writes_to_its_inputs():
@@ -68,7 +68,7 @@ def test_state_trace_ignores_later_writes_to_its_inputs():
     # A read-only view of a writeable array can still change through its base.
     view = states[:]
     view.setflags(write=False)
-    trace = StateTrace(times, distances, view)
+    trace = StateTrace(DistanceTrace(times, distances), view)
     times[0], distances[0], states[0] = 9, 9.0, 2
     assert trace.times.tolist() == [0, 1, 2, 3]
     assert trace.distances.tolist() == [1.0, 2.0, 3.0, 4.0]
@@ -81,6 +81,7 @@ def test_state_trace_ignores_later_writes_to_its_inputs():
 def test_generated_trace_shares_the_frozen_distance_columns():
     trace = constant_trace(100.0, 5)
     out = chain(URBAN_MEDIUM).trace(trace, 5)
+    assert out.grid is trace
     assert out.times is trace.times and out.distances is trace.distances
     assert not out.states.flags.writeable
 

@@ -91,11 +91,11 @@ def test_render_is_pointwise_map():
 def test_render_evaluates_distances_below_one_metre_at_one_metre():
     states = np.array([0, 1, 2], dtype=np.int8)
     p = PathLossParams.defaults()
-    short = StateTrace(np.arange(3), np.array([2.0, 0.5, 0.7]), states)
+    short = StateTrace(DistanceTrace.from_distances([2.0, 0.5, 0.7]), states)
     with pytest.warns(DistanceClampWarning, match="2 distance") as caught:
         series = render_path_loss(short, p)
     assert len(caught) == 1
-    floor = StateTrace(np.arange(3), np.array([2.0, 1.0, 1.0]), states)
+    floor = StateTrace(DistanceTrace.from_distances([2.0, 1.0, 1.0]), states)
     assert series.tolist() == render_path_loss(floor, p).tolist()
     # The scalar functions keep the floor as a domain limit.
     with pytest.raises(DomainError):
@@ -104,16 +104,16 @@ def test_render_evaluates_distances_below_one_metre_at_one_metre():
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_render_rejects_non_positive_and_non_finite_distances(bad):
-    trace = StateTrace(np.arange(3), np.array([2.0, bad, 0.7]), np.zeros(3, dtype=np.int8))
+    # render_path_loss never meets such a distance: building the grid rejects it.
     with pytest.raises(DomainError, match="finite and positive"):
-        render_path_loss(trace, PathLossParams.defaults())
+        StateTrace(DistanceTrace.from_distances([2.0, bad, 0.7]), np.zeros(3, dtype=np.int8))
 
 
 def test_render_reversed_trace_gives_reversed_series():
     ds = np.arange(1.0, 51.0)
     states = np.array([0, 1, 2] * 17, dtype=np.int8)[:50]
-    fwd = StateTrace(np.arange(50), ds, states)
-    rev = StateTrace(np.arange(50), ds[::-1].copy(), states[::-1].copy())
+    fwd = StateTrace(DistanceTrace.from_distances(ds), states)
+    rev = StateTrace(DistanceTrace.from_distances(ds[::-1]), states[::-1])
     p = PathLossParams.defaults()
     pl_fwd = render_path_loss(fwd, p).tolist()
     pl_rev = render_path_loss(rev, p).tolist()
@@ -123,7 +123,7 @@ def test_render_reversed_trace_gives_reversed_series():
 def test_alternating_states_offset_at_fixed_distance():
     d = 120.0
     states = np.array([0, 1] * 25, dtype=np.int8)
-    trace = StateTrace(np.arange(50), np.full(50, d), states)
+    trace = StateTrace(DistanceTrace.from_distances(np.full(50, d)), states)
     p = PathLossParams.defaults()
     series = render_path_loss(trace, p)
     offset = state_path_loss(LosState.NLOSv, d, p) - state_path_loss(LosState.LOS, d, p)

@@ -135,7 +135,7 @@ def test_synthesis_is_deterministic_per_seed():
 
 def state_trace(states, d=50.0):
     s = np.asarray(states, dtype=np.int8)
-    return StateTrace(np.arange(s.size), np.full(s.size, d), s)
+    return StateTrace(DistanceTrace(np.arange(s.size), np.full(s.size, d)), s)
 
 
 def hist(stats, state):
@@ -394,8 +394,7 @@ def test_writer_matches_row_by_row_format(grids, runs, data):
     assert choices[-2].distances is first.distances and choices[-1].distances is not first.distances
     # Runs of one grid, in any order, so a grid can resume after another (A A B A).
     order = [choices[j % len(choices)] for j, n in runs for _ in range(n)]
-    traces = [StateTrace(g.times, g.distances, data.draw(st.lists(st.integers(0, 2), min_size=len(g), max_size=len(g))))
-              for g in order]
+    traces = [StateTrace(g, data.draw(st.lists(st.integers(0, 2), min_size=len(g), max_size=len(g)))) for g in order]
     provenance = ["# scenario=test", "# seed=3"]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.csv"
@@ -552,9 +551,10 @@ def ref_read_labeled_traces(path):
         ts = np.asarray([r[0] for r in group], dtype=np.int64)
         ds = np.asarray([r[1] for r in group], dtype=float)
         ss = np.asarray([int(r[2]) for r in group], dtype=np.int8)
-        if ts.size > 1 and np.any(np.diff(ts) != 1):
-            raise ParseError("time steps within a trace must increase by exactly one second")
-        traces.append(StateTrace(ts, ds, ss, scenario=scenario, seed=seed))
+        try:
+            traces.append(StateTrace(DistanceTrace(ts, ds), ss, scenario=scenario, seed=seed))
+        except DomainError as exc:
+            raise ParseError(str(exc)) from exc
     return traces
 
 
@@ -704,7 +704,8 @@ def test_block_reader_matches_row_reader_across_full_blocks(tmp_path):
     rng = np.random.default_rng(5)
     n = trace_io._BLOCK_LINES
     traces = [
-        StateTrace(np.arange(size), rng.uniform(1.0, 500.0, size), rng.integers(0, 3, size), scenario="urban-low", seed=4)
+        StateTrace(DistanceTrace(np.arange(size), rng.uniform(1.0, 500.0, size)), rng.integers(0, 3, size),
+                   scenario="urban-low", seed=4)
         for size in (n - 3, 7, n + 11)
     ]
     path = tmp_path / "big.csv"
