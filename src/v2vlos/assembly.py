@@ -54,7 +54,7 @@ class StateProbVector:
         return {s: self[s] for s in CANONICAL_STATES}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Row-stochastic 3x3 one-second transition matrix assembled at distance ``d``."""
 

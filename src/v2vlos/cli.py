@@ -403,10 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--fit requires --out-model")
     try:
         return args.func(args)
-    except V2vLosError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (V2vLosError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -80,7 +80,7 @@ def accumulate(traces: Iterable[StateTrace]) -> EmpiricalStats:
     return EmpiricalStats(occupancy.reshape(N_BINS, 3), transitions.reshape(N_BINS, 3, 3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinnedProbs:
     """Per-bin frequencies; undefined bins or rows are NaN with defined=False."""
 

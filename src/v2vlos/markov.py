@@ -11,6 +11,8 @@ holds no mutable state: nothing it computes outlives the call that did so.
 Each trace is a strict one-second grid, a :class:`DistanceTrace`, checked
 once and held by every :class:`StateTrace` on it; the transition
 probabilities are per-second quantities and other spacings are rejected.
+A grid is its object: both trace types compare and hash by identity, so
+traces share a grid only when they hold the same :class:`DistanceTrace`.
 Step ``k`` of a trace consumes draw ``k`` of its seed's counter-based
 splitmix64 stream, and batches give every trace its own sub-seed by index,
 so any step of any trace can be drawn on its own.
@@ -27,6 +29,7 @@ one step at a time across all of its traces; every other trace goes through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -65,7 +68,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceTrace:
     """Tx-Rx distance per one-second time step: the grid of a trace.
 
@@ -97,7 +100,7 @@ class DistanceTrace:
         return int(self.times.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateTrace:
     """One visibility state per step of ``grid``, whose ``times`` and ``distances`` it shares."""
 
@@ -203,55 +206,39 @@ class Sampler:
         trace that fails is skipped, and after the last one the failures are
         raised together as one :class:`BatchError` with their indices.
 
-        This is the one place that picks the path: a run of at least
-        ``_SHARED_MIN`` consecutive traces on one grid
-        (:func:`_shared_runs`) is sampled across the traces by
-        :func:`_shared_states`; any other trace goes through :meth:`trace`.
-        Both give the same states.
+        This is the one place that picks the path. Consecutive inputs that
+        are one grid object form a run (``groupby``), cut at ``_SHARED_STEPS``
+        steps but never below one trace. A run of at least ``_SHARED_MIN``
+        traces is sampled across the traces by :func:`_shared_states`; any
+        other trace goes through :meth:`trace`. Both give the same states.
         """
         failures: list[tuple[int, Exception]] = []
         end = 0
-        for run in _shared_runs(traces):
-            start, end = end, end + len(run)
-            seeds = [derive_subseed(seed, i) for i in range(start, end)]
-            if len(run) < _SHARED_MIN:
-                for i, trace, sub in zip(range(start, end), run, seeds):
-                    try:
-                        out = self.trace(trace, sub)
-                    except DomainError as exc:
-                        failures.append((i, exc))
-                        continue
-                    yield out
-                continue
-            # Every origin raises the same error at a distance, so a failing
-            # table fails each trace of the run as its own draws would.
-            try:
-                table = self._table(run[0].distances.tolist())
-            except DomainError as exc:
-                failures.extend((i, exc) for i in range(start, end))
-                continue
-            states = _shared_states(table, np.array(seeds, dtype=np.uint64))
-            for trace, sub, row in zip(run, seeds, states):
-                yield StateTrace(trace, row, scenario=self.tag, seed=sub)
+        for grid, group in groupby(traces):
+            cap = max(1, _SHARED_STEPS // len(grid))
+            while run := list(islice(group, cap)):
+                start, end = end, end + len(run)
+                seeds = [derive_subseed(seed, i) for i in range(start, end)]
+                if len(run) < _SHARED_MIN:
+                    for i, sub in enumerate(seeds, start):
+                        try:
+                            out = self.trace(grid, sub)
+                        except DomainError as exc:
+                            failures.append((i, exc))
+                            continue
+                        yield out
+                    continue
+                # Every origin raises the same error at a distance, so a failing
+                # table fails each trace of the run as its own draws would.
+                try:
+                    table = self._table(grid.distances.tolist())
+                except DomainError as exc:
+                    failures.extend((i, exc) for i in range(start, end))
+                    continue
+                for sub, row in zip(seeds, _shared_states(table, np.array(seeds, dtype=np.uint64))):
+                    yield StateTrace(grid, row, scenario=self.tag, seed=sub)
         if failures:
             raise BatchError(failures)
-
-
-def _shared_runs(traces: Iterable[DistanceTrace]) -> Iterator[list[DistanceTrace]]:
-    """The traces, read once and in order, in runs of consecutive traces on one grid.
-
-    Traces share a grid when they are the same :class:`DistanceTrace`
-    object, as in ``[trace] * n``. A run holds at most ``_SHARED_STEPS``
-    steps, but always at least one trace.
-    """
-    run: list[DistanceTrace] = []
-    for trace in traces:
-        if run and (trace is not run[0] or (len(run) + 1) * len(trace) > _SHARED_STEPS):
-            yield run
-            run = []
-        run.append(trace)
-    if run:
-        yield run
 
 
 def _shared_states(table: np.ndarray, seeds: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from numbers import Real
 from pathlib import Path
 from typing import Mapping
 
@@ -89,7 +90,7 @@ def effective_distance(
     """
     if over_range not in OVER_RANGE_POLICIES:
         raise ValueError(f"over_range must be one of {OVER_RANGE_POLICIES}, got {over_range!r}")
-    if not isinstance(d, (int, float)) or isinstance(d, bool):
+    if not isinstance(d, Real) or isinstance(d, bool):
         raise DomainError(f"distance must be a real number, got {type(d).__name__}")
     d = float(d)
     if d != d or d in (float("inf"), float("-inf")):

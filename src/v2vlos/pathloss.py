@@ -18,6 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
+from numbers import Real
 from pathlib import Path
 from typing import Callable
 
@@ -36,11 +37,11 @@ DEFAULT_PARAMS_RESOURCE = "pathloss_defaults.json"
 
 def free_space_pl(d: float, f: float) -> float:
     """Friis free-space path loss in dB: 20*log10(d) + 20*log10(f) - 147.55."""
-    if not (isinstance(d, (int, float)) and math.isfinite(d)) or d < 1.0:
+    if not (isinstance(d, Real) and math.isfinite(d)) or d < 1.0:
         raise DomainError(f"distance must be >= 1 m, got {d!r}")
-    if not (isinstance(f, (int, float)) and math.isfinite(f)) or f <= 0.0:
+    if not (isinstance(f, Real) and math.isfinite(f)) or f <= 0.0:
         raise DomainError(f"frequency must be positive, got {f!r}")
-    return 20.0 * math.log10(d) + 20.0 * math.log10(f) + FREE_SPACE_CONSTANT_DB
+    return 20.0 * math.log10(float(d)) + 20.0 * math.log10(float(f)) + FREE_SPACE_CONSTANT_DB
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,9 @@ def _per_state(p: PathLossParams) -> tuple[Callable[[float], float], ...]:
 
 def state_path_loss(state: LosState, d: float, p: PathLossParams) -> float:
     """Path loss in dB for one state at distance ``d`` (d >= 1 m)."""
-    if not (isinstance(d, (int, float)) and math.isfinite(d)) or d < 1.0:
+    if not (isinstance(d, Real) and math.isfinite(d)) or d < 1.0:
         raise DomainError(f"distance must be >= 1 m, got {d!r}")
-    return _per_state(p)[LosState(state)](d)
+    return _per_state(p)[LosState(state)](float(d))
 
 
 def render_path_loss(trace: StateTrace, p: PathLossParams) -> np.ndarray:

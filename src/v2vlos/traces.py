@@ -24,7 +24,9 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
+from numbers import Real
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -125,7 +127,7 @@ def synth_distance_trace(profile: MobilityProfile, seed: RngSeed = 0) -> Distanc
     return DistanceTrace.from_distances(ds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DwellStats:
     """Dwell-time counts of a batch of state traces.
 
@@ -193,8 +195,9 @@ def dwell_statistics(traces: Iterable[StateTrace]) -> DwellStats:
 
 def fresnel_clearance_radius(d1: float, d2: float, f: float) -> float:
     """Radius of 60% of the first Fresnel zone at distances d1, d2 from the ends."""
-    if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in (d1, d2, f)):
+    if not all(isinstance(v, Real) and math.isfinite(v) for v in (d1, d2, f)):
         raise DomainError("d1, d2 and f must be finite numbers")
+    d1, d2, f = float(d1), float(d2), float(f)
     if d1 <= 0.0 or d2 <= 0.0 or f <= 0.0:
         raise DomainError(f"d1, d2 and f must be positive, got {(d1, d2, f)}")
     lam = SPEED_OF_LIGHT / f
@@ -270,25 +273,20 @@ def atomic_output(path: str | Path) -> Iterator[TextIO]:
 def write_state_traces(traces: Iterable[StateTrace], path: str | Path, provenance: Sequence[str] = ()) -> None:
     """Write labeled traces atomically; several traces are separated by time restarts.
 
-    ``provenance`` lines (each starting with ``#``) precede the header. A
-    trace on the same grid (the same :class:`DistanceTrace` object) as the
-    trace before it is written from that grid's table of rows
-    (:func:`_grid_rows`), built once for the run of such traces.
+    ``provenance`` lines (each starting with ``#``) precede the header. Of a
+    run of consecutive traces on one grid (one :class:`DistanceTrace`
+    object), the first is written row by row and the rest from one table of
+    the grid's rows (:func:`_grid_rows`).
     """
     with atomic_output(path) as handle:
         handle.write("".join(line + "\n" for line in provenance) + "t,d,state\n")
-        last = table = None
-        for trace in traces:
-            if last is not None and trace.grid is last.grid:
-                if table is None:
-                    table = _grid_rows(trace.grid)
-                grid_rows, offsets = table
+        for grid, group in groupby(traces, attrgetter("grid")):
+            rows = zip(grid.times.tolist(), grid.distances.tolist(), next(group).states.tolist())
+            handle.write("".join([f"{t},{d!r},{STATE_NAMES[s]}\n" for t, d, s in rows]))
+            for n, trace in enumerate(group):
+                if n == 0:
+                    grid_rows, offsets = _grid_rows(grid)
                 handle.write("".join(grid_rows.take(offsets + trace.states).tolist()))
-            else:
-                table = None
-                rows = zip(trace.times.tolist(), trace.distances.tolist(), trace.states.tolist())
-                handle.write("".join([f"{t},{d!r},{STATE_NAMES[s]}\n" for t, d, s in rows]))
-            last = trace
 
 
 def _grid_rows(grid: DistanceTrace) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import DomainError
 from .markov import Sampler
@@ -29,8 +30,9 @@ class UmiParams:
 
 def umi_los_probability(d: float, p: UmiParams = UmiParams()) -> float:
     """P(LOS) = min(d1/d, 1) * (1 - exp(-d/d2)) + exp(-d/d2)."""
-    if not (isinstance(d, (int, float)) and math.isfinite(d)):
+    if not (isinstance(d, Real) and math.isfinite(d)):
         raise DomainError(f"distance must be finite, got {d!r}")
+    d = float(d)
     if d <= 0.0:
         raise DomainError(f"distance must be positive, got {d!r}")
     return raw(d, p.d1, p.d2)

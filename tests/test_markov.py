@@ -18,7 +18,10 @@ from v2vlos import (
     StateTrace,
     builtin_model,
     chain,
+    accumulate,
     derive_subseed,
+    dwell_statistics,
+    empirical_state_probs,
     stationary_distribution,
     transition_matrix,
 )
@@ -84,6 +87,25 @@ def test_generated_trace_shares_the_frozen_distance_columns():
     assert out.grid is trace
     assert out.times is trace.times and out.distances is trace.distances
     assert not out.states.flags.writeable
+
+
+_GRID = DistanceTrace.from_distances([1.0, 2.0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DistanceTrace.from_distances([1.0, 2.0]),
+    lambda: StateTrace(_GRID, [0, 2]),
+    lambda: transition_matrix(URBAN_MEDIUM, 100.0),
+    lambda: dwell_statistics([StateTrace(_GRID, [0, 2])]),
+    lambda: empirical_state_probs(accumulate([StateTrace(_GRID, [0, 2])])),
+], ids=["DistanceTrace", "StateTrace", "TransitionMatrix", "DwellStats", "BinnedProbs"])
+def test_array_holding_types_compare_and_hash_by_identity(make):
+    # A grid is its object: equal arrays never make two traces one grid.
+    x, y = make(), make()
+    assert x == x and not x != x
+    assert x != y and not x == y
+    assert hash(x) == hash(x)
+    assert len({x, y, x}) == 2
 
 
 def test_sample_initial_state_degenerate():

@@ -4,6 +4,7 @@ import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from v2vlos import (
@@ -16,15 +17,21 @@ from v2vlos import (
     LogBell,
     LosState,
     OffsetMinusLogBell,
+    PathLossParams,
     Piecewise,
     Poly2,
     builtin_model,
     chain,
     effective_distance,
+    free_space_pl,
+    fresnel_clearance_radius,
     load_scenario,
     save_scenario,
     scenario_json,
+    state_path_loss,
     state_probabilities,
+    transition_matrix,
+    umi_los_probability,
 )
 from v2vlos.curves import curve_from_dict
 from v2vlos.params import (
@@ -91,6 +98,25 @@ def test_effective_distance_domain_errors():
     for bad in (0.0, -5.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             effective_distance(bad)
+
+
+@pytest.mark.parametrize("d", [np.int64(100), np.int32(100), np.uint16(100), np.float32(37.5), np.float16(37.5)],
+                         ids=lambda d: type(d).__name__)
+def test_numpy_scalar_distances_give_the_float_result(d):
+    x = float(d)
+    model, p = builtin_model(Environment.HIGHWAY, Density.LOW), PathLossParams.defaults()
+    assert type(effective_distance(d)) is float and effective_distance(d) == x
+    assert state_probabilities(model, d) == state_probabilities(model, x)
+    assert transition_matrix(model, d).m.tobytes() == transition_matrix(model, x).m.tobytes()
+    for got, want in [
+        (umi_los_probability(d), umi_los_probability(x)),
+        (free_space_pl(d, np.float32(5.9e9)), free_space_pl(x, float(np.float32(5.9e9)))),
+        (state_path_loss(LosState.NLOSv, d, p), state_path_loss(LosState.NLOSv, x, p)),
+        (fresnel_clearance_radius(d, d, np.int64(5_900_000_000)), fresnel_clearance_radius(x, x, 5.9e9)),
+    ]:
+        assert type(got) is float and got == want
+    with pytest.raises(DomainError, match="real number"):
+        effective_distance(True)
 
 
 def test_effective_distance_over_range_policy():
