@@ -8,7 +8,8 @@ explicit value is kept, and the remaining one is set to one minus the kept
 value. A transition row is the probability vector of the next state, so
 :func:`compile_vector` turns the state vector or any row (each a
 :class:`~v2vlos.params.StateProbModel`) into one flat evaluator over the
-curves' ``raw`` methods. Each sampler compiles its scenario once
+curves' ``raw`` methods, and :func:`compile_array` into its numpy twin over
+their ``values``. Each sampler compiles its scenario once
 (:func:`v2vlos.markov.chain`); :func:`state_probabilities` and
 :func:`transition_matrix` apply the distance policy and compile only what
 they evaluate, so nothing is cached. All functions here are pure and safe
@@ -92,6 +93,21 @@ def repair_vector(values: tuple[float, float, float]) -> tuple[float, float, flo
     return (out[0], out[1], out[2])
 
 
+def repair_array(v: np.ndarray) -> np.ndarray:
+    """:func:`repair_vector` on every column of a ``(3, n)`` array of finite values, in place."""
+    bad = ~((v.min(axis=0) >= 0.0) & (np.abs(v[0] + v[1] + v[2] - 1.0) <= SUM_TOLERANCE))
+    if bad.any():
+        w, cols = v[:, bad], np.arange(np.count_nonzero(bad))
+        small = w.argmin(axis=0)  # earliest state on ties
+        lo, hi = np.where(small == 0, 1, 0), np.where(small == 2, 1, 2)  # the other two, in state order
+        keep = np.where(w[hi, cols] > w[lo, cols], hi, lo)  # the larger, the earlier on ties
+        kept = np.clip(w[keep, cols], 0.0, 1.0)
+        w[:] = 0.0
+        w[keep, cols], w[lo + hi - keep, cols] = kept, 1.0 - kept
+        v[:, bad] = w
+    return v
+
+
 _Vector = Callable[[float], tuple[float, float, float]]
 
 
@@ -122,6 +138,28 @@ def compile_vector(block: StateProbModel) -> _Vector:
         if z >= 0.0 and abs(v[0] + v[1] + v[2] - 1.0) <= SUM_TOLERANCE:
             return v
         return repair_vector(v)
+
+    return vector
+
+
+def compile_array(block: StateProbModel) -> Callable[[np.ndarray], np.ndarray]:
+    """Array twin of :func:`compile_vector`: the triples at distances ``d``, shape ``(3, n)``.
+
+    Where a curve value is NaN the whole column is NaN, left to the scalar.
+    """
+    (i, f), (j, g) = sorted((int(state), spec.values) for state, spec in block.explicit.items())
+    k = int(block.complement)
+
+    def vector(d: np.ndarray) -> np.ndarray:
+        v = np.empty((3, d.size))
+        with np.errstate(all="ignore"):  # +-inf clamps as in the scalar; NaN is flagged below
+            np.minimum(np.maximum(f(d), 0.0), 1.0, out=v[i])
+            np.minimum(np.maximum(g(d), 0.0), 1.0, out=v[j])
+            np.subtract(1.0, v[i] + v[j], out=v[k])
+            nan = np.isnan(v[k])
+            repair_array(v)
+        v[:, nan] = np.nan
+        return v
 
     return vector
 

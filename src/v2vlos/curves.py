@@ -2,8 +2,9 @@
 
 Every curve maps a Tx-Rx distance in meters to a raw value (its ``raw``
 method, which carries no domain checks); probabilities are obtained by
-clamping the raw value into [0, 1]. The families cover all fitted shapes
-used by the scenario models:
+clamping the raw value into [0, 1]. ``values`` is ``raw`` over a numpy
+array, with numpy's ``exp`` and ``log``: the two differ in the last bits of
+those alone. The families cover all fitted shapes used by the scenario models:
 
 * ``Poly2``: a*d^2 + b*d + c
 * ``ExpDecay``: a * exp(-b*d)
@@ -21,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import Field, dataclass, fields
 from typing import ClassVar, Union, get_args
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -40,6 +43,8 @@ class Poly2:
         """The value at ``d``, a float or a numpy array."""
         return (self.a * d + self.b) * d + self.c
 
+    values = raw
+
 
 @dataclass(frozen=True)
 class ExpDecay:
@@ -53,6 +58,9 @@ class ExpDecay:
 
     def raw(self, d: float) -> float:
         return self.a * math.exp(-self.b * d)
+
+    def values(self, d: np.ndarray) -> np.ndarray:
+        return self.a * np.exp(-self.b * d)
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,10 @@ class LogBell:
         t = math.log(d) - self.mu
         return (1.0 / (self.s * d)) * math.exp(-(t * t) / self.k)
 
+    def values(self, d: np.ndarray) -> np.ndarray:
+        t = np.log(d) - self.mu
+        return (1.0 / (self.s * d)) * np.exp(-(t * t) / self.k)
+
 
 @dataclass(frozen=True)
 class OffsetMinusLogBell:
@@ -87,6 +99,9 @@ class OffsetMinusLogBell:
 
     def raw(self, d: float) -> float:
         return self.offset - self.inner.raw(d)
+
+    def values(self, d: np.ndarray) -> np.ndarray:
+        return self.offset - self.inner.values(d)
 
 
 @dataclass(frozen=True)
@@ -105,6 +120,9 @@ class Piecewise:
     def raw(self, d: float) -> float:
         # Ties at the threshold take the high-distance branch.
         return (self.low if d < self.d_t else self.high).raw(d)
+
+    def values(self, d: np.ndarray) -> np.ndarray:
+        return np.where(d < self.d_t, self.low.values(d), self.high.values(d))
 
 
 CurveSpec = Union[Poly2, ExpDecay, LogBell, OffsetMinusLogBell, Piecewise]

@@ -4,9 +4,7 @@ The first state is drawn from the state probabilities at the first distance.
 Every later state is drawn from the transition-matrix row selected by the
 previous state, evaluated at the distance of the step being generated. The
 sampler consults nothing but (previous state, current distance), so the
-output is a Markov chain by construction. :func:`chain` compiles its
-scenario's state vector and rows once, for that sampler alone. A sampler
-holds no mutable state: nothing it computes outlives the call that did so.
+output is a Markov chain by construction. A sampler holds no mutable state.
 
 Each trace is a strict one-second grid, a :class:`DistanceTrace`, checked
 once and held by every :class:`StateTrace` on it; the transition
@@ -14,22 +12,22 @@ probabilities are per-second quantities and other spacings are rejected.
 A grid is its object: both trace types compare and hash by identity, so
 traces share a grid only when they hold the same :class:`DistanceTrace`.
 Step ``k`` of a trace consumes draw ``k`` of its seed's counter-based
-splitmix64 stream, and batches give every trace its own sub-seed by index,
-so any step of any trace can be drawn on its own.
+splitmix64 stream, and batches give every trace its own sub-seed by index.
 
-:func:`chain` returns the chain's :class:`Sampler`, whose ``trace`` and
-``batch`` methods are the two ways to generate. ``trace`` walks one trace
-step by step. ``batch`` is the one place that chooses how: a run of enough
-consecutive traces on one grid (one :class:`DistanceTrace` object, as
-``[trace] * n`` gives) shares one threshold table of the grid and is sampled
-one step at a time across all of its traces; every other trace goes through
-``trace``. Both paths give the same bytes.
+One engine generates every trace (:func:`_walk`): a block of steps at a
+time, all traces together, from one numpy threshold table per distinct grid.
+The table is the scalar thresholds evaluated with numpy's ``exp`` and
+``log``, within 2**-50 of them. A draw closer than the guard band of 2**-40
+to a threshold it used, or one that used a NaN entry, goes to the scalar
+thresholds instead, which alone generated every trace before. The bytes are
+theirs as long as numpy's ``exp`` and ``log`` stay within a few ulps of the
+math module's (the CI log names numpy's SIMD targets) and no curve magnifies
+that error past the guard band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -37,20 +35,19 @@ import numpy as np
 from . import assembly
 from .errors import BatchError, DomainError
 from .params import ScenarioModel, effective_distance
-from .rng import RngSeed, derive_subseed, draw_bits, uniform_block
+from .rng import RngSeed, derive_subseed, draw_bits
 
-# Uniforms per block; bounds the engine's memory on long traces.
-_UNIFORM_BLOCK = 1 << 16
-# Narrowest run of traces on one grid that is sampled across the
-# traces; narrower runs go trace by trace. A step across a narrow run costs
-# about 11 us, its table included, and one step of one trace about 1 us, so
-# the two paths break even near 10 traces for the chain and 11-14 for UMi
-# (fitted on a 2-core Xeon at 500 and 5000 steps of an integer grid).
-_SHARED_MIN = 12
-# Steps per shared run; bounds its state matrix (one byte per step).
-_SHARED_STEPS = 1 << 20
-# Draws per block of a shared run (eight bytes each).
-_SHARED_BLOCK = 1 << 14
+# Draws per block of steps (table entries: a quarter per origin); bounds the
+# engine's working set to about a megabyte.
+_BLOCK = 1 << 14
+# Entries of the state matrix of one chunk of traces (one byte each).
+_CHUNK = 1 << 20
+# Fewer live traces than this are walked by a prefix scan rather than step by
+# step; the two cost the same near 16 traces (2-core Xeon, numpy 2.4).
+_SCAN_BELOW = 16
+# Guard band in units of 2**-53: a draw this close to a table threshold is
+# decided by the scalar thresholds.
+_GUARD = 1 << 13
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -142,61 +139,28 @@ def count_blocks(traces: Iterable[StateTrace]) -> Iterator[list[StateTrace]]:
         yield block
 
 
+@dataclass(eq=False, slots=True)
 class Sampler:
     """The generation engine: state traces from distance traces and seeds.
 
     ``thresholds(origin, d)`` gives the cumulative thresholds (c0, c1) of a
     draw from state ``origin`` at distance ``d``, origin -1 being the initial
     draw; a uniform u picks state 0 when u < c0, state 1 when u < c1 and
-    state 2 otherwise. ``trace`` calls it once per step, taking the uniforms
-    from :func:`uniform_block` in fixed-size blocks, which one scalar loop
-    walks alongside the distances; ``batch`` may instead sample a run of
-    traces on one grid together from one table of the grid
-    (:func:`_shared_states`). No result is kept, so a sampler holds no
-    mutable state. :func:`chain` and :func:`umi.baseline` build the two
-    samplers of the package.
+    state 2 otherwise. ``table(origin, d)`` is its numpy twin over an array
+    of distances, shape ``(2, n)``, NaN wherever ``thresholds`` must decide.
+    :func:`chain` and :func:`umi.baseline` build the two samplers.
     """
 
-    __slots__ = ("thresholds", "tag")
-
-    def __init__(self, thresholds: Callable[[int, float], tuple[float, float]], tag: str):
-        self.thresholds = thresholds
-        self.tag = tag
+    thresholds: Callable[[int, float], tuple[float, float]]
+    table: Callable[[int, np.ndarray], np.ndarray]
+    tag: str
 
     def trace(self, trace: DistanceTrace, seed: RngSeed) -> StateTrace:
         """One state trace on ``trace`` itself; step ``k`` takes draw ``k`` of ``seed``'s stream."""
-        thresholds, distances = self.thresholds, trace.distances.tolist()
-        out: list[int] = []
-        emit = out.append
-        s = -1
-        for start in range(0, len(distances), _UNIFORM_BLOCK):
-            ds = distances[start:start + _UNIFORM_BLOCK]
-            for u, d in zip(uniform_block(seed, start, len(ds)).tolist(), ds):
-                c0, c1 = thresholds(s, d)
-                s = 0 if u < c0 else 1 if u < c1 else 2
-                emit(s)
-        states = np.array(out, dtype=np.int8)
-        states.setflags(write=False)
+        (states,), (error,) = _walk(self, [trace], [seed])
+        if error is not None:
+            raise error
         return StateTrace(trace, states, scenario=self.tag, seed=seed)
-
-    def _table(self, distances: list[float]) -> np.ndarray:
-        """Integer thresholds of one distance grid, shape ``(T, 3, 2)``.
-
-        Row ``k`` holds the thresholds of each origin at step ``k``; at step 0
-        every origin row holds the initial draw. A uniform ``u = m / 2**53``
-        is below a threshold ``c`` exactly when ``m < ceil(c * 2**53)``, and
-        ``c`` is first clipped into [0, 1] (``fmax`` takes NaN to 0), which
-        changes no comparison with a ``u`` in [0, 1).
-        """
-        thresholds = self.thresholds
-        c = np.empty((len(distances), 3, 2))
-        c[0] = thresholds(-1, distances[0])
-        c[1:] = np.array([thresholds(s, d) for d in distances[1:] for s in (0, 1, 2)]).reshape(-1, 3, 2)
-        k = np.ceil(np.fmin(np.fmax(c, 0.0), 1.0) * 2.0**53).astype(np.uint64)
-        # The scalar pick (0 below c0, else 1 below c1, else 2) is then the
-        # count of thresholds at or below u once c1 is raised to at least c0.
-        np.maximum(k[..., 0], k[..., 1], out=k[..., 1])
-        return k
 
     def batch(self, traces: Iterable[DistanceTrace], seed: RngSeed) -> Iterator[StateTrace]:
         """Lazily generate one state trace per input trace.
@@ -204,85 +168,175 @@ class Sampler:
         Trace ``i`` uses sub-seed ``derive_subseed(seed, i)``, so each output
         depends only on its own input and index. Every trace is attempted; a
         trace that fails is skipped, and after the last one the failures are
-        raised together as one :class:`BatchError` with their indices.
-
-        This is the one place that picks the path. Consecutive inputs that
-        are one grid object form a run (``groupby``), cut at ``_SHARED_STEPS``
-        steps but never below one trace. A run of at least ``_SHARED_MIN``
-        traces is sampled across the traces by :func:`_shared_states`; any
-        other trace goes through :meth:`trace`. Both give the same states.
+        raised together as one :class:`BatchError` with their indices. The
+        input is read a chunk at a time (:func:`_chunks`).
         """
         failures: list[tuple[int, Exception]] = []
         end = 0
-        for grid, group in groupby(traces):
-            cap = max(1, _SHARED_STEPS // len(grid))
-            while run := list(islice(group, cap)):
-                start, end = end, end + len(run)
-                seeds = [derive_subseed(seed, i) for i in range(start, end)]
-                if len(run) < _SHARED_MIN:
-                    for i, sub in enumerate(seeds, start):
-                        try:
-                            out = self.trace(grid, sub)
-                        except DomainError as exc:
-                            failures.append((i, exc))
-                            continue
-                        yield out
-                    continue
-                # Every origin raises the same error at a distance, so a failing
-                # table fails each trace of the run as its own draws would.
-                try:
-                    table = self._table(grid.distances.tolist())
-                except DomainError as exc:
-                    failures.extend((i, exc) for i in range(start, end))
-                    continue
-                for sub, row in zip(seeds, _shared_states(table, np.array(seeds, dtype=np.uint64))):
-                    yield StateTrace(grid, row, scenario=self.tag, seed=sub)
+        for chunk in _chunks(traces):
+            start, end = end, end + len(chunk)
+            seeds = [derive_subseed(seed, i) for i in range(start, end)]
+            for i, grid, sub, states, error in zip(range(start, end), chunk, seeds, *_walk(self, chunk, seeds)):
+                if error is None:
+                    yield StateTrace(grid, states, scenario=self.tag, seed=sub)
+                else:
+                    failures.append((i, error))
         if failures:
             raise BatchError(failures)
 
 
-def _shared_states(table: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Read-only ``(n, T)`` states of ``n`` traces on one grid, from its :meth:`Sampler._table`.
+def _chunks(traces: Iterable[DistanceTrace]) -> Iterator[list[DistanceTrace]]:
+    """The traces, read once, in lists of at most ``_BLOCK`` traces and, bar one long trace, ``_CHUNK`` padded steps."""
+    chunk: list[DistanceTrace] = []
+    longest = 0
+    for trace in traces:
+        longest = max(longest, len(trace))
+        if chunk and (len(chunk) == _BLOCK or (len(chunk) + 1) * longest > _CHUNK):
+            yield chunk
+            chunk, longest = [], len(trace)
+        chunk.append(trace)
+    if chunk:
+        yield chunk
 
-    The draws come a block of steps at a time for all traces; each step then
-    picks every trace's state from its previous state's thresholds.
+
+def _walk(sampler: Sampler, grids: Sequence[DistanceTrace], seeds: Sequence[RngSeed]
+          ) -> tuple[list[np.ndarray], list[DomainError | None]]:
+    """The read-only states of each trace, or the :class:`DomainError` that stopped it.
+
+    Traces are walked longest first, so the live ones are a prefix. A table
+    of the live grids, each distinct grid once, covers about ``_BLOCK / 4``
+    entries per origin; blocks of about ``_BLOCK`` draws are resolved from
+    it. After a block, a trace with a draw within ``_GUARD * 2**-53`` of a
+    threshold it used, or that used a NaN, is walked again from that step to
+    the block's end by ``sampler.thresholds``, which alone makes its picks,
+    warnings and errors.
     """
-    n_steps, n = table.shape[0], seeds.size
-    c0, c1 = table[..., 0], table[..., 1]
-    states = np.empty((n, n_steps), dtype=np.int8)
-    width = max(1, _SHARED_BLOCK // n)
-    block = np.empty((width, n), dtype=np.int8)  # the block's states, step by step
-    s = np.zeros(n, dtype=np.int8)  # any origin row serves step 0
-    for start in range(0, n_steps, width):
-        bits = draw_bits(seeds, start, min(width, n_steps - start))
-        for m, k0, k1, out in zip(bits, c0[start:], c1[start:], block):
-            above0 = m >= k0.take(s)
-            above1 = m >= k1.take(s)
-            s = out
-            np.add(above0.view(np.int8), above1.view(np.int8), out=s)
-        states[:, start:start + len(bits)] = block[:len(bits)].T
+    lengths = np.array([len(grid) for grid in grids])
+    order = np.argsort(-lengths, kind="stable")
+    lengths, n, longest = lengths[order], len(grids), int(lengths.max())
+    ids: dict[DistanceTrace, int] = {}
+    base = 3 * np.array([ids.setdefault(grids[t], len(ids)) for t in order.tolist()], dtype=np.intp)
+    uniq = list(ids)
+    seeds_u64 = np.array([seeds[t] % 2**64 for t in order.tolist()], dtype=np.uint64)
+    states = np.empty((n, longest), dtype=np.int8)  # in walk order
+    errors: list[DomainError | None] = [None] * n
+    guard = _GUARD * 2.0**-53
+    start, table_stop, carry = 0, 0, np.zeros(n, dtype=np.int8)  # carry: the states before the block
+    while start < longest:
+        live = int(np.count_nonzero(lengths > start))
+        if start == table_stop:
+            n_grids = int(base[:live].max()) // 3 + 1
+            table_start, table_stop = start, min(start + max(1, _BLOCK // (4 * n_grids)), longest)
+            table = None  # freed before the next one is built
+            table = _grid_table(sampler, uniq[:n_grids], start, table_stop)
+        stop = min(start + max(1, _BLOCK // live), table_stop)
+        u = draw_bits(seeds_u64[:live], start, stop - start) * 2.0**-53
+        block, used = _resolve(table[:, start - table_start:stop - table_start], u, base[:live], carry[:live])
+        gap = np.abs(np.subtract(used, u, out=used), out=used)  # each draw's distance from the thresholds it used
+        hit = ~((gap[0] > guard) & (gap[1] > guard))  # ``>`` is False at NaN
+        for t in np.flatnonzero(hit.any(axis=0)).tolist():
+            j = int(hit[:, t].argmax())  # the trace's first step to walk again
+            if errors[t] is not None or start + j >= lengths[t]:
+                continue
+            prev = int(block[j - 1, t] if j else carry[t]) if start + j else -1
+            try:
+                for k, d_k in enumerate(uniq[base[t] // 3].distances[start + j:min(stop, lengths[t])].tolist(), j):
+                    c0, c1 = sampler.thresholds(prev, d_k)
+                    prev = block[k, t] = 0 if u[k, t] < c0 else 1 if u[k, t] < c1 else 2
+            except DomainError as exc:
+                errors[t] = exc
+        states[:live, start:stop] = block.T
+        start, carry = stop, block[-1]
     states.setflags(write=False)
-    return states
+    back = np.argsort(order).tolist()
+    return [states[k, :lengths[k]] for k in back], [errors[k] for k in back]
+
+
+def _grid_table(sampler: Sampler, grids: list[DistanceTrace], start: int, stop: int) -> np.ndarray:
+    """Thresholds (c0, c1) of ``grids`` at steps ``start .. stop - 1``, shape ``(2, steps, 3 * len(grids))``.
+
+    Grid ``g`` from state ``s`` is entry ``3g + s``; step 0 holds the initial
+    draw in every origin. A grid that ends early is padded, never read.
+    """
+    span, n_grids = stop - start, len(grids)
+    segs = [grid.distances[start:stop] for grid in grids]
+    d = np.array([x if x.size == span else np.resize(x, span) for x in segs]).ravel(order="F")
+    c = np.empty((2, d.size, 3))
+    for origin in (0, 1, 2):
+        c[..., origin] = sampler.table(origin, d)
+    if start == 0:
+        c[:, :n_grids] = sampler.table(-1, d[:n_grids])[..., None]
+    c = c.reshape(2, span, 3 * n_grids)
+    # The scalar pick (0 below c0, else 1 below c1, else 2) is the count of
+    # thresholds at or below u once c1 is raised to at least c0.
+    np.maximum(c[0], c[1], out=c[1])
+    return c
+
+
+def _resolve(rows: np.ndarray, u: np.ndarray, base: np.ndarray, carry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A block's states from ``carry`` on, step by step, and the ``rows`` thresholds each draw ``u`` used.
+
+    With ``_SCAN_BELOW`` traces or more, each step picks every trace's state
+    with two ``take``s. With fewer, all steps' maps from the three origins
+    are computed at once and composed by a prefix scan (the data-parallel
+    finite-state machines of Mytkowicz, Musuvathi and Schulte, ASPLOS 2014).
+    """
+    width, live = u.shape
+    block = np.empty((width, live), dtype=np.int8)
+    if live >= _SCAN_BELOW:
+        idx, above, used = np.empty(live, dtype=np.intp), np.empty((2, live), dtype=bool), np.empty((2, width, live))
+        s = carry
+        for row, c0, c1, u0, u1, out in zip(u, rows[0], rows[1], used[0], used[1], block):
+            np.add(base, s, out=idx)
+            c0.take(idx, out=u0, mode="clip")
+            c1.take(idx, out=u1, mode="clip")
+            np.greater_equal(row, u0, out=above[0])
+            np.greater_equal(row, u1, out=above[1])
+            s = out
+            np.add(above[0].view(np.int8), above[1].view(np.int8), out=s)
+        return block, used
+    steps, traces = np.arange(width)[:, None], np.arange(live)
+    lanes = rows[:, :, base[:, None] + np.arange(3)]
+    f = (u[..., None] >= lanes[0]).view(np.int8) + (u[..., None] >= lanes[1]).view(np.int8)
+    reach = 1  # f[k]: the state after step k from the state before step max(0, k - reach + 1)
+    while reach < width:
+        f[reach:] = np.take_along_axis(f[reach:], f[:-reach].astype(np.intp), axis=2)
+        reach *= 2
+    block[:] = f[steps, traces, carry.astype(np.intp)]
+    return block, lanes[:, steps, traces, np.vstack((carry, block[:-1]))]
 
 
 def chain(model: ScenarioModel, over_range: str = "error") -> Sampler:
     """The sampler of a scenario's distance-dependent chain.
 
-    The state vector and the three transition rows are compiled here, once;
-    an unknown ``over_range`` policy is rejected here too, not at the first
-    draw. Each step then takes one range test and one evaluator call.
+    The state vector and the three transition rows are compiled here, once,
+    in both forms; an unknown ``over_range`` policy is rejected here too, not
+    at the first draw. Outside [d_min, d_max] the table holds the scalar
+    thresholds, clamp warning included, or NaN where the policy refuses the
+    distance, so that error comes from the scalar thresholds too.
     """
     d_min, d_max = model.d_min, model.d_max
     effective_distance(d_min, d_min, d_max, over_range)  # checks the policy only
     # Origins 0-2 index the transition rows; origin -1 is the initial draw.
-    vectors = tuple(assembly.compile_vector(block) for block in (*model.rows, model.state_probs))
+    blocks = (*model.rows, model.state_probs)
+    vectors = tuple(assembly.compile_vector(block) for block in blocks)
+    arrays = tuple(assembly.compile_array(block) for block in blocks)
 
-    # The thresholds come from the scalar assembly only: numpy's exp can
-    # differ from math.exp in the last bit, which would change the stream.
     def thresholds(origin: int, d: float) -> tuple[float, float]:
         if not d_min <= d <= d_max:
             d = effective_distance(d, d_min, d_max, over_range)
         p = vectors[origin](d)
         return p[0], p[0] + p[1]
 
-    return Sampler(thresholds, model.tag)
+    def table(origin: int, d: np.ndarray) -> np.ndarray:
+        inside = (d >= d_min) & (d <= d_max)
+        p = arrays[origin](np.where(inside, d, np.nan))
+        p[1] += p[0]
+        for k in np.flatnonzero(~inside).tolist():  # clamped once per entry, not once per trace
+            try:
+                p[:2, k] = thresholds(origin, d[k].item())
+            except DomainError:
+                pass  # NaN: each trace raises at its own step
+        return p[:2]
+
+    return Sampler(thresholds, table, model.tag)

@@ -16,6 +16,7 @@ Models are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,6 +75,18 @@ class ScenarioModel:
         return f"{self.environment.value}-{self.density.value}"
 
 
+def as_real(value, what: str = "distance") -> float:
+    """``value`` as a float if it is a finite real number, not a bool; else :class:`DomainError`."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            raise DomainError(f"{what} is too large for a float") from None
+        if math.isfinite(x):
+            return x
+    raise DomainError(f"{what} must be a finite real number, got {value!r}")
+
+
 def effective_distance(
     d: float,
     d_min: float = DEFAULT_D_MIN,
@@ -90,11 +103,7 @@ def effective_distance(
     """
     if over_range not in OVER_RANGE_POLICIES:
         raise ValueError(f"over_range must be one of {OVER_RANGE_POLICIES}, got {over_range!r}")
-    if not isinstance(d, Real) or isinstance(d, bool):
-        raise DomainError(f"distance must be a real number, got {type(d).__name__}")
-    d = float(d)
-    if d != d or d in (float("inf"), float("-inf")):
-        raise DomainError(f"distance must be finite, got {d!r}")
+    d = as_real(d)
     if d <= 0.0:
         raise DomainError(f"distance must be positive, got {d!r}")
     if d < d_min:

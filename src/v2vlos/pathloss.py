@@ -18,7 +18,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-from numbers import Real
 from pathlib import Path
 from typing import Callable
 
@@ -27,6 +26,7 @@ import numpy as np
 from .curves import as_float, check_object
 from .errors import DistanceClampWarning, DomainError
 from .markov import StateTrace
+from .params import as_real
 from .states import LosState
 
 # 20*log10(4*pi/c) with c in m/s; free space in dB at 1 m and 1 Hz.
@@ -37,11 +37,12 @@ DEFAULT_PARAMS_RESOURCE = "pathloss_defaults.json"
 
 def free_space_pl(d: float, f: float) -> float:
     """Friis free-space path loss in dB: 20*log10(d) + 20*log10(f) - 147.55."""
-    if not (isinstance(d, Real) and math.isfinite(d)) or d < 1.0:
+    d, f = as_real(d), as_real(f, "frequency")
+    if d < 1.0:
         raise DomainError(f"distance must be >= 1 m, got {d!r}")
-    if not (isinstance(f, Real) and math.isfinite(f)) or f <= 0.0:
+    if f <= 0.0:
         raise DomainError(f"frequency must be positive, got {f!r}")
-    return 20.0 * math.log10(float(d)) + 20.0 * math.log10(float(f)) + FREE_SPACE_CONSTANT_DB
+    return 20.0 * math.log10(d) + 20.0 * math.log10(f) + FREE_SPACE_CONSTANT_DB
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,10 @@ def _per_state(p: PathLossParams) -> tuple[Callable[[float], float], ...]:
 
 def state_path_loss(state: LosState, d: float, p: PathLossParams) -> float:
     """Path loss in dB for one state at distance ``d`` (d >= 1 m)."""
-    if not (isinstance(d, Real) and math.isfinite(d)) or d < 1.0:
+    d = as_real(d)
+    if d < 1.0:
         raise DomainError(f"distance must be >= 1 m, got {d!r}")
-    return _per_state(p)[LosState(state)](float(d))
+    return _per_state(p)[LosState(state)](d)
 
 
 def render_path_loss(trace: StateTrace, p: PathLossParams) -> np.ndarray:

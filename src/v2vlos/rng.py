@@ -13,8 +13,7 @@ The stream is counter-based: draw ``k`` (from 0) of a stream seeded with
 ``s`` is ``mix64(s + (k + 1) * golden)``. :func:`draw_bits` uses that to
 compute any run of draws of any number of streams at once with numpy
 ``uint64`` arithmetic, which wraps modulo 2**64 exactly as the masked
-integer code does; :func:`uniform_block` turns one stream's run into
-uniforms.
+integer code does; scaled by 2**-53, its values are the uniforms.
 """
 
 from __future__ import annotations
@@ -81,12 +80,3 @@ def draw_bits(seeds: np.ndarray | np.uint64, start: int, n: int) -> np.ndarray:
     x ^= x >> 31
     x >>= 11
     return x
-
-
-def uniform_block(seed: RngSeed, start: int, n: int) -> np.ndarray:
-    """Draws ``start .. start + n - 1`` of ``SplitMix64(seed).next_float()``.
-
-    Bit-identical to calling ``next_float`` ``start + n`` times and keeping
-    the last ``n``.
-    """
-    return draw_bits(np.uint64(seed & _MASK64), start, n) * _INV_2_53

@@ -25,7 +25,6 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby, islice
-from numbers import Real
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -34,8 +33,8 @@ import numpy as np
 
 from .errors import DomainError, ParseError, RangeError
 from .markov import DistanceTrace, StateTrace, _frozen, count_blocks
-from .params import DEFAULT_D_MAX, DEFAULT_D_MIN
-from .rng import RngSeed, uniform_block
+from .params import DEFAULT_D_MAX, DEFAULT_D_MIN, as_real
+from .rng import RngSeed, draw_bits
 from .states import STATE_NAMES
 
 SPEED_OF_LIGHT = 299792458.0
@@ -121,7 +120,8 @@ def synth_distance_trace(profile: MobilityProfile, seed: RngSeed = 0) -> Distanc
     else:
         # Step k + 1 takes draw k of the seed's stream.
         bound = profile.step_bound
-        for u in uniform_block(seed, 0, profile.n_steps - 1).tolist():
+        uniforms = draw_bits(np.uint64(seed % 2**64), 0, profile.n_steps - 1) * 2.0**-53
+        for u in uniforms.tolist():
             nxt, _ = _reflect(ds[-1] + (2.0 * u - 1.0) * bound, DEFAULT_D_MIN, DEFAULT_D_MAX)
             ds.append(nxt)
     return DistanceTrace.from_distances(ds)
@@ -195,9 +195,7 @@ def dwell_statistics(traces: Iterable[StateTrace]) -> DwellStats:
 
 def fresnel_clearance_radius(d1: float, d2: float, f: float) -> float:
     """Radius of 60% of the first Fresnel zone at distances d1, d2 from the ends."""
-    if not all(isinstance(v, Real) and math.isfinite(v) for v in (d1, d2, f)):
-        raise DomainError("d1, d2 and f must be finite numbers")
-    d1, d2, f = float(d1), float(d2), float(f)
+    d1, d2, f = as_real(d1, "d1"), as_real(d2, "d2"), as_real(f, "f")
     if d1 <= 0.0 or d2 <= 0.0 or f <= 0.0:
         raise DomainError(f"d1, d2 and f must be positive, got {(d1, d2, f)}")
     lam = SPEED_OF_LIGHT / f

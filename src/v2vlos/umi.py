@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+
+import numpy as np
 
 from .errors import DomainError
 from .markov import Sampler
+from .params import as_real
 
 UMI_SCENARIO_TAG = "umi"
 
@@ -30,9 +32,7 @@ class UmiParams:
 
 def umi_los_probability(d: float, p: UmiParams = UmiParams()) -> float:
     """P(LOS) = min(d1/d, 1) * (1 - exp(-d/d2)) + exp(-d/d2)."""
-    if not (isinstance(d, Real) and math.isfinite(d)):
-        raise DomainError(f"distance must be finite, got {d!r}")
-    d = float(d)
+    d = as_real(d)
     if d <= 0.0:
         raise DomainError(f"distance must be positive, got {d!r}")
     return raw(d, p.d1, p.d2)
@@ -58,4 +58,9 @@ def baseline(p: UmiParams = UmiParams()) -> Sampler:
         los = raw(d, d1, d2)
         return los, los
 
-    return Sampler(thresholds, UMI_SCENARIO_TAG)
+    def table(origin: int, d: np.ndarray) -> np.ndarray:
+        e = np.exp(-d / d2)  # raw over an array, but for the last bits of numpy's exp
+        los = np.minimum(d1 / d, 1.0) * (1.0 - e) + e
+        return np.stack((los, los))
+
+    return Sampler(thresholds, table, UMI_SCENARIO_TAG)

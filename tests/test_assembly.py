@@ -29,6 +29,7 @@ from v2vlos import (
     transition_matrix,
 )
 from v2vlos import markov
+from v2vlos.assembly import repair_array
 from v2vlos.curves import curve_to_dict
 from v2vlos.params import scenario_from_dict, scenario_to_dict
 from v2vlos.states import STATE_NAMES
@@ -214,11 +215,59 @@ def test_any_loadable_scenario_assembles_everywhere_in_range(state_probs, rows, 
     for d in distances:
         state_probabilities(model, d)
         transition_matrix(model, d)
-    # Three traces on one grid go trace by trace, or as one shared run when _SHARED_MIN is 1.
+    # Three traces on one grid, sampled from the table, then with every draw left to the scalar thresholds.
     traces = [DistanceTrace.from_distances(distances)] * 3
-    per_trace = [out.states.tobytes() for out in chain(model).batch(traces, seed)]
-    with mock.patch.object(markov, "_SHARED_MIN", 1):
-        assert [out.states.tobytes() for out in chain(model).batch(traces, seed)] == per_trace
+    engine = [out.states.tobytes() for out in chain(model).batch(traces, seed)]
+    with mock.patch.object(markov, "_GUARD", 2**53):
+        assert [out.states.tobytes() for out in chain(model).batch(traces, seed)] == engine
+
+
+# The table may stray from the scalar thresholds by this much; the guard band is 2**10 times wider.
+_TABLE_ERROR = markov._GUARD / 2**10 * 2.0**-53
+
+
+def assert_table_near_thresholds(model, distances):
+    sampler = chain(model)
+    d = np.array(distances)
+    for origin in (-1, 0, 1, 2):
+        table = sampler.table(origin, d)
+        scalar = np.array([sampler.thresholds(origin, x) for x in distances]).T
+        assert np.isfinite(table).all()
+        assert np.abs(table - scalar).max() <= _TABLE_ERROR, (origin, d[np.abs(table - scalar).max(axis=0).argmax()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=st.sampled_from([(e, d) for e in Environment for d in Density]),
+       distances=st.lists(st.floats(1.0, 500.0), min_size=1, max_size=200))
+def test_table_is_within_the_guard_of_the_scalar_thresholds(scenario, distances):
+    assert_table_near_thresholds(builtin_model(*scenario), [1.0, *distances, 500.0])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    state_probs=_vector(),
+    rows=st.tuples(_vector(), _vector(), _vector()),
+    distances=st.lists(st.floats(1.0, 500.0), min_size=1, max_size=20),
+)
+def test_table_of_any_loadable_scenario_is_within_the_guard(state_probs, rows, distances):
+    obj = scenario_to_dict(builtin_model(Environment.URBAN, Density.MEDIUM))
+    obj.update(state_probs=state_probs, transitions=dict(zip(STATE_NAMES, rows)))
+    try:
+        model = scenario_from_dict(obj)
+    except ValueError:
+        assume(False)
+    assert_table_near_thresholds(model, [1.0, *distances, 500.0])
+
+
+_entries = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 1e-300, 0.25]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(triples=st.lists(st.tuples(_entries, _entries, _entries), min_size=1, max_size=30))
+def test_repair_array_repairs_each_column_like_repair_vector(triples):
+    # Ties among the smallest and the largest entries are common: the same tie rules must hold.
+    got = repair_array(np.array(triples, dtype=float).T.copy())
+    assert [tuple(col) for col in got.T.tolist()] == [repair_vector(t) for t in triples]
 
 
 def test_matrix_is_immutable():

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -134,6 +135,17 @@ def test_all_builtin_curves_stay_in_unit_interval():
             for d in range(1, 501):
                 v = eval_curve(spec, float(d))
                 assert 0.0 <= v <= 1.0, (model.tag, label, d, v)
+
+
+def test_values_match_raw_on_every_builtin_curve():
+    # Poly2 runs the same float operations; the others differ in the last bits of numpy's exp and log.
+    d = np.linspace(1.0, 500.0, 4991)
+    for model in all_models():
+        for label, spec in model_curves(model):
+            raw = np.array([spec.raw(x) for x in d.tolist()])
+            assert np.allclose(spec.values(d), raw, rtol=8 * 2.0**-52, atol=0.0), (model.tag, label)
+            if isinstance(spec, Poly2):
+                assert spec.values(d).tobytes() == raw.tobytes()
 
 
 def test_curve_dict_round_trip():

@@ -3,10 +3,13 @@
 The reference below is the plain sampler: one ``SplitMix64.next_float`` per
 step, the initial state drawn from ``state_probabilities`` by inverse CDF and
 every later one from a freshly compiled transition row; the urban-micro
-baseline draws LOS when the uniform falls below P(LOS). The engine must
-reproduce it byte for byte.
+baseline draws LOS when the uniform falls below P(LOS). :func:`scalar_states`
+is the same loop over any sampler's scalar ``thresholds``. The engine, which
+samples from the array ``table`` and leaves the draws near a threshold to
+``thresholds``, must reproduce them byte for byte.
 """
 
+import dataclasses
 import math
 import warnings
 from itertools import repeat
@@ -24,9 +27,13 @@ from v2vlos import (
     DistanceTrace,
     DomainError,
     Environment,
+    LogBell,
     LosState,
     MobilityProfile,
+    OffsetMinusLogBell,
+    Poly2,
     SplitMix64,
+    StateProbModel,
     UmiParams,
     baseline,
     builtin_model,
@@ -39,7 +46,13 @@ from v2vlos import (
 )
 from v2vlos import markov
 from v2vlos.assembly import compile_vector
-from v2vlos.rng import uniform_block
+from v2vlos.params import scenario_from_dict, scenario_to_dict
+from v2vlos.rng import draw_bits
+
+
+def uniform_block(seed, start, n):
+    """Draws ``start .. start + n - 1`` of ``SplitMix64(seed).next_float()``, from ``draw_bits``."""
+    return draw_bits(np.uint64(seed % 2**64), start, n) * 2.0**-53
 
 URBAN_MEDIUM = builtin_model(Environment.URBAN, Density.MEDIUM)
 
@@ -66,6 +79,17 @@ def reference_umi(trace, p, seed):
                      for d in trace.distances.tolist()], dtype=np.int8)
 
 
+def scalar_states(sampler, trace, seed):
+    """One state per step from ``sampler.thresholds`` alone, one ``next_float`` each."""
+    rng, s, out = SplitMix64(seed), -1, []
+    for d in trace.distances.tolist():
+        c0, c1 = sampler.thresholds(s, d)
+        u = rng.next_float()
+        s = 0 if u < c0 else 1 if u < c1 else 2
+        out.append(s)
+    return np.array(out, dtype=np.int8)
+
+
 def walk_trace(n, seed, d0=250.0, v_max=20.0):
     return synth_distance_trace(MobilityProfile("walk", d0=d0, n_steps=n, v_max=v_max), seed)
 
@@ -87,7 +111,7 @@ def test_all_scenarios_match_reference(scenario):
 
 
 def test_ragged_batch_matches_reference():
-    lengths = [1, 2, 7, 500, 3, markov._UNIFORM_BLOCK + 5, 1]
+    lengths = [1, 2, 7, 500, 3, markov._BLOCK + 5, 1]
     traces = [walk_trace(n, i) for i, n in enumerate(lengths)]
     assert_batch_matches(URBAN_MEDIUM, traces, 2024, list(chain(URBAN_MEDIUM).batch(traces, 2024)))
     assert_batch_matches(URBAN_MEDIUM, traces, 5, list(chain(URBAN_MEDIUM).batch(iter(traces), 5)))
@@ -146,6 +170,93 @@ def test_batch_error_lists_exactly_the_failing_indices():
     assert all(isinstance(e, DomainError) for _, e in err.value.failures)
 
 
+def test_clamped_distances_in_a_batch_match_reference():
+    # Below-floor steps at the start, in the middle and at the end of traces on
+    # distinct grids, and one trace longer than a block, beside in-range ones.
+    low = [0.2, 0.5, 0.99, 1.0, 250.0, 0.3, 120.0, 0.999]
+    traces = [DistanceTrace.from_distances(low), walk_trace(40, 1), DistanceTrace.from_distances(low[::-1]),
+              DistanceTrace.from_distances(np.tile(low, 5)), walk_trace(7, 2)]
+    with mock.patch.object(markov, "_BLOCK", 12), pytest.warns(DistanceClampWarning):
+        batch = list(chain(URBAN_MEDIUM).batch(traces, 21))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DistanceClampWarning)
+        assert_batch_matches(URBAN_MEDIUM, traces, 21, batch)
+
+
+def test_a_clamped_shared_grid_is_clamped_once_per_step_not_once_per_trace():
+    grid = DistanceTrace.from_distances([0.5, 0.7, 2.0, 600.0, 300.0, 700.0])
+    counts = []
+    for n in (1, 30):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = list(chain(URBAN_MEDIUM, over_range="clamp").batch([grid] * n, 8))
+            counts.append(sum(issubclass(w.category, DistanceClampWarning) for w in caught))
+            for i, out in enumerate(batch):
+                ref = reference_states(URBAN_MEDIUM, grid, derive_subseed(8, i), "clamp")
+                assert out.states.tobytes() == ref.tobytes()
+    # Steps 0 and 1 are below the floor: one warning per origin row of the
+    # table, and one for the initial draw at step 0, however many traces.
+    assert counts == [7, 7]
+
+
+@pytest.mark.parametrize("block", [3, markov._BLOCK])
+def test_over_range_distances_in_a_batch_follow_the_policy(block):
+    good = walk_trace(50, 1)
+    late = DistanceTrace.from_distances([490.0, 499.0, 500.0, 505.0, 400.0])  # fails on its fourth step
+    first = DistanceTrace.from_distances([600.0, 100.0])  # fails on its initial draw
+    traces = [good, late, good, first, late, good]
+    with mock.patch.object(markov, "_BLOCK", block):
+        with pytest.raises(BatchError) as err:
+            list(chain(URBAN_MEDIUM).batch(traces, 3))
+        clamped = list(chain(URBAN_MEDIUM, over_range="clamp").batch(traces, 3))
+    assert [(i, str(e)) for i, e in err.value.failures] == [
+        (1, "distance 505.0 m above model ceiling 500.0 m (policy 'error')"),
+        (3, "distance 600.0 m above model ceiling 500.0 m (policy 'error')"),
+        (4, "distance 505.0 m above model ceiling 500.0 m (policy 'error')"),
+    ]
+    for i, (trace, out) in enumerate(zip(traces, clamped)):
+        assert out.states.tobytes() == reference_states(URBAN_MEDIUM, trace, derive_subseed(3, i), "clamp").tobytes()
+
+
+@pytest.mark.parametrize("units", [2**8, markov._GUARD - 2, markov._GUARD + 2])
+def test_only_a_draw_inside_the_guard_band_goes_to_the_scalar_thresholds(units):
+    # The scalar thresholds sit on each step's own draw, so it picks NLOSb (u < u
+    # is false); the table sits ``units`` * 2**-53 above and alone would pick LOS.
+    inside = units <= markov._GUARD
+    draws = uniform_block(5, 0, 4).tolist()
+    calls = []
+
+    def thresholds(origin, d):
+        calls.append(d)
+        return draws[int(d)], draws[int(d)]
+
+    def table(origin, d):
+        c = np.array([draws[int(x)] for x in d.tolist()]) + units * 2.0**-53
+        return np.stack((c, c))
+
+    sampler = markov.Sampler(thresholds, table, "t")
+    trace = DistanceTrace.from_distances([1e-3, 1.0, 2.0, 3.0])  # d = step index, so each step reads its own draw
+    assert sampler.trace(trace, 5).states.tolist() == ([2, 2, 2, 2] if inside else [0, 0, 0, 0])
+    assert calls == ([1e-3, 1.0, 2.0, 3.0] if inside else [])
+    with mock.patch.object(markov, "_GUARD", -1):  # no band: the table's picks stand
+        assert sampler.trace(trace, 5).states.tolist() == [0, 0, 0, 0]
+
+
+def test_curves_that_overflow_inside_the_range_sample_like_the_scalar_reference():
+    # Both curves are finite at 1 m and 500 m but -inf at 250 m; the table
+    # evaluates them without a RuntimeWarning and clamps them as the scalar does.
+    bell = OffsetMinusLogBell(-1.7975e308, LogBell(1e-308, math.log(250.0), 0.01))
+    los_row = StateProbModel({LosState.LOS: Poly2(1e305, -5e307, 0.0), LosState.NLOSb: bell}, LosState.NLOSv)
+    model = dataclasses.replace(URBAN_MEDIUM, rows=(los_row, *URBAN_MEDIUM.rows[1:]),
+                                state_probs=StateProbModel({LosState.LOS: Poly2(0.0, 0.0, 1.0),
+                                                            LosState.NLOSb: bell}, LosState.NLOSv))
+    model = scenario_from_dict(scenario_to_dict(model))  # loadable
+    assert los_row.explicit[LosState.LOS].raw(250.0) == -math.inf and bell.raw(250.0) == -math.inf
+    grid = DistanceTrace.from_distances([250.0, 249.0, 250.0, 251.0, 250.0, 1.0, 500.0, 250.0] * 8)
+    traces = [grid, walk_trace(300, 4, d0=250.0, v_max=2.0), grid]
+    assert_batch_matches(model, traces, 17, list(chain(model).batch(traces, 17)))
+
+
 def test_batch_yields_the_good_traces_before_its_error():
     good = walk_trace(50, 1)
     bad = DistanceTrace.from_distances([600.0, 100.0])
@@ -167,11 +278,11 @@ def test_batch_is_lazy():
 
 
 def reference_batch(sampler, traces, seed):
-    """``Sampler.batch`` as a plain loop of ``Sampler.trace``: the outputs, and the failures as (index, message)."""
+    """``Sampler.batch`` as a loop of :func:`scalar_states`: (index, states) and (index, message) of the failures."""
     outs, failures = [], []
     for i, trace in enumerate(traces):
         try:
-            outs.append(sampler.trace(trace, derive_subseed(seed, i)))
+            outs.append((i, scalar_states(sampler, trace, derive_subseed(seed, i))))
         except DomainError as exc:
             failures.append((i, str(exc)))
     return outs, failures
@@ -192,17 +303,23 @@ _samplers = st.one_of(
 @given(
     sampler=_samplers,
     grids=_grids,
-    order=st.lists(st.integers(0, 2), max_size=14),
+    copies=st.booleans(),
+    order=st.lists(st.integers(0, 5), max_size=14),
     seed=st.integers(0, 2**64 - 1),
-    width=st.integers(1, 5),
     cap=st.integers(1, 5),
     block=st.integers(1, 40),
+    scan_below=st.sampled_from([0, 4, markov._SCAN_BELOW]),
     lazy=st.booleans(),
 )
-def test_shared_runs_match_per_trace_sampling(sampler, grids, order, seed, width, cap, block, lazy):
+def test_shared_runs_match_per_trace_sampling(sampler, grids, copies, order, seed, cap, block, scan_below, lazy):
     # Traces that reuse one DistanceTrace share its distance array; the order
-    # interleaves the grids (A A B A A), whose lengths differ.
+    # interleaves the grids (A A B A C), whose lengths differ, and ``copies``
+    # adds a distinct grid of equal distances beside each. A small ``_BLOCK``
+    # makes blocks of a few steps, so most traces span several, and chunks of
+    # a few traces; ``_CHUNK`` cuts chunks by their padded size. Blocks with
+    # fewer live traces than ``_SCAN_BELOW`` are walked by the prefix scan.
     shared = [DistanceTrace.from_distances(ds) for ds in grids]
+    shared += [DistanceTrace.from_distances(ds) for ds in grids] if copies else []
     traces = [shared[j % len(shared)] for j in order]
     read = []
 
@@ -212,8 +329,8 @@ def test_shared_runs_match_per_trace_sampling(sampler, grids, order, seed, width
             yield trace
 
     longest = max(len(trace) for trace in shared)
-    with warnings.catch_warnings(), mock.patch.object(markov, "_SHARED_MIN", width), \
-            mock.patch.object(markov, "_SHARED_STEPS", cap * longest), mock.patch.object(markov, "_SHARED_BLOCK", block):
+    with warnings.catch_warnings(), mock.patch.object(markov, "_CHUNK", cap * longest), \
+            mock.patch.object(markov, "_BLOCK", block), mock.patch.object(markov, "_SCAN_BELOW", scan_below):
         warnings.simplefilter("ignore", DistanceClampWarning)
         expected, expected_failures = reference_batch(sampler, traces, seed)
         got, failures = [], []
@@ -222,43 +339,52 @@ def test_shared_runs_match_per_trace_sampling(sampler, grids, order, seed, width
         except BatchError as exc:
             failures = [(i, str(e)) for i, e in exc.failures]
     assert failures == expected_failures
-    assert len(got) == len(expected)
-    for out, ref in zip(got, expected):
-        assert (out.seed, out.scenario) == (ref.seed, ref.scenario)
-        assert out.times is ref.times and out.distances is ref.distances
-        assert out.states.tobytes() == ref.states.tobytes()
+    assert [(out.seed, out.scenario) for out in got] == [(derive_subseed(seed, i), sampler.tag) for i, _ in expected]
+    for out, (i, ref) in zip(got, expected):
+        assert out.grid is traces[i]
+        assert out.states.tobytes() == ref.tobytes()
         assert not out.states.flags.writeable
     if lazy:
         assert read == traces  # every trace read exactly once
 
 
+def lookup_sampler(table):
+    """A sampler whose scalar thresholds and array table both read ``table[(origin, d)]``."""
+    def array(origin, d):
+        return np.array([table[(origin, x)] for x in d.tolist()], dtype=float).reshape(-1, 2).T
+    return markov.Sampler(lambda origin, d: table[(origin, d)], array, "t")
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), n_steps=st.integers(1, 6), n_traces=st.integers(1, 6), seed=st.integers(0, 2**64 - 1))
-def test_shared_runs_pick_like_the_scalar_loop_at_any_threshold(data, n_steps, n_traces, seed):
-    # Thresholds on and next to the run's own draws, outside [0, 1], NaN, and c1 below c0.
+@given(data=st.data(), n_steps=st.integers(1, 6), n_traces=st.integers(1, 6), seed=st.integers(0, 2**64 - 1),
+       guard=st.sampled_from([-1, 0, markov._GUARD]), scan_below=st.sampled_from([0, markov._SCAN_BELOW]))
+def test_shared_runs_pick_like_the_scalar_loop_at_any_threshold(data, n_steps, n_traces, seed, guard, scan_below):
+    # Thresholds on and next to the run's own draws, outside [0, 1], NaN, and
+    # c1 below c0; with no guard band (-1) the table alone picks all but NaN,
+    # step by step (``_SCAN_BELOW`` 0) or by the prefix scan.
     draws = np.concatenate([uniform_block(derive_subseed(seed, i), 0, n_steps) for i in range(n_traces)]).tolist()
     near = sorted({c for u in draws for c in (u, math.nextafter(u, 0.0), math.nextafter(u, 1.0))})
     value = st.sampled_from(near) | st.floats(allow_nan=True, allow_infinity=True)
     table = {(origin, k + 1.0): (data.draw(value), data.draw(value)) for origin in (-1, 0, 1, 2) for k in range(n_steps)}
     trace = DistanceTrace.from_distances([k + 1.0 for k in range(n_steps)])
-    with mock.patch.object(markov, "_SHARED_MIN", 1):
-        got = list(markov.Sampler(lambda origin, d: table[(origin, d)], "t").batch([trace] * n_traces, seed))
-    reference = markov.Sampler(lambda origin, d: table[(origin, d)], "t")
+    sampler = lookup_sampler(table)
+    with mock.patch.object(markov, "_GUARD", guard), mock.patch.object(markov, "_SCAN_BELOW", scan_below):
+        got = list(sampler.batch([trace] * n_traces, seed))
     for i, out in enumerate(got):
-        assert out.states.tobytes() == reference.trace(trace, derive_subseed(seed, i)).states.tobytes()
+        assert out.states.tobytes() == scalar_states(sampler, trace, derive_subseed(seed, i)).tobytes()
 
 
-def test_only_runs_of_the_shared_width_are_sampled_across_traces(monkeypatch):
-    widths = []
-    shared_states = markov._shared_states
-    monkeypatch.setattr(markov, "_shared_states", lambda table, seeds: widths.append(seeds.size) or
-                        shared_states(table, seeds))
+def test_a_shared_grid_is_tabled_once_per_block():
+    sampler = chain(URBAN_MEDIUM)
+    sizes = []
+    table = sampler.table
+    sampler.table = lambda origin, d: sizes.append((origin, d.size)) or table(origin, d)
     trace = DistanceTrace.from_distances(np.arange(1.0, 51.0))
     other = DistanceTrace.from_distances(np.arange(1.0, 51.0))  # equal values in another array
-    n = markov._SHARED_MIN
-    traces = [trace] * (n - 1) + [other] + [trace] * n
-    assert_batch_matches(URBAN_MEDIUM, traces, 1, list(chain(URBAN_MEDIUM).batch(traces, 1)))
-    assert widths == [n]
+    traces = [trace] * 11 + [other] + [trace] * 12
+    assert_batch_matches(URBAN_MEDIUM, traces, 1, list(sampler.batch(traces, 1)))
+    # One block of 50 steps: the two grids' distances once per origin, and step 0's for the initial draw.
+    assert sizes == [(0, 100), (1, 100), (2, 100), (-1, 2)]
 
 
 @settings(max_examples=200, deadline=None)

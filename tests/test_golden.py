@@ -5,8 +5,10 @@ exit code, its stdout (and stderr when it fails) and every file it writes,
 with the ``#`` provenance lines removed. Every change must keep these
 digests; a change that means to alter the output must say so and record new
 ones (``python tests/test_golden.py`` prints the digests of the current
-code). Every case runs twice: as shipped, and with every run of traces
-sampled across its traces, so both sampling paths must give these bytes.
+code). Every case also runs with each trace walked alone, with the guard
+band widened so that the scalar thresholds decide every draw, and with
+blocks of one to five steps: the engine must give these bytes however it
+cuts the batch and whichever path decides a draw.
 
 The refitted model of ``estimate --fit`` also depends on scipy's
 least-squares solver, so its digest holds only for the scipy release it was
@@ -29,7 +31,8 @@ from v2vlos.curves import curve_to_dict
 
 from conftest import model_curves
 
-SIZE = ["--count", "20", "--steps", "200"]
+COUNT = 20
+SIZE = ["--count", str(COUNT), "--steps", "200"]
 
 PROFILES = {
     "separate1ms": ["--profile", "separate1ms"],
@@ -52,7 +55,7 @@ BELOW_FLOOR = trace_file([0.05 * (k + 1) for k in range(19)] + [1.0 + 2.5 * k fo
 # 300 m up to 698 m: past 500 m from step 101 on.
 ABOVE_RANGE = trace_file([300.0 + 2.0 * k for k in range(200)])
 
-ESTIMATE_INPUT = ["generate", "--env", "urban", "--density", "medium", "--count", "20", "--steps", "500",
+ESTIMATE_INPUT = ["generate", "--env", "urban", "--density", "medium", "--count", str(COUNT), "--steps", "500",
                   "--seed", "11", "--out", "traces.csv"]
 
 
@@ -73,18 +76,18 @@ def _cases():
         argv=["compare", *highway, *SIZE, *PROFILES["walk"], "--seed", "3", "--out", "out.csv"],
         outputs=["out.csv"])
     cases["compare-above-range-clamp"] = dict(
-        argv=["compare", *urban, "--count", "20", "--trace-in", "in.csv", "--over-range", "clamp",
+        argv=["compare", *urban, "--count", str(COUNT), "--trace-in", "in.csv", "--over-range", "clamp",
               "--seed", "9", "--out", "out.csv"],
         outputs=["out.csv"], files={"in.csv": ABOVE_RANGE})
     cases["compare-below-floor"] = dict(
-        argv=["compare", *urban, "--count", "20", "--trace-in", "in.csv", "--seed", "4", "--out", "out.csv"],
+        argv=["compare", *urban, "--count", str(COUNT), "--trace-in", "in.csv", "--seed", "4", "--out", "out.csv"],
         outputs=["out.csv"], files={"in.csv": BELOW_FLOOR})
     cases["generate-below-floor"] = dict(
-        argv=["generate", *urban, "--count", "20", "--trace-in", "in.csv", "--seed", "4", "--out", "out.csv"],
+        argv=["generate", *urban, "--count", str(COUNT), "--trace-in", "in.csv", "--seed", "4", "--out", "out.csv"],
         outputs=["out.csv"], files={"in.csv": BELOW_FLOOR})
     for policy in ("error", "clamp"):
         cases[f"generate-above-range-{policy}"] = dict(
-            argv=["generate", *highway, "--count", "20", "--trace-in", "in.csv", "--over-range", policy,
+            argv=["generate", *highway, "--count", str(COUNT), "--trace-in", "in.csv", "--over-range", policy,
                   "--seed", "4", "--out", "out.csv"],
             outputs=["out.csv"], files={"in.csv": ABOVE_RANGE})
     cases["estimate"] = dict(
@@ -203,8 +206,23 @@ def test_cli_output_is_unchanged(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_is_unchanged_across_traces(name, tmp_path, monkeypatch):
-    # At width 1 every run of traces, shared grid or not, is sampled across its traces.
-    monkeypatch.setattr(markov, "_SHARED_MIN", 1)
+    # Chunks of one trace: each trace is walked alone, not across the batch.
+    monkeypatch.setattr(markov, "_CHUNK", 1)
+    test_cli_output_is_unchanged(name, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_unchanged_by_the_scalar_oracle(name, tmp_path, monkeypatch):
+    # A guard band of 2**53 units covers [0, 1]: the scalar thresholds pick every state.
+    monkeypatch.setattr(markov, "_GUARD", 2**53)
+    test_cli_output_is_unchanged(name, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_unchanged_at_block_length(name, width, tmp_path, monkeypatch):
+    # Every sampled case has COUNT traces, so blocks are at most ``width`` steps long.
+    monkeypatch.setattr(markov, "_BLOCK", width * COUNT)
     test_cli_output_is_unchanged(name, tmp_path, monkeypatch)
 
 

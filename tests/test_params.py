@@ -119,6 +119,31 @@ def test_numpy_scalar_distances_give_the_float_result(d):
         effective_distance(True)
 
 
+# The five scalar entry points that take a distance, each called with ``d`` in one slot.
+_DISTANCE_ENTRY_POINTS = {
+    "effective_distance": lambda d: effective_distance(d),
+    "free_space_pl": lambda d: free_space_pl(d, 2e9),
+    "state_path_loss": lambda d: state_path_loss(LosState.NLOSv, d, PathLossParams.defaults()),
+    "umi_los_probability": lambda d: umi_los_probability(d),
+    "fresnel_clearance_radius": lambda d: fresnel_clearance_radius(d, d, d),
+}
+
+
+@pytest.mark.parametrize("d, message", [(True, "finite real number"), (False, "finite real number"),
+                                        (10**400, "too large"), (-(10**400), "too large")],
+                         ids=["True", "False", "10**400", "-10**400"])
+@pytest.mark.parametrize("entry", sorted(_DISTANCE_ENTRY_POINTS))
+def test_scalar_entry_points_reject_bools_and_huge_ints(entry, d, message):
+    with pytest.raises(DomainError, match=message):
+        _DISTANCE_ENTRY_POINTS[entry](d)
+
+
+@pytest.mark.parametrize("entry", sorted(set(_DISTANCE_ENTRY_POINTS) - {"effective_distance"}))
+def test_scalar_entry_points_take_a_large_int_that_fits_a_float(entry):
+    # effective_distance stops at the 500 m ceiling; the others take any finite distance.
+    assert _DISTANCE_ENTRY_POINTS[entry](10**200) == _DISTANCE_ENTRY_POINTS[entry](1e200)
+
+
 def test_effective_distance_over_range_policy():
     with pytest.raises(DomainError):
         effective_distance(500.001)

@@ -296,7 +296,7 @@ def test_fresnel_domain():
 
 def test_fresnel_rejects_nan():
     for bad in ((math.nan, 250.0, 2e9), (250.0, 250.0, math.nan)):
-        with pytest.raises(DomainError, match="finite numbers"):
+        with pytest.raises(DomainError, match="finite real number"):
             fresnel_clearance_radius(*bad)
 
 
