@@ -9,7 +9,7 @@ value. A transition row is the probability vector of the next state, so
 :func:`compile_vector` turns the state vector or any row (each a
 :class:`~v2vlos.params.StateProbModel`) into one flat evaluator over the
 curves' ``raw`` methods, and :func:`compile_array` into its numpy twin over
-their ``values``. Each sampler compiles its scenario once
+``raw(d, np)``. Each sampler compiles its scenario once
 (:func:`v2vlos.markov.chain`); :func:`state_probabilities` and
 :func:`transition_matrix` apply the distance policy and compile only what
 they evaluate, so nothing is cached. All functions here are pure and safe
@@ -28,6 +28,9 @@ from .params import ScenarioModel, StateProbModel, effective_distance
 from .states import CANONICAL_STATES, LosState
 
 SUM_TOLERANCE = 1e-9
+# A repair that keeps one of two explicit values closer than this is left to
+# the scalar: numpy's last bits could flip which of the two is kept.
+_TIE = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -145,18 +148,22 @@ def compile_vector(block: StateProbModel) -> _Vector:
 def compile_array(block: StateProbModel) -> Callable[[np.ndarray], np.ndarray]:
     """Array twin of :func:`compile_vector`: the triples at distances ``d``, shape ``(3, n)``.
 
-    Where a curve value is NaN the whole column is NaN, left to the scalar.
+    Where a curve value is NaN, or the repair keeps one of two explicit
+    values within ``_TIE`` of each other (bar two values both clamped from
+    well above one), the whole column is NaN, left to the scalar.
     """
-    (i, f), (j, g) = sorted((int(state), spec.values) for state, spec in block.explicit.items())
+    (i, f), (j, g) = sorted((int(state), spec.raw) for state, spec in block.explicit.items())
     k = int(block.complement)
 
     def vector(d: np.ndarray) -> np.ndarray:
         v = np.empty((3, d.size))
         with np.errstate(all="ignore"):  # +-inf clamps as in the scalar; NaN is flagged below
-            np.minimum(np.maximum(f(d), 0.0), 1.0, out=v[i])
-            np.minimum(np.maximum(g(d), 0.0), 1.0, out=v[j])
+            x, y = f(d, np), g(d, np)
+            np.minimum(np.maximum(x, 0.0), 1.0, out=v[i])
+            np.minimum(np.maximum(y, 0.0), 1.0, out=v[j])
             np.subtract(1.0, v[i] + v[j], out=v[k])
-            nan = np.isnan(v[k])
+            tie = (v[k] < 0.0) & (np.abs(v[i] - v[j]) < _TIE) & ((x < 1.0 + _TIE) | (y < 1.0 + _TIE))
+            nan = np.isnan(v[k]) | tie
             repair_array(v)
         v[:, nan] = np.nan
         return v

@@ -10,10 +10,10 @@ Uniform doubles take the top 53 bits of each output word, giving values in
 :func:`derive_subseed` so results do not depend on processing order.
 
 The stream is counter-based: draw ``k`` (from 0) of a stream seeded with
-``s`` is ``mix64(s + (k + 1) * golden)``. :func:`draw_bits` uses that to
+``s`` is ``mix64(s + (k + 1) * golden)``. :func:`uniforms` uses that to
 compute any run of draws of any number of streams at once with numpy
 ``uint64`` arithmetic, which wraps modulo 2**64 exactly as the masked
-integer code does; scaled by 2**-53, its values are the uniforms.
+integer code does.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ _U64_MIX1 = np.uint64(_MIX1)
 _U64_MIX2 = np.uint64(_MIX2)
 
 
-def draw_bits(seeds: np.ndarray | np.uint64, start: int, n: int) -> np.ndarray:
-    """The top 53 bits of draws ``start .. start + n - 1`` of every stream in ``seeds``.
+def uniforms(seeds: np.ndarray | np.uint64, start: int, n: int) -> np.ndarray:
+    """Draws ``start .. start + n - 1`` of ``SplitMix64(s).next_float()`` for every ``s`` in ``seeds``.
 
     ``seeds`` holds 64-bit stream seeds; the result has shape
     ``(n, *seeds.shape)``, so row ``k`` holds draw ``start + k`` of each.
@@ -79,4 +79,4 @@ def draw_bits(seeds: np.ndarray | np.uint64, start: int, n: int) -> np.ndarray:
     x *= _U64_MIX2
     x ^= x >> 31
     x >>= 11
-    return x
+    return x * _INV_2_53

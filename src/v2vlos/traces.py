@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DomainError, ParseError, RangeError
 from .markov import DistanceTrace, StateTrace, _frozen, count_blocks
 from .params import DEFAULT_D_MAX, DEFAULT_D_MIN, as_real
-from .rng import RngSeed, draw_bits
+from .rng import RngSeed, uniforms
 from .states import STATE_NAMES
 
 SPEED_OF_LIGHT = 299792458.0
@@ -120,8 +120,7 @@ def synth_distance_trace(profile: MobilityProfile, seed: RngSeed = 0) -> Distanc
     else:
         # Step k + 1 takes draw k of the seed's stream.
         bound = profile.step_bound
-        uniforms = draw_bits(np.uint64(seed % 2**64), 0, profile.n_steps - 1) * 2.0**-53
-        for u in uniforms.tolist():
+        for u in uniforms(np.uint64(seed % 2**64), 0, profile.n_steps - 1).tolist():
             nxt, _ = _reflect(ds[-1] + (2.0 * u - 1.0) * bound, DEFAULT_D_MIN, DEFAULT_D_MAX)
             ds.append(nxt)
     return DistanceTrace.from_distances(ds)

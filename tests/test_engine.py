@@ -27,6 +27,7 @@ from v2vlos import (
     DistanceTrace,
     DomainError,
     Environment,
+    ExpDecay,
     LogBell,
     LosState,
     MobilityProfile,
@@ -47,12 +48,12 @@ from v2vlos import (
 from v2vlos import markov
 from v2vlos.assembly import compile_vector
 from v2vlos.params import scenario_from_dict, scenario_to_dict
-from v2vlos.rng import draw_bits
+from v2vlos.rng import uniforms
 
 
 def uniform_block(seed, start, n):
-    """Draws ``start .. start + n - 1`` of ``SplitMix64(seed).next_float()``, from ``draw_bits``."""
-    return draw_bits(np.uint64(seed % 2**64), start, n) * 2.0**-53
+    """Draws ``start .. start + n - 1`` of ``SplitMix64(seed).next_float()``, from ``uniforms``."""
+    return uniforms(np.uint64(seed % 2**64), start, n)
 
 URBAN_MEDIUM = builtin_model(Environment.URBAN, Density.MEDIUM)
 
@@ -183,20 +184,21 @@ def test_clamped_distances_in_a_batch_match_reference():
         assert_batch_matches(URBAN_MEDIUM, traces, 21, batch)
 
 
-def test_a_clamped_shared_grid_is_clamped_once_per_step_not_once_per_trace():
-    grid = DistanceTrace.from_distances([0.5, 0.7, 2.0, 600.0, 300.0, 700.0])
-    counts = []
-    for n in (1, 30):
+@pytest.mark.parametrize("policy", ["error", "clamp"])
+def test_clamp_warnings_come_at_the_steps_each_trace_reaches(policy):
+    # Under "error" the traces on ``grid`` stop at 600 m and never reach the
+    # clamped 0.5 m and 0.7 m after it; under "clamp" each trace warns at both.
+    grid = DistanceTrace.from_distances([2.0, 600.0, 0.5, 300.0, 0.7])
+    sampler = chain(URBAN_MEDIUM, over_range=policy)
+    for traces in ([grid], [grid] * 30, [grid, walk_trace(40, 1)] * 10):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            batch = list(chain(URBAN_MEDIUM, over_range="clamp").batch([grid] * n, 8))
-            counts.append(sum(issubclass(w.category, DistanceClampWarning) for w in caught))
-            for i, out in enumerate(batch):
-                ref = reference_states(URBAN_MEDIUM, grid, derive_subseed(8, i), "clamp")
-                assert out.states.tobytes() == ref.tobytes()
-    # Steps 0 and 1 are below the floor: one warning per origin row of the
-    # table, and one for the initial draw at step 0, however many traces.
-    assert counts == [7, 7]
+            try:
+                list(sampler.batch(traces, 8))
+            except BatchError as exc:
+                assert [i for i, _ in exc.failures] == [i for i, t in enumerate(traces) if t is grid]
+        expected = 2 * traces.count(grid) if policy == "clamp" else 0
+        assert sum(issubclass(w.category, DistanceClampWarning) for w in caught) == expected
 
 
 @pytest.mark.parametrize("block", [3, markov._BLOCK])
@@ -236,10 +238,14 @@ def test_only_a_draw_inside_the_guard_band_goes_to_the_scalar_thresholds(units):
 
     sampler = markov.Sampler(thresholds, table, "t")
     trace = DistanceTrace.from_distances([1e-3, 1.0, 2.0, 3.0])  # d = step index, so each step reads its own draw
-    assert sampler.trace(trace, 5).states.tolist() == ([2, 2, 2, 2] if inside else [0, 0, 0, 0])
-    assert calls == ([1e-3, 1.0, 2.0, 3.0] if inside else [])
-    with mock.patch.object(markov, "_GUARD", -1):  # no band: the table's picks stand
-        assert sampler.trace(trace, 5).states.tolist() == [0, 0, 0, 0]
+    with mock.patch.object(markov, "_TABLE_FROM", 1):  # a lone trace is walked from the table too
+        assert sampler.trace(trace, 5).states.tolist() == ([2, 2, 2, 2] if inside else [0, 0, 0, 0])
+        assert calls == ([1e-3, 1.0, 2.0, 3.0] if inside else [])
+        with mock.patch.object(markov, "_GUARD", -1):  # no band: the table's picks stand
+            assert sampler.trace(trace, 5).states.tolist() == [0, 0, 0, 0]
+    calls.clear()
+    assert sampler.trace(trace, 5).states.tolist() == [2, 2, 2, 2]  # the scalar thresholds walk a lone trace
+    assert calls == [1e-3, 1.0, 2.0, 3.0]
 
 
 def test_curves_that_overflow_inside_the_range_sample_like_the_scalar_reference():
@@ -255,6 +261,26 @@ def test_curves_that_overflow_inside_the_range_sample_like_the_scalar_reference(
     grid = DistanceTrace.from_distances([250.0, 249.0, 250.0, 251.0, 250.0, 1.0, 500.0, 250.0] * 8)
     traces = [grid, walk_trace(300, 4, d0=250.0, v_max=2.0), grid]
     assert_batch_matches(model, traces, 17, list(chain(model).batch(traces, 17)))
+
+
+def test_a_repair_decided_by_a_near_tie_samples_like_the_scalar_reference():
+    # LOS and NLOSb are equal at ``d0`` in the scalar evaluation and sum to more
+    # than one, so the repair keeps LOS (the earlier state on a tie). Where
+    # numpy's exp lands one ulp below math.exp, the array form alone would keep
+    # NLOSb and move c0 from 0.7 to 0.3; the table leaves such steps to the scalar.
+    b = 0.01
+    candidates = np.linspace(100.0, 400.0, 3001)
+    a = 0.7 * np.exp(b * candidates)
+    scalar = np.array([x * math.exp(-b * d) for x, d in zip(a.tolist(), candidates.tolist())])
+    below = np.flatnonzero(a * np.exp(-b * candidates) < scalar)
+    k = int(below[0]) if below.size else 0
+    d0, curve = float(candidates[k]), ExpDecay(float(a[k]), b)
+    block = StateProbModel({LosState.LOS: curve, LosState.NLOSb: Poly2(0.0, 0.0, curve.raw(d0))}, LosState.NLOSv)
+    assert compile_vector(block)(d0)[0] == curve.raw(d0)
+    model = scenario_from_dict(scenario_to_dict(dataclasses.replace(URBAN_MEDIUM, state_probs=block)))
+    assert np.isnan(chain(model).table(-1, np.full(3, d0))).all()
+    traces = [DistanceTrace.from_distances([d0] * 5)] * 40
+    assert_batch_matches(model, traces, 23, list(chain(model).batch(traces, 23)))
 
 
 def test_batch_yields_the_good_traces_before_its_error():
@@ -308,16 +334,16 @@ _samplers = st.one_of(
     seed=st.integers(0, 2**64 - 1),
     cap=st.integers(1, 5),
     block=st.integers(1, 40),
-    scan_below=st.sampled_from([0, 4, markov._SCAN_BELOW]),
+    table_from=st.sampled_from([1, markov._TABLE_FROM, 4, 100]),
     lazy=st.booleans(),
 )
-def test_shared_runs_match_per_trace_sampling(sampler, grids, copies, order, seed, cap, block, scan_below, lazy):
+def test_shared_runs_match_per_trace_sampling(sampler, grids, copies, order, seed, cap, block, table_from, lazy):
     # Traces that reuse one DistanceTrace share its distance array; the order
     # interleaves the grids (A A B A C), whose lengths differ, and ``copies``
     # adds a distinct grid of equal distances beside each. A small ``_BLOCK``
     # makes blocks of a few steps, so most traces span several, and chunks of
     # a few traces; ``_CHUNK`` cuts chunks by their padded size. Blocks with
-    # fewer live traces than ``_SCAN_BELOW`` are walked by the prefix scan.
+    # fewer live traces than ``_TABLE_FROM`` are walked by the scalar thresholds.
     shared = [DistanceTrace.from_distances(ds) for ds in grids]
     shared += [DistanceTrace.from_distances(ds) for ds in grids] if copies else []
     traces = [shared[j % len(shared)] for j in order]
@@ -330,7 +356,7 @@ def test_shared_runs_match_per_trace_sampling(sampler, grids, copies, order, see
 
     longest = max(len(trace) for trace in shared)
     with warnings.catch_warnings(), mock.patch.object(markov, "_CHUNK", cap * longest), \
-            mock.patch.object(markov, "_BLOCK", block), mock.patch.object(markov, "_SCAN_BELOW", scan_below):
+            mock.patch.object(markov, "_BLOCK", block), mock.patch.object(markov, "_TABLE_FROM", table_from):
         warnings.simplefilter("ignore", DistanceClampWarning)
         expected, expected_failures = reference_batch(sampler, traces, seed)
         got, failures = [], []
@@ -357,18 +383,18 @@ def lookup_sampler(table):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n_steps=st.integers(1, 6), n_traces=st.integers(1, 6), seed=st.integers(0, 2**64 - 1),
-       guard=st.sampled_from([-1, 0, markov._GUARD]), scan_below=st.sampled_from([0, markov._SCAN_BELOW]))
-def test_shared_runs_pick_like_the_scalar_loop_at_any_threshold(data, n_steps, n_traces, seed, guard, scan_below):
+       guard=st.sampled_from([-1, 0, markov._GUARD]), table_from=st.sampled_from([1, markov._TABLE_FROM]))
+def test_shared_runs_pick_like_the_scalar_loop_at_any_threshold(data, n_steps, n_traces, seed, guard, table_from):
     # Thresholds on and next to the run's own draws, outside [0, 1], NaN, and
-    # c1 below c0; with no guard band (-1) the table alone picks all but NaN,
-    # step by step (``_SCAN_BELOW`` 0) or by the prefix scan.
+    # c1 below c0; with no guard band (-1) the table alone picks all but NaN
+    # (a lone trace too when ``_TABLE_FROM`` is 1).
     draws = np.concatenate([uniform_block(derive_subseed(seed, i), 0, n_steps) for i in range(n_traces)]).tolist()
     near = sorted({c for u in draws for c in (u, math.nextafter(u, 0.0), math.nextafter(u, 1.0))})
     value = st.sampled_from(near) | st.floats(allow_nan=True, allow_infinity=True)
     table = {(origin, k + 1.0): (data.draw(value), data.draw(value)) for origin in (-1, 0, 1, 2) for k in range(n_steps)}
     trace = DistanceTrace.from_distances([k + 1.0 for k in range(n_steps)])
     sampler = lookup_sampler(table)
-    with mock.patch.object(markov, "_GUARD", guard), mock.patch.object(markov, "_SCAN_BELOW", scan_below):
+    with mock.patch.object(markov, "_GUARD", guard), mock.patch.object(markov, "_TABLE_FROM", table_from):
         got = list(sampler.batch([trace] * n_traces, seed))
     for i, out in enumerate(got):
         assert out.states.tobytes() == scalar_states(sampler, trace, derive_subseed(seed, i)).tobytes()
