@@ -162,10 +162,12 @@ def compile_array(block: StateProbModel) -> Callable[[np.ndarray], np.ndarray]:
             np.minimum(np.maximum(x, 0.0), 1.0, out=v[i])
             np.minimum(np.maximum(y, 0.0), 1.0, out=v[j])
             np.subtract(1.0, v[i] + v[j], out=v[k])
-            tie = (v[k] < 0.0) & (np.abs(v[i] - v[j]) < _TIE) & ((x < 1.0 + _TIE) | (y < 1.0 + _TIE))
-            nan = np.isnan(v[k]) | tie
+            tie = np.flatnonzero(v[k] < 0.0)  # the columns the repair changes
+            tie = tie[(np.abs(v[i, tie] - v[j, tie]) < _TIE) & ((x[tie] < 1.0 + _TIE) | (y[tie] < 1.0 + _TIE))]
+            nan = np.isnan(v[k])
             repair_array(v)
         v[:, nan] = np.nan
+        v[:, tie] = np.nan
         return v
 
     return vector

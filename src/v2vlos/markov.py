@@ -257,6 +257,7 @@ def _walk(sampler: Sampler, grids: Sequence[DistanceTrace], seeds: Sequence[RngS
             block[j:j + len(picks), t] = picks
         states[:live, start:stop] = block.T
         start, carry = stop, block[-1]
+        u = used = gap = None  # freed before the next block's are made
     states.setflags(write=False)
     back = np.argsort(order).tolist()
     return [states[k, :lengths[k]] for k in back], [errors[k] for k in back]
