@@ -9,7 +9,7 @@ value. A transition row is the probability vector of the next state, so
 :func:`compile_vector` turns the state vector or any row (each a
 :class:`~v2vlos.params.StateProbModel`) into one flat evaluator over the
 curves' ``raw`` methods, and :func:`compile_array` into its numpy twin over
-``raw(d, np)``. Each sampler compiles its scenario once
+their ``values``. Each sampler compiles its scenario once
 (:func:`v2vlos.markov.chain`); :func:`state_probabilities` and
 :func:`transition_matrix` apply the distance policy and compile only what
 they evaluate, so nothing is cached. All functions here are pure and safe
@@ -152,13 +152,13 @@ def compile_array(block: StateProbModel) -> Callable[[np.ndarray], np.ndarray]:
     values within ``_TIE`` of each other (bar two values both clamped from
     well above one), the whole column is NaN, left to the scalar.
     """
-    (i, f), (j, g) = sorted((int(state), spec.raw) for state, spec in block.explicit.items())
+    (i, f), (j, g) = sorted((int(state), spec.values) for state, spec in block.explicit.items())
     k = int(block.complement)
 
     def vector(d: np.ndarray) -> np.ndarray:
         v = np.empty((3, d.size))
         with np.errstate(all="ignore"):  # +-inf clamps as in the scalar; NaN is flagged below
-            x, y = f(d, np), g(d, np)
+            x, y = f(d), g(d)
             np.minimum(np.maximum(x, 0.0), 1.0, out=v[i])
             np.minimum(np.maximum(y, 0.0), 1.0, out=v[j])
             np.subtract(1.0, v[i] + v[j], out=v[k])

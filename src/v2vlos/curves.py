@@ -2,10 +2,9 @@
 
 Every curve maps a Tx-Rx distance in meters to a raw value (its ``raw``
 method, which carries no domain checks); probabilities are obtained by
-clamping the raw value into [0, 1]. ``raw(d, np)`` evaluates a numpy array
-of distances with numpy's ``exp`` and ``log``; it differs from ``raw(d)`` in
-the last bits of those alone. The families cover all fitted shapes used by
-the scenario models:
+clamping the raw value into [0, 1]. ``values`` is ``raw`` over a numpy
+array, with numpy's ``exp`` and ``log``: the two differ in the last bits of
+those alone. The families cover all fitted shapes used by the scenario models:
 
 * ``Poly2``: a*d^2 + b*d + c
 * ``ExpDecay``: a * exp(-b*d)
@@ -40,9 +39,11 @@ class Poly2:
         if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
             raise ValueError("Poly2 coefficients must be finite")
 
-    def raw(self, d, m=math):
-        """The value at ``d``: a float with ``m`` the math module, a numpy array with ``m`` numpy."""
+    def raw(self, d):
+        """The value at ``d``, a float or a numpy array."""
         return (self.a * d + self.b) * d + self.c
+
+    values = raw
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,11 @@ class ExpDecay:
         if not all(math.isfinite(v) for v in (self.a, self.b)):
             raise ValueError("ExpDecay coefficients must be finite")
 
-    def raw(self, d, m=math):
-        return self.a * m.exp(-self.b * d)
+    def raw(self, d: float) -> float:
+        return self.a * math.exp(-self.b * d)
+
+    def values(self, d: np.ndarray) -> np.ndarray:
+        return self.a * np.exp(-self.b * d)
 
 
 @dataclass(frozen=True)
@@ -72,9 +76,13 @@ class LogBell:
         if self.s <= 0.0 or self.k <= 0.0:
             raise ValueError("LogBell requires s > 0 and k > 0")
 
-    def raw(self, d, m=math):
-        t = m.log(d) - self.mu
-        return (1.0 / (self.s * d)) * m.exp(-(t * t) / self.k)
+    def raw(self, d: float) -> float:
+        t = math.log(d) - self.mu
+        return (1.0 / (self.s * d)) * math.exp(-(t * t) / self.k)
+
+    def values(self, d: np.ndarray) -> np.ndarray:
+        t = np.log(d) - self.mu
+        return (1.0 / (self.s * d)) * np.exp(-(t * t) / self.k)
 
 
 @dataclass(frozen=True)
@@ -89,8 +97,11 @@ class OffsetMinusLogBell:
         if not isinstance(self.inner, LogBell):
             raise ValueError("offset_minus_log_bell inner curve must be log_bell")
 
-    def raw(self, d, m=math):
-        return self.offset - self.inner.raw(d, m)
+    def raw(self, d: float) -> float:
+        return self.offset - self.inner.raw(d)
+
+    def values(self, d: np.ndarray) -> np.ndarray:
+        return self.offset - self.inner.values(d)
 
 
 @dataclass(frozen=True)
@@ -106,11 +117,12 @@ class Piecewise:
         if not all(type(branch) in FAMILIES.values() for branch in (self.low, self.high)):
             raise ValueError("piecewise branches must be curves")
 
-    def raw(self, d, m=math):
+    def raw(self, d: float) -> float:
         # Ties at the threshold take the high-distance branch.
-        if m is math:
-            return (self.low if d < self.d_t else self.high).raw(d)
-        return np.where(d < self.d_t, self.low.raw(d, m), self.high.raw(d, m))
+        return (self.low if d < self.d_t else self.high).raw(d)
+
+    def values(self, d: np.ndarray) -> np.ndarray:
+        return np.where(d < self.d_t, self.low.values(d), self.high.values(d))
 
 
 CurveSpec = Union[Poly2, ExpDecay, LogBell, OffsetMinusLogBell, Piecewise]

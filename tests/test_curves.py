@@ -137,15 +137,15 @@ def test_all_builtin_curves_stay_in_unit_interval():
                 assert 0.0 <= v <= 1.0, (model.tag, label, d, v)
 
 
-def test_array_raw_matches_scalar_raw_on_every_builtin_curve():
+def test_values_match_raw_on_every_builtin_curve():
     # Poly2 runs the same float operations; the others differ in the last bits of numpy's exp and log.
     d = np.linspace(1.0, 500.0, 4991)
     for model in all_models():
         for label, spec in model_curves(model):
             raw = np.array([spec.raw(x) for x in d.tolist()])
-            assert np.allclose(spec.raw(d, np), raw, rtol=8 * 2.0**-52, atol=0.0), (model.tag, label)
+            assert np.allclose(spec.values(d), raw, rtol=8 * 2.0**-52, atol=0.0), (model.tag, label)
             if isinstance(spec, Poly2):
-                assert spec.raw(d, np).tobytes() == raw.tobytes()
+                assert spec.values(d).tobytes() == raw.tobytes()
 
 
 def test_curve_dict_round_trip():
