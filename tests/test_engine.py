@@ -195,9 +195,12 @@ def test_clamp_warnings_come_at_the_steps_each_trace_reaches(policy):
             warnings.simplefilter("always")
             try:
                 list(sampler.batch(traces, 8))
+                failed = []
             except BatchError as exc:
-                assert [i for i, _ in exc.failures] == [i for i, t in enumerate(traces) if t is grid]
-        expected = 2 * traces.count(grid) if policy == "clamp" else 0
+                failed = [i for i, _ in exc.failures]
+        refused = policy == "error"
+        assert failed == ([i for i, t in enumerate(traces) if t is grid] if refused else [])
+        expected = 0 if refused else 2 * traces.count(grid)
         assert sum(issubclass(w.category, DistanceClampWarning) for w in caught) == expected
 
 
