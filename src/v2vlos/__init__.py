@@ -80,6 +80,7 @@ from .traces import (
     read_distance_trace,
     read_labeled_traces,
     synth_distance_trace,
+    synth_distance_traces,
     write_state_traces,
 )
 from .umi import UmiParams, baseline, umi_los_probability

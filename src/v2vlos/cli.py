@@ -18,7 +18,9 @@ import dataclasses
 import json
 import math
 import sys
+from itertools import repeat, tee
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -47,12 +49,13 @@ from .pathloss import PathLossParams, render_path_loss
 from .rng import derive_subseed, mix64
 from .states import CANONICAL_STATES, STATE_NAMES, Density, Environment, LosState
 from .traces import (
+    DwellCount,
     MobilityProfile,
     atomic_output,
-    dwell_statistics,
     read_distance_trace,
     read_labeled_traces,
     synth_distance_trace,
+    synth_distance_traces,
     write_state_traces,
 )
 from .umi import UmiParams, baseline
@@ -157,41 +160,35 @@ def _scenario(args: argparse.Namespace) -> ScenarioModel:
     return builtin_model(Environment(args.env), Density(args.density))
 
 
-def _build_distance_traces(args: argparse.Namespace) -> list[DistanceTrace]:
+def _distance_traces(args: argparse.Namespace) -> Iterator[DistanceTrace]:
+    """The batch's distance traces, made lazily; a bad option is an error here, before any is made."""
     if getattr(args, "trace_in", None):
-        return [read_distance_trace(args.trace_in)] * args.count
+        return repeat(read_distance_trace(args.trace_in), args.count)
     if args.steps is None:
         raise V2vLosError("either --steps with a profile or --trace-in is required")
-    profile_name = args.profile or "separate1ms"
+    name = args.profile or "separate1ms"
+    kind = _PROFILE_KIND.get(name, "constant")  # separate1ms: constant at 1 m/s
+    flag, key, value = ("--vmax", "v_max", args.vmax) if kind == "walk" else \
+        ("--speed", "speed", 1.0 if name == "separate1ms" else args.speed)
+    if value is None:
+        raise V2vLosError(f"{flag} is required for the {name} profile")
     try:
-        if profile_name == "separate1ms":
-            profile = MobilityProfile("constant", d0=args.d0, n_steps=args.steps, speed=1.0)
-        else:
-            kind = _PROFILE_KIND[profile_name]
-            if kind == "walk":
-                if args.vmax is None:
-                    raise V2vLosError("--vmax is required for the walk profile")
-                profile = MobilityProfile(kind, d0=args.d0, n_steps=args.steps, v_max=args.vmax)
-            else:
-                if args.speed is None:
-                    raise V2vLosError(f"--speed is required for the {profile_name} profile")
-                profile = MobilityProfile(kind, d0=args.d0, n_steps=args.steps, speed=args.speed)
+        profile = MobilityProfile(kind, d0=args.d0, n_steps=args.steps, **{key: value})
     except ValueError as exc:
         raise V2vLosError(str(exc)) from exc
     if not profile.seeded:
-        return [synth_distance_trace(profile)] * args.count
+        return repeat(synth_distance_trace(profile), args.count)
     synth_master = mix64(args.seed ^ _SYNTH_SALT)
-    return [synth_distance_trace(profile, derive_subseed(synth_master, i)) for i in range(args.count)]
+    return synth_distance_traces(profile, (derive_subseed(synth_master, i) for i in range(args.count)))
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     model = _scenario(args)
-    traces = _build_distance_traces(args)
-    state_traces = list(chain(model, args.over_range).batch(traces, args.seed))
+    grids, count = _distance_traces(args), DwellCount()
+    states = count.tap(chain(model, args.over_range).batch(grids, args.seed))
+    write_state_traces(states, args.out, _provenance("generate", scenario=model.tag, seed=args.seed))
 
-    write_state_traces(state_traces, args.out, _provenance("generate", scenario=model.tag, seed=args.seed))
-
-    dwell = dwell_statistics(state_traces)
+    dwell = count.stats()
     occ = dwell.occupancy / dwell.n_steps
     print(f"wrote {args.out}: traces={dwell.n_traces} steps={dwell.n_steps} scenario={model.tag} seed={args.seed}")
     print("occupancy: " + " ".join(f"{s.name}={occ[s]:.4f}" for s in CANONICAL_STATES))
@@ -220,14 +217,18 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     model = _scenario(args)
-    traces = _build_distance_traces(args)
+    grids, umi_grids = tee(_distance_traces(args))
     umi_params = UmiParams(d1=args.umi_d1, d2=args.umi_d2)
     pl_params = PathLossParams.from_file(args.pathloss_params) if args.pathloss_params else PathLossParams.defaults()
 
-    proposed = list(chain(model, args.over_range).batch(traces, args.seed))
-    memoryless = list(baseline(umi_params).batch(traces, args.seed))
+    # Both samplers read each chunk of grids in turn, so the tee holds about one chunk.
+    proposed, memoryless = DwellCount(), DwellCount()
+    pairs = zip(proposed.tap(chain(model, args.over_range).batch(grids, args.seed)),
+                memoryless.tap(baseline(umi_params).batch(umi_grids, args.seed)), strict=True)
+    first, first_umi = next(pairs)
+    for _ in pairs:
+        pass
 
-    first, first_umi = proposed[0], memoryless[0]
     rows = zip(first.times.tolist(), first.distances.tolist(),
                first.states.tolist(), render_path_loss(first, pl_params).tolist(),
                first_umi.states.tolist(), render_path_loss(first_umi, pl_params).tolist())
@@ -237,9 +238,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                  for t, d, sm, plm, su, plu in rows)
     _write_atomic(args.out, "\n".join(lines) + "\n")
 
-    dwell_model = dwell_statistics(proposed)
-    dwell_umi = dwell_statistics(memoryless)
-    print(f"wrote {args.out}: traces={len(traces)} scenario={model.tag} seed={args.seed}")
+    dwell_model, dwell_umi = proposed.stats(), memoryless.stats()
+    print(f"wrote {args.out}: traces={args.count} scenario={model.tag} seed={args.seed}")
     print(f"model=proposed state_changes={dwell_model.changes} mean_dwell_s={dwell_model.mean_dwell:.3f}")
     print(f"model=umi state_changes={dwell_umi.changes} mean_dwell_s={dwell_umi.mean_dwell:.3f}")
     return 0

@@ -44,8 +44,9 @@ from .rng import RngSeed, derive_subseed, uniforms
 # Draws per block of steps (table entries: a quarter per origin); bounds the
 # engine's working set to about a megabyte.
 _BLOCK = 1 << 14
-# Entries of the state matrix of one chunk of traces (one byte each).
-_CHUNK = 1 << 20
+# Bytes of one chunk of traces: one per entry of its state matrix and eight
+# per step of each distinct grid (its distances).
+_CHUNK = 1 << 21
 # Fewer live traces than this are walked by the scalar thresholds alone: for
 # a lone trace, two array lookups per step cost more than one scalar step.
 _TABLE_FROM = 2
@@ -185,20 +186,36 @@ class Sampler:
                     yield StateTrace(grid, states, scenario=self.tag, seed=sub)
                 else:
                     failures.append((i, error))
+            chunk = grid = states = None  # freed before the next chunk is read
         if failures:
             raise BatchError(failures)
 
 
+def chunk_width(n_steps: int) -> int:
+    """How many traces of ``n_steps`` steps, each on its own grid, one chunk holds (:func:`_chunks`)."""
+    return max(1, _CHUNK // (9 * n_steps))
+
+
 def _chunks(traces: Iterable[DistanceTrace]) -> Iterator[list[DistanceTrace]]:
-    """The traces, read once, in lists of at most ``_BLOCK`` traces and, bar one long trace, ``_CHUNK`` padded steps."""
+    """The traces, read once, in lists of at most ``_BLOCK`` traces and, bar one long trace, ``_CHUNK`` bytes.
+
+    A chunk is passed on once a trace like its last could not join it: a
+    stream of like traces is read no further than the chunk.
+    """
     chunk: list[DistanceTrace] = []
-    longest = 0
+    grids: set[DistanceTrace] = set()
+    longest = grid_bytes = 0
     for trace in traces:
-        longest = max(longest, len(trace))
-        if chunk and (len(chunk) == _BLOCK or (len(chunk) + 1) * longest > _CHUNK):
+        new = 0 if trace in grids else 8 * len(trace)
+        if chunk and (len(chunk) + 1) * max(longest, len(trace)) + grid_bytes + new > _CHUNK:
             yield chunk
-            chunk, longest = [], len(trace)
+            chunk, grids, longest, grid_bytes, new = [], set(), 0, 0, 8 * len(trace)
         chunk.append(trace)
+        grids.add(trace)
+        longest, grid_bytes = max(longest, len(trace)), grid_bytes + new
+        if len(chunk) == _BLOCK or (len(chunk) + 1) * longest + grid_bytes + new > _CHUNK:
+            yield chunk
+            chunk, grids, longest, grid_bytes = [], set(), 0, 0
     if chunk:
         yield chunk
 

@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2vlos import PathLossParams, cli, load_scenario, read_labeled_traces
+from v2vlos import PathLossParams, cli, load_scenario, markov, read_labeled_traces
 from v2vlos.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -521,6 +522,63 @@ def test_bad_pathloss_params_exit_one(tmp_path, capsys, text):
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--profile", "walk"], "--vmax is required for the walk profile"),
+    (["--profile", "urban-mixed", "--vmax", "5"], "--speed is required for the urban-mixed profile"),
+    (["--profile", "constant"], "--speed is required for the constant profile"),
+    (["--profile", "walk", "--vmax", "600"], "a step may move at most 499 m, got 600 m"),
+    (["--speed", "600"], None),  # separate1ms moves at 1 m/s whatever --speed says
+])
+def test_profile_options_are_checked_before_any_work(tmp_path, capsys, flags, message):
+    out = tmp_path / "out.csv"
+    code = main(["generate", "--env", "urban", "--density", "low", "--steps", "5", *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert (code, err) == ((1, f"error: {message}\n") if message else (0, ""))
+    assert out.exists() == (message is None)
+
+@pytest.mark.parametrize("existing", [False, True], ids=["no-old-file", "old-file"])
+@pytest.mark.parametrize("command", ["generate", "compare"])
+def test_over_range_error_leaves_no_output_or_temporary_file(tmp_path, capsys, monkeypatch, command, existing):
+    # Engine chunks of one trace: the batch streams through the writer and the
+    # dwell counts chunk by chunk before its error is raised.
+    monkeypatch.setattr(markov, "_CHUNK", 5)
+    (tmp_path / "in.csv").write_text("t,d\n0,490.0\n1,495.0\n2,500.0\n3,505.5\n4,498.0\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    if existing:
+        out.write_text("old contents\n", encoding="utf-8")
+    code = main([command, "--env", "urban", "--density", "medium", "--trace-in", str(tmp_path / "in.csv"),
+                 "--count", "3", "--over-range", "error", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: 3 trace(s) failed (indices: 0, 1, 2); first error: "
+                            "distance 505.5 m above model ceiling 500.0 m (policy 'error')\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["in.csv", "out.csv"] if existing else ["in.csv"])
+    if existing:
+        assert out.read_text(encoding="utf-8") == "old contents\n"
+
+
+def test_walk_generate_memory_does_not_grow_with_the_count(tmp_path, monkeypatch):
+    # Synthesis and engine chunks of 50 traces of 100 steps, dwell counts of
+    # 50 traces: 800 traces stream through the same working set as 200.
+    monkeypatch.setattr(markov, "_CHUNK", 50 * 9 * 100)
+    monkeypatch.setattr(markov, "_COUNT_BLOCK", 50 * 100)
+
+    def peak(count):
+        argv = ["generate", "--env", "highway", "--density", "medium", "--profile", "walk", "--vmax", "20",
+                "--d0", "250", "--steps", "100", "--count", str(count), "--seed", "1", "--out", str(tmp_path / "o.csv")]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(200)  # one-time allocations
+    small, large = peak(200), peak(800)
+    assert large < 1.1 * small, (small, large)
 
 # Malformed inputs for the robustness property below. Every size the CLI
 # sees (steps, count, rows of a curves grid, rows of a trace file) stays

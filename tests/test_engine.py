@@ -306,6 +306,24 @@ def test_batch_is_lazy():
     assert next(umi).seed == derive_subseed(6, 0)
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["distinct-grids", "one-grid"])
+def test_a_stream_of_like_traces_is_read_no_further_than_its_chunk(shared):
+    # A chunk holds 4 traces of 20 steps on distinct grids (chunk_width), or
+    # 28 on one grid; it is walked before the next trace is read.
+    grid = walk_trace(20, 2)
+    read = []
+
+    def stream():
+        for i in range(200):
+            read.append(i)
+            yield grid if shared else walk_trace(20, i)
+
+    with mock.patch.object(markov, "_CHUNK", 4 * 9 * 20):
+        assert markov.chunk_width(20) == 4
+        next(chain(URBAN_MEDIUM).batch(stream(), seed=6))
+    assert len(read) == (28 if shared else 4)
+
+
 def reference_batch(sampler, traces, seed):
     """``Sampler.batch`` as a loop of :func:`scalar_states`: (index, states) and (index, message) of the failures."""
     outs, failures = [], []
@@ -345,7 +363,8 @@ def test_shared_runs_match_per_trace_sampling(sampler, grids, copies, order, see
     # interleaves the grids (A A B A C), whose lengths differ, and ``copies``
     # adds a distinct grid of equal distances beside each. A small ``_BLOCK``
     # makes blocks of a few steps, so most traces span several, and chunks of
-    # a few traces; ``_CHUNK`` cuts chunks by their padded size. Blocks with
+    # a few traces; ``_CHUNK`` cuts chunks by their bytes (about ``cap``
+    # traces on distinct grids, more on shared ones). Blocks with
     # fewer live traces than ``_TABLE_FROM`` are walked by the scalar thresholds.
     shared = [DistanceTrace.from_distances(ds) for ds in grids]
     shared += [DistanceTrace.from_distances(ds) for ds in grids] if copies else []
@@ -358,7 +377,7 @@ def test_shared_runs_match_per_trace_sampling(sampler, grids, copies, order, see
             yield trace
 
     longest = max(len(trace) for trace in shared)
-    with warnings.catch_warnings(), mock.patch.object(markov, "_CHUNK", cap * longest), \
+    with warnings.catch_warnings(), mock.patch.object(markov, "_CHUNK", cap * 9 * longest), \
             mock.patch.object(markov, "_BLOCK", block), mock.patch.object(markov, "_TABLE_FROM", table_from):
         warnings.simplefilter("ignore", DistanceClampWarning)
         expected, expected_failures = reference_batch(sampler, traces, seed)

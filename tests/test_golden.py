@@ -7,8 +7,8 @@ digests; a change that means to alter the output must say so and record new
 ones (``python tests/test_golden.py`` prints the digests of the current
 code). Every case also runs with each trace walked alone, with the guard
 band widened so that the scalar thresholds decide every draw, and with
-blocks of one to five steps: the engine must give these bytes however it
-cuts the batch and whichever path decides a draw.
+blocks of one to five steps, and streamed in small chunks: the engine must
+give these bytes however it cuts the batch and whichever path decides a draw.
 
 The refitted model of ``estimate --fit`` also depends on scipy's
 least-squares solver, so its digest holds only for the scipy release it was
@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 import scipy
 
-from v2vlos import Density, Environment, builtin_model, load_scenario, markov
+from v2vlos import Density, Environment, builtin_model, load_scenario, markov, traces
 from v2vlos.cli import main
 from v2vlos.curves import curve_to_dict
 
@@ -223,6 +223,19 @@ def test_cli_output_is_unchanged_by_the_scalar_oracle(name, tmp_path, monkeypatc
 def test_cli_output_is_unchanged_at_block_length(name, width, tmp_path, monkeypatch):
     # Every sampled case has COUNT traces, so blocks are at most ``width`` steps long.
     monkeypatch.setattr(markov, "_BLOCK", width * COUNT)
+    test_cli_output_is_unchanged(name, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_unchanged_when_streamed_in_small_chunks(name, tmp_path, monkeypatch):
+    # Synthesis chunks of 6 walk traces, synthesised together (the last, of
+    # 2, a trace at a time), engine chunks of at most 4 traces in blocks of
+    # one step, and dwell counts of 3 traces: every boundary falls inside the
+    # batch, and the engine's cut the synthesised matrices.
+    monkeypatch.setattr(markov, "_CHUNK", 6 * 9 * 200)
+    monkeypatch.setattr(markov, "_BLOCK", 4)
+    monkeypatch.setattr(traces, "_SYNTH_COLUMNS_FROM", 3)
+    monkeypatch.setattr(markov, "_COUNT_BLOCK", 3 * 200)
     test_cli_output_is_unchanged(name, tmp_path, monkeypatch)
 
 

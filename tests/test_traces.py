@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from v2vlos import markov
 from v2vlos import traces as trace_io
+from v2vlos.rng import mix64
 from v2vlos import (
     BatchError,
     Density,
@@ -33,6 +34,7 @@ from v2vlos import (
     synth_distance_trace,
     write_state_traces,
 )
+from v2vlos.traces import DwellCount, synth_distance_traces
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -132,6 +134,67 @@ def test_synthesis_is_deterministic_per_seed():
     assert np.array_equal(a.distances, b.distances)
     assert not np.array_equal(a.distances, c.distances)
 
+
+def reference_walk(d0, v_max, n_steps, seed):
+    """The walk a step at a time: d_{k+1} = reflect(d_k + (2 u_k - 1) v_max) into [1, 500] m.
+
+    u_k is draw k of the splitmix64 stream seeded with ``seed``:
+    mix64(seed + (k + 1) * golden), top 53 bits, scaled by 2**-53.
+    """
+    d = [d0]
+    for k in range(n_steps - 1):
+        u = (mix64(seed + (k + 1) * 0x9E3779B97F4A7C15) >> 11) * 2.0**-53
+        x = d[-1] + (2.0 * u - 1.0) * v_max
+        while x < 1.0 or x > 500.0:
+            x = 2.0 * 1.0 - x if x < 1.0 else 2.0 * 500.0 - x
+        d.append(x)
+    return np.array(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d0=st.floats(1.0, 500.0), v_max=st.floats(0.0, 499.0, exclude_min=True), n_steps=st.integers(1, 300),
+       count=st.integers(1, 80), data=st.data())
+def test_cross_trace_synthesis_is_the_scalar_walk_bit_for_bit(d0, v_max, n_steps, count, data):
+    # Up to 80 traces in one chunk: both sides of the width rule (_SYNTH_COLUMNS_FROM).
+    seeds = data.draw(st.lists(st.integers(-2**63, 2**64 - 1), min_size=count, max_size=count))
+    profile = MobilityProfile("walk", d0=d0, n_steps=n_steps, v_max=v_max)
+    batch = list(synth_distance_traces(profile, seeds))
+    assert len(batch) == len(seeds)
+    for trace, seed in zip(batch, seeds):
+        assert trace.distances.tobytes() == reference_walk(d0, v_max, n_steps, seed).tobytes()
+        assert trace.times.tolist() == list(range(n_steps))
+    # Trace i is the same alone, at another place in a batch and in chunks of another width.
+    i = data.draw(st.integers(0, len(seeds) - 1))
+    shift = data.draw(st.integers(0, len(seeds) - 1))
+    width = data.draw(st.integers(1, 80))
+    alone = synth_distance_trace(profile, seeds[i])
+    with mock.patch.object(markov, "_CHUNK", width * 9 * n_steps):
+        rotated = list(synth_distance_traces(profile, seeds[shift:] + seeds[:shift]))
+    assert alone.distances.tobytes() == batch[i].distances.tobytes()
+    assert rotated[(i - shift) % len(seeds)].distances.tobytes() == batch[i].distances.tobytes()
+
+
+def test_a_synthesised_chunk_is_one_frozen_matrix():
+    profile = MobilityProfile("walk", d0=250.0, n_steps=50, v_max=20.0)
+    batch = list(synth_distance_traces(profile, range(40)))
+    assert len({id(t.times) for t in batch}) == 1 and not batch[0].times.flags.writeable
+    matrix = batch[0].distances.base
+    assert matrix.shape == (40, 50) and matrix.flags.c_contiguous and not matrix.flags.writeable
+    assert all(t.distances.base is matrix for t in batch)
+    # An unseeded profile gives one shared trace, whatever the seeds.
+    constant = list(synth_distance_traces(MobilityProfile("constant", d0=1.0, n_steps=5, speed=1.0), range(3)))
+    assert constant[0] is constant[1] is constant[2]
+
+
+def test_dwell_count_passes_each_trace_on_once_in_order():
+    traces = [state_trace([0, 0, 1]), state_trace([2]), state_trace([1, 1, 0, 0])]
+    count = DwellCount()
+    with mock.patch.object(markov, "_COUNT_BLOCK", 2):
+        assert list(count.tap(iter(traces))) == traces
+    expected = dwell_statistics(traces)
+    assert count.stats().runs.tolist() == expected.runs.tolist() and count.stats().n_traces == 3
+    with pytest.raises(DomainError):
+        DwellCount().stats()
 
 def state_trace(states, d=50.0):
     s = np.asarray(states, dtype=np.int8)
