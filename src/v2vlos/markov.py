@@ -193,7 +193,7 @@ class Sampler:
 
 def chunk_width(n_steps: int) -> int:
     """How many traces of ``n_steps`` steps, each on its own grid, one chunk holds (:func:`_chunks`)."""
-    return max(1, _CHUNK // (9 * n_steps))
+    return min(_BLOCK, max(1, _CHUNK // (9 * n_steps)))
 
 
 def _chunks(traces: Iterable[DistanceTrace]) -> Iterator[list[DistanceTrace]]:

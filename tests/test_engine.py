@@ -306,10 +306,12 @@ def test_batch_is_lazy():
     assert next(umi).seed == derive_subseed(6, 0)
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["distinct-grids", "one-grid"])
-def test_a_stream_of_like_traces_is_read_no_further_than_its_chunk(shared):
-    # A chunk holds 4 traces of 20 steps on distinct grids (chunk_width), or
-    # 28 on one grid; it is walked before the next trace is read.
+@pytest.mark.parametrize("shared, block, width", [(False, 100, 4), (True, 100, 28), (False, 3, 3)],
+                         ids=["distinct-grids", "one-grid", "trace-limit"])
+def test_a_stream_of_like_traces_is_read_no_further_than_its_chunk(shared, block, width):
+    # A chunk holds 4 traces of 20 steps on distinct grids (chunk_width), 28
+    # on one grid, and never more than _BLOCK; it is walked before the next
+    # trace is read.
     grid = walk_trace(20, 2)
     read = []
 
@@ -318,10 +320,10 @@ def test_a_stream_of_like_traces_is_read_no_further_than_its_chunk(shared):
             read.append(i)
             yield grid if shared else walk_trace(20, i)
 
-    with mock.patch.object(markov, "_CHUNK", 4 * 9 * 20):
-        assert markov.chunk_width(20) == 4
+    with mock.patch.object(markov, "_CHUNK", 4 * 9 * 20), mock.patch.object(markov, "_BLOCK", block):
+        assert markov.chunk_width(20) == min(4, block)
         next(chain(URBAN_MEDIUM).batch(stream(), seed=6))
-    assert len(read) == (28 if shared else 4)
+    assert len(read) == width
 
 
 def reference_batch(sampler, traces, seed):
