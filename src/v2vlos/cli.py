@@ -29,6 +29,7 @@ from .assembly import state_probabilities, transition_matrix
 from .errors import DegenerateError, V2vLosError
 from .estimation import (
     BinnedProbs,
+    EmpiricalStats,
     accumulate,
     bin_centers,
     empirical_state_probs,
@@ -285,9 +286,33 @@ def _refit_model(model: ScenarioModel, centers: np.ndarray, emp_state: BinnedPro
     return dataclasses.replace(model, state_probs=state_probs, rows=rows)
 
 
+def _count(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """A labelled trace file's occupancy and transition counts, as arrays (unpickling skips EmpiricalStats' checks)."""
+    stats = accumulate(read_labeled_traces(path))
+    return stats.occupancy, stats.transitions
+
+
+def _count_while_loading_scipy(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_count` in one forked worker while this process imports scipy for the refit.
+
+    Without ``fork`` the count runs in this process, and scipy loads later, at the refit.
+    """
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return _count(path)
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        counts = pool.submit(_count, path)
+        import scipy.optimize  # the refit's slow import, made while the worker counts
+        try:
+            return counts.result()
+        except BrokenProcessPool as exc:
+            raise V2vLosError(f"counting {path} failed: {exc}") from exc
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     model = _scenario(args)
-    stats = accumulate(read_labeled_traces(args.traces))
+    stats = EmpiricalStats(*(_count_while_loading_scipy if args.fit else _count)(args.traces))
     centers = bin_centers()
     emp_state = empirical_state_probs(stats)
     emp_trans = empirical_transition_probs(stats)

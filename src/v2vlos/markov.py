@@ -184,8 +184,8 @@ class Sampler:
             for i, grid, sub, states, error in zip(range(start, end), chunk, seeds, *_walk(self, chunk, seeds)):
                 if error is None:
                     yield StateTrace(grid, states, scenario=self.tag, seed=sub)
-                else:
-                    failures.append((i, error))
+                else:  # without its traceback, which holds the chunk's _walk frame
+                    failures.append((i, error.with_traceback(None)))
             chunk = grid = states = None  # freed before the next chunk is read
         if failures:
             raise BatchError(failures)

@@ -5,12 +5,14 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
 import os
 import shlex
 import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from v2vlos import PathLossParams, cli, load_scenario, markov, read_labeled_traces
 from v2vlos.cli import main
+from v2vlos.errors import ParseError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -404,25 +407,32 @@ def test_output_files_get_the_umask_mode(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]  # no temporary file left behind
 
 
+# Only ``estimate --fit`` needs these: scipy for the refit, and a forked
+# worker that counts the trace file while scipy loads.
+_FIT_ONLY_MODULES = ("scipy", "multiprocessing", "concurrent.futures.process")
+
+
 def test_scipy_stays_off_the_start_path(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     r = subprocess.run([sys.executable, "-X", "importtime", "-m", "v2vlos.cli", "--version"],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0 and "v2vlos" in r.stdout
-    assert "v2vlos.estimation" in r.stderr and "scipy" not in r.stderr
+    assert "v2vlos.estimation" in r.stderr
+    assert not [name for name in _FIT_ONLY_MODULES if name in r.stderr], r.stderr
     out = tmp_path / "t.csv"
     script = f"""
 import sys
 import v2vlos
-assert "scipy" not in sys.modules, "import v2vlos"
+late = lambda: [name for name in {_FIT_ONLY_MODULES!r} if name in sys.modules]
+assert not late(), ("import v2vlos", late())
 from v2vlos.cli import main
 base = ["--env", "urban", "--density", "low", "--seed", "2"]
 assert main(["generate", *base, "--steps", "30", "--count", "2", "--out", {str(out)!r}]) == 0
 assert main(["compare", *base, "--steps", "30", "--out", {str(tmp_path / "cmp.csv")!r}]) == 0
 assert main(["curves", *base, "--d-step", "50", "--out", {str(tmp_path / "c.csv")!r}]) == 0
 assert main(["estimate", *base, "--traces", {str(out)!r}, "--out-report", {str(tmp_path / "r.txt")!r}]) == 0
-assert "scipy" not in sys.modules, "generate, compare, curves, estimate"
+assert not late(), ("generate, compare, curves, estimate", late())
 """
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
@@ -445,6 +455,104 @@ assert "scipy.optimize" in sys.modules
     assert r.returncode == 0, r.stderr
     model = load_scenario(fitted)
     assert model.environment.value == "urban" and model.density.value == "low"
+
+
+_CLI_COUNT = cli._count
+
+
+def _count_noting_the_pid(path):
+    """``cli._count``, leaving the id of the process that ran it beside the file."""
+    Path(f"{path}.pid").write_text(str(os.getpid()), encoding="utf-8")
+    return _CLI_COUNT(path)
+
+
+def _die(path):
+    os._exit(3)
+
+
+def _estimate(tmp_path, traces, *flags):
+    return ["estimate", "--env", "urban", "--density", "low", "--traces", str(traces),
+            "--out-stats", str(tmp_path / "stats.csv"), "--out-report", str(tmp_path / "report.txt"), *flags]
+
+
+# The exponential-decay refit drops the bins where a transition never happened.
+_quiet_refit = pytest.mark.filterwarnings("ignore:excluded .* from exponential fit:UserWarning")
+
+
+@_quiet_refit
+@pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+def test_estimate_fit_counts_in_a_forked_worker(tmp_path, monkeypatch, capsys, fork):
+    traces = tmp_path / "t.csv"
+    assert main(GENERATE + ["--steps", "450", "--seed", "11", "--count", "30", "--out", str(traces)]) == 0
+    monkeypatch.setattr(cli, "_count", _count_noting_the_pid)
+    if not fork:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert main(_estimate(tmp_path, traces)) == 0
+    plain = (tmp_path / "stats.csv").read_bytes(), Path(f"{traces}.pid").read_text(encoding="utf-8")
+    assert main(_estimate(tmp_path, traces, "--fit", "--out-model", str(tmp_path / "m.json"))) == 0
+    fitted = (tmp_path / "stats.csv").read_bytes(), Path(f"{traces}.pid").read_text(encoding="utf-8")
+    assert plain[1] == str(os.getpid()) and (fitted[1] != plain[1]) == fork
+    assert fitted[0] == plain[0]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"t,d,state\n0,10.0,LOS\n1,oops,LOS\n", "error: line 3: "),
+    (b"t,d,state\n0,10.0,LOS\n1,505.5,LOS\n", "error: trace distance 505.5 outside [0, 500.0]\n"),
+    (None, "error: [Errno 2] No such file or directory: "),
+    (b"t,d,state\n0,10.0,LOS\n1,\xff1.0,LOS\n", "error: 'utf-8' codec can't decode byte 0xff"),
+], ids=["malformed-row", "above-500-m", "missing-file", "not-utf-8"])
+def test_estimate_fit_fails_as_estimate_does(tmp_path, capsys, content, message):
+    traces = tmp_path / "in.csv"
+    if content is not None:
+        traces.write_bytes(content)
+    before = sorted(tmp_path.iterdir())
+    results = []
+    for fit in ([], ["--fit", "--out-model", str(tmp_path / "m.json")]):
+        code = main(_estimate(tmp_path, traces, *fit))
+        results.append((code, capsys.readouterr()))
+        assert sorted(tmp_path.iterdir()) == before
+        assert multiprocessing.active_children() == []
+    assert results[0] == results[1]
+    code, (out, err) = results[0]
+    assert code == 1 and out == "" and err.startswith(message) and err.count("\n") == 1
+
+
+def test_worker_keeps_the_parse_error_line(tmp_path):
+    bad = tmp_path / "in.csv"
+    bad.write_text("t,d,state\n0,10.0,LOS\n1,11.0,LOS\n2,x,LOS\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        cli._count_while_loading_scipy(str(bad))
+    assert exc.value.line == 4
+
+
+@_quiet_refit
+def test_the_worker_is_forked_from_a_single_threaded_process(tmp_path, monkeypatch):
+    # A thread running at fork() may hold a lock the child then waits on forever.
+    traces = tmp_path / "t.csv"
+    assert main(GENERATE + ["--steps", "450", "--seed", "11", "--count", "30", "--out", str(traces)]) == 0
+    threads, fork = [], os.fork
+
+    def counting_fork():
+        threads.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert main(_estimate(tmp_path, traces, "--fit", "--out-model", str(tmp_path / "m.json"))) == 0
+    assert threads == [1]
+
+
+def test_a_dead_counting_worker_is_a_clean_error(tmp_path, monkeypatch, capsys):
+    traces = tmp_path / "t.csv"
+    assert main(GENERATE + ["--steps", "30", "--out", str(traces)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_count", _die)  # the forked worker calls it too
+    assert main(_estimate(tmp_path, traces, "--fit", "--out-model", str(tmp_path / "m.json"))) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: counting {traces} failed: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+    assert multiprocessing.active_children() == []
 
 
 def test_non_utf8_config_is_usage_error(tmp_path, capsys):
@@ -579,6 +687,29 @@ def test_walk_generate_memory_does_not_grow_with_the_count(tmp_path, monkeypatch
     peak(200)  # one-time allocations
     small, large = peak(200), peak(800)
     assert large < 1.1 * small, (small, large)
+
+def test_failing_batch_memory_grows_only_by_its_error_list(tmp_path, monkeypatch):
+    # Engine chunks of about 200 traces of 100 steps, every trace failing at
+    # its 51st step. Each kept failure costs its index, error and message; its
+    # traceback would also keep the whole chunk's engine frame alive.
+    monkeypatch.setattr(markov, "_CHUNK", 200 * 100 + 800)
+    rows = "".join(f"{k},{505.5 if k == 50 else 100.0}\n" for k in range(100))
+    (tmp_path / "in.csv").write_text("t,d\n" + rows, encoding="utf-8")
+
+    def peak(count):
+        argv = ["generate", "--env", "urban", "--density", "low", "--trace-in", str(tmp_path / "in.csv"),
+                "--count", str(count), "--over-range", "error", "--out", str(tmp_path / "o.csv")]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == 1
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(200)  # one-time allocations
+    for count in (200, 2000):
+        assert peak(count) < 2**20 + 512 * count, count
 
 # Malformed inputs for the robustness property below. Every size the CLI
 # sees (steps, count, rows of a curves grid, rows of a trace file) stays
