@@ -295,12 +295,12 @@ def _count(path: str) -> tuple[np.ndarray, np.ndarray]:
 def _count_while_loading_scipy(path: str) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_count` in one forked worker while this process imports scipy for the refit.
 
-    Without ``fork`` the count runs in this process, and scipy loads later, at the refit.
+    Only on Linux, where fork is tested, and for a regular file other than stdin; scipy loads at the refit otherwise.
     """
+    if sys.platform != "linux" or not Path(path).is_file() or Path(path).resolve() == Path("/dev/stdin").resolve():
+        return _count(path)  # a worker may reopen fd 0 on /dev/null; a missing file fails here as without --fit
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return _count(path)
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
         counts = pool.submit(_count, path)
         import scipy.optimize  # the refit's slow import, made while the worker counts

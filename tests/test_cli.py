@@ -14,6 +14,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -479,14 +480,19 @@ def _estimate(tmp_path, traces, *flags):
 _quiet_refit = pytest.mark.filterwarnings("ignore:excluded .* from exponential fit:UserWarning")
 
 
+# The worker is forked only on Linux, the platform where fork is tested.
+_linux_only = pytest.mark.skipif(sys.platform != "linux", reason="estimate --fit forks its worker only on Linux")
+
+
 @_quiet_refit
-@pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+@pytest.mark.parametrize("fork", [pytest.param(True, marks=_linux_only), False], ids=["fork", "not-linux"])
 def test_estimate_fit_counts_in_a_forked_worker(tmp_path, monkeypatch, capsys, fork):
+    import scipy.optimize  # noqa: F401 -- loaded before sys.platform is patched below
     traces = tmp_path / "t.csv"
     assert main(GENERATE + ["--steps", "450", "--seed", "11", "--count", "30", "--out", str(traces)]) == 0
     monkeypatch.setattr(cli, "_count", _count_noting_the_pid)
     if not fork:
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(sys, "platform", "darwin")
     assert main(_estimate(tmp_path, traces)) == 0
     plain = (tmp_path / "stats.csv").read_bytes(), Path(f"{traces}.pid").read_text(encoding="utf-8")
     assert main(_estimate(tmp_path, traces, "--fit", "--out-model", str(tmp_path / "m.json"))) == 0
@@ -526,22 +532,63 @@ def test_worker_keeps_the_parse_error_line(tmp_path):
     assert exc.value.line == 4
 
 
+@_linux_only
 @_quiet_refit
 def test_the_worker_is_forked_from_a_single_threaded_process(tmp_path, monkeypatch):
     # A thread running at fork() may hold a lock the child then waits on forever.
+    # From Python 3.12, os.fork counts the process's threads (all of them, on
+    # Linux) just after the fork and warns if there is more than one. The fork
+    # has happened by then, so the warning is recorded here rather than turned
+    # into an error by a filter.
     traces = tmp_path / "t.csv"
     assert main(GENERATE + ["--steps", "450", "--seed", "11", "--count", "30", "--out", str(traces)]) == 0
     threads, fork = [], os.fork
 
     def counting_fork():
-        threads.append(threading.active_count())
-        return fork()
+        python_threads = threading.active_count()
+        pid = fork()
+        if pid:
+            threads.append((python_threads, len(os.listdir("/proc/self/task"))))
+        return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    assert main(_estimate(tmp_path, traces, "--fit", "--out-model", str(tmp_path / "m.json"))) == 0
-    assert threads == [1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DeprecationWarning)
+        assert main(_estimate(tmp_path, traces, "--fit", "--out-model", str(tmp_path / "m.json"))) == 0
+    assert threads == [(1, 1)]
+    assert not [w for w in caught if issubclass(w.category, DeprecationWarning) and "fork" in str(w.message)]
 
 
+@_linux_only
+@pytest.mark.parametrize("stdin", ["file", "pipe", "owned-file"])
+def test_estimate_fit_reads_a_trace_file_on_stdin(tmp_path, stdin):
+    # A multiprocessing child closes sys.stdin and opens /dev/null in its
+    # place. The interpreter's own sys.stdin leaves fd 0 open when closed, but
+    # where sys.stdin owns fd 0 ("owned-file"), /dev/null takes fd 0 and a
+    # worker would read /dev/stdin as an empty file. A path naming stdin, and
+    # a pipe, are counted in this process.
+    traces = tmp_path / "t.csv"
+    assert main(GENERATE + ["--steps", "200", "--seed", "3", "--count", "20", "--out", str(traces)]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    assert main(_estimate(tmp_path, traces)) == 0
+    stats = [(tmp_path / "stats.csv").read_bytes()]
+    own = "sys.stdin = open(0, encoding='utf-8')" if stdin == "owned-file" else ""
+    for fit in ([], ["--fit", "--out-model", str(tmp_path / "m.json")]):
+        argv = _estimate(tmp_path, "/dev/stdin", *fit)
+        script = f"import sys\n{own}\nfrom v2vlos.cli import main\nraise SystemExit(main({argv!r}))\n"
+        source = {"input": traces.read_bytes()} if stdin == "pipe" else {"stdin": traces.open("rb")}
+        try:
+            r = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, **source)
+        finally:
+            if "stdin" in source:
+                source["stdin"].close()
+        assert r.returncode == 0, r.stderr
+        stats.append((tmp_path / "stats.csv").read_bytes())
+    assert stats[1] == stats[0] and stats[2] == stats[0]
+
+
+@_linux_only
 def test_a_dead_counting_worker_is_a_clean_error(tmp_path, monkeypatch, capsys):
     traces = tmp_path / "t.csv"
     assert main(GENERATE + ["--steps", "30", "--out", str(traces)]) == 0
