@@ -17,6 +17,8 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import pickle
 import sys
 from itertools import repeat, tee
 from pathlib import Path
@@ -293,26 +295,37 @@ def _count(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _count_while_loading_scipy(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_count` in one forked worker while this process imports scipy for the refit.
-
-    Only on Linux, where fork is tested, and for a regular file other than stdin; scipy loads at the refit otherwise.
-    """
-    if sys.platform != "linux" or not Path(path).is_file() or Path(path).resolve() == Path("/dev/stdin").resolve():
-        return _count(path)  # a worker may reopen fd 0 on /dev/null; a missing file fails here as without --fit
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-        counts = pool.submit(_count, path)
-        import scipy.optimize  # the refit's slow import, made while the worker counts
+    """:func:`_count` in a forked child while this process imports scipy; used on Linux, where fork is tested."""
+    read, write = os.pipe()
+    if (pid := os.fork()) == 0:  # the child sends (ok, counts or error) and leaves at once, flushing no inherited buffer
         try:
-            return counts.result()
-        except BrokenProcessPool as exc:
-            raise V2vLosError(f"counting {path} failed: {exc}") from exc
+            os.close(read)
+            with open(write, "wb") as pipe:
+                try:
+                    pickle.dump((True, _count(path)), pipe)
+                except BaseException as exc:
+                    pickle.dump((False, exc), pipe)
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        with open(read, "rb") as pipe:
+            import scipy.optimize  # noqa: F401 -- the refit's slow import, made while the child counts
+            message = pipe.read()
+    finally:
+        os.waitpid(pid, 0)  # the pipe is closed: a child still writing to it fails and leaves
+    try:
+        ok, value = pickle.loads(message)
+    except Exception as exc:  # the child died early, or its error does not unpickle
+        raise V2vLosError(f"counting {path} failed: {exc!r}") from exc
+    if not ok:
+        raise value
+    return value
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     model = _scenario(args)
-    stats = EmpiricalStats(*(_count_while_loading_scipy if args.fit else _count)(args.traces))
+    stats = EmpiricalStats(*(_count_while_loading_scipy if args.fit and sys.platform == "linux" else _count)(args.traces))
     centers = bin_centers()
     emp_state = empirical_state_probs(stats)
     emp_trans = empirical_transition_probs(stats)

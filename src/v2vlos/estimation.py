@@ -8,9 +8,9 @@ counted per step in each step's own bin.
 Bins that saw no data stay flagged undefined rather than reading as zero
 probability. Curve refitting mirrors the published families: plain least
 squares for the polynomial family, log-linear least squares for exponential
-decay, and a coarse grid search with local refinement for the log-domain
-bell shapes. Only that refinement uses scipy, which is imported on first use
-so that the rest of the package starts without it.
+decay, and for the log-domain bell shapes a grid search (one array pass, the
+scalar formula confirming the winner) refined locally with scipy, which is
+imported on first use so that the rest of the package starts without it.
 """
 
 from __future__ import annotations
@@ -181,26 +181,33 @@ def _logbell_values(d: np.ndarray, s: float, mu: float, k: float) -> np.ndarray:
 
 
 def _logbell_grid(d: np.ndarray, y: np.ndarray) -> tuple[float, tuple[float, float, float]]:
-    """Coarse grid over (mu, k) with the scale parameter solved in closed form."""
+    """Coarse grid over (mu, k), ``y`` non-negative, with the scale parameter solved in closed form."""
     ln_d = np.log(d)
     mus = np.linspace(float(ln_d.min()) - 1.0, float(ln_d.max()) + 2.0, 17)
     ks = np.geomspace(0.2, 20.0, 15)
-    best_sse = math.inf
-    best = None
-    for mu in mus:
-        for k in ks:
-            g = _logbell_values(d, 1.0, mu, k)
-            gg = float(g @ g)
-            if gg == 0.0:
-                continue
-            q = float(g @ y) / gg  # best 1/s for this (mu, k)
-            if q <= 0.0:
-                continue
-            resid = q * g - y
-            sse = float(resid @ resid)
-            if sse < best_sse:
-                best_sse = sse
-                best = (1.0 / q, float(mu), float(k))
+    G = ((1.0 / d) * np.exp(-np.square(ln_d - mus[:, None, None]) / ks[:, None])).reshape(-1, d.size)
+    # A dot product of non-negative terms errs by under (n + 2) * 2**-53 relative in any order, so an SSE, at most
+    # y @ y, moves by under 6 * (n + 2) * 2**-53 * (y @ y) via them and 32 * 2**-53 * (y @ y) via an exp 4 ulps off:
+    # c = 32 covers both, 2**-1074 a term underflow. The scalar loop rescores rows near the best or not surely usable.
+    with np.errstate(all="ignore"):
+        qs = (G @ y) / np.square(G).sum(axis=1)
+        sses = np.square(qs[:, None] * G - y).sum(axis=1)
+        margin = 32 * (d.size + 2) * (2.0**-53 * float(y @ y) + 2.0**-1074)
+    sure = np.isfinite(qs) & (qs >= np.finfo(float).tiny)
+    best_sse, best = math.inf, None
+    for i in np.flatnonzero(~sure | (sses <= np.min(sses[sure], initial=math.inf) + 2 * margin)):
+        mu, k = mus[i // ks.size], ks[i % ks.size]
+        g = _logbell_values(d, 1.0, mu, k)
+        gg = float(g @ g)
+        if gg == 0.0:
+            continue
+        q = float(g @ y) / gg  # best 1/s for this (mu, k)
+        if q <= 0.0:
+            continue
+        resid = q * g - y
+        sse = float(resid @ resid)
+        if sse < best_sse:
+            best_sse, best = sse, (1.0 / q, float(mu), float(k))
     if best is None:
         raise DegenerateError("no usable grid point for bell fit (values carry no signal)")
     return best_sse, best

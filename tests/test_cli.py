@@ -5,7 +5,6 @@ import dataclasses
 import io
 import json
 import math
-import multiprocessing
 import os
 import shlex
 import stat
@@ -24,7 +23,7 @@ from hypothesis import strategies as st
 
 from v2vlos import PathLossParams, cli, load_scenario, markov, read_labeled_traces
 from v2vlos.cli import main
-from v2vlos.errors import ParseError
+from v2vlos.errors import ParseError, V2vLosError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -408,9 +407,10 @@ def test_output_files_get_the_umask_mode(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]  # no temporary file left behind
 
 
-# Only ``estimate --fit`` needs these: scipy for the refit, and a forked
-# worker that counts the trace file while scipy loads.
+# Only ``estimate --fit`` needs scipy, for the refit. No command needs the
+# process pools: estimate --fit forks its counting child with os.fork.
 _FIT_ONLY_MODULES = ("scipy", "multiprocessing", "concurrent.futures.process")
+_POOL_MODULES = _FIT_ONLY_MODULES[1:]
 
 
 def test_scipy_stays_off_the_start_path(tmp_path):
@@ -434,6 +434,12 @@ assert main(["compare", *base, "--steps", "30", "--out", {str(tmp_path / "cmp.cs
 assert main(["curves", *base, "--d-step", "50", "--out", {str(tmp_path / "c.csv")!r}]) == 0
 assert main(["estimate", *base, "--traces", {str(out)!r}, "--out-report", {str(tmp_path / "r.txt")!r}]) == 0
 assert not late(), ("generate, compare, curves, estimate", late())
+assert main(["generate", *base, "--steps", "300", "--count", "10", "--out", {str(out)!r}]) == 0
+assert main(["estimate", *base, "--traces", {str(out)!r}, "--out-report", {str(tmp_path / "r.txt")!r},
+             "--fit", "--out-model", {str(tmp_path / "m.json")!r}]) == 0
+assert "scipy.optimize" in sys.modules
+pools = [name for name in {_POOL_MODULES!r} if name in sys.modules]
+assert not pools, ("estimate --fit", pools)
 """
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
@@ -471,6 +477,12 @@ def _die(path):
     os._exit(3)
 
 
+def assert_no_child():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _estimate(tmp_path, traces, *flags):
     return ["estimate", "--env", "urban", "--density", "low", "--traces", str(traces),
             "--out-stats", str(tmp_path / "stats.csv"), "--out-report", str(tmp_path / "report.txt"), *flags]
@@ -499,7 +511,7 @@ def test_estimate_fit_counts_in_a_forked_worker(tmp_path, monkeypatch, capsys, f
     fitted = (tmp_path / "stats.csv").read_bytes(), Path(f"{traces}.pid").read_text(encoding="utf-8")
     assert plain[1] == str(os.getpid()) and (fitted[1] != plain[1]) == fork
     assert fitted[0] == plain[0]
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 @pytest.mark.parametrize("content, message", [
@@ -518,7 +530,7 @@ def test_estimate_fit_fails_as_estimate_does(tmp_path, capsys, content, message)
         code = main(_estimate(tmp_path, traces, *fit))
         results.append((code, capsys.readouterr()))
         assert sorted(tmp_path.iterdir()) == before
-        assert multiprocessing.active_children() == []
+        assert_no_child()
     assert results[0] == results[1]
     code, (out, err) = results[0]
     assert code == 1 and out == "" and err.startswith(message) and err.count("\n") == 1
@@ -562,11 +574,10 @@ def test_the_worker_is_forked_from_a_single_threaded_process(tmp_path, monkeypat
 @_linux_only
 @pytest.mark.parametrize("stdin", ["file", "pipe", "owned-file"])
 def test_estimate_fit_reads_a_trace_file_on_stdin(tmp_path, stdin):
-    # A multiprocessing child closes sys.stdin and opens /dev/null in its
-    # place. The interpreter's own sys.stdin leaves fd 0 open when closed, but
-    # where sys.stdin owns fd 0 ("owned-file"), /dev/null takes fd 0 and a
-    # worker would read /dev/stdin as an empty file. A path naming stdin, and
-    # a pipe, are counted in this process.
+    # All three are counted in the forked child. A bare fork keeps fd 0 as it
+    # is, so the child reads /dev/stdin as this process would, also where
+    # sys.stdin owns fd 0 ("owned-file"). A multiprocessing child would not:
+    # it closes sys.stdin and opens /dev/null in its place.
     traces = tmp_path / "t.csv"
     assert main(GENERATE + ["--steps", "200", "--seed", "3", "--count", "20", "--out", str(traces)]) == 0
     env = dict(os.environ)
@@ -588,18 +599,50 @@ def test_estimate_fit_reads_a_trace_file_on_stdin(tmp_path, stdin):
     assert stats[1] == stats[0] and stats[2] == stats[0]
 
 
+class _UnpicklableError(V2vLosError):
+    def __reduce__(self):
+        raise TypeError("this error does not pickle")
+
+
+class _UnloadableError(V2vLosError):
+    """Pickles, but unpickling calls the constructor with one argument."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def _fail_unpicklably(path):
+    raise _UnpicklableError("lost")
+
+
+def _fail_unloadably(path):
+    raise _UnloadableError("lost", "twice")
+
+
 @_linux_only
-def test_a_dead_counting_worker_is_a_clean_error(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("fail", [_die, _fail_unpicklably, _fail_unloadably],
+                         ids=["died", "unpicklable", "does-not-unpickle"])
+def test_a_dead_counting_worker_is_a_clean_error(tmp_path, monkeypatch, capsys, fail):
     traces = tmp_path / "t.csv"
     assert main(GENERATE + ["--steps", "30", "--out", str(traces)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "_count", _die)  # the forked worker calls it too
+    monkeypatch.setattr(cli, "_count", fail)  # the forked child calls it
     assert main(_estimate(tmp_path, traces, "--fit", "--out-model", str(tmp_path / "m.json"))) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: counting {traces} failed: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
-    assert multiprocessing.active_children() == []
+    assert_no_child()
+
+
+@_linux_only
+def test_a_failing_scipy_import_leaves_no_child(tmp_path, monkeypatch):
+    traces = tmp_path / "t.csv"
+    assert main(GENERATE + ["--steps", "30", "--out", str(traces)]) == 0
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)  # the import now raises ImportError
+    with pytest.raises(ImportError):
+        main(_estimate(tmp_path, traces, "--fit", "--out-model", str(tmp_path / "m.json")))
+    assert_no_child()
 
 
 def test_non_utf8_config_is_usage_error(tmp_path, capsys):

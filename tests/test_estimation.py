@@ -40,8 +40,8 @@ from v2vlos import (
     stationary_distribution,
     transition_matrix,
 )
-from v2vlos import markov
-from v2vlos.estimation import bin_centers
+from v2vlos import estimation, markov
+from v2vlos.estimation import _logbell_grid, _logbell_values, bin_centers
 
 
 def labeled(ds, states, t0=0):
@@ -354,6 +354,105 @@ def test_fit_logbell_degenerate_and_domain():
         fit_logbell([(-1.0, 0.1), (20.0, 0.2), (30.0, 0.1), (40.0, 0.2)])
     with pytest.raises(DomainError):
         fit_logbell([(10.0, -0.1), (20.0, 0.2), (30.0, 0.1), (40.0, 0.2)])
+
+
+def reference_logbell_grid(d, y):
+    """The bell grid search scored one point at a time, as it was before the array pass."""
+    ln_d = np.log(d)
+    mus = np.linspace(float(ln_d.min()) - 1.0, float(ln_d.max()) + 2.0, 17)
+    ks = np.geomspace(0.2, 20.0, 15)
+    best_sse = math.inf
+    best = None
+    for mu in mus:
+        for k in ks:
+            g = _logbell_values(d, 1.0, mu, k)
+            gg = float(g @ g)
+            if gg == 0.0:
+                continue
+            q = float(g @ y) / gg
+            if q <= 0.0:
+                continue
+            resid = q * g - y
+            sse = float(resid @ resid)
+            if sse < best_sse:
+                best_sse = sse
+                best = (1.0 / q, float(mu), float(k))
+    if best is None:
+        raise DegenerateError("no usable grid point for bell fit (values carry no signal)")
+    return best_sse, best
+
+
+def grid_point(d, index):
+    """g of grid point ``index`` (row-major over 17 mu by 15 k) at distances ``d``."""
+    ln_d = np.log(d)
+    mus = np.linspace(float(ln_d.min()) - 1.0, float(ln_d.max()) + 2.0, 17)
+    return _logbell_values(d, 1.0, mus[index // 15], np.geomspace(0.2, 20.0, 15)[index % 15])
+
+
+def grid_result(d, y, search):
+    try:
+        sse, params = search(d, y)
+    except DegenerateError:
+        return "degenerate"
+    return [float.hex(v) for v in (sse, *params)]
+
+
+_grid_values = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e4),
+    st.floats(0.0, 2.0**-1022, allow_subnormal=True),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(4, 60), kind=st.sampled_from(["any", "one-nonzero", "one-point", "two-points"]),
+       data=st.data())
+def test_logbell_grid_matches_the_scalar_loop(n, kind, data):
+    # The pool makes repeated distances likely; equal distances make every
+    # grid point's g proportional, so many points tie up to rounding.
+    pool = data.draw(st.lists(st.floats(1.0, 500.0), min_size=1, max_size=n))
+    d = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    if kind == "any":
+        y = data.draw(hnp.arrays(float, n, elements=_grid_values))
+    elif kind == "one-nonzero":
+        y = np.zeros(n)
+        y[data.draw(st.integers(0, n - 1))] = data.draw(_grid_values)
+    else:
+        # One grid point fits y exactly up to rounding, or two grid points
+        # fit it equally well in exact arithmetic.
+        first = data.draw(st.integers(0, 254))
+        g = grid_point(d, first)
+        y = data.draw(st.floats(1e-3, 1e3)) * g
+        if kind == "two-points":
+            h = grid_point(d, data.draw(st.sampled_from([i for i in (first - 15, first - 1, first + 1, first + 15)
+                                                         if 0 <= i < 255])))
+            y = g / np.sqrt(g @ g) + h / np.sqrt(h @ h)
+    assert grid_result(d, y, _logbell_grid) == grid_result(d, y, reference_logbell_grid)
+
+
+@pytest.mark.parametrize("d, y", [
+    ([1.0, 10.0, 1e100, 1e200], [1.0, 0.5, 0.1, 0.1]),
+    ([1.0, 2.0, 1e150, 1e300], [0.0, 0.5, 0.2, 0.0]),
+    ([1.0, 3.0, 1e250, 2e250, 1e300], [0.3, 0.0, 0.0, 0.2, 0.1]),
+], ids=["1e200", "1e300-zero-ends", "1e300"])
+def test_logbell_grid_matches_the_scalar_loop_where_some_bells_underflow(d, y):
+    # Over so many decades some grid rows are zero, or square to zero, and the
+    # array finds no q there; the loop skips those rows and picks from the rest.
+    d, y = np.array(d), np.array(y)
+    assert grid_result(d, y, _logbell_grid) == grid_result(d, y, reference_logbell_grid) != "degenerate"
+
+
+def test_logbell_grid_rescores_only_its_near_best_points():
+    # One grid point fits this bell far better than the rest, so the scalar
+    # formula runs once, not once for each of the 255 points.
+    true = LogBell(0.0312, 5.0063, 2.4544)
+    d = bin_centers()
+    y = np.array([true.raw(float(v)) for v in d])
+    with mock.patch.object(estimation, "_logbell_values", wraps=_logbell_values) as scored:
+        found = _logbell_grid(d, y)
+    assert scored.call_count == 1
+    assert found == reference_logbell_grid(d, y)
 
 
 def test_fit_logbell_on_polynomial_data_fits_worse_than_poly2():

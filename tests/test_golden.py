@@ -244,17 +244,51 @@ def curve_shape(obj):
     return {k: curve_shape(v) if isinstance(v, dict) else v for k, v in obj.items() if not isinstance(v, float)}
 
 
-def test_refit_model_is_unchanged(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    run_case(CASES["estimate-fit"])
+def check_refit_model(digest, env, density):
+    """model.json, written by a case run here, has ``digest``, or on another scipy release the builtin families."""
     text = Path("model.json").read_text(encoding="utf-8")
     if scipy.__version__.split(".")[:2] == FIT_SCIPY.split("."):
-        assert sha256(text) == FIT_MODEL_SHA256
+        assert sha256(text) == digest
     else:
-        fitted, builtin = load_scenario("model.json"), builtin_model(Environment.URBAN, Density.MEDIUM)
+        fitted, builtin = load_scenario("model.json"), builtin_model(Environment(env), Density(density))
         assert fitted.tag == builtin.tag
         assert [(label, curve_shape(curve_to_dict(spec))) for label, spec in model_curves(fitted)] == \
                [(label, curve_shape(curve_to_dict(spec))) for label, spec in model_curves(builtin)]
+
+
+def test_refit_model_is_unchanged(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_case(CASES["estimate-fit"])
+    check_refit_model(FIT_MODEL_SHA256, "urban", "medium")
+
+
+def refit_case(env, density):
+    """Walk traces of one scenario, spread over the whole 0-500 m range, then ``estimate --fit``."""
+    scenario = ["--env", env, "--density", density]
+    return dict(
+        before=[["generate", *scenario, "--profile", "walk", "--vmax", "20", "--d0", "250", "--steps", "500",
+                 "--count", "40", "--seed", "5", "--out", "traces.csv"]],
+        argv=["estimate", *scenario, "--traces", "traces.csv", "--out-report", "report.txt",
+              "--fit", "--out-model", "model.json"],
+        outputs=["report.txt"])
+
+
+# The refitted model of ``refit_case`` for every builtin scenario, recorded with scipy FIT_SCIPY.
+REFIT_MODEL_SHA256 = {
+    'urban-low': '3c93ef0757347d26d9e7d955e4634c4d9a9f7b68ab48856a2aac2bcc72e25333',
+    'urban-medium': '08e1a92b1b92cb9620932092a42aea283f1e7fb01de6fb7df577f3d1dfcf04de',
+    'urban-high': '09c86e3cbea1435c53e5e89c9d56ae34c1a7a5eac85084e69961a250972c37bb',
+    'highway-low': '07d7fb375d0b01ca1b7c33c9678ddf56131604925656c78c8f5b78377f92edd6',
+    'highway-medium': 'e30374596edb00e34e36e588c375d5e76e68b7ae10db76cace2f6799d1b99cb9',
+    'highway-high': '23f478de4358c8e965e77f75761607c22bc4e86908dfc3d325e2db51ad4c4269',
+}
+
+
+@pytest.mark.parametrize("env, density", SCENARIOS, ids=[f"{e}-{d}" for e, d in SCENARIOS])
+def test_refit_model_of_every_scenario_is_unchanged(env, density, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_case(refit_case(env, density))
+    check_refit_model(REFIT_MODEL_SHA256[f"{env}-{density}"], env, density)
 
 
 if __name__ == "__main__":
@@ -269,5 +303,15 @@ if __name__ == "__main__":
                 print(f"    {name!r}: {run_case(CASES[name])!r},")
                 if name == "estimate-fit":
                     print(f"# scipy {scipy.__version__}: model.json {sha256(Path('model.json').read_text())}")
+            finally:
+                os.chdir(here)
+    print(f"# scipy {scipy.__version__}: refit models")
+    for env, density in SCENARIOS:
+        with tempfile.TemporaryDirectory() as workdir:
+            here = os.getcwd()
+            os.chdir(workdir)
+            try:
+                run_case(refit_case(env, density))
+                print(f"    '{env}-{density}': {sha256(Path('model.json').read_text(encoding='utf-8'))!r},")
             finally:
                 os.chdir(here)
