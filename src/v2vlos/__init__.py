@@ -39,7 +39,6 @@ from .errors import (
     V2vLosError,
 )
 from .estimation import (
-    BinnedProbs,
     EmpiricalStats,
     FitResult,
     accumulate,

@@ -30,7 +30,6 @@ from . import __version__
 from .assembly import state_probabilities, transition_matrix
 from .errors import DegenerateError, V2vLosError
 from .estimation import (
-    BinnedProbs,
     EmpiricalStats,
     accumulate,
     bin_centers,
@@ -259,32 +258,30 @@ def _safe_pearson(xs, ys) -> str:
 _REPORT_ORDER = (LosState.LOS, LosState.NLOSb, LosState.NLOSv)
 
 
-def _correlation_report(model: ScenarioModel, centers: np.ndarray, emp_state: BinnedProbs, emp_trans: BinnedProbs) -> str:
+def _correlation_report(model: ScenarioModel, centers: np.ndarray, emp_state: np.ndarray, emp_trans: np.ndarray) -> str:
     model_state = np.asarray([state_probabilities(model, float(d)).as_tuple() for d in centers])
     model_trans = np.asarray([transition_matrix(model, float(d)).m for d in centers])
 
     lines = ["[los_probabilities]"]
     for s in _REPORT_ORDER:
-        lines.append(f"{s.name}={_safe_pearson(emp_state.probs[:, int(s)], model_state[:, int(s)])}")
+        lines.append(f"{s.name}={_safe_pearson(emp_state[:, int(s)], model_state[:, int(s)])}")
     lines.append("[transition_probabilities]")
     for origin in _REPORT_ORDER:
         for target in _REPORT_ORDER:
-            r = _safe_pearson(emp_trans.probs[:, int(origin), int(target)], model_trans[:, int(origin), int(target)])
+            r = _safe_pearson(emp_trans[:, int(origin), int(target)], model_trans[:, int(origin), int(target)])
             lines.append(f"{origin.name}->{target.name}={r}")
     return "\n".join(lines) + "\n"
 
 
-def _refit_model(model: ScenarioModel, centers: np.ndarray, emp_state: BinnedProbs, emp_trans: BinnedProbs) -> ScenarioModel:
-    def refit(block, probs, defined):
-        """``block`` with each explicit curve refitted to its state's column over the defined bins."""
-        explicit = {
-            s: fit_same_family(spec, list(zip(centers[defined].tolist(), probs[defined, int(s)].tolist()))).spec
-            for s, spec in block.explicit.items()
-        }
+def _refit_model(model: ScenarioModel, centers: np.ndarray, emp_state: np.ndarray, emp_trans: np.ndarray) -> ScenarioModel:
+    def refit(block, probs):
+        """``block`` with each explicit curve refitted to its state's column over the bins that counted something."""
+        seen = ~np.isnan(probs[:, 0])
+        explicit = {s: fit_same_family(spec, centers[seen], probs[seen, int(s)]).spec for s, spec in block.explicit.items()}
         return dataclasses.replace(block, explicit=explicit)
 
-    state_probs = refit(model.state_probs, emp_state.probs, emp_state.defined)
-    rows = tuple(refit(row, emp_trans.probs[:, o], emp_trans.defined[:, o]) for o, row in enumerate(model.rows))
+    state_probs = refit(model.state_probs, emp_state)
+    rows = tuple(refit(row, emp_trans[:, o]) for o, row in enumerate(model.rows))
     return dataclasses.replace(model, state_probs=state_probs, rows=rows)
 
 
@@ -298,6 +295,7 @@ def _count_while_loading_scipy(path: str) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_count` in a forked child while this process imports scipy; used on Linux, where fork is tested."""
     read, write = os.pipe()
     if (pid := os.fork()) == 0:  # the child sends (ok, counts or error) and leaves at once, flushing no inherited buffer
+        sent = False  # a child that could not send exits 1, and the parent reports how it ended
         try:
             os.close(read)
             with open(write, "wb") as pipe:
@@ -305,19 +303,21 @@ def _count_while_loading_scipy(path: str) -> tuple[np.ndarray, np.ndarray]:
                     pickle.dump((True, _count(path)), pipe)
                 except BaseException as exc:
                     pickle.dump((False, exc), pipe)
+            sent = True
         finally:
-            os._exit(0)
+            os._exit(0 if sent else 1)
     os.close(write)
     try:
         with open(read, "rb") as pipe:
             import scipy.optimize  # noqa: F401 -- the refit's slow import, made while the child counts
             message = pipe.read()
     finally:
-        os.waitpid(pid, 0)  # the pipe is closed: a child still writing to it fails and leaves
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # the pipe is closed: a child still writing fails
     try:
         ok, value = pickle.loads(message)
     except Exception as exc:  # the child died early, or its error does not unpickle
-        raise V2vLosError(f"counting {path} failed: {exc!r}") from exc
+        ending = f"killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        raise V2vLosError(f"counting {path} failed: the worker {ending}: {exc!r}") from exc
     if not ok:
         raise value
     return value
@@ -337,8 +337,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         for b in range(len(centers)):
             row = [str(b), f"{centers[b]:.6g}"]
             row += [str(int(stats.occupancy[b, int(s)])) for s in CANONICAL_STATES]
-            row += [f"{emp_state.probs[b, int(s)]:.8g}" for s in CANONICAL_STATES]
-            row += [f"{emp_trans.probs[b, i, j]:.8g}" for i in range(3) for j in range(3)]
+            row += [f"{emp_state[b, int(s)]:.8g}" for s in CANONICAL_STATES]
+            row += [f"{emp_trans[b, i, j]:.8g}" for i in range(3) for j in range(3)]
             lines.append(",".join(row))
         _write_atomic(args.out_stats, "\n".join(lines) + "\n")
         print(f"wrote {args.out_stats}")

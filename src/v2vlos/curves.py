@@ -81,8 +81,13 @@ class LogBell:
         return (1.0 / (self.s * d)) * math.exp(-(t * t) / self.k)
 
     def values(self, d: np.ndarray) -> np.ndarray:
-        t = np.log(d) - self.mu
-        return (1.0 / (self.s * d)) * np.exp(-(t * t) / self.k)
+        return log_bell_values(d, self.s, self.mu, self.k)
+
+
+def log_bell_values(d, s, mu, k) -> np.ndarray:
+    """The log-domain bell over an array of distances, its coefficients floats or arrays that broadcast with ``d``."""
+    t = np.log(d) - mu
+    return (1.0 / (s * d)) * np.exp(-(t * t) / k)
 
 
 @dataclass(frozen=True)

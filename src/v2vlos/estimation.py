@@ -5,12 +5,14 @@ Counting runs over 10 m distance bins, once per batch of labelled traces
 attributed to the bin of the distance at step t; state occurrences are
 counted per step in each step's own bin.
 
-Bins that saw no data stay flagged undefined rather than reading as zero
-probability. Curve refitting mirrors the published families: plain least
-squares for the polynomial family, log-linear least squares for exponential
-decay, and for the log-domain bell shapes a grid search (one array pass, the
-scalar formula confirming the winner) refined locally with scipy, which is
-imported on first use so that the rest of the package starts without it.
+Frequencies are plain arrays, NaN in a bin or row that saw no data rather
+than reading as zero probability. Every fit takes 1-D arrays of distances
+``d`` and values ``y``. Curve refitting mirrors the published families:
+plain least squares for the polynomial family, log-linear least squares for
+exponential decay, and for the log-domain bell shapes a grid search (one
+array pass, the scalar formula confirming the winner) refined locally with
+scipy, which is imported on first use so that the rest of the package starts
+without it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .curves import (
     OffsetMinusLogBell,
     Piecewise,
     Poly2,
+    log_bell_values,
 )
 from .errors import ConvergenceError, DegenerateError, DomainError, RangeError, SingularError
 from .markov import StateTrace, _frozen, count_blocks
@@ -80,36 +83,33 @@ def accumulate(traces: Iterable[StateTrace]) -> EmpiricalStats:
     return EmpiricalStats(occupancy.reshape(N_BINS, 3), transitions.reshape(N_BINS, 3, 3))
 
 
-@dataclass(frozen=True, eq=False)
-class BinnedProbs:
-    """Per-bin frequencies; undefined bins or rows are NaN with defined=False."""
-
-    probs: np.ndarray    # (N_BINS, 3) state or (N_BINS, 3, 3) transition frequencies
-    defined: np.ndarray  # (N_BINS,) or (N_BINS, 3) bool
+def _frequencies(counts: np.ndarray) -> np.ndarray:
+    """``counts`` over their last axis's totals; NaN where a total is zero, so an unseen bin or row never reads as 0."""
+    totals = counts.sum(axis=-1, keepdims=True)
+    return np.divide(counts, totals, out=np.full(counts.shape, np.nan), where=totals > 0)
 
 
-def empirical_state_probs(stats: EmpiricalStats) -> BinnedProbs:
-    totals = stats.occupancy.sum(axis=1)
-    defined = totals > 0
-    probs = np.full((N_BINS, 3), np.nan)
-    np.divide(stats.occupancy, totals[:, None], out=probs, where=defined[:, None])
-    return BinnedProbs(probs, defined)
+def empirical_state_probs(stats: EmpiricalStats) -> np.ndarray:
+    """State frequencies ``[bin, state]``, NaN in a bin that counted nothing."""
+    return _frequencies(stats.occupancy)
 
 
-def empirical_transition_probs(stats: EmpiricalStats) -> BinnedProbs:
-    row_totals = stats.transitions.sum(axis=2)
-    defined = row_totals > 0
-    probs = np.full((N_BINS, 3, 3), np.nan)
-    np.divide(stats.transitions, row_totals[:, :, None], out=probs, where=defined[:, :, None])
-    return BinnedProbs(probs, defined)
+def empirical_transition_probs(stats: EmpiricalStats) -> np.ndarray:
+    """Transition frequencies ``[bin, from, to]``, NaN in a row that counted nothing."""
+    return _frequencies(stats.transitions)
+
+
+def _points(d, y) -> tuple[np.ndarray, np.ndarray]:
+    """``d`` and ``y`` as float arrays, once they are known to be 1-D and of one length."""
+    d, y = np.asarray(d, dtype=float), np.asarray(y, dtype=float)
+    if d.ndim != 1 or d.shape != y.shape:
+        raise DomainError(f"series must be 1-d and equal length, got {d.shape} vs {y.shape}")
+    return d, y
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation; NaN pairs are dropped pairwise."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DomainError(f"series must be 1-d and equal length, got {x.shape} vs {y.shape}")
+    x, y = _points(xs, ys)
     keep = np.isfinite(x) & np.isfinite(y)
     x, y = x[keep], y[keep]
     if x.size < 2:
@@ -130,20 +130,13 @@ class FitResult:
     sse: float
 
 
-def _split_points(points: Iterable[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    pts = list(points)
-    d = np.asarray([p[0] for p in pts], dtype=float)
-    y = np.asarray([p[1] for p in pts], dtype=float)
-    return d, y
-
-
-def fit_poly2(points: Iterable[tuple[float, float]]) -> FitResult:
+def fit_poly2(d, y) -> FitResult:
     """Least-squares quadratic via the 3x3 normal equations.
 
     Distances are rescaled before solving so the normal equations stay well
     conditioned; the coefficients are mapped back exactly.
     """
-    d, y = _split_points(points)
+    d, y = _points(d, y)
     if np.unique(d).size < 3:
         raise SingularError(f"need at least 3 distinct distances, got {np.unique(d).size}")
     scale = float(np.max(np.abs(d))) or 1.0
@@ -158,9 +151,9 @@ def fit_poly2(points: Iterable[tuple[float, float]]) -> FitResult:
     return FitResult(spec, float(resid @ resid))
 
 
-def fit_expdecay(points: Iterable[tuple[float, float]]) -> FitResult:
+def fit_expdecay(d, y) -> FitResult:
     """Log-linear least squares on strictly positive values."""
-    d, y = _split_points(points)
+    d, y = _points(d, y)
     pos = y > 0.0
     dropped = int(np.count_nonzero(~pos))
     if dropped:
@@ -171,13 +164,8 @@ def fit_expdecay(points: Iterable[tuple[float, float]]) -> FitResult:
     X = np.column_stack([np.ones_like(d), -d])
     beta, *_ = np.linalg.lstsq(X, np.log(y), rcond=None)
     spec = ExpDecay(float(math.exp(beta[0])), float(beta[1]))
-    resid = spec.a * np.exp(-spec.b * d) - y
+    resid = spec.values(d) - y
     return FitResult(spec, float(resid @ resid))
-
-
-def _logbell_values(d: np.ndarray, s: float, mu: float, k: float) -> np.ndarray:
-    t = np.log(d) - mu
-    return (1.0 / (s * d)) * np.exp(-(t * t) / k)
 
 
 def _logbell_grid(d: np.ndarray, y: np.ndarray) -> tuple[float, tuple[float, float, float]]:
@@ -185,7 +173,7 @@ def _logbell_grid(d: np.ndarray, y: np.ndarray) -> tuple[float, tuple[float, flo
     ln_d = np.log(d)
     mus = np.linspace(float(ln_d.min()) - 1.0, float(ln_d.max()) + 2.0, 17)
     ks = np.geomspace(0.2, 20.0, 15)
-    G = ((1.0 / d) * np.exp(-np.square(ln_d - mus[:, None, None]) / ks[:, None])).reshape(-1, d.size)
+    G = log_bell_values(d, 1.0, mus[:, None, None], ks[:, None]).reshape(-1, d.size)
     # A dot product of non-negative terms errs by under (n + 2) * 2**-53 relative in any order, so an SSE, at most
     # y @ y, moves by under 6 * (n + 2) * 2**-53 * (y @ y) via them and 32 * 2**-53 * (y @ y) via an exp 4 ulps off:
     # c = 32 covers both, 2**-1074 a term underflow. The scalar loop rescores rows near the best or not surely usable.
@@ -197,7 +185,7 @@ def _logbell_grid(d: np.ndarray, y: np.ndarray) -> tuple[float, tuple[float, flo
     best_sse, best = math.inf, None
     for i in np.flatnonzero(~sure | (sses <= np.min(sses[sure], initial=math.inf) + 2 * margin)):
         mu, k = mus[i // ks.size], ks[i % ks.size]
-        g = _logbell_values(d, 1.0, mu, k)
+        g = log_bell_values(d, 1.0, mu, k)
         gg = float(g @ g)
         if gg == 0.0:
             continue
@@ -213,42 +201,47 @@ def _logbell_grid(d: np.ndarray, y: np.ndarray) -> tuple[float, tuple[float, flo
     return best_sse, best
 
 
-def fit_logbell(points: Iterable[tuple[float, float]]) -> FitResult:
-    """Grid search plus local refinement for the log-domain bell family."""
-    d, y = _split_points(points)
+def _bell_points(d, y) -> tuple[np.ndarray, np.ndarray]:
+    """The points of a bell fit, once they are known to be at least four, all at positive distances."""
+    d, y = _points(d, y)
     if d.size < 4:
         raise DegenerateError(f"need at least 4 points, got {d.size}")
     if np.any(d <= 0.0):
         raise DomainError("bell fit requires positive distances")
+    return d, y
+
+
+def _bell(theta) -> tuple[float, float, float]:
+    """(s, mu, k) of a bell the refinement holds as (ln s, mu, ln k)."""
+    return math.exp(theta[0]), theta[1], math.exp(theta[2])
+
+
+def _refine(residuals, x0: list[float], grid_sse: float) -> tuple[np.ndarray, float]:
+    """Levenberg-Marquardt from the grid optimum; the solution and its SSE, which must not exceed the grid's."""
+    from scipy.optimize import least_squares  # slow import, needed only by the refits
+
+    sol = least_squares(residuals, x0=x0, method="lm", xtol=1e-14, ftol=1e-14)
+    refined_sse = float(sol.fun @ sol.fun)
+    if refined_sse > grid_sse:
+        raise ConvergenceError(f"refinement worsened the grid optimum ({refined_sse} > {grid_sse})")
+    return sol.x, refined_sse
+
+
+def fit_logbell(d, y) -> FitResult:
+    """Grid search plus local refinement for the log-domain bell family."""
+    d, y = _bell_points(d, y)
     if np.any(y < 0.0):
         raise DomainError("bell fit requires non-negative values")
     if not np.any(y > 0.0):
         raise DegenerateError("all values are zero")
-
-    from scipy.optimize import least_squares  # slow import, needed only by the refits
-
     grid_sse, (s0, mu0, k0) = _logbell_grid(d, y)
-
-    def residuals(theta):
-        s, mu, k = math.exp(theta[0]), theta[1], math.exp(theta[2])
-        return _logbell_values(d, s, mu, k) - y
-
-    sol = least_squares(residuals, x0=[math.log(s0), mu0, math.log(k0)], method="lm", xtol=1e-14, ftol=1e-14)
-    refined_sse = float(sol.fun @ sol.fun)
-    if refined_sse > grid_sse:
-        raise ConvergenceError(f"refinement worsened the grid optimum ({refined_sse} > {grid_sse})")
-    spec = LogBell(float(math.exp(sol.x[0])), float(sol.x[1]), float(math.exp(sol.x[2])))
-    return FitResult(spec, refined_sse)
+    theta, sse = _refine(lambda x: log_bell_values(d, *_bell(x)) - y, [math.log(s0), mu0, math.log(k0)], grid_sse)
+    return FitResult(LogBell(*map(float, _bell(theta))), sse)
 
 
-def fit_offset_minus_logbell(points: Iterable[tuple[float, float]]) -> FitResult:
+def fit_offset_minus_logbell(d, y) -> FitResult:
     """Fit offset minus bell: offset candidates from max(y), bell fit conditional on each."""
-    d, y = _split_points(points)
-    if d.size < 4:
-        raise DegenerateError(f"need at least 4 points, got {d.size}")
-    if np.any(d <= 0.0):
-        raise DomainError("bell fit requires positive distances")
-
+    d, y = _bell_points(d, y)
     base = float(np.max(y))
     offsets = base + np.linspace(0.0, 0.2, 21)
     best_sse = math.inf
@@ -267,32 +260,23 @@ def fit_offset_minus_logbell(points: Iterable[tuple[float, float]]) -> FitResult
     if best is None:
         raise DegenerateError("no usable offset candidate")
     off0, s0, mu0, k0 = best
-    from scipy.optimize import least_squares  # slow import, needed only by the refits
-
-    def residuals(theta):
-        off, s, mu, k = theta[0], math.exp(theta[1]), theta[2], math.exp(theta[3])
-        return (off - _logbell_values(d, s, mu, k)) - y
-
-    sol = least_squares(residuals, x0=[off0, math.log(s0), mu0, math.log(k0)], method="lm", xtol=1e-14, ftol=1e-14)
-    refined_sse = float(sol.fun @ sol.fun)
-    if refined_sse > best_sse:
-        raise ConvergenceError(f"refinement worsened the grid optimum ({refined_sse} > {best_sse})")
-    spec = OffsetMinusLogBell(float(sol.x[0]), LogBell(float(math.exp(sol.x[1])), float(sol.x[2]), float(math.exp(sol.x[3]))))
-    return FitResult(spec, refined_sse)
+    theta, sse = _refine(lambda x: (x[0] - log_bell_values(d, *_bell(x[1:]))) - y,
+                         [off0, math.log(s0), mu0, math.log(k0)], best_sse)
+    return FitResult(OffsetMinusLogBell(float(theta[0]), LogBell(*map(float, _bell(theta[1:])))), sse)
 
 
 # Family class -> its fit; piecewise curves split their points instead.
 _FITS = {Poly2: fit_poly2, ExpDecay: fit_expdecay, LogBell: fit_logbell, OffsetMinusLogBell: fit_offset_minus_logbell}
 
 
-def fit_same_family(template: CurveSpec, points: Iterable[tuple[float, float]]) -> FitResult:
-    """Fit the family of ``template`` to the points (piecewise splits kept)."""
+def fit_same_family(template: CurveSpec, d, y) -> FitResult:
+    """Fit the family of ``template`` to the points ``(d, y)``; a piecewise curve keeps its split, ties going high."""
     if isinstance(template, Piecewise):
-        pts = list(points)
-        low = fit_same_family(template.low, [p for p in pts if p[0] < template.d_t])
-        high = fit_same_family(template.high, [p for p in pts if p[0] >= template.d_t])
-        return FitResult(Piecewise(template.d_t, low.spec, high.spec), low.sse + high.sse)
+        d, y = _points(d, y)
+        low = d < template.d_t
+        lo, hi = fit_same_family(template.low, d[low], y[low]), fit_same_family(template.high, d[~low], y[~low])
+        return FitResult(Piecewise(template.d_t, lo.spec, hi.spec), lo.sse + hi.sse)
     fit = _FITS.get(type(template))
     if fit is None:
         raise TypeError(f"unknown curve spec {type(template).__name__}")
-    return fit(points)
+    return fit(d, y)

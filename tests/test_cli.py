@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shlex
+import signal
 import stat
 import subprocess
 import sys
@@ -283,10 +284,11 @@ def test_readme_commands_run_as_written(tmp_path):
 
 def test_readme_quick_start_runs_as_written(capsys):
     block = readme_block("Quick start")
-    assert "chain(model).trace(" in block
+    assert "chain(model).trace(" in block and "fit_same_family(spec, " in block
     exec(compile(block, "README.md", "exec"), {})
-    occupancy = capsys.readouterr().out.splitlines()[-1]
+    *_, occupancy, refit = capsys.readouterr().out.splitlines()
     assert sum(float(x) for x in occupancy.strip("[]").split()) == pytest.approx(1.0)
+    assert refit.startswith("ExpDecay(a=")
 
 
 def run_in_process(argv, capsys):
@@ -619,17 +621,26 @@ def _fail_unloadably(path):
     raise _UnloadableError("lost", "twice")
 
 
+def _be_killed(path):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 @_linux_only
-@pytest.mark.parametrize("fail", [_die, _fail_unpicklably, _fail_unloadably],
-                         ids=["died", "unpicklable", "does-not-unpickle"])
-def test_a_dead_counting_worker_is_a_clean_error(tmp_path, monkeypatch, capsys, fail):
+@pytest.mark.parametrize("fail, ending", [
+    (_die, "exited with code 3"),
+    (_be_killed, "killed by signal 9"),
+    (_fail_unpicklably, "exited with code 1"),  # the child could not send its error
+    (_fail_unloadably, "exited with code 0"),  # the child sent it, but it does not load here
+], ids=["died", "killed", "unpicklable", "does-not-unpickle"])
+def test_a_dead_counting_worker_is_a_clean_error(tmp_path, monkeypatch, capsys, fail, ending):
     traces = tmp_path / "t.csv"
     assert main(GENERATE + ["--steps", "30", "--out", str(traces)]) == 0
     capsys.readouterr()
     monkeypatch.setattr(cli, "_count", fail)  # the forked child calls it
     assert main(_estimate(tmp_path, traces, "--fit", "--out-model", str(tmp_path / "m.json"))) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error: counting {traces} failed: ") and err.count("\n") == 1
+    assert out == "" and err.startswith(f"error: counting {traces} failed: the worker {ending}: ")
+    assert err.count("\n") == 1
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
     assert_no_child()

@@ -41,7 +41,8 @@ from v2vlos import (
     transition_matrix,
 )
 from v2vlos import estimation, markov
-from v2vlos.estimation import _logbell_grid, _logbell_values, bin_centers
+from v2vlos.curves import log_bell_values
+from v2vlos.estimation import _logbell_grid, bin_centers
 
 
 def labeled(ds, states, t0=0):
@@ -201,21 +202,19 @@ def test_empirical_transition_probs_rows():
     transitions = np.zeros((50, 3, 3), dtype=np.int64)
     transitions[4, 0] = [2, 1, 1]
     probs = empirical_transition_probs(EmpiricalStats(np.zeros((50, 3), dtype=np.int64), transitions))
-    assert probs.probs[4, 0].tolist() == [0.5, 0.25, 0.25]
-    assert probs.defined[4, 0]
-    # Zero-count rows stay undefined, not zero.
-    assert not probs.defined[4, 1]
-    assert np.all(np.isnan(probs.probs[4, 1]))
+    assert probs.shape == (50, 3, 3)
+    assert probs[4, 0].tolist() == [0.5, 0.25, 0.25]
+    # Zero-count rows stay undefined (NaN), not zero.
+    assert np.all(np.isnan(probs[4, 1]))
 
 
 def test_empirical_state_probs_bins():
     occupancy = np.zeros((50, 3), dtype=np.int64)
     occupancy[7] = [3, 1, 0]
     probs = empirical_state_probs(EmpiricalStats(occupancy, np.zeros((50, 3, 3), dtype=np.int64)))
-    assert probs.probs[7].tolist() == [0.75, 0.25, 0.0]
-    assert probs.defined[7]
-    assert not probs.defined[8]
-    assert np.all(np.isnan(probs.probs[8]))
+    assert probs.shape == (50, 3)
+    assert probs[7].tolist() == [0.75, 0.25, 0.0]
+    assert np.all(np.isnan(probs[8]))
 
 
 def test_estimator_recovers_assembled_matrix():
@@ -226,8 +225,8 @@ def test_estimator_recovers_assembled_matrix():
     stats = accumulate([states])
     est = empirical_transition_probs(stats)
     ref = transition_matrix(model, 105.0).m
-    assert np.all(est.defined[10])
-    assert np.nanmax(np.abs(est.probs[10] - ref)) < 0.02
+    assert not np.isnan(est[10]).any()
+    assert np.nanmax(np.abs(est[10] - ref)) < 0.02
 
 
 def test_long_chain_state_probs_match_stationary():
@@ -235,7 +234,7 @@ def test_long_chain_state_probs_match_stationary():
     n = 10**6
     states = chain(model).trace(DistanceTrace(np.arange(n), np.full(n, 105.0)), 13)
     stats = accumulate([states])
-    est = empirical_state_probs(stats).probs[10]
+    est = empirical_state_probs(stats)[10]
     pi = np.array(stationary_distribution(transition_matrix(model, 105.0)).probs.as_tuple())
     assert np.max(np.abs(est - pi)) < 0.01
 
@@ -273,8 +272,8 @@ def test_pearson_on_perturbed_curve():
 
 def test_fit_poly2_exact_recovery():
     true = Poly2(2e-6, -1e-3, 0.9)
-    pts = [(d, true.raw(d)) for d in np.arange(5.0, 500.0, 10.0)]
-    fit = fit_poly2(pts)
+    ds = np.arange(5.0, 500.0, 10.0)
+    fit = fit_poly2(ds, [true.raw(d) for d in ds])
     assert abs(fit.spec.a - true.a) < 1e-9
     assert abs(fit.spec.b - true.b) < 1e-9
     assert abs(fit.spec.c - true.c) < 1e-9
@@ -282,16 +281,16 @@ def test_fit_poly2_exact_recovery():
 
 
 def test_fit_poly2_constant_points():
-    fit = fit_poly2([(d, 0.5) for d in (10.0, 20.0, 30.0, 40.0)])
+    fit = fit_poly2([10.0, 20.0, 30.0, 40.0], [0.5] * 4)
     assert abs(fit.spec.a) < 1e-9 and abs(fit.spec.b) < 1e-9
     assert fit.spec.c == pytest.approx(0.5, abs=1e-9)
 
 
 def test_fit_poly2_singular_designs():
     with pytest.raises(SingularError):
-        fit_poly2([(10.0, 1.0), (10.0, 1.0), (20.0, 2.0)])
+        fit_poly2([10.0, 10.0, 20.0], [1.0, 1.0, 2.0])
     with pytest.raises(SingularError):
-        fit_poly2([(10.0, 1.0), (20.0, 2.0)])
+        fit_poly2([10.0, 20.0], [1.0, 2.0])
 
 
 def test_fit_poly2_noisy_within_three_standard_errors():
@@ -300,7 +299,7 @@ def test_fit_poly2_noisy_within_three_standard_errors():
     ds = bin_centers()
     rng = np.random.default_rng(12345)
     ys = np.array([true.raw(float(d)) for d in ds]) + sigma * rng.standard_normal(ds.size)
-    fit = fit_poly2(list(zip(ds, ys)))
+    fit = fit_poly2(ds, ys)
     # Standard errors from the scaled design, mapped back to raw coefficients.
     scale = float(np.max(ds))
     u = ds / scale
@@ -313,32 +312,31 @@ def test_fit_poly2_noisy_within_three_standard_errors():
 
 def test_fit_expdecay_exact_recovery():
     true = ExpDecay(0.8372, 0.0114)
-    pts = [(d, true.raw(d)) for d in np.arange(5.0, 500.0, 10.0)]
-    fit = fit_expdecay(pts)
+    ds = np.arange(5.0, 500.0, 10.0)
+    fit = fit_expdecay(ds, [true.raw(d) for d in ds])
     assert fit.spec.a == pytest.approx(true.a, rel=1e-9)
     assert fit.spec.b == pytest.approx(true.b, rel=1e-9)
 
 
 def test_fit_expdecay_excludes_nonpositive_with_warning():
     true = ExpDecay(0.5, 0.01)
-    pts = [(d, true.raw(d)) for d in np.arange(10.0, 200.0, 10.0)] + [(300.0, 0.0)]
+    ds = np.arange(10.0, 200.0, 10.0)
     with pytest.warns(UserWarning, match="non-positive"):
-        fit = fit_expdecay(pts)
+        fit = fit_expdecay([*ds, 300.0], [*(true.raw(d) for d in ds), 0.0])
     assert fit.spec.a == pytest.approx(0.5, rel=1e-9)
 
 
 def test_fit_expdecay_needs_two_distinct_positive_points():
     with pytest.raises(DegenerateError, match="2 distinct"):
-        fit_expdecay([(10.0, 0.5), (10.0, 0.4)])
+        fit_expdecay([10.0, 10.0], [0.5, 0.4])
     with pytest.warns(UserWarning, match="non-positive"), pytest.raises(DegenerateError, match="2 distinct"):
-        fit_expdecay([(10.0, 0.5), (20.0, 0.0), (30.0, -0.1)])
+        fit_expdecay([10.0, 20.0, 30.0], [0.5, 0.0, -0.1])
 
 
 def test_fit_logbell_self_recovery_on_bins():
     true = LogBell(0.0312, 5.0063, 2.4544)
     centers = bin_centers()[1:]  # bins 1..49
-    pts = [(float(d), true.raw(float(d))) for d in centers]
-    fit = fit_logbell(pts)
+    fit = fit_logbell(centers, [true.raw(float(d)) for d in centers])
     assert fit.sse < 1e-6
     assert fit.spec.s == pytest.approx(true.s, rel=0.01)
     assert fit.spec.mu == pytest.approx(true.mu, rel=0.01)
@@ -347,13 +345,19 @@ def test_fit_logbell_self_recovery_on_bins():
 
 def test_fit_logbell_degenerate_and_domain():
     with pytest.raises(DegenerateError):
-        fit_logbell([(10.0, 0.0), (20.0, 0.0), (30.0, 0.0), (40.0, 0.0)])
+        fit_logbell([10.0, 20.0, 30.0, 40.0], [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(DegenerateError):
-        fit_logbell([(10.0, 0.1), (20.0, 0.2), (30.0, 0.1)])
+        fit_logbell([10.0, 20.0, 30.0], [0.1, 0.2, 0.1])
     with pytest.raises(DomainError):
-        fit_logbell([(-1.0, 0.1), (20.0, 0.2), (30.0, 0.1), (40.0, 0.2)])
+        fit_logbell([-1.0, 20.0, 30.0, 40.0], [0.1, 0.2, 0.1, 0.2])
     with pytest.raises(DomainError):
-        fit_logbell([(10.0, -0.1), (20.0, 0.2), (30.0, 0.1), (40.0, 0.2)])
+        fit_logbell([10.0, 20.0, 30.0, 40.0], [-0.1, 0.2, 0.1, 0.2])
+
+
+def reference_bell(d, s, mu, k):
+    """The log-domain bell over an array, written out here so the references share no code with the search."""
+    t = np.log(d) - mu
+    return (1.0 / (s * d)) * np.exp(-(t * t) / k)
 
 
 def reference_logbell_grid(d, y):
@@ -365,7 +369,7 @@ def reference_logbell_grid(d, y):
     best = None
     for mu in mus:
         for k in ks:
-            g = _logbell_values(d, 1.0, mu, k)
+            g = reference_bell(d, 1.0, mu, k)
             gg = float(g @ g)
             if gg == 0.0:
                 continue
@@ -386,7 +390,7 @@ def grid_point(d, index):
     """g of grid point ``index`` (row-major over 17 mu by 15 k) at distances ``d``."""
     ln_d = np.log(d)
     mus = np.linspace(float(ln_d.min()) - 1.0, float(ln_d.max()) + 2.0, 17)
-    return _logbell_values(d, 1.0, mus[index // 15], np.geomspace(0.2, 20.0, 15)[index % 15])
+    return reference_bell(d, 1.0, mus[index // 15], np.geomspace(0.2, 20.0, 15)[index % 15])
 
 
 def grid_result(d, y, search):
@@ -445,28 +449,31 @@ def test_logbell_grid_matches_the_scalar_loop_where_some_bells_underflow(d, y):
 
 def test_logbell_grid_rescores_only_its_near_best_points():
     # One grid point fits this bell far better than the rest, so the scalar
-    # formula runs once, not once for each of the 255 points.
+    # formula runs once, not once for each of the 255 points. The array pass
+    # is the one call whose mu is the whole grid column.
     true = LogBell(0.0312, 5.0063, 2.4544)
     d = bin_centers()
     y = np.array([true.raw(float(v)) for v in d])
-    with mock.patch.object(estimation, "_logbell_values", wraps=_logbell_values) as scored:
+    with mock.patch.object(estimation, "log_bell_values", wraps=log_bell_values) as scored:
         found = _logbell_grid(d, y)
-    assert scored.call_count == 1
+    mus = [call.args[2] for call in scored.call_args_list]
+    assert [np.shape(mu) for mu in mus] == [(17, 1, 1), ()]
     assert found == reference_logbell_grid(d, y)
 
 
 def test_fit_logbell_on_polynomial_data_fits_worse_than_poly2():
     poly = Poly2(3.2e-6, -0.003, 1.0)  # positive on the sampled range
-    pts = [(d, poly.raw(d)) for d in np.arange(5.0, 500.0, 10.0)]
-    poly_fit = fit_poly2(pts)
-    bell_fit = fit_logbell(pts)
+    ds = np.arange(5.0, 500.0, 10.0)
+    ys = [poly.raw(d) for d in ds]
+    poly_fit = fit_poly2(ds, ys)
+    bell_fit = fit_logbell(ds, ys)
     assert bell_fit.sse > poly_fit.sse
 
 
 def test_fit_offset_minus_logbell_recovery():
     true = OffsetMinusLogBell(0.9132, LogBell(0.0484, 4.7076, 0.748))
-    pts = [(float(d), true.raw(float(d))) for d in bin_centers()]
-    fit = fit_offset_minus_logbell(pts)
+    ds = bin_centers()
+    fit = fit_offset_minus_logbell(ds, [true.raw(float(d)) for d in ds])
     assert fit.spec.offset == pytest.approx(true.offset, abs=1e-6)
     assert fit.spec.inner.s == pytest.approx(true.inner.s, rel=0.01)
     assert fit.sse < 1e-9
@@ -474,18 +481,18 @@ def test_fit_offset_minus_logbell_recovery():
 
 def test_fit_offset_minus_logbell_degenerate_and_domain():
     with pytest.raises(DegenerateError, match="at least 4 points"):
-        fit_offset_minus_logbell([(10.0, 0.5), (20.0, 0.4), (30.0, 0.3)])
+        fit_offset_minus_logbell([10.0, 20.0, 30.0], [0.5, 0.4, 0.3])
     with pytest.raises(DomainError, match="positive distances"):
-        fit_offset_minus_logbell([(0.0, 0.5), (20.0, 0.4), (30.0, 0.3), (40.0, 0.2)])
+        fit_offset_minus_logbell([0.0, 20.0, 30.0, 40.0], [0.5, 0.4, 0.3, 0.2])
     # At such distances every bell on the grid underflows to zero.
     with pytest.raises(DegenerateError, match="no usable offset"):
-        fit_offset_minus_logbell([(k * 1e300, 0.5) for k in (1.0, 2.0, 3.0, 4.0)])
+        fit_offset_minus_logbell([k * 1e300 for k in (1.0, 2.0, 3.0, 4.0)], [0.5] * 4)
 
 
 def test_fit_same_family_piecewise():
     true = Piecewise(90.0, Poly2(-4.8e-5, -5.62e-3, 1.11), Poly2(-2.286e-6, 1.443e-3, 0.1022))
-    pts = [(float(d), true.raw(float(d))) for d in bin_centers()]
-    fit = fit_same_family(true, pts)
+    ds = bin_centers()
+    fit = fit_same_family(true, ds, [true.raw(float(d)) for d in ds])
     assert isinstance(fit.spec, Piecewise)
     assert fit.spec.d_t == 90.0
     assert fit.sse < 1e-18
@@ -495,4 +502,47 @@ def test_fit_same_family_piecewise():
 
 def test_fit_same_family_rejects_a_non_curve():
     with pytest.raises(TypeError, match="unknown curve spec"):
-        fit_same_family("poly2", [(10.0, 0.5), (20.0, 0.4), (30.0, 0.3)])
+        fit_same_family("poly2", [10.0, 20.0, 30.0], [0.5, 0.4, 0.3])
+
+
+def test_fit_same_family_piecewise_fits_a_point_at_the_threshold_high():
+    # Piecewise.raw evaluates d == d_t on the high branch, so the fit puts
+    # that point there too; without it the high branch has two points, too
+    # few for a quadratic.
+    true = Piecewise(90.0, Poly2(-4.8e-5, -5.62e-3, 1.11), Poly2(-2.286e-6, 1.443e-3, 0.1022))
+    ds = np.array([60.0, 70.0, 80.0, 90.0, 100.0, 110.0])
+    fit = fit_same_family(true, ds, [true.raw(float(d)) for d in ds])
+    assert fit.sse < 1e-24
+    for d in ds:
+        assert fit.spec.low.raw(d) == pytest.approx(true.low.raw(d), abs=1e-12)
+        assert fit.spec.high.raw(d) == pytest.approx(true.high.raw(d), abs=1e-12)
+
+
+_FAMILY_FITS = {
+    "poly2": fit_poly2,
+    "exp_decay": fit_expdecay,
+    "log_bell": fit_logbell,
+    "offset_minus_log_bell": fit_offset_minus_logbell,
+    "piecewise": lambda d, y: fit_same_family(Piecewise(25.0, Poly2(0.0, 0.0, 0.5), Poly2(0.0, 0.0, 0.5)), d, y),
+}
+
+
+@pytest.mark.parametrize("fit", _FAMILY_FITS.values(), ids=_FAMILY_FITS.keys())
+def test_fits_reject_d_and_y_of_other_lengths_or_shapes(fit):
+    with pytest.raises(DomainError, match="1-d and equal length"):
+        fit([10.0, 20.0, 30.0, 40.0, 50.0], [0.5, 0.4, 0.3, 0.2])
+    with pytest.raises(DomainError, match="1-d and equal length"):
+        fit(np.array([[10.0, 20.0], [30.0, 40.0]]), np.array([[0.5, 0.4], [0.3, 0.2]]))
+
+
+@pytest.mark.parametrize("spec", [
+    Poly2(2e-6, -1e-3, 0.9),
+    ExpDecay(0.8372, 0.0114),
+    LogBell(0.0312, 5.0063, 2.4544),
+    OffsetMinusLogBell(0.9132, LogBell(0.0484, 4.7076, 0.748)),
+    Piecewise(90.0, Poly2(-4.8e-5, -5.62e-3, 1.11), Poly2(-2.286e-6, 1.443e-3, 0.1022)),
+], ids=lambda spec: spec.family)
+def test_fits_accept_plain_lists(spec):
+    ds = bin_centers()
+    ys = np.array([spec.raw(float(d)) for d in ds])
+    assert fit_same_family(spec, ds.tolist(), ys.tolist()) == fit_same_family(spec, ds, ys)

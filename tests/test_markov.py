@@ -21,7 +21,6 @@ from v2vlos import (
     accumulate,
     derive_subseed,
     dwell_statistics,
-    empirical_state_probs,
     stationary_distribution,
     transition_matrix,
 )
@@ -97,8 +96,8 @@ _GRID = DistanceTrace.from_distances([1.0, 2.0])
     lambda: StateTrace(_GRID, [0, 2]),
     lambda: transition_matrix(URBAN_MEDIUM, 100.0),
     lambda: dwell_statistics([StateTrace(_GRID, [0, 2])]),
-    lambda: empirical_state_probs(accumulate([StateTrace(_GRID, [0, 2])])),
-], ids=["DistanceTrace", "StateTrace", "TransitionMatrix", "DwellStats", "BinnedProbs"])
+    lambda: accumulate([StateTrace(_GRID, [0, 2])]),
+], ids=["DistanceTrace", "StateTrace", "TransitionMatrix", "DwellStats", "EmpiricalStats"])
 def test_array_holding_types_compare_and_hash_by_identity(make):
     # A grid is its object: equal arrays never make two traces one grid.
     x, y = make(), make()
