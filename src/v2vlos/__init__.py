@@ -9,15 +9,7 @@ families, and ships the six builtin scenario parameter sets.
 
 __version__ = "0.1.0"
 
-from .assembly import (
-    StateProbVector,
-    StationaryResult,
-    TransitionMatrix,
-    repair_vector,
-    state_probabilities,
-    stationary_distribution,
-    transition_matrix,
-)
+from .assembly import repair_vector, state_probabilities, stationary_distribution, transition_matrix
 from .curves import (
     CurveSpec,
     ExpDecay,

@@ -12,69 +12,28 @@ curves' ``raw`` methods, and :func:`compile_array` into its numpy twin over
 their ``values``. Each sampler compiles its scenario once
 (:func:`v2vlos.markov.chain`); :func:`state_probabilities` and
 :func:`transition_matrix` apply the distance policy and compile only what
-they evaluate, so nothing is cached. All functions here are pure and safe
-to call concurrently.
+they evaluate, so nothing is cached. They return read-only float64 arrays in
+state order, shaped ``(3,)`` and ``(3, 3)`` (rows by origin state), the layout
+of one bin of :func:`~v2vlos.estimation.empirical_state_probs` and
+:func:`~v2vlos.estimation.empirical_transition_probs`; index them with
+:class:`~v2vlos.states.LosState`. :func:`stationary_distribution` is the one
+function that takes a matrix from the caller, and checks it. All functions
+here are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .params import ScenarioModel, StateProbModel, effective_distance
-from .states import CANONICAL_STATES, LosState
 
 SUM_TOLERANCE = 1e-9
 # A repair that keeps one of two explicit values closer than this is left to
 # the scalar: numpy's last bits could flip which of the two is kept.
 _TIE = 2.0**-40
-
-
-@dataclass(frozen=True)
-class StateProbVector:
-    """Probability of each visibility state at one distance."""
-
-    los: float
-    nlosv: float
-    nlosb: float
-
-    def __post_init__(self):
-        t = (self.los, self.nlosv, self.nlosb)
-        if not all(-SUM_TOLERANCE <= p <= 1.0 + SUM_TOLERANCE for p in t):  # NaN fails too
-            raise ValueError(f"probabilities outside [0, 1]: {t}")
-        if abs(sum(t) - 1.0) > SUM_TOLERANCE:
-            raise ValueError(f"probabilities sum to {sum(t)!r}, expected 1")
-
-    def __getitem__(self, state: LosState) -> float:
-        return self.as_tuple()[int(state)]
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.los, self.nlosv, self.nlosb)
-
-    def as_dict(self) -> dict[LosState, float]:
-        return {s: self[s] for s in CANONICAL_STATES}
-
-
-@dataclass(frozen=True, eq=False)
-class TransitionMatrix:
-    """Row-stochastic 3x3 one-second transition matrix assembled at distance ``d``."""
-
-    m: np.ndarray
-    d: float
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"expected 3x3 matrix, got shape {m.shape}")
-        if not np.all((m >= -SUM_TOLERANCE) & (m <= 1.0 + SUM_TOLERANCE)):  # NaN fails too
-            raise ValueError("matrix entries outside [0, 1]")
-        if np.any(np.abs(m.sum(axis=1) - 1.0) > SUM_TOLERANCE):
-            raise ValueError(f"rows must sum to 1, got {m.sum(axis=1)}")
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
 
 
 def repair_vector(values: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -173,42 +132,43 @@ def compile_array(block: StateProbModel) -> Callable[[np.ndarray], np.ndarray]:
     return vector
 
 
-def state_probabilities(model: ScenarioModel, d: float, over_range: str = "error") -> StateProbVector:
-    """Probability of LOS/NLOSv/NLOSb at distance ``d`` for one scenario."""
+def state_probabilities(model: ScenarioModel, d: float, over_range: str = "error") -> np.ndarray:
+    """Probability of LOS/NLOSv/NLOSb at distance ``d`` for one scenario: read-only, shape ``(3,)``."""
     d = effective_distance(d, model.d_min, model.d_max, over_range)
-    return StateProbVector(*compile_vector(model.state_probs)(d))
+    p = np.array(compile_vector(model.state_probs)(d))
+    p.setflags(write=False)
+    return p
 
 
-def transition_matrix(model: ScenarioModel, d: float, over_range: str = "error") -> TransitionMatrix:
-    """Row-stochastic transition matrix assembled at exact distance ``d``."""
+def transition_matrix(model: ScenarioModel, d: float, over_range: str = "error") -> np.ndarray:
+    """Row-stochastic transition matrix at distance ``d``: read-only, shape ``(3, 3)``, rows by origin state."""
     d = effective_distance(d, model.d_min, model.d_max, over_range)
-    return TransitionMatrix(np.array([compile_vector(row)(d) for row in model.rows], dtype=float), d=d)
+    m = np.array([compile_vector(row)(d) for row in model.rows])
+    m.setflags(write=False)
+    return m
 
 
-@dataclass(frozen=True)
-class StationaryResult:
-    """Equilibrium distribution of a transition matrix (diagnostic)."""
-
-    probs: StateProbVector
-    unique: bool
-    residual: float
-
-
-def stationary_distribution(tm: TransitionMatrix) -> StationaryResult:
+def stationary_distribution(m) -> tuple[np.ndarray, bool]:
     """Left eigenvector for eigenvalue one: the solution of pi (M - I) = 0, sum(pi) = 1.
 
-    ``unique`` is False when the chain is reducible (several eigenvalues at
-    one), in which case the returned vector is one of many equilibria.
+    ``m`` is any 3x3 array-like; it must be row-stochastic within
+    ``SUM_TOLERANCE`` (NaN fails), else :class:`ValueError`. Returns
+    ``(pi, unique)``: ``unique`` is False when the chain is reducible (several
+    eigenvalues at one), in which case ``pi`` is one of many equilibria.
     Periodic chains (an eigenvalue on the unit circle other than one) have no
     limiting distribution and raise :class:`ConvergenceError`.
     """
-    m = tm.m
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3):
+        raise ValueError(f"expected 3x3 matrix, got shape {m.shape}")
+    if not np.all((m >= -SUM_TOLERANCE) & (m <= 1.0 + SUM_TOLERANCE)):  # NaN fails too
+        raise ValueError("matrix entries outside [0, 1]")
+    if np.any(np.abs(m.sum(axis=1) - 1.0) > SUM_TOLERANCE):
+        raise ValueError(f"rows must sum to 1, got {m.sum(axis=1)}")
     eigvals = np.linalg.eigvals(m)
     at_one = np.abs(eigvals - 1.0) < 1e-8
     if np.any(~at_one & (np.abs(np.abs(eigvals) - 1.0) < 1e-8)):
         raise ConvergenceError(f"periodic chain: eigenvalues {eigvals} lie on the unit circle")
     system = np.vstack([(m - np.eye(3)).T, np.ones(3)])
     pi = np.linalg.lstsq(system, np.array([0.0, 0.0, 0.0, 1.0]), rcond=None)[0]
-    residual = float(np.max(np.abs(pi @ m - pi)))
-    probs = StateProbVector(float(pi[0]), float(pi[1]), float(pi[2]))
-    return StationaryResult(probs, int(np.sum(at_one)) == 1, residual)
+    return pi, int(np.sum(at_one)) == 1

@@ -198,20 +198,23 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _curves_rows(args: argparse.Namespace) -> int:
+    """Rows of ``d_min + i * d_step`` up to ``d_max``, a row when on the grid to 1e-9; past the cap, cap + 1."""
+    last = (args.d_max - args.d_min) / args.d_step
+    if last >= _CURVES_MAX_ROWS:  # round() could overflow
+        return _CURVES_MAX_ROWS + 1
+    last = round(last)
+    return last + (args.d_min + last * args.d_step <= args.d_max + 1e-9)
+
+
 def _cmd_curves(args: argparse.Namespace) -> int:
     model = _scenario(args)
     lines = _provenance("curves", scenario=model.tag, seed=args.seed)
     lines.append(",".join(["d", "p_los", "p_nlosv", "p_nlosb", *_TRANSITION_COLUMNS]))
-    n = int((args.d_max - args.d_min) / args.d_step) + 1
-    for i in range(n):
+    for i in range(_curves_rows(args)):
         d = args.d_min + i * args.d_step
-        if d > args.d_max + 1e-9:
-            break
-        probs = state_probabilities(model, d)
-        tm = transition_matrix(model, d)
-        row = [f"{d:.6g}"] + [f"{v:.8g}" for v in probs.as_tuple()]
-        row += [f"{tm.m[i2, j]:.8g}" for i2 in range(3) for j in range(3)]
-        lines.append(",".join(row))
+        values = state_probabilities(model, d).tolist() + transition_matrix(model, d).ravel().tolist()
+        lines.append(",".join([f"{d:.6g}"] + [f"{v:.8g}" for v in values]))
     _write_atomic(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out}: scenario={model.tag} d=[{args.d_min}, {args.d_max}] step={args.d_step}")
     return 0
@@ -259,8 +262,8 @@ _REPORT_ORDER = (LosState.LOS, LosState.NLOSb, LosState.NLOSv)
 
 
 def _correlation_report(model: ScenarioModel, centers: np.ndarray, emp_state: np.ndarray, emp_trans: np.ndarray) -> str:
-    model_state = np.asarray([state_probabilities(model, float(d)).as_tuple() for d in centers])
-    model_trans = np.asarray([transition_matrix(model, float(d)).m for d in centers])
+    model_state = np.stack([state_probabilities(model, float(d)) for d in centers])
+    model_trans = np.stack([transition_matrix(model, float(d)) for d in centers])
 
     lines = ["[los_probabilities]"]
     for s in _REPORT_ORDER:
@@ -430,12 +433,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.config is not None:
         args = parser.parse_args(argv)
     if args.command == "curves":
-        for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
+        for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max), ("--d-step", args.d_step)):
             if not math.isfinite(value):
                 parser.error(f"{flag} must be finite, got {value:g}")
         if not args.d_min <= args.d_max:
             parser.error(f"--d-min {args.d_min:g} must not exceed --d-max {args.d_max:g}")
-        if (args.d_max - args.d_min) / args.d_step >= _CURVES_MAX_ROWS:
+        if _curves_rows(args) > _CURVES_MAX_ROWS:
             parser.error(f"--d-step {args.d_step:g} gives more than {_CURVES_MAX_ROWS} rows")
     if args.command == "estimate" and args.fit and not args.out_model:
         parser.error("--fit requires --out-model")

@@ -53,9 +53,9 @@ def test_criterion_1_row_stochastic_sweep():
     for model in all_models():
         for d in range(1, 501):
             tm = transition_matrix(model, float(d))
-            assert np.all(tm.m >= 0.0) and np.all(tm.m <= 1.0)
-            worst_row = max(worst_row, float(np.max(np.abs(tm.m.sum(axis=1) - 1.0))))
-            vec = state_probabilities(model, float(d)).as_tuple()
+            assert np.all(tm >= 0.0) and np.all(tm <= 1.0)
+            worst_row = max(worst_row, float(np.max(np.abs(tm.sum(axis=1) - 1.0))))
+            vec = state_probabilities(model, float(d)).tolist()
             assert all(0.0 <= p <= 1.0 for p in vec)
             worst_vec = max(worst_vec, abs(sum(vec) - 1.0))
     elapsed = time.perf_counter() - t0
@@ -69,10 +69,10 @@ def test_criterion_2_table_value_spot_checks():
     p_hw = eval_curve(builtin_model(Environment.HIGHWAY, Density.HIGH).state_probs.explicit[LosState.LOS], 500.0)
     ok_hw = abs(p_hw - 0.3) <= 4 * math.ulp(0.3)
 
-    p_urb = state_probabilities(builtin_model(Environment.URBAN, Density.MEDIUM), 100.0).los
+    p_urb = state_probabilities(builtin_model(Environment.URBAN, Density.MEDIUM), 100.0)[LosState.LOS]
     ok_urb = abs(p_urb - 0.2678) <= 1e-3
 
-    p_ll = transition_matrix(builtin_model(Environment.URBAN, Density.MEDIUM), 200.0).m[LosState.LOS, LosState.LOS]
+    p_ll = transition_matrix(builtin_model(Environment.URBAN, Density.MEDIUM), 200.0)[LosState.LOS, LosState.LOS]
     ok_ll = abs(p_ll - 0.75) <= 1e-3
 
     report("criterion 2 (table spot checks)", ok_hw and ok_urb and ok_ll,
@@ -86,7 +86,7 @@ def test_criterion_3_estimator_recovery():
     for env, density in ALL_SCENARIOS:
         t0 = time.perf_counter()
         model = builtin_model(env, density)
-        ref = transition_matrix(model, d).m
+        ref = transition_matrix(model, d)
 
         def estimate(n, seed):
             trace = DistanceTrace(np.arange(n), np.full(n, d))
@@ -187,7 +187,7 @@ def test_criterion_9_correlation_substitute(tmp_path):
     # is correlation robustness to 1% noise plus report emission.
     model = builtin_model(Environment.URBAN, Density.MEDIUM)
     centers = bin_centers()
-    ys = np.array([state_probabilities(model, float(d)).los for d in centers])
+    ys = np.array([state_probabilities(model, float(d))[LosState.LOS] for d in centers])
     rng = np.random.default_rng(99)
     noisy = ys * (1.0 + 0.01 * rng.standard_normal(ys.size))
     r = pearson(ys, noisy)

@@ -20,8 +20,6 @@ from v2vlos import (
     OffsetMinusLogBell,
     Poly2,
     StateProbModel,
-    StateProbVector,
-    TransitionMatrix,
     builtin_model,
     chain,
     load_scenario,
@@ -45,34 +43,34 @@ def test_urban_medium_vector_at_100():
     p_nlosv = (1.0 / (0.0312 * 100.0)) * math.exp(-((math.log(100.0) - 5.0063) ** 2) / 2.4544)
     p_nlosb = 1.0 - p_los - p_nlosv
     got = state_probabilities(builtin_model(Environment.URBAN, Density.MEDIUM), 100.0)
-    assert got.los == pytest.approx(p_los, abs=1e-12)
-    assert got.nlosv == pytest.approx(p_nlosv, abs=1e-12)
-    assert got.nlosb == pytest.approx(p_nlosb, abs=1e-12)
-    assert (got.los, got.nlosv, got.nlosb) == pytest.approx((0.2678, 0.300, 0.432), abs=1e-3)
+    assert got[LosState.LOS] == pytest.approx(p_los, abs=1e-12)
+    assert got[LosState.NLOSv] == pytest.approx(p_nlosv, abs=1e-12)
+    assert got[LosState.NLOSb] == pytest.approx(p_nlosb, abs=1e-12)
+    assert got.tolist() == pytest.approx([0.2678, 0.300, 0.432], abs=1e-3)
 
 
 def test_highway_high_vector_at_500():
     got = state_probabilities(builtin_model(Environment.HIGHWAY, Density.HIGH), 500.0)
     p_nlosb = -4.1e-7 * 500.0**2 + 0.00067 * 500.0 + 0.0
-    assert got.los == pytest.approx(0.3, abs=1e-12)
-    assert got.nlosb == pytest.approx(p_nlosb, abs=1e-12)
-    assert got.nlosv == pytest.approx(1.0 - 0.3 - 0.2325, abs=1e-6)
+    assert got[LosState.LOS] == pytest.approx(0.3, abs=1e-12)
+    assert got[LosState.NLOSb] == pytest.approx(p_nlosb, abs=1e-12)
+    assert got[LosState.NLOSv] == pytest.approx(1.0 - 0.3 - 0.2325, abs=1e-6)
 
 
 def test_highway_low_near_zero_distance_repairs_to_degenerate():
     model = builtin_model(Environment.HIGHWAY, Density.LOW)
     with pytest.warns(Warning):
         got = state_probabilities(model, 0.01)
-    assert got.nlosv == 0.0
-    assert got.los == pytest.approx(1.0, abs=2e-3)
-    assert got.nlosb == pytest.approx(0.0, abs=2e-3)
-    assert sum(got.as_tuple()) == pytest.approx(1.0, abs=1e-9)
+    assert got[LosState.NLOSv] == 0.0
+    assert got[LosState.LOS] == pytest.approx(1.0, abs=2e-3)
+    assert got[LosState.NLOSb] == pytest.approx(0.0, abs=2e-3)
+    assert got.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_urban_medium_los_row_at_200():
     p_ll = 1.5e-6 * 200.0**2 - 1.2e-3 * 200.0 + 0.93
     p_lb = -5.9e-7 * 200.0**2 + 5.4e-4 * 200.0 + 0.0069
-    row = transition_matrix(builtin_model(Environment.URBAN, Density.MEDIUM), 200.0).m[LosState.LOS].tolist()
+    row = transition_matrix(builtin_model(Environment.URBAN, Density.MEDIUM), 200.0)[LosState.LOS].tolist()
     assert row[0] == pytest.approx(p_ll, abs=1e-12)
     assert row[2] == pytest.approx(p_lb, abs=1e-12)
     assert row[1] == pytest.approx(1.0 - p_ll - p_lb, abs=1e-12)
@@ -81,7 +79,7 @@ def test_urban_medium_los_row_at_200():
 
 def test_highway_low_nlosb_row_nlosv_exactly_zero():
     # The two explicit curves share the same bell, so the complement vanishes.
-    row = transition_matrix(builtin_model(Environment.HIGHWAY, Density.LOW), 150.0).m[LosState.NLOSb]
+    row = transition_matrix(builtin_model(Environment.HIGHWAY, Density.LOW), 150.0)[LosState.NLOSb]
     assert row[1] == 0.0
     assert row[0] + row[2] == pytest.approx(1.0, abs=1e-12)
 
@@ -93,7 +91,7 @@ def test_transition_row_agrees_with_matrix_rows():
         for d in (1.0, 70.0, 90.0, 250.0, 500.0):
             tm = transition_matrix(model, d)
             for origin in LosState:
-                p0, p1, _ = tm.m[int(origin)].tolist()
+                p0, p1, _ = tm[origin].tolist()
                 assert thresholds(int(origin), d) == (p0, p0 + p1)
 
 
@@ -101,10 +99,10 @@ def test_rows_sum_to_one_across_scenarios():
     for model in all_models():
         for d in (1.0, 35.0, 70.0, 89.5, 90.0, 105.0, 250.0, 499.5, 500.0):
             tm = transition_matrix(model, d)
-            assert np.all(tm.m >= 0.0) and np.all(tm.m <= 1.0)
-            assert np.allclose(tm.m.sum(axis=1), 1.0, atol=1e-9)
+            assert np.all(tm >= 0.0) and np.all(tm <= 1.0)
+            assert np.allclose(tm.sum(axis=1), 1.0, atol=1e-9)
             probs = state_probabilities(model, d)
-            assert sum(probs.as_tuple()) == pytest.approx(1.0, abs=1e-9)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_repair_leaves_valid_vector_untouched():
@@ -135,25 +133,19 @@ def test_repair_is_idempotent():
 
 
 def test_vector_and_matrix_validation():
+    # stationary_distribution is the one function that takes a matrix from the caller.
     with pytest.raises(ValueError):
-        StateProbVector(0.5, 0.6, 0.2)
+        stationary_distribution(np.eye(2))
     with pytest.raises(ValueError):
-        StateProbVector(-0.1, 0.6, 0.5)
-    with pytest.raises(ValueError):
-        TransitionMatrix(np.eye(2), d=10.0)
-    with pytest.raises(ValueError):
-        TransitionMatrix(np.full((3, 3), 0.5), d=10.0)
+        stationary_distribution(np.full((3, 3), 0.5))
 
 
 def test_vector_and_matrix_reject_non_finite_entries():
     nan, inf = math.nan, math.inf
-    for t in [(nan, nan, nan), (nan, 0.5, 0.5), (inf, -inf, 1.0)]:
-        with pytest.raises(ValueError):
-            StateProbVector(*t)
     for m in [np.full((3, 3), nan), [[nan, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
               [[inf, -inf, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]:
         with pytest.raises(ValueError):
-            TransitionMatrix(m, d=10.0)
+            stationary_distribution(m)
 
 
 def test_assembly_never_returns_a_nan_probability(tmp_path):
@@ -294,41 +286,37 @@ def test_repair_array_repairs_each_column_like_repair_vector(triples):
 def test_matrix_is_immutable():
     tm = transition_matrix(builtin_model(Environment.URBAN, Density.LOW), 100.0)
     with pytest.raises(ValueError):
-        tm.m[0, 0] = 0.5
+        tm[0, 0] = 0.5
+    probs = state_probabilities(builtin_model(Environment.URBAN, Density.LOW), 100.0)
+    with pytest.raises(ValueError):
+        probs[0] = 0.5
+    assert (probs.shape, tm.shape, probs.dtype, tm.dtype) == ((3,), (3, 3), np.float64, np.float64)
 
 
 def test_stationary_rank_one_chain():
     rows = np.array([[0.2, 0.3, 0.5]] * 3)
-    res = stationary_distribution(TransitionMatrix(rows, d=10.0))
-    assert res.probs.as_tuple() == pytest.approx((0.2, 0.3, 0.5), abs=1e-9)
-    assert res.unique
+    pi, unique = stationary_distribution(rows)
+    assert pi.tolist() == pytest.approx([0.2, 0.3, 0.5], abs=1e-9)
+    assert unique
 
 
 def test_stationary_identity_flagged_non_unique():
-    res = stationary_distribution(TransitionMatrix(np.eye(3), d=10.0))
-    assert not res.unique
-    assert sum(res.probs.as_tuple()) == pytest.approx(1.0, abs=1e-9)
+    pi, unique = stationary_distribution(np.eye(3))
+    assert not unique
+    assert pi.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_stationary_periodic_chain_does_not_converge():
     perm = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ConvergenceError):
-        stationary_distribution(TransitionMatrix(perm, d=10.0))
+        stationary_distribution(perm)
 
 
 def test_stationary_vs_fitted_probabilities_reported_not_asserted():
     model = builtin_model(Environment.URBAN, Density.HIGH)
-    res = stationary_distribution(transition_matrix(model, 50.0))
+    pi, _ = stationary_distribution(transition_matrix(model, 50.0))
     fitted = state_probabilities(model, 50.0)
-    tv = 0.5 * sum(abs(a - b) for a, b in zip(res.probs.as_tuple(), fitted.as_tuple()))
+    tv = 0.5 * float(np.abs(pi - fitted).sum())
     print(f"urban-high d=50: stationary vs fitted total variation = {tv:.4f}")
     assert 0.0 <= tv <= 1.0
 
-
-def test_vector_accessors():
-    v = StateProbVector(0.2, 0.3, 0.5)
-    assert v[LosState.LOS] == 0.2
-    assert v[LosState.NLOSv] == 0.3
-    assert v[LosState.NLOSb] == 0.5
-    assert v.as_dict() == {LosState.LOS: 0.2, LosState.NLOSv: 0.3, LosState.NLOSb: 0.5}
-    assert v.as_tuple() == (0.2, 0.3, 0.5)

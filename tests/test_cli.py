@@ -144,6 +144,31 @@ def test_curves_show_piecewise_branch_switch(tmp_path):
     assert table["p_nlosv_los"][i90] == pytest.approx(high_at_90, abs=1e-6)
 
 
+# (d_max - d_min) / d_step is 6.999999999999999, 0.9999999999999998, 8.999999999999998, 4.000000000000001 and 9.
+_ON_GRID_D_MAX = [("1", "1.7", "0.1"), ("1", "1.2", "0.2"), ("1", "4.6", "0.4"), ("1", "2.2", "0.3"), ("1", "10", "1")]
+
+
+@pytest.mark.parametrize("d_min, d_max, d_step", _ON_GRID_D_MAX, ids=["-".join(g) for g in _ON_GRID_D_MAX])
+def test_curves_grid_ends_at_d_max(tmp_path, d_min, d_max, d_step):
+    out = tmp_path / "c.csv"
+    assert main(["curves", "--env", "urban", "--density", "low", "--d-min", d_min, "--d-max", d_max,
+                 "--d-step", d_step, "--out", str(out)]) == 0
+    d = read_table(out)["d"]
+    rows = round((float(d_max) - float(d_min)) / float(d_step)) + 1
+    assert len(d) == rows
+    assert d.tolist() == pytest.approx([float(d_min) + i * float(d_step) for i in range(rows)], abs=1e-12)
+    assert d[-1] == float(d_max)
+
+
+@pytest.mark.parametrize("d_max, last", [("1.75", 1.7), ("1.74", 1.7), ("1.66", 1.6)])
+def test_curves_grid_off_d_max_stops_below_it(tmp_path, d_max, last):
+    out = tmp_path / "c.csv"
+    assert main(["curves", "--env", "urban", "--density", "low", "--d-min", "1", "--d-max", d_max,
+                 "--d-step", "0.1", "--out", str(out)]) == 0
+    d = read_table(out)["d"]
+    assert d[-1] == last and len(d) == round((last - 1.0) / 0.1) + 1
+
+
 def test_compare_emits_joint_series_and_dwell_table(tmp_path):
     out = tmp_path / "compare.csv"
     r = run_cli("compare", "--env", "urban", "--density", "medium",
@@ -315,7 +340,7 @@ def test_non_positive_sizes_are_usage_errors(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("step", ["0", "-1", "nan"])
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
 def test_curves_non_positive_step_is_usage_error(tmp_path, capsys, step):
     out = tmp_path / "c.csv"
     code, err = run_in_process(["curves", "--env", "urban", "--density", "low", "--d-step", step,
@@ -703,6 +728,19 @@ def test_curves_row_cap_is_the_largest_grid_allowed(tmp_path, capsys, monkeypatc
     code, err = run_in_process(base + ["--d-max", "11"], capsys)  # eleven rows
     assert code == 2 and "more than 10 rows" in err
     assert not out.exists()
+
+
+def test_curves_row_cap_counts_the_d_max_row(tmp_path, capsys, monkeypatch):
+    # (1.7 - 1) / 0.1 is 6.999999999999999, and the grid has eight rows.
+    base = ["curves", "--env", "urban", "--density", "low", "--d-min", "1", "--d-max", "1.7", "--d-step", "0.1"]
+    out = tmp_path / "c.csv"
+    monkeypatch.setattr(cli, "_CURVES_MAX_ROWS", 7)
+    code, err = run_in_process(base + ["--out", str(out)], capsys)
+    assert code == 2 and "more than 7 rows" in err
+    assert not out.exists()
+    monkeypatch.setattr(cli, "_CURVES_MAX_ROWS", 8)
+    assert main(base + ["--out", str(out)]) == 0
+    assert len(read_table(out)) == 8
 
 
 def _pathloss_file(**changes):

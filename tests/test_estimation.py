@@ -224,7 +224,7 @@ def test_estimator_recovers_assembled_matrix():
     states = chain(model).trace(trace, 31)
     stats = accumulate([states])
     est = empirical_transition_probs(stats)
-    ref = transition_matrix(model, 105.0).m
+    ref = transition_matrix(model, 105.0)
     assert not np.isnan(est[10]).any()
     assert np.nanmax(np.abs(est[10] - ref)) < 0.02
 
@@ -235,7 +235,7 @@ def test_long_chain_state_probs_match_stationary():
     states = chain(model).trace(DistanceTrace(np.arange(n), np.full(n, 105.0)), 13)
     stats = accumulate([states])
     est = empirical_state_probs(stats)[10]
-    pi = np.array(stationary_distribution(transition_matrix(model, 105.0)).probs.as_tuple())
+    pi, _ = stationary_distribution(transition_matrix(model, 105.0))
     assert np.max(np.abs(est - pi)) < 0.01
 
 
