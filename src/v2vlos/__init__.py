@@ -7,71 +7,43 @@ re-estimates probabilities from labeled traces, fits the published curve
 families, and ships the six builtin scenario parameter sets.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .assembly import repair_vector, state_probabilities, stationary_distribution, transition_matrix
-from .curves import (
-    CurveSpec,
-    ExpDecay,
-    LogBell,
-    OffsetMinusLogBell,
-    Piecewise,
-    Poly2,
-    eval_curve,
-)
-from .errors import (
-    BatchError,
-    ConvergenceError,
-    DegenerateError,
-    DistanceClampWarning,
-    DomainError,
-    ParseError,
-    RangeError,
-    SingularError,
-    V2vLosError,
-)
-from .estimation import (
-    EmpiricalStats,
-    FitResult,
-    accumulate,
-    bin_centers,
-    empirical_state_probs,
-    empirical_transition_probs,
-    fit_expdecay,
-    fit_logbell,
-    fit_offset_minus_logbell,
-    fit_poly2,
-    fit_same_family,
-    pearson,
-)
-from .markov import DistanceTrace, Sampler, StateTrace, chain
-from .params import (
-    ScenarioModel,
-    StateProbModel,
-    builtin_model,
-    effective_distance,
-    load_scenario,
-    save_scenario,
-    scenario_json,
-)
-from .pathloss import (
-    LogDistance,
-    PathLossParams,
-    free_space_pl,
-    render_path_loss,
-    state_path_loss,
-)
-from .rng import RngSeed, SplitMix64, derive_subseed, mix64
-from .states import CANONICAL_STATES, Density, Environment, LosState
-from .traces import (
-    DwellStats,
-    MobilityProfile,
-    dwell_statistics,
-    fresnel_clearance_radius,
-    read_distance_trace,
-    read_labeled_traces,
-    synth_distance_trace,
-    synth_distance_traces,
-    write_state_traces,
-)
-from .umi import UmiParams, baseline, umi_los_probability
+# The public names by defining module. They load on first use (PEP 562), so ``import v2vlos``
+# imports no numpy and ``python -m v2vlos.cli`` can cap the BLAS thread pool before numpy loads.
+_EXPORTS = {
+    "assembly": "repair_vector state_probabilities stationary_distribution transition_matrix",
+    "curves": "CurveSpec ExpDecay LogBell OffsetMinusLogBell Piecewise Poly2 eval_curve",
+    "errors": "BatchError ConvergenceError DegenerateError DistanceClampWarning DomainError ParseError "
+              "RangeError SingularError V2vLosError",
+    "estimation": "EmpiricalStats FitResult accumulate bin_centers empirical_state_probs "
+                  "empirical_transition_probs fit_expdecay fit_logbell fit_offset_minus_logbell fit_poly2 "
+                  "fit_same_family pearson",
+    "markov": "DistanceTrace Sampler StateTrace chain",
+    "params": "ScenarioModel StateProbModel builtin_model effective_distance load_scenario save_scenario "
+              "scenario_json",
+    "pathloss": "LogDistance PathLossParams free_space_pl render_path_loss state_path_loss",
+    "rng": "RngSeed SplitMix64 derive_subseed mix64",
+    "states": "CANONICAL_STATES Density Environment LosState",
+    "traces": "DwellStats MobilityProfile dwell_statistics fresnel_clearance_radius read_distance_trace "
+              "read_labeled_traces synth_distance_trace synth_distance_traces write_state_traces",
+    "umi": "UmiParams baseline umi_los_probability",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule: ``v2vlos.markov`` works after ``import v2vlos`` alone
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -13,11 +13,17 @@ runtime or domain error, 2 usage error.
 
 from __future__ import annotations
 
+import os
+
+if __name__ == "__main__":
+    # The CLI's BLAS calls are 3x3 solves and small products: a pool of threads only costs start-up.
+    # This must precede numpy's import; a value the user set still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import dataclasses
 import json
 import math
-import os
 import pickle
 import sys
 from itertools import repeat, tee
@@ -450,4 +456,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+    except SystemExit as exc:  # --help, --version and usage errors
+        code = exc.code
+    try:  # every output file is closed and renamed by now: skip teardown and atexit handlers
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    except Exception:  # a closed pipe, say, or a code os._exit refuses: leave as before
+        raise SystemExit(code) from None

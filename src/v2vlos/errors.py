@@ -43,12 +43,14 @@ class ParseError(V2vLosError):
 class BatchError(V2vLosError):
     """One or more traces in a batch failed.
 
-    ``failures`` holds (index, exception) pairs in input order.
+    ``failures`` holds every (index, exception) pair in input order; the
+    message names the first ten indices and counts the rest.
     """
 
     def __init__(self, failures: list[tuple[int, Exception]]):
         self.failures = failures
-        idx = ", ".join(str(i) for i, _ in failures)
+        idx = ", ".join(str(i) for i, _ in failures[:10])
+        idx += f" and {len(failures) - 10} more" if len(failures) > 10 else ""
         super().__init__(f"{len(failures)} trace(s) failed (indices: {idx}); "
                          f"first error: {failures[0][1]}")
 

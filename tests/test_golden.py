@@ -152,7 +152,7 @@ GOLDEN = {
     'estimate': '66c87dfedf89e1697253ca0899d47f3ef9a0f70468972424dda75508b5bac684',
     'estimate-fit': 'a6205aad1adc0e1909df3f37851cfd070644a1d018a810e3cade89455e4460d5',
     'generate-above-range-clamp': '11994af5552bc90729a3f8f07554593b75561e30ef52a4496aca23fbf4684e26',
-    'generate-above-range-error': '05e2dc8e45c9c3b0a0f7b8fd82d3912156846b8ca4946e5edcac32574b168dc8',
+    'generate-above-range-error': 'e3b4a313f7453c482198c1ad7dc3f8a5e29353b525595e98164cd7acf473f378',
     'generate-below-floor': 'a7093b0333881da9b93d48f0748e4fafa33264144fdbcf6a351bbe3b36ee3c1a',
     'generate-highway-high-constant': '7015c2a139568712079bb87d4a4d59780723813091837cd8c0553b597acae2c5',
     'generate-highway-high-opposing': 'd4d263da544d2d1720682a4bdae002b1ea388fbb96ab377bbc9a82a42979ec17',

@@ -263,6 +263,19 @@ def test_generate_batch_aggregates_failures_with_indices():
     assert all(isinstance(e, DomainError) for _, e in err.value.failures)
 
 
+@pytest.mark.parametrize("n, shown", [
+    (1, "0"),
+    (10, "0, 1, 2, 3, 4, 5, 6, 7, 8, 9"),
+    (11, "0, 1, 2, 3, 4, 5, 6, 7, 8, 9 and 1 more"),
+    (100_000, "0, 1, 2, 3, 4, 5, 6, 7, 8, 9 and 99990 more"),
+])
+def test_batch_error_names_ten_indices_and_keeps_every_failure(n, shown):
+    failures = [(i, DomainError(f"trace {i}")) for i in range(n)]
+    err = BatchError(failures)
+    assert str(err) == f"{n} trace(s) failed (indices: {shown}); first error: trace 0"
+    assert err.failures is failures and len(err.failures) == n
+
+
 def test_first_state_histogram_matches_state_probabilities():
     from v2vlos import state_probabilities
     from itertools import repeat
