@@ -18,16 +18,15 @@ _EXPORTS = {
     "curves": "CurveSpec ExpDecay LogBell OffsetMinusLogBell Piecewise Poly2 eval_curve",
     "errors": "BatchError ConvergenceError DegenerateError DistanceClampWarning DomainError ParseError "
               "RangeError SingularError V2vLosError",
-    "estimation": "EmpiricalStats FitResult accumulate bin_centers empirical_state_probs "
-                  "empirical_transition_probs fit_expdecay fit_logbell fit_offset_minus_logbell fit_poly2 "
-                  "fit_same_family pearson",
+    "estimation": "FitResult accumulate bin_centers fit_expdecay fit_logbell fit_offset_minus_logbell fit_poly2 "
+                  "fit_same_family frequencies pearson",
     "markov": "DistanceTrace Sampler StateTrace chain",
     "params": "ScenarioModel StateProbModel builtin_model effective_distance load_scenario save_scenario "
               "scenario_json",
     "pathloss": "LogDistance PathLossParams free_space_pl render_path_loss state_path_loss",
     "rng": "RngSeed SplitMix64 derive_subseed mix64",
     "states": "CANONICAL_STATES Density Environment LosState",
-    "traces": "DwellStats MobilityProfile dwell_statistics fresnel_clearance_radius read_distance_trace "
+    "traces": "DwellCount MobilityProfile fresnel_clearance_radius read_distance_trace "
               "read_labeled_traces synth_distance_trace synth_distance_traces write_state_traces",
     "umi": "UmiParams baseline umi_los_probability",
 }

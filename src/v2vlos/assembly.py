@@ -14,8 +14,8 @@ their ``values``. Each sampler compiles its scenario once
 :func:`transition_matrix` apply the distance policy and compile only what
 they evaluate, so nothing is cached. They return read-only float64 arrays in
 state order, shaped ``(3,)`` and ``(3, 3)`` (rows by origin state), the layout
-of one bin of :func:`~v2vlos.estimation.empirical_state_probs` and
-:func:`~v2vlos.estimation.empirical_transition_probs`; index them with
+of one bin of the :func:`~v2vlos.estimation.frequencies` of
+:func:`~v2vlos.estimation.accumulate`'s counts; index them with
 :class:`~v2vlos.states.LosState`. :func:`stationary_distribution` is the one
 function that takes a matrix from the caller, and checks it. All functions
 here are pure and safe to call concurrently.

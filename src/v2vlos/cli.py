@@ -35,15 +35,7 @@ import numpy as np
 from . import __version__
 from .assembly import state_probabilities, transition_matrix
 from .errors import DegenerateError, V2vLosError
-from .estimation import (
-    EmpiricalStats,
-    accumulate,
-    bin_centers,
-    empirical_state_probs,
-    empirical_transition_probs,
-    fit_same_family,
-    pearson,
-)
+from .estimation import accumulate, bin_centers, fit_same_family, frequencies, pearson
 from .markov import DistanceTrace, chain
 from .params import (
     DEFAULT_D_MAX,
@@ -196,11 +188,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     states = count.tap(chain(model, args.over_range).batch(grids, args.seed))
     write_state_traces(states, args.out, _provenance("generate", scenario=model.tag, seed=args.seed))
 
-    dwell = count.stats()
-    occ = dwell.occupancy / dwell.n_steps
-    print(f"wrote {args.out}: traces={dwell.n_traces} steps={dwell.n_steps} scenario={model.tag} seed={args.seed}")
+    occ = count.occupancy / count.n_steps
+    print(f"wrote {args.out}: traces={count.n_traces} steps={count.n_steps} scenario={model.tag} seed={args.seed}")
     print("occupancy: " + " ".join(f"{s.name}={occ[s]:.4f}" for s in CANONICAL_STATES))
-    print(f"state_changes={dwell.changes} mean_dwell_s={dwell.mean_dwell:.3f}")
+    print(f"state_changes={count.changes} mean_dwell_s={count.mean_dwell:.3f}")
     return 0
 
 
@@ -249,10 +240,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                  for t, d, sm, plm, su, plu in rows)
     _write_atomic(args.out, "\n".join(lines) + "\n")
 
-    dwell_model, dwell_umi = proposed.stats(), memoryless.stats()
     print(f"wrote {args.out}: traces={args.count} scenario={model.tag} seed={args.seed}")
-    print(f"model=proposed state_changes={dwell_model.changes} mean_dwell_s={dwell_model.mean_dwell:.3f}")
-    print(f"model=umi state_changes={dwell_umi.changes} mean_dwell_s={dwell_umi.mean_dwell:.3f}")
+    print(f"model=proposed state_changes={proposed.changes} mean_dwell_s={proposed.mean_dwell:.3f}")
+    print(f"model=umi state_changes={memoryless.changes} mean_dwell_s={memoryless.mean_dwell:.3f}")
     return 0
 
 
@@ -295,9 +285,8 @@ def _refit_model(model: ScenarioModel, centers: np.ndarray, emp_state: np.ndarra
 
 
 def _count(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """A labelled trace file's occupancy and transition counts, as arrays (unpickling skips EmpiricalStats' checks)."""
-    stats = accumulate(read_labeled_traces(path))
-    return stats.occupancy, stats.transitions
+    """A labelled trace file's occupancy and transition counts."""
+    return accumulate(read_labeled_traces(path))
 
 
 def _count_while_loading_scipy(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -334,10 +323,9 @@ def _count_while_loading_scipy(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     model = _scenario(args)
-    stats = EmpiricalStats(*(_count_while_loading_scipy if args.fit and sys.platform == "linux" else _count)(args.traces))
+    occupancy, transitions = (_count_while_loading_scipy if args.fit and sys.platform == "linux" else _count)(args.traces)
     centers = bin_centers()
-    emp_state = empirical_state_probs(stats)
-    emp_trans = empirical_transition_probs(stats)
+    emp_state, emp_trans = frequencies(occupancy), frequencies(transitions)
 
     if args.out_stats:
         lines = _provenance("estimate", scenario=model.tag, seed=args.seed)
@@ -345,7 +333,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         lines.append(",".join(header))
         for b in range(len(centers)):
             row = [str(b), f"{centers[b]:.6g}"]
-            row += [str(int(stats.occupancy[b, int(s)])) for s in CANONICAL_STATES]
+            row += [str(int(occupancy[b, int(s)])) for s in CANONICAL_STATES]
             row += [f"{emp_state[b, int(s)]:.8g}" for s in CANONICAL_STATES]
             row += [f"{emp_trans[b, i, j]:.8g}" for i in range(3) for j in range(3)]
             lines.append(",".join(row))

@@ -45,23 +45,10 @@ def bin_centers() -> np.ndarray:
     return BIN_WIDTH * np.arange(N_BINS) + BIN_WIDTH / 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalStats:
-    """Per-bin counts, read-only int64: ``occupancy[bin, state]`` and ``transitions[bin, from, to]``."""
-
-    occupancy: np.ndarray
-    transitions: np.ndarray
-
-    def __post_init__(self):
-        for name in ("occupancy", "transitions"):
-            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=np.int64)))
-        if self.occupancy.shape != (N_BINS, 3) or self.transitions.shape != (N_BINS, 3, 3):
-            raise ValueError(f"count array shapes must be ({N_BINS}, 3) and ({N_BINS}, 3, 3)")
-
-
-def accumulate(traces: Iterable[StateTrace]) -> EmpiricalStats:
+def accumulate(traces: Iterable[StateTrace]) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin counts of a batch of labelled traces, read once and counted by :func:`count_blocks`.
 
+    Returns read-only int64 ``occupancy[bin, state]`` and ``transitions[bin, from, to]``.
     No pair of steps spans two traces. An empty batch gives zero counts.
     """
     occupancy = np.zeros(N_BINS * 3, dtype=np.int64)
@@ -80,23 +67,13 @@ def accumulate(traces: Iterable[StateTrace]) -> EmpiricalStats:
         starts[np.cumsum(sizes) - sizes] = True
         pairs = (cell[:-1] * 3 + s[1:])[~starts[1:]]
         transitions += np.bincount(pairs, minlength=transitions.size)
-    return EmpiricalStats(occupancy.reshape(N_BINS, 3), transitions.reshape(N_BINS, 3, 3))
+    return _frozen(occupancy.reshape(N_BINS, 3)), _frozen(transitions.reshape(N_BINS, 3, 3))
 
 
-def _frequencies(counts: np.ndarray) -> np.ndarray:
+def frequencies(counts: np.ndarray) -> np.ndarray:
     """``counts`` over their last axis's totals; NaN where a total is zero, so an unseen bin or row never reads as 0."""
     totals = counts.sum(axis=-1, keepdims=True)
     return np.divide(counts, totals, out=np.full(counts.shape, np.nan), where=totals > 0)
-
-
-def empirical_state_probs(stats: EmpiricalStats) -> np.ndarray:
-    """State frequencies ``[bin, state]``, NaN in a bin that counted nothing."""
-    return _frequencies(stats.occupancy)
-
-
-def empirical_transition_probs(stats: EmpiricalStats) -> np.ndarray:
-    """Transition frequencies ``[bin, from, to]``, NaN in a row that counted nothing."""
-    return _frequencies(stats.transitions)
 
 
 def _points(d, y) -> tuple[np.ndarray, np.ndarray]:

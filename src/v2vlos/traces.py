@@ -7,7 +7,7 @@ one-second step. Distances reflect off the valid range instead of clamping,
 to avoid piling mass onto the boundary.
 
 Dwell statistics are counted per batch of traces, as they pass by, into one
-array of run lengths per state (:class:`DwellCount`, :class:`DwellStats`).
+array of run lengths per state (:class:`DwellCount`).
 
 Trace files are delimited text with a mandatory header: ``t,d`` for plain
 distance traces, ``t,d,state`` for labeled traces, one row per step, with
@@ -22,7 +22,6 @@ import math
 import os
 import tempfile
 import warnings
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby, islice
@@ -189,38 +188,6 @@ def synth_distance_trace(profile: MobilityProfile, seed: RngSeed = 0) -> Distanc
     return next(synth_distance_traces(profile, [seed]))
 
 
-@dataclass(frozen=True, eq=False)
-class DwellStats:
-    """Dwell-time counts of a batch of state traces.
-
-    ``runs[s, n]`` is the number of uninterrupted runs of exactly ``n`` steps
-    in state ``s``; a run ends where the state changes and at the end of
-    every trace.
-    """
-
-    n_traces: int
-    runs: np.ndarray
-
-    @property
-    def occupancy(self) -> np.ndarray:
-        """Steps spent in each state, in state order."""
-        return self.runs @ np.arange(self.runs.shape[1])
-
-    @property
-    def n_steps(self) -> int:
-        return int(self.occupancy.sum())
-
-    @property
-    def changes(self) -> int:
-        """State changes within the traces: every run but the first of each trace."""
-        return int(self.runs.sum()) - self.n_traces
-
-    @property
-    def mean_dwell(self) -> float:
-        """Mean seconds per uninterrupted run: steps / (changes + traces)."""
-        return self.n_steps / int(self.runs.sum())
-
-
 def _count_runs(runs: np.ndarray, block: list[StateTrace]) -> np.ndarray:
     """``runs`` plus the run-length counts of the traces in ``block``."""
     s = np.concatenate([trace.states for trace in block])
@@ -239,29 +206,48 @@ def _count_runs(runs: np.ndarray, block: list[StateTrace]) -> np.ndarray:
 
 
 class DwellCount:
-    """The run-length counts of the state traces passed through :meth:`tap` so far."""
+    """Dwell-time counts of the state traces passed through :meth:`tap` so far.
+
+    ``runs[s, n]`` is the number of uninterrupted runs of exactly ``n`` steps
+    in state ``s``; a run ends where the state changes and at the end of
+    every trace.
+    """
 
     def __init__(self):
-        self.n_traces, self.runs = 0, np.zeros((3, 1), dtype=np.int64)
+        self.n_traces, self._runs = 0, np.zeros((3, 1), dtype=np.int64)
 
     def tap(self, traces: Iterable[StateTrace]) -> Iterator[StateTrace]:
         """The traces, read once and in order, each passed on once its block is counted (:func:`count_blocks`)."""
         for block in count_blocks(traces):
             self.n_traces += len(block)
-            self.runs = _count_runs(self.runs, block)
+            self._runs = _count_runs(self._runs, block)
             yield from block
 
-    def stats(self) -> DwellStats:
+    @property
+    def runs(self) -> np.ndarray:
+        """A read-only copy of the counts so far."""
+        return _frozen(self._runs)
+
+    @property
+    def occupancy(self) -> np.ndarray:
+        """Steps spent in each state, in state order."""
+        return self._runs @ np.arange(self._runs.shape[1])
+
+    @property
+    def n_steps(self) -> int:
+        return int(self.occupancy.sum())
+
+    @property
+    def changes(self) -> int:
+        """State changes within the traces: every run but the first of each trace."""
+        return int(self._runs.sum()) - self.n_traces
+
+    @property
+    def mean_dwell(self) -> float:
+        """Mean seconds per uninterrupted run: steps / (changes + traces)."""
         if self.n_traces == 0:
             raise DomainError("dwell statistics need at least one trace")
-        return DwellStats(n_traces=self.n_traces, runs=_frozen(self.runs))
-
-
-def dwell_statistics(traces: Iterable[StateTrace]) -> DwellStats:
-    """Run-length counts of a batch of state traces (final runs included), read once and in order."""
-    count = DwellCount()
-    deque(count.tap(traces), maxlen=0)
-    return count.stats()
+        return self.n_steps / int(self._runs.sum())
 
 
 def fresnel_clearance_radius(d1: float, d2: float, f: float) -> float:
@@ -479,7 +465,7 @@ def _read_rows(path: str | Path) -> tuple[bool, np.ndarray, dict[str, str]]:
     labeled: bool | None = None
     meta: dict[str, str] = {}
     blocks = [np.empty(0, dtype=_ROW_DTYPE)]
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:  # a byte-order mark is skipped
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if line.startswith("#"):

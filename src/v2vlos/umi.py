@@ -26,8 +26,8 @@ class UmiParams:
     d2: float = 36.0
 
     def __post_init__(self):
-        if not (self.d1 > 0.0 and self.d2 > 0.0):
-            raise ValueError("d1 and d2 must be positive")
+        if not (0.0 < self.d1 < math.inf and 0.0 < self.d2 < math.inf):
+            raise ValueError(f"d1 and d2 must be finite and positive, got {self.d1!r} and {self.d2!r}")
 
 
 def umi_los_probability(d: float, p: UmiParams = UmiParams()) -> float:

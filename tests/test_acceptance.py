@@ -24,10 +24,10 @@ from v2vlos import (
     baseline,
     builtin_model,
     chain,
-    empirical_transition_probs,
     eval_curve,
     fit_poly2,
     fit_same_family,
+    frequencies,
     fresnel_clearance_radius,
     pearson,
     state_probabilities,
@@ -35,10 +35,11 @@ from v2vlos import (
     umi_los_probability,
 )
 from v2vlos.estimation import bin_centers
-from v2vlos.traces import dwell_statistics, write_state_traces
+from v2vlos.traces import write_state_traces
 
 from conftest import ALL_SCENARIOS, all_models, model_curves
 from test_cli import run_cli
+from test_traces import dwell
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -91,7 +92,7 @@ def test_criterion_3_estimator_recovery():
         def estimate(n, seed):
             trace = DistanceTrace(np.arange(n), np.full(n, d))
             states = chain(model).trace(trace, seed)
-            est = empirical_transition_probs(accumulate([states]))
+            est = frequencies(accumulate([states])[1])
             assert not np.isnan(est[10]).any()
             return float(np.max(np.abs(est[10] - ref)))
 
@@ -104,14 +105,14 @@ def test_criterion_3_estimator_recovery():
     report("criterion 3 (estimator recovery)", all_ok, "; ".join(details))
 
 
-def test_criterion_4_dwell_statistics():
+def test_criterion_4_dwell_times():
     t0 = time.perf_counter()
     n_traces = 10**5
     model = builtin_model(Environment.URBAN, Density.MEDIUM)
     trace = DistanceTrace.from_distances(np.arange(1.0, 501.0))
 
-    proposed = dwell_statistics(chain(model).batch(repeat(trace, n_traces), 2024))
-    memoryless = dwell_statistics(baseline(UmiParams()).batch(repeat(trace, n_traces), 2024))
+    proposed = dwell(chain(model).batch(repeat(trace, n_traces), 2024))
+    memoryless = dwell(baseline(UmiParams()).batch(repeat(trace, n_traces), 2024))
     elapsed = time.perf_counter() - t0
 
     ok = (4.0 <= memoryless.mean_dwell <= 6.0) and (13.0 <= proposed.mean_dwell <= 21.0) and elapsed < 600.0

@@ -770,6 +770,32 @@ def test_bad_pathloss_params_exit_one(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--umi-d1", "--umi-d2"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
+def test_compare_rejects_a_baseline_distance_that_is_not_finite_and_positive(tmp_path, capsys, flag, value):
+    out = tmp_path / "cmp.csv"
+    code = main(["compare", "--env", "urban", "--density", "low", "--steps", "5", f"{flag}={value}", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: d1 and d2 must be finite and positive, got ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["estimate", "generate"])
+def test_trace_files_with_a_byte_order_mark_read_as_without(tmp_path, capsys, command):
+    text = "t,d,state\n0,10.0,LOS\n1,11.0,NLOSv\n2,12.0,NLOSv\n"
+    outputs = []
+    for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+        (tmp_path / f"{name}.csv").write_text(text, encoding=encoding)
+        out = tmp_path / f"{name}.out"
+        argv = (["estimate", "--env", "urban", "--density", "low", "--traces", str(tmp_path / f"{name}.csv"),
+                 "--out-stats", str(out)] if command == "estimate" else
+                ["generate", "--env", "urban", "--density", "low", "--trace-in", str(tmp_path / f"{name}.csv"),
+                 "--count", "3", "--out", str(out)])
+        assert main(argv) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out.replace(name, "")))
+    assert outputs[0] == outputs[1]
+
 
 @pytest.mark.parametrize("flags, message", [
     (["--profile", "walk"], "--vmax is required for the walk profile"),

@@ -16,7 +16,6 @@ from v2vlos import (
     Density,
     DistanceTrace,
     DomainError,
-    EmpiricalStats,
     Environment,
     ExpDecay,
     LogBell,
@@ -29,13 +28,12 @@ from v2vlos import (
     accumulate,
     builtin_model,
     chain,
-    empirical_state_probs,
-    empirical_transition_probs,
     fit_expdecay,
     fit_logbell,
     fit_offset_minus_logbell,
     fit_poly2,
     fit_same_family,
+    frequencies,
     pearson,
     stationary_distribution,
     transition_matrix,
@@ -77,8 +75,8 @@ def reference_fold(traces):
 def test_accumulate_bin_boundaries():
     # The last bin is closed at the model's d_max.
     for d, index in ((5e-324, 0), (9.999, 0), (10.0, 1), (499.0, 49), (499.999, 49), (500.0, 49)):
-        stats = accumulate([labeled([d], [0])])
-        assert stats.occupancy[:, 0].nonzero()[0].tolist() == [index], d
+        occupancy, _ = accumulate([labeled([d], [0])])
+        assert occupancy[:, 0].nonzero()[0].tolist() == [index], d
 
 
 def test_bin_geometry():
@@ -89,35 +87,30 @@ def test_bin_geometry():
 
 def test_accumulate_direct_counts():
     trace = labeled([25.0, 25.0, 25.0], [0, 0, 1])  # LOS, LOS, NLOSv
-    stats = accumulate([trace])
-    assert stats.transitions[2, 0, 0] == 1
-    assert stats.transitions[2, 0, 1] == 1
-    assert stats.transitions.sum() == 2
-    assert stats.occupancy[2].tolist() == [2, 1, 0]
-    assert stats.occupancy.sum() == 3
+    occupancy, transitions = accumulate([trace])
+    assert occupancy.shape == (50, 3) and transitions.shape == (50, 3, 3)
+    assert transitions[2, 0, 0] == 1
+    assert transitions[2, 0, 1] == 1
+    assert transitions.sum() == 2
+    assert occupancy[2].tolist() == [2, 1, 0]
+    assert occupancy.sum() == 3
 
 
 def test_accumulate_empty_batch_gives_zero_counts():
-    stats = accumulate([])
-    assert not stats.occupancy.any() and not stats.transitions.any()
+    occupancy, transitions = accumulate([])
+    assert not occupancy.any() and not transitions.any()
     # An empty trace is rejected when its grid is built.
     with pytest.raises(DomainError, match="non-empty"):
         labeled([], [])
 
 
 def test_accumulate_counts_are_read_only_int64():
-    stats = accumulate([labeled([25.0, 25.0], [0, 1])])
-    for counts in (stats.occupancy, stats.transitions):
-        assert counts.dtype == np.int64 and not counts.flags.writeable
+    counts = accumulate([labeled([25.0, 25.0], [0, 1])])
+    assert isinstance(counts, tuple) and len(counts) == 2
+    for array in counts:
+        assert array.dtype == np.int64 and not array.flags.writeable
     with pytest.raises(ValueError):
-        stats.occupancy[2, 0] = 5
-
-
-def test_empirical_stats_shape_check():
-    with pytest.raises(ValueError, match="shapes"):
-        EmpiricalStats(np.zeros((49, 3)), np.zeros((50, 3, 3)))
-    with pytest.raises(ValueError, match="shapes"):
-        EmpiricalStats(np.zeros((50, 3)), np.zeros((50, 9)))
+        counts[0][2, 0] = 5
 
 
 def test_accumulate_range_error():
@@ -133,29 +126,29 @@ def test_accumulate_range_error():
 
 
 def test_accumulate_counts_d_max_in_last_bin():
-    stats = accumulate([labeled([495.0, 500.0], [0, 2])])
-    assert stats.occupancy[49].tolist() == [1, 0, 1]
-    assert stats.transitions[49, 0, 2] == 1
+    occupancy, transitions = accumulate([labeled([495.0, 500.0], [0, 2])])
+    assert occupancy[49].tolist() == [1, 0, 1]
+    assert transitions[49, 0, 2] == 1
 
 
 def test_transition_attributed_to_from_step_bin():
     # Pair crossing a bin edge counts in the bin of the earlier step.
     trace = labeled([19.0, 21.0], [0, 2])
-    stats = accumulate([trace])
-    assert stats.transitions[1, 0, 2] == 1
-    assert stats.transitions.sum() == 1
-    assert stats.occupancy[1, 0] == 1 and stats.occupancy[2, 2] == 1
+    occupancy, transitions = accumulate([trace])
+    assert transitions[1, 0, 2] == 1
+    assert transitions.sum() == 1
+    assert occupancy[1, 0] == 1 and occupancy[2, 2] == 1
 
 
 def test_batch_equals_concat_minus_boundary_transition():
     ds_a, ss_a = [15.0, 15.0, 25.0], [0, 1, 1]
     ds_b, ss_b = [25.0, 35.0, 35.0], [2, 2, 0]
-    batch = accumulate([labeled(ds_a, ss_a), labeled(ds_b, ss_b, t0=3)])
-    concat = accumulate([labeled(ds_a + ds_b, ss_a + ss_b)])
-    assert np.array_equal(batch.occupancy, concat.occupancy)
-    boundary = np.zeros_like(concat.transitions)
+    batch_occupancy, batch_transitions = accumulate([labeled(ds_a, ss_a), labeled(ds_b, ss_b, t0=3)])
+    concat_occupancy, concat_transitions = accumulate([labeled(ds_a + ds_b, ss_a + ss_b)])
+    assert np.array_equal(batch_occupancy, concat_occupancy)
+    boundary = np.zeros_like(concat_transitions)
     boundary[2, ss_a[-1], ss_b[0]] = 1  # 25 m lies in bin 2
-    assert np.array_equal(concat.transitions, batch.transitions + boundary)
+    assert np.array_equal(concat_transitions, batch_transitions + boundary)
 
 
 def test_batch_is_order_independent():
@@ -163,8 +156,8 @@ def test_batch_is_order_independent():
     a = accumulate(traces)
     for order in itertools.permutations(traces):
         b = accumulate(order)
-        assert np.array_equal(a.occupancy, b.occupancy)
-        assert np.array_equal(a.transitions, b.transitions)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
 
 # Distances that stress the bin rule: bin edges, their neighbours and 500 m.
@@ -190,28 +183,28 @@ def test_batch_accumulate_matches_per_trace_fold(batch, block, data):
             yield trace
 
     with mock.patch.object(markov, "_COUNT_BLOCK", block):
-        stats = accumulate(lazy())
+        counts = accumulate(lazy())
         shuffled = accumulate(data.draw(st.permutations(traces)))
     assert yielded == traces  # every trace read exactly once
-    for got in (stats, shuffled):
-        assert np.array_equal(got.occupancy, occupancy)
-        assert np.array_equal(got.transitions, transitions)
+    for got_occupancy, got_transitions in (counts, shuffled):
+        assert np.array_equal(got_occupancy, occupancy)
+        assert np.array_equal(got_transitions, transitions)
 
 
-def test_empirical_transition_probs_rows():
+def test_frequencies_of_transition_rows():
     transitions = np.zeros((50, 3, 3), dtype=np.int64)
     transitions[4, 0] = [2, 1, 1]
-    probs = empirical_transition_probs(EmpiricalStats(np.zeros((50, 3), dtype=np.int64), transitions))
+    probs = frequencies(transitions)
     assert probs.shape == (50, 3, 3)
     assert probs[4, 0].tolist() == [0.5, 0.25, 0.25]
     # Zero-count rows stay undefined (NaN), not zero.
     assert np.all(np.isnan(probs[4, 1]))
 
 
-def test_empirical_state_probs_bins():
+def test_frequencies_of_state_bins():
     occupancy = np.zeros((50, 3), dtype=np.int64)
     occupancy[7] = [3, 1, 0]
-    probs = empirical_state_probs(EmpiricalStats(occupancy, np.zeros((50, 3, 3), dtype=np.int64)))
+    probs = frequencies(occupancy)
     assert probs.shape == (50, 3)
     assert probs[7].tolist() == [0.75, 0.25, 0.0]
     assert np.all(np.isnan(probs[8]))
@@ -222,8 +215,8 @@ def test_estimator_recovers_assembled_matrix():
     n = 2 * 10**5
     trace = DistanceTrace(np.arange(n), np.full(n, 105.0))
     states = chain(model).trace(trace, 31)
-    stats = accumulate([states])
-    est = empirical_transition_probs(stats)
+    _, transitions = accumulate([states])
+    est = frequencies(transitions)
     ref = transition_matrix(model, 105.0)
     assert not np.isnan(est[10]).any()
     assert np.nanmax(np.abs(est[10] - ref)) < 0.02
@@ -233,8 +226,8 @@ def test_long_chain_state_probs_match_stationary():
     model = builtin_model(Environment.URBAN, Density.MEDIUM)
     n = 10**6
     states = chain(model).trace(DistanceTrace(np.arange(n), np.full(n, 105.0)), 13)
-    stats = accumulate([states])
-    est = empirical_state_probs(stats)[10]
+    occupancy, _ = accumulate([states])
+    est = frequencies(occupancy)[10]
     pi, _ = stationary_distribution(transition_matrix(model, 105.0))
     assert np.max(np.abs(est - pi)) < 0.01
 

@@ -17,9 +17,7 @@ from v2vlos import (
     StateTrace,
     builtin_model,
     chain,
-    accumulate,
     derive_subseed,
-    dwell_statistics,
     stationary_distribution,
     transition_matrix,
 )
@@ -94,9 +92,7 @@ _GRID = DistanceTrace.from_distances([1.0, 2.0])
 @pytest.mark.parametrize("make", [
     lambda: DistanceTrace.from_distances([1.0, 2.0]),
     lambda: StateTrace(_GRID, [0, 2]),
-    lambda: dwell_statistics([StateTrace(_GRID, [0, 2])]),
-    lambda: accumulate([StateTrace(_GRID, [0, 2])]),
-], ids=["DistanceTrace", "StateTrace", "DwellStats", "EmpiricalStats"])
+], ids=["DistanceTrace", "StateTrace"])
 def test_array_holding_types_compare_and_hash_by_identity(make):
     # A grid is its object: equal arrays never make two traces one grid.
     x, y = make(), make()

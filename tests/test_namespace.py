@@ -20,7 +20,7 @@ def test_each_public_name_is_the_defining_modules_object(name):
 
 
 def test_public_names_are_unique_and_listed_by_dir():
-    assert len(set(v2vlos.__all__)) == len(v2vlos.__all__) == 68
+    assert len(set(v2vlos.__all__)) == len(v2vlos.__all__) == 65
     assert set(v2vlos.__all__) <= set(dir(v2vlos))
     assert {"__version__", "markov", "traces"} <= set(dir(v2vlos))
 
@@ -42,7 +42,7 @@ def test_star_import_binds_every_public_name():
 def test_submodules_still_import_from_the_package():
     from v2vlos import markov, traces
 
-    assert markov.chain is v2vlos.chain and traces.DwellStats is v2vlos.DwellStats
+    assert markov.chain is v2vlos.chain and traces.DwellCount is v2vlos.DwellCount
     assert v2vlos.umi is importlib.import_module("v2vlos.umi")
 
 

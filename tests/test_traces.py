@@ -27,7 +27,6 @@ from v2vlos import (
     StateTrace,
     builtin_model,
     chain,
-    dwell_statistics,
     fresnel_clearance_radius,
     read_distance_trace,
     read_labeled_traces,
@@ -191,10 +190,50 @@ def test_dwell_count_passes_each_trace_on_once_in_order():
     count = DwellCount()
     with mock.patch.object(markov, "_COUNT_BLOCK", 2):
         assert list(count.tap(iter(traces))) == traces
-    expected = dwell_statistics(traces)
-    assert count.stats().runs.tolist() == expected.runs.tolist() and count.stats().n_traces == 3
+    expected = dwell(traces)
+    assert count.runs.tolist() == expected.runs.tolist() and count.n_traces == 3
     with pytest.raises(DomainError):
-        DwellCount().stats()
+        DwellCount().mean_dwell  # noqa: B018
+
+
+def test_dwell_count_runs_are_read_only_and_an_empty_count_has_no_mean_dwell():
+    count = DwellCount()
+    empty = count.runs
+    with pytest.raises(ValueError):
+        empty[0, 0] = 1
+    with pytest.raises(AttributeError):
+        count.runs = np.zeros((3, 1), dtype=np.int64)
+    assert (count.n_traces, count.n_steps, count.changes) == (0, 0, 0)
+    assert count.occupancy.tolist() == [0, 0, 0]
+    with pytest.raises(DomainError, match="dwell statistics need at least one trace"):
+        count.mean_dwell  # noqa: B018
+    # A read between blocks leaves the later blocks counting.
+    with mock.patch.object(markov, "_COUNT_BLOCK", 2):
+        tapped = count.tap([state_trace([0, 0, 0]), state_trace([1]), state_trace([1, 1])])
+        next(tapped)
+        first = count.runs
+        assert first.tolist() == [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
+        for _ in tapped:
+            pass
+    with pytest.raises(ValueError):
+        first[0, 3] = 5
+    with pytest.raises(ValueError):
+        count.runs[1, 1] = 5
+    with pytest.raises(AttributeError):
+        count.runs = first
+    # The later block's runs are shorter, so they are added into the counts already read.
+    assert count.runs.tolist() == [[0, 0, 0, 1], [0, 1, 1, 0], [0, 0, 0, 0]]
+    assert first.tolist() == [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
+    assert (count.n_traces, count.n_steps, count.changes, count.mean_dwell) == (3, 6, 0, 2.0)
+
+
+def dwell(traces):
+    """A :class:`DwellCount` of ``traces``, every trace passed through its ``tap``."""
+    count = DwellCount()
+    for _ in count.tap(traces):
+        pass
+    return count
+
 
 def state_trace(states, d=50.0):
     s = np.asarray(states, dtype=np.int8)
@@ -258,14 +297,14 @@ def reference_merge(traces):
 
 
 def test_dwell_all_same_state():
-    stats = dwell_statistics([state_trace([0] * 10)])
+    stats = dwell([state_trace([0] * 10)])
     assert stats.changes == 0
     assert stats.mean_dwell == 10.0
     assert hist(stats, LosState.LOS) == {10: 1}
 
 
 def test_dwell_alternating():
-    stats = dwell_statistics([state_trace([0, 2] * 5)])
+    stats = dwell([state_trace([0, 2] * 5)])
     assert stats.changes == 9
     assert stats.mean_dwell == 1.0
     assert hist(stats, LosState.LOS) == {1: 5}
@@ -273,7 +312,7 @@ def test_dwell_alternating():
 
 
 def test_dwell_runs_and_histograms():
-    stats = dwell_statistics([state_trace([0, 0, 0, 1, 1, 2, 0, 0])])
+    stats = dwell([state_trace([0, 0, 0, 1, 1, 2, 0, 0])])
     assert stats.changes == 3
     assert hist(stats, LosState.LOS) == {3: 1, 2: 1}
     assert hist(stats, LosState.NLOSv) == {2: 1}
@@ -284,29 +323,29 @@ def test_dwell_runs_and_histograms():
 
 
 def test_dwell_invariant_under_relabeling():
-    a = dwell_statistics([state_trace([0, 0, 1, 1, 2, 2, 0])])
-    b = dwell_statistics([state_trace([1, 1, 2, 2, 0, 0, 1])])
+    a = dwell([state_trace([0, 0, 1, 1, 2, 2, 0])])
+    b = dwell([state_trace([1, 1, 2, 2, 0, 0, 1])])
     assert a.changes == b.changes
     assert a.mean_dwell == b.mean_dwell
     assert sorted(hist(a, LosState.LOS).items()) == sorted(hist(b, LosState.NLOSv).items())
 
 
 def test_dwell_batch_aggregates():
-    merged = dwell_statistics([state_trace([0] * 10), state_trace([0, 2] * 5)])
+    merged = dwell([state_trace([0] * 10), state_trace([0, 2] * 5)])
     assert merged.n_steps == 20
     assert merged.n_traces == 2
     assert merged.changes == 9
     assert merged.mean_dwell == pytest.approx(20.0 / 11.0)
     assert merged.runs.dtype == np.int64 and not merged.runs.flags.writeable
     with pytest.raises(DomainError):
-        dwell_statistics([])
+        dwell([]).mean_dwell  # noqa: B018
     with pytest.raises(DomainError):
-        dwell_statistics([state_trace([0]), state_trace([])])
+        dwell([state_trace([0]), state_trace([])])
 
 
 def test_dwell_run_ends_at_every_trace_end():
     # Two traces of one state are two runs, not one run across the boundary.
-    stats = dwell_statistics([state_trace([1, 1, 1]), state_trace([1, 1])])
+    stats = dwell([state_trace([1, 1, 1]), state_trace([1, 1])])
     assert hist(stats, LosState.NLOSv) == {3: 1, 2: 1}
     assert stats.changes == 0
 
@@ -327,7 +366,7 @@ def test_batch_dwell_matches_per_trace_merge(batch, block):
             yield trace
 
     with mock.patch.object(markov, "_COUNT_BLOCK", block):
-        stats = dwell_statistics(lazy())
+        stats = dwell(lazy())
     assert yielded == traces  # every trace read exactly once
     assert (stats.n_steps, stats.n_traces, stats.changes) == (expected.n_steps, expected.n_traces, expected.changes)
     assert {s: hist(stats, s) for s in LosState} == expected.histograms
@@ -480,6 +519,21 @@ def test_header_variants_dispatch(tmp_path):
     assert got.states.tolist() == [2, 2]
     with pytest.raises(ParseError):
         read_labeled_traces(plain)
+
+
+@pytest.mark.parametrize("text", [
+    "t,d,state\n0,10.0,LOS\n1,11.0,NLOSv\n",
+    "# seed=4\nt,d,state\n0,10.0,LOS\n1,11.0,NLOSv\n",
+], ids=["header-first", "comment-first"])
+def test_both_readers_skip_a_byte_order_mark(tmp_path, text):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert read_distance_trace(marked).distances.tolist() == [10.0, 11.0]
+    (got,), (expected,) = read_labeled_traces(marked), read_labeled_traces(plain)
+    assert (got.times.tolist(), got.distances.tolist(), got.states.tolist(), got.seed) == \
+        (expected.times.tolist(), expected.distances.tolist(), expected.states.tolist(), expected.seed)
 
 
 def test_parse_error_reports_line(tmp_path):

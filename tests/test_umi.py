@@ -62,6 +62,10 @@ def test_domain_and_param_validation():
         UmiParams(d1=0.0)
     with pytest.raises(ValueError):
         UmiParams(d2=-1.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        for params in ({"d1": bad}, {"d2": bad}):
+            with pytest.raises(ValueError, match="finite and positive"):
+                UmiParams(**params)
 
 
 def test_all_los_when_within_d1():
