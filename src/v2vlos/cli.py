@@ -79,13 +79,8 @@ _PROFILE_KIND = {
 }
 
 
-def _provenance(command: str, scenario: str | None = None, seed: int | None = None) -> list[str]:
-    lines = [f"# v2vlos={__version__}", f"# command={command}"]
-    if scenario is not None:
-        lines.append(f"# scenario={scenario}")
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    return lines
+def _provenance(args: argparse.Namespace, model: ScenarioModel) -> list[str]:
+    return [f"# v2vlos={__version__}", f"# command={args.command}", f"# scenario={model.tag}", f"# seed={args.seed}"]
 
 
 def _write_atomic(path: str | Path, text: str) -> None:
@@ -186,7 +181,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     model = _scenario(args)
     grids, count = _distance_traces(args), DwellCount()
     states = count.tap(chain(model, args.over_range).batch(grids, args.seed))
-    write_state_traces(states, args.out, _provenance("generate", scenario=model.tag, seed=args.seed))
+    write_state_traces(states, args.out, _provenance(args, model))
 
     occ = count.occupancy / count.n_steps
     print(f"wrote {args.out}: traces={count.n_traces} steps={count.n_steps} scenario={model.tag} seed={args.seed}")
@@ -206,7 +201,7 @@ def _curves_rows(args: argparse.Namespace) -> int:
 
 def _cmd_curves(args: argparse.Namespace) -> int:
     model = _scenario(args)
-    lines = _provenance("curves", scenario=model.tag, seed=args.seed)
+    lines = _provenance(args, model)
     lines.append(",".join(["d", "p_los", "p_nlosv", "p_nlosb", *_TRANSITION_COLUMNS]))
     for i in range(_curves_rows(args)):
         d = args.d_min + i * args.d_step
@@ -234,7 +229,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     rows = zip(first.times.tolist(), first.distances.tolist(),
                first.states.tolist(), render_path_loss(first, pl_params).tolist(),
                first_umi.states.tolist(), render_path_loss(first_umi, pl_params).tolist())
-    lines = _provenance("compare", scenario=model.tag, seed=args.seed)
+    lines = _provenance(args, model)
     lines.append("t,d,state_model,pl_model_db,state_umi,pl_umi_db")
     lines.extend(f"{t},{d!r},{STATE_NAMES[sm]},{plm:.6f},{STATE_NAMES[su]},{plu:.6f}"
                  for t, d, sm, plm, su, plu in rows)
@@ -273,14 +268,18 @@ def _correlation_report(model: ScenarioModel, centers: np.ndarray, emp_state: np
 
 
 def _refit_model(model: ScenarioModel, centers: np.ndarray, emp_state: np.ndarray, emp_trans: np.ndarray) -> ScenarioModel:
-    def refit(block, probs):
+    def refit(block, probs, what):
         """``block`` with each explicit curve refitted to its state's column over the bins that counted something."""
-        seen = ~np.isnan(probs[:, 0])
-        explicit = {s: fit_same_family(spec, centers[seen], probs[seen, int(s)]).spec for s, spec in block.explicit.items()}
+        seen, explicit = ~np.isnan(probs[:, 0]), {}
+        for s, spec in block.explicit.items():
+            try:
+                explicit[s] = fit_same_family(spec, centers[seen], probs[seen, int(s)]).spec
+            except V2vLosError as exc:  # named as ScenarioModel names the curve
+                raise type(exc)(f"refit {what}.explicit.{s.name}: {exc}") from exc
         return dataclasses.replace(block, explicit=explicit)
 
-    state_probs = refit(model.state_probs, emp_state)
-    rows = tuple(refit(row, emp_trans[:, o]) for o, row in enumerate(model.rows))
+    state_probs = refit(model.state_probs, emp_state, "state_probs")
+    rows = tuple(refit(row, emp_trans[:, o], f"transitions.{o.name}") for o, row in zip(CANONICAL_STATES, model.rows))
     return dataclasses.replace(model, state_probs=state_probs, rows=rows)
 
 
@@ -326,9 +325,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     occupancy, transitions = (_count_while_loading_scipy if args.fit and sys.platform == "linux" else _count)(args.traces)
     centers = bin_centers()
     emp_state, emp_trans = frequencies(occupancy), frequencies(transitions)
+    refit = _refit_model(model, centers, emp_state, emp_trans) if args.fit else None  # a failing refit writes nothing
 
     if args.out_stats:
-        lines = _provenance("estimate", scenario=model.tag, seed=args.seed)
+        lines = _provenance(args, model)
         header = ["bin", "center", "n_los", "n_nlosv", "n_nlosb", "p_los", "p_nlosv", "p_nlosb", *_TRANSITION_COLUMNS]
         lines.append(",".join(header))
         for b in range(len(centers)):
@@ -340,7 +340,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         _write_atomic(args.out_stats, "\n".join(lines) + "\n")
         print(f"wrote {args.out_stats}")
 
-    report = "\n".join(_provenance("estimate", scenario=model.tag, seed=args.seed)) + "\n"
+    report = "\n".join(_provenance(args, model)) + "\n"
     report += _correlation_report(model, centers, emp_state, emp_trans)
     if args.out_report:
         _write_atomic(args.out_report, report)
@@ -349,7 +349,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         sys.stdout.write(report)
 
     if args.fit:
-        refit = _refit_model(model, centers, emp_state, emp_trans)
         _write_atomic(args.out_model, scenario_json(refit))
         print(f"wrote {args.out_model}")
     return 0

@@ -104,12 +104,14 @@ class DistanceTrace:
 
 @dataclass(frozen=True, eq=False)
 class StateTrace:
-    """One visibility state per step of ``grid``, whose ``times`` and ``distances`` it shares."""
+    """One visibility state per step of ``grid``, whose ``times`` and ``distances`` it shares.
+
+    A trace is its grid and its states only; the scenario and seed that made
+    it are the caller's to keep (a trace file keeps them in its ``#`` header).
+    """
 
     grid: DistanceTrace
     states: np.ndarray
-    scenario: str = ""
-    seed: RngSeed = 0
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=np.int8)
@@ -158,14 +160,13 @@ class Sampler:
 
     thresholds: Callable[[int, float], tuple[float, float]]
     table: Callable[[int, np.ndarray], np.ndarray]
-    tag: str
 
     def trace(self, trace: DistanceTrace, seed: RngSeed) -> StateTrace:
         """One state trace on ``trace`` itself; step ``k`` takes draw ``k`` of ``seed``'s stream."""
         (states,), (error,) = _walk(self, [trace], [seed])
         if error is not None:
             raise error
-        return StateTrace(trace, states, scenario=self.tag, seed=seed)
+        return StateTrace(trace, states)
 
     def batch(self, traces: Iterable[DistanceTrace], seed: RngSeed) -> Iterator[StateTrace]:
         """Lazily generate one state trace per input trace.
@@ -181,9 +182,9 @@ class Sampler:
         for chunk in _chunks(traces):
             start, end = end, end + len(chunk)
             seeds = [derive_subseed(seed, i) for i in range(start, end)]
-            for i, grid, sub, states, error in zip(range(start, end), chunk, seeds, *_walk(self, chunk, seeds)):
+            for i, grid, states, error in zip(range(start, end), chunk, *_walk(self, chunk, seeds)):
                 if error is None:
-                    yield StateTrace(grid, states, scenario=self.tag, seed=sub)
+                    yield StateTrace(grid, states)
                 else:  # without its traceback, which holds the chunk's _walk frame
                     failures.append((i, error.with_traceback(None)))
             chunk = grid = states = None  # freed before the next chunk is read
@@ -348,4 +349,4 @@ def chain(model: ScenarioModel, over_range: str = "error") -> Sampler:
         p[1] += p[0]
         return p[:2]
 
-    return Sampler(thresholds, table, model.tag)
+    return Sampler(thresholds, table)

@@ -11,7 +11,8 @@ array of run lengths per state (:class:`DwellCount`).
 
 Trace files are delimited text with a mandatory header: ``t,d`` for plain
 distance traces, ``t,d,state`` for labeled traces, one row per step, with
-``#`` comment lines skipped. A non-increasing time value starts a new trace,
+``#`` comment lines skipped wherever they stand and not parsed: provenance
+headers are for whoever reads the file. A non-increasing time value starts a new trace,
 so several traces can live in one labeled file; a trace that breaks the
 :class:`DistanceTrace` rules is a :class:`ParseError`.
 """
@@ -391,26 +392,10 @@ def _parse_row(parts: list[str], lineno: int, labeled: bool) -> tuple[int, float
     return t, d, state
 
 
-def _read_comment(line: str, meta: dict[str, str]) -> None:
-    """Record a ``# key=value`` line in ``meta``; other comments carry nothing."""
-    body = line.lstrip("#").strip()
-    if "=" in body:
-        key, _, value = body.partition("=")
-        meta[key.strip()] = value.strip()
-
-
-def _drop_comments(lines: list[str], numbers: Sequence[int], meta: dict[str, str]) -> tuple[list[str], list[int]]:
-    """The lines that are not comments, with their numbers; comments go to ``meta``."""
-    kept: list[str] = []
-    kept_numbers: list[int] = []
-    for lineno, raw in zip(numbers, lines):
-        line = raw.strip()
-        if line.startswith("#"):
-            _read_comment(line, meta)
-        else:
-            kept.append(raw)
-            kept_numbers.append(lineno)
-    return kept, kept_numbers
+def _drop_comments(lines: list[str], numbers: Sequence[int]) -> tuple[list[str], list[int]]:
+    """The lines that are not ``#`` comments, with their numbers."""
+    kept = [(raw, lineno) for lineno, raw in zip(numbers, lines) if not raw.strip().startswith("#")]
+    return [raw for raw, _ in kept], [lineno for _, lineno in kept]
 
 
 def _bulk_rows(lines: list[str], text: str, labeled: bool) -> np.ndarray | None:
@@ -455,22 +440,19 @@ def _parse_block(lines: list[str], numbers: Sequence[int], labeled: bool, text: 
     return rows
 
 
-def _read_rows(path: str | Path) -> tuple[bool, np.ndarray, dict[str, str]]:
-    """Header kind, all data rows as a ``_ROW_DTYPE`` array, and ``#`` metadata.
+def _read_rows(path: str | Path) -> tuple[bool, np.ndarray]:
+    """Header kind and all data rows as a ``_ROW_DTYPE`` array; ``#`` lines are skipped.
 
     After the header the file is read in blocks of ``_BLOCK_LINES`` lines,
     each converted in bulk or, when that fails, row by row, so the first bad
     row raises the error a row-by-row reader would.
     """
     labeled: bool | None = None
-    meta: dict[str, str] = {}
     blocks = [np.empty(0, dtype=_ROW_DTYPE)]
     with open(path, "r", encoding="utf-8-sig") as handle:  # a byte-order mark is skipped
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
-            if line.startswith("#"):
-                _read_comment(line, meta)
-            elif line:
+            if line and not line.startswith("#"):
                 labeled = _parse_header(line.split(","), lineno)
                 break
         if labeled is None:
@@ -488,7 +470,7 @@ def _read_rows(path: str | Path) -> tuple[bool, np.ndarray, dict[str, str]]:
             first += len(block)
             text = "".join(lines)
             if "#" in text:
-                lines, numbers = _drop_comments(lines, numbers, meta)
+                lines, numbers = _drop_comments(lines, numbers)
                 text = "".join(lines)
             if text.strip():
                 blocks.append(_parse_block(lines, numbers, labeled, text))
@@ -499,7 +481,7 @@ def _read_rows(path: str | Path) -> tuple[bool, np.ndarray, dict[str, str]]:
     rows = np.concatenate(blocks)
     if rows.size == 0:
         raise ParseError("no data rows found")
-    return labeled, rows, meta
+    return labeled, rows
 
 
 def _trace_starts(t: np.ndarray) -> np.ndarray:
@@ -509,7 +491,7 @@ def _trace_starts(t: np.ndarray) -> np.ndarray:
 
 def read_distance_trace(path: str | Path) -> DistanceTrace:
     """Read a single distance trace; a state column, when present, is ignored."""
-    _, rows, _ = _read_rows(path)
+    _, rows = _read_rows(path)
     starts = _trace_starts(rows["t"])
     if starts.size:
         raise ParseError(f"expected a single trace, found {starts.size + 1} (time restarts)")
@@ -521,18 +503,13 @@ def read_distance_trace(path: str | Path) -> DistanceTrace:
 
 def read_labeled_traces(path: str | Path) -> list[StateTrace]:
     """Read one or more labeled traces from a single file, each on its own :class:`DistanceTrace`."""
-    labeled, rows, meta = _read_rows(path)
+    labeled, rows = _read_rows(path)
     if not labeled:
         raise ParseError("file has no state column")
-    scenario = meta.get("scenario", "unknown")
-    try:
-        seed = int(meta.get("seed", "0"))
-    except ValueError:
-        seed = 0
     starts = _trace_starts(rows["t"])
     # Each column is frozen once; the traces hold read-only views of it.
     columns = [np.split(_frozen(rows[name]), starts) for name in ("t", "d", "state")]
     try:
-        return [StateTrace(DistanceTrace(t, d), s, scenario=scenario, seed=seed) for t, d, s in zip(*columns)]
+        return [StateTrace(DistanceTrace(t, d), s) for t, d, s in zip(*columns)]
     except DomainError as exc:
         raise ParseError(str(exc)) from exc

@@ -17,8 +17,6 @@ from .errors import DomainError
 from .markov import Sampler
 from .params import as_real
 
-UMI_SCENARIO_TAG = "umi"
-
 
 @dataclass(frozen=True)
 class UmiParams:
@@ -63,4 +61,4 @@ def baseline(p: UmiParams = UmiParams()) -> Sampler:
         los = np.minimum(d1 / d, 1.0) * (1.0 - e) + e
         return np.stack((los, los))
 
-    return Sampler(thresholds, table, UMI_SCENARIO_TAG)
+    return Sampler(thresholds, table)

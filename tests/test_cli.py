@@ -22,7 +22,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2vlos import PathLossParams, cli, load_scenario, markov, read_labeled_traces
+from v2vlos import (
+    Density,
+    Environment,
+    PathLossParams,
+    builtin_model,
+    chain,
+    cli,
+    derive_subseed,
+    load_scenario,
+    markov,
+    read_labeled_traces,
+)
 from v2vlos.cli import main
 from v2vlos.errors import ParseError, V2vLosError
 
@@ -62,8 +73,18 @@ def test_generate_output_is_readable_labeled_trace(tmp_path):
     traces = read_labeled_traces(out)
     assert len(traces) == 2
     assert all(len(t) == 40 for t in traces)
-    assert traces[0].scenario == "highway-low"
-    assert traces[0].seed == 3
+    head = out.read_text().splitlines()[:4]  # the provenance lives in the file's header
+    assert "# scenario=highway-low" in head and "# seed=3" in head
+
+
+def test_generated_trace_i_is_the_library_trace_under_sub_seed_i(tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(GENERATE + ["--profile", "walk", "--vmax", "10", "--d0", "100", "--steps", "60",
+                            "--seed", "7", "--count", "2", "--out", str(out)]) == 0
+    sampler = chain(builtin_model(Environment.URBAN, Density.LOW))
+    for i, trace in enumerate(read_labeled_traces(out)):
+        expected = sampler.trace(trace.grid, derive_subseed(7, i))
+        assert trace.states.tobytes() == expected.states.tobytes(), i
 
 
 def test_generate_provenance_header(tmp_path):
@@ -241,12 +262,12 @@ def test_config_file_fills_options_that_have_defaults(tmp_path):
     assert main(GENERATE + ["--config", str(config), "--out", str(out)]) == 0
     traces = read_labeled_traces(out)
     assert [len(t) for t in traces] == [4, 4, 4]
-    assert traces[0].seed == 9
+    assert "# seed=9" in out.read_text().splitlines()
     assert traces[0].distances.tolist() == [5.0, 7.0, 9.0, 11.0]
     # Flags win over the file, before or after --config.
     assert main(GENERATE + ["--count", "2", "--config", str(config), "--seed", "1", "--out", str(out)]) == 0
     traces = read_labeled_traces(out)
-    assert len(traces) == 2 and traces[0].seed == 1
+    assert len(traces) == 2 and "# seed=1" in out.read_text().splitlines()
 
 
 def test_config_file_sets_curve_range(tmp_path):
@@ -561,6 +582,35 @@ def test_estimate_fit_fails_as_estimate_does(tmp_path, capsys, content, message)
     assert results[0] == results[1]
     code, (out, err) = results[0]
     assert code == 1 and out == "" and err.startswith(message) and err.count("\n") == 1
+
+
+def test_a_failing_refit_writes_nothing_and_names_its_curve(tmp_path, capsys):
+    # Every distance lies in the first 10 m bin, too few for any curve's refit.
+    traces = tmp_path / "in.csv"
+    traces.write_text("t,d,state\n0,1.5,LOS\n1,2.5,NLOSv\n0,3.5,LOS\n", encoding="utf-8")
+    code = main(_estimate(tmp_path, traces, "--fit", "--out-model", str(tmp_path / "model.json")))
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: refit state_probs.explicit.LOS: need at least 2 distinct distances with positive values\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+    assert_no_child()
+
+
+@_quiet_refit
+def test_a_refit_error_keeps_its_type_and_names_a_transition_curve():
+    # The model's own curves at the bin centres refit; the NLOSv row has one bin left.
+    model = builtin_model(Environment.URBAN, Density.MEDIUM)
+    centers = cli.bin_centers()
+    emp_state = np.stack([cli.state_probabilities(model, float(d)) for d in centers])
+    emp_trans = np.stack([cli.transition_matrix(model, float(d)) for d in centers])
+    emp_trans[1:, 1] = np.nan
+    state, spec = next(iter(model.rows[1].explicit.items()))
+    with pytest.raises(V2vLosError) as direct:
+        cli.fit_same_family(spec, centers[:1], emp_trans[:1, 1, int(state)])
+    with pytest.raises(type(direct.value)) as err:
+        cli._refit_model(model, centers, emp_state, emp_trans)
+    assert type(err.value) is type(direct.value)
+    assert str(err.value) == f"refit transitions.NLOSv.explicit.{state.name}: {direct.value}"
 
 
 def test_worker_keeps_the_parse_error_line(tmp_path):

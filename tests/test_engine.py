@@ -98,9 +98,7 @@ def walk_trace(n, seed, d0=250.0, v_max=20.0):
 def assert_batch_matches(model, traces, seed, batch):
     assert len(batch) == len(traces)
     for i, (trace, out) in enumerate(zip(traces, batch)):
-        sub = derive_subseed(seed, i)
-        assert out.seed == sub
-        assert out.states.tobytes() == reference_states(model, trace, sub).tobytes(), f"trace {i}"
+        assert out.states.tobytes() == reference_states(model, trace, derive_subseed(seed, i)).tobytes(), f"trace {i}"
 
 
 def test_all_scenarios_match_reference(scenario):
@@ -143,7 +141,6 @@ def test_clamped_distances_match_reference():
 def test_out_of_range_seeds_are_masked_like_splitmix(seed):
     trace = walk_trace(300, 1)
     out = chain(URBAN_MEDIUM).trace(trace, seed)
-    assert out.seed == seed
     assert out.states.tobytes() == reference_states(URBAN_MEDIUM, trace, seed).tobytes()
     assert out.states.tobytes() == chain(URBAN_MEDIUM).trace(trace, seed % 2**64).states.tobytes()
 
@@ -157,7 +154,6 @@ def test_umi_matches_reference():
     assert len(batch) == len(traces)
     for i, (trace, out) in enumerate(zip(traces, batch)):
         assert out.states.tobytes() == reference_umi(trace, p, derive_subseed(11, i)).tobytes()
-        assert out.scenario == "umi"
 
 
 def test_batch_error_lists_exactly_the_failing_indices():
@@ -239,7 +235,7 @@ def test_only_a_draw_inside_the_guard_band_goes_to_the_scalar_thresholds(units):
         c = np.array([draws[int(x)] for x in d.tolist()]) + units * 2.0**-53
         return np.stack((c, c))
 
-    sampler = markov.Sampler(thresholds, table, "t")
+    sampler = markov.Sampler(thresholds, table)
     trace = DistanceTrace.from_distances([1e-3, 1.0, 2.0, 3.0])  # d = step index, so each step reads its own draw
     with mock.patch.object(markov, "_TABLE_FROM", 1):  # a lone trace is walked from the table too
         assert sampler.trace(trace, 5).states.tolist() == ([2, 2, 2, 2] if inside else [0, 0, 0, 0])
@@ -291,7 +287,9 @@ def test_batch_yields_the_good_traces_before_its_error():
     bad = DistanceTrace.from_distances([600.0, 100.0])
     batch = chain(URBAN_MEDIUM).batch([bad, good, bad, good], seed=3)
     done = [next(batch), next(batch)]
-    assert [out.seed for out in done] == [derive_subseed(3, 1), derive_subseed(3, 3)]
+    assert all(out.grid is good for out in done)
+    expected = [chain(URBAN_MEDIUM).trace(good, derive_subseed(3, i)) for i in (1, 3)]  # traces keep their index
+    assert [out.states.tobytes() for out in done] == [out.states.tobytes() for out in expected]
     with pytest.raises(BatchError) as err:
         next(batch)
     assert [i for i, _ in err.value.failures] == [0, 2]
@@ -299,11 +297,13 @@ def test_batch_yields_the_good_traces_before_its_error():
 
 def test_batch_is_lazy():
     # An endless input is read a bounded run at a time and generated in index order.
-    batch = chain(URBAN_MEDIUM).batch(repeat(walk_trace(20, 2)), seed=6)
+    grid = walk_trace(20, 2)
+    batch = chain(URBAN_MEDIUM).batch(repeat(grid), seed=6)
     first = [next(batch) for _ in range(3)]
-    assert [out.seed for out in first] == [derive_subseed(6, i) for i in range(3)]
-    umi = baseline().batch(repeat(walk_trace(20, 2)), seed=6)
-    assert next(umi).seed == derive_subseed(6, 0)
+    expected = [chain(URBAN_MEDIUM).trace(grid, derive_subseed(6, i)) for i in range(3)]
+    assert [out.states.tobytes() for out in first] == [out.states.tobytes() for out in expected]
+    umi = baseline().batch(repeat(grid), seed=6)
+    assert next(umi).states.tobytes() == baseline().trace(grid, derive_subseed(6, 0)).states.tobytes()
 
 
 @pytest.mark.parametrize("shared, block, width", [(False, 100, 4), (True, 100, 28), (False, 3, 3)],
@@ -389,7 +389,7 @@ def test_shared_runs_match_per_trace_sampling(sampler, grids, copies, order, see
         except BatchError as exc:
             failures = [(i, str(e)) for i, e in exc.failures]
     assert failures == expected_failures
-    assert [(out.seed, out.scenario) for out in got] == [(derive_subseed(seed, i), sampler.tag) for i, _ in expected]
+    assert len(got) == len(expected)
     for out, (i, ref) in zip(got, expected):
         assert out.grid is traces[i]
         assert out.states.tobytes() == ref.tobytes()
@@ -402,7 +402,7 @@ def lookup_sampler(table):
     """A sampler whose scalar thresholds and array table both read ``table[(origin, d)]``."""
     def array(origin, d):
         return np.array([table[(origin, x)] for x in d.tolist()], dtype=float).reshape(-1, 2).T
-    return markov.Sampler(lambda origin, d: table[(origin, d)], array, "t")
+    return markov.Sampler(lambda origin, d: table[(origin, d)], array)
 
 
 @settings(max_examples=300, deadline=None)

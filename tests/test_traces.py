@@ -468,7 +468,6 @@ def test_generated_batch_round_trips_through_labeled_file(scenario, seed, batch)
     for orig, loaded in zip(traces, back):
         for column in ("times", "distances", "states"):
             assert np.array_equal(getattr(orig, column), getattr(loaded, column))
-        assert (loaded.scenario, loaded.seed) == (model.tag, seed)
 
 
 def reference_labeled_file(traces, provenance):
@@ -532,8 +531,8 @@ def test_both_readers_skip_a_byte_order_mark(tmp_path, text):
     assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
     assert read_distance_trace(marked).distances.tolist() == [10.0, 11.0]
     (got,), (expected,) = read_labeled_traces(marked), read_labeled_traces(plain)
-    assert (got.times.tolist(), got.distances.tolist(), got.states.tolist(), got.seed) == \
-        (expected.times.tolist(), expected.distances.tolist(), expected.states.tolist(), expected.seed)
+    assert (got.times.tolist(), got.distances.tolist(), got.states.tolist()) == \
+        (expected.times.tolist(), expected.distances.tolist(), expected.states.tolist())
 
 
 def test_parse_error_reports_line(tmp_path):
@@ -562,12 +561,17 @@ def test_distance_reader_rejects_multiple_traces(tmp_path):
         read_distance_trace(path)
 
 
-def test_comment_metadata_applied(tmp_path):
-    path = tmp_path / "meta.csv"
-    path.write_text("# scenario=urban-medium\n# seed=41\nt,d,state\n0,10.0,LOS\n", encoding="utf-8")
-    got = read_labeled_traces(path)[0]
-    assert got.scenario == "urban-medium"
-    assert got.seed == 41
+def test_comment_lines_anywhere_are_skipped_and_keep_line_numbers(tmp_path):
+    path = tmp_path / "comments.csv"
+    text = "# scenario=urban-medium\n# seed=41\nt,d,state\n0,10.0,LOS\n  # seed=x\n1,11.0,NLOSb\n#\n0,20.0,NLOSv\n"
+    path.write_text(text, encoding="utf-8")
+    got = read_labeled_traces(path)
+    assert [(t.times.tolist(), t.distances.tolist(), t.states.tolist()) for t in got] == \
+        [([0, 1], [10.0, 11.0], [0, 2]), ([0], [20.0], [1])]
+    path.write_text(text + "# note\n1,x,LOS\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_labeled_traces(path)
+    assert err.value.line == 10
 
 
 def test_time_gap_rejected(tmp_path):
@@ -585,17 +589,12 @@ def test_time_gap_rejected(tmp_path):
 def ref_parse_rows(path):
     labeled = None
     rows = []
-    meta = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
                 continue
             parts = line.split(",")
             if labeled is None:
@@ -628,7 +627,7 @@ def ref_parse_rows(path):
         raise ParseError("no header row found")
     if not rows:
         raise ParseError("no data rows found")
-    return labeled, rows, meta
+    return labeled, rows
 
 
 def ref_split_traces(rows):
@@ -642,7 +641,7 @@ def ref_split_traces(rows):
 
 
 def ref_read_distance_trace(path):
-    _, rows, _ = ref_parse_rows(path)
+    _, rows = ref_parse_rows(path)
     groups = ref_split_traces(rows)
     if len(groups) > 1:
         raise ParseError(f"expected a single trace, found {len(groups)} (time restarts)")
@@ -655,21 +654,16 @@ def ref_read_distance_trace(path):
 
 
 def ref_read_labeled_traces(path):
-    labeled, rows, meta = ref_parse_rows(path)
+    labeled, rows = ref_parse_rows(path)
     if not labeled:
         raise ParseError("file has no state column")
-    scenario = meta.get("scenario", "unknown")
-    try:
-        seed = int(meta.get("seed", "0"))
-    except ValueError:
-        seed = 0
     traces = []
     for group in ref_split_traces(rows):
         ts = np.asarray([r[0] for r in group], dtype=np.int64)
         ds = np.asarray([r[1] for r in group], dtype=float)
         ss = np.asarray([int(r[2]) for r in group], dtype=np.int8)
         try:
-            traces.append(StateTrace(DistanceTrace(ts, ds), ss, scenario=scenario, seed=seed))
+            traces.append(StateTrace(DistanceTrace(ts, ds), ss))
         except DomainError as exc:
             raise ParseError(str(exc)) from exc
     return traces
@@ -685,7 +679,7 @@ def outcome(read, path):
     for trace in result if isinstance(result, list) else [result]:
         digest = [trace.times.dtype.str, trace.times.tobytes(), trace.distances.dtype.str, trace.distances.tobytes()]
         if isinstance(trace, StateTrace):
-            digest += [trace.states.dtype.str, trace.states.tobytes(), trace.scenario, trace.seed]
+            digest += [trace.states.dtype.str, trace.states.tobytes()]
         digests.append(tuple(digest))
     return ("reads", digests)
 
@@ -821,8 +815,7 @@ def test_block_reader_matches_row_reader_across_full_blocks(tmp_path):
     rng = np.random.default_rng(5)
     n = trace_io._BLOCK_LINES
     traces = [
-        StateTrace(DistanceTrace(np.arange(size), rng.uniform(1.0, 500.0, size)), rng.integers(0, 3, size),
-                   scenario="urban-low", seed=4)
+        StateTrace(DistanceTrace(np.arange(size), rng.uniform(1.0, 500.0, size)), rng.integers(0, 3, size))
         for size in (n - 3, 7, n + 11)
     ]
     path = tmp_path / "big.csv"

@@ -78,7 +78,6 @@ def test_nlosv_never_emitted():
     trace = DistanceTrace.from_distances(np.linspace(1.0, 500.0, 500))
     out = baseline().trace(trace, 4)
     assert not np.any(out.states == int(LosState.NLOSv))
-    assert out.scenario == "umi"
 
 
 def test_los_fraction_at_36():
