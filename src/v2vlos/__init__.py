@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "assembly": "repair_vector state_probabilities stationary_distribution transition_matrix",
     "curves": "CurveSpec ExpDecay LogBell OffsetMinusLogBell Piecewise Poly2 eval_curve",
-    "errors": "BatchError ConvergenceError DegenerateError DistanceClampWarning DomainError ParseError "
-              "RangeError SingularError V2vLosError",
+    "errors": "BatchError ConvergenceError DegenerateError DistanceClampWarning DomainError ParseError V2vLosError",
     "estimation": "FitResult accumulate bin_centers fit_expdecay fit_logbell fit_offset_minus_logbell fit_poly2 "
                   "fit_same_family frequencies pearson",
     "markov": "DistanceTrace Sampler StateTrace chain",

@@ -88,8 +88,8 @@ def _write_atomic(path: str | Path, text: str) -> None:
         handle.write(text)
 
 
-def _positive(convert):
-    """argparse type: ``convert`` the text and require a result above zero."""
+def _positive(convert, most=math.inf):
+    """argparse type: ``convert`` the text and require a result above zero and at most ``most``."""
 
     def check(text):
         try:
@@ -98,12 +98,14 @@ def _positive(convert):
             value = 0
         if not value > 0:
             raise argparse.ArgumentTypeError(f"expected a positive {convert.__name__}, got {text!r}")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"expected at most {most}, got {text!r}")
         return value
 
     return check
 
 
-_positive_int = _positive(int)
+_positive_int = _positive(int, sys.maxsize)  # a larger size overflows a C ssize_t in itertools.repeat and numpy
 _positive_float = _positive(float)
 
 

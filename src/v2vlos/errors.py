@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per kind of failure."""
 
 from __future__ import annotations
 
@@ -8,11 +8,7 @@ class V2vLosError(Exception):
 
 
 class DomainError(V2vLosError):
-    """An argument is outside the mathematical domain of an operation."""
-
-
-class RangeError(V2vLosError):
-    """A distance falls outside the supported range."""
+    """An argument or distance is outside its domain (a distance above 500 m, say)."""
 
 
 class ConvergenceError(V2vLosError):
@@ -20,18 +16,11 @@ class ConvergenceError(V2vLosError):
 
 
 class DegenerateError(V2vLosError):
-    """Input data carries no usable signal (zero variance, all-zero, ...)."""
-
-
-class SingularError(V2vLosError):
-    """A least-squares design matrix is rank deficient."""
+    """Data too thin to fit or correlate: too few distinct points, zero variance, a singular system."""
 
 
 class ParseError(V2vLosError):
-    """A trace or table file is malformed.
-
-    ``line`` is the 1-based line number of the offending row when known.
-    """
+    """A trace file is malformed; ``line`` is the 1-based number of the offending line when known."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:

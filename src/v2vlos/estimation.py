@@ -7,12 +7,12 @@ counted per step in each step's own bin.
 
 Frequencies are plain arrays, NaN in a bin or row that saw no data rather
 than reading as zero probability. Every fit takes 1-D arrays of distances
-``d`` and values ``y``. Curve refitting mirrors the published families:
+``d`` and values ``y``, and raises :class:`DegenerateError` when they are too
+few or too alike to fit. Curve refitting mirrors the published families:
 plain least squares for the polynomial family, log-linear least squares for
 exponential decay, and for the log-domain bell shapes a grid search (one
 array pass, the scalar formula confirming the winner) refined locally with
-scipy, which is imported on first use so that the rest of the package starts
-without it.
+scipy, imported on first use so that the rest of the package starts without it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .curves import (
     Poly2,
     log_bell_values,
 )
-from .errors import ConvergenceError, DegenerateError, DomainError, RangeError, SingularError
+from .errors import ConvergenceError, DegenerateError, DomainError
 from .markov import StateTrace, _frozen, count_blocks
 from .params import DEFAULT_D_MAX
 
@@ -48,8 +48,8 @@ def bin_centers() -> np.ndarray:
 def accumulate(traces: Iterable[StateTrace]) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin counts of a batch of labelled traces, read once and counted by :func:`count_blocks`.
 
-    Returns read-only int64 ``occupancy[bin, state]`` and ``transitions[bin, from, to]``.
-    No pair of steps spans two traces. An empty batch gives zero counts.
+    Returns read-only int64 ``occupancy[bin, state]`` and ``transitions[bin, from, to]``. No pair of steps spans two
+    traces. An empty batch gives zero counts; a distance above 500 m is a :class:`DomainError`, as in the chain.
     """
     occupancy = np.zeros(N_BINS * 3, dtype=np.int64)
     transitions = np.zeros(N_BINS * 9, dtype=np.int64)
@@ -57,7 +57,7 @@ def accumulate(traces: Iterable[StateTrace]) -> tuple[np.ndarray, np.ndarray]:
         d = np.concatenate([trace.distances for trace in block])
         inside = d <= DEFAULT_D_MAX  # the last bin is closed; a grid's distances are positive
         if not inside.all():
-            raise RangeError(f"trace distance {float(d[~inside][0])} outside [0, {DEFAULT_D_MAX}]")
+            raise DomainError(f"trace distance {float(d[~inside][0])} outside [0, {DEFAULT_D_MAX}]")
         s = np.concatenate([trace.states for trace in block]).astype(np.intp)
         cell = np.minimum(d // BIN_WIDTH, N_BINS - 1).astype(np.intp) * 3 + s  # bin * 3 + state
         occupancy += np.bincount(cell, minlength=occupancy.size)
@@ -115,14 +115,14 @@ def fit_poly2(d, y) -> FitResult:
     """
     d, y = _points(d, y)
     if np.unique(d).size < 3:
-        raise SingularError(f"need at least 3 distinct distances, got {np.unique(d).size}")
+        raise DegenerateError(f"need at least 3 distinct distances, got {np.unique(d).size}")
     scale = float(np.max(np.abs(d))) or 1.0
     u = d / scale
     X = np.column_stack([u * u, u, np.ones_like(u)])
     try:
         beta = np.linalg.solve(X.T @ X, X.T @ y)
     except np.linalg.LinAlgError as exc:
-        raise SingularError(f"normal equations are singular: {exc}") from exc
+        raise DegenerateError(f"normal equations are singular: {exc}") from exc
     spec = Poly2(float(beta[0]) / (scale * scale), float(beta[1]) / scale, float(beta[2]))
     resid = spec.raw(d) - y
     return FitResult(spec, float(resid @ resid))

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DomainError, ParseError, RangeError
+from .errors import DomainError, ParseError
 from .markov import DistanceTrace, StateTrace, _frozen, chunk_width, count_blocks
 from .params import DEFAULT_D_MAX, DEFAULT_D_MIN, as_real
 from .rng import RngSeed, uniforms
@@ -380,7 +380,7 @@ def _parse_row(parts: list[str], lineno: int, labeled: bool) -> tuple[int, float
     except ValueError as exc:
         raise ParseError(str(exc), line=lineno) from exc
     if not math.isfinite(d) or d <= 0.0:
-        raise RangeError(f"line {lineno}: distance must be finite and positive, got {parts[1]}")
+        raise ParseError(f"distance must be finite and positive, got {parts[1]}", line=lineno)
     state = -1
     if labeled:
         name = parts[2].strip()

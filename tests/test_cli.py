@@ -36,6 +36,7 @@ from v2vlos import (
 )
 from v2vlos.cli import main
 from v2vlos.errors import ParseError, V2vLosError
+from test_traces import ROW_RULES, row_rule_file
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -361,6 +362,43 @@ def test_non_positive_sizes_are_usage_errors(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+# sys.maxsize itself is a valid size, of a batch that never ends; one more fails before anything is made.
+_BIG = sys.maxsize + 1
+
+
+def _big_size_argv(tmp_path, command, flags, config):
+    (tmp_path / "in.csv").write_text("t,d\n0,10.0\n1,11.0\n", encoding="utf-8")
+    argv = [command, "--env", "urban", "--density", "low", *(f.format(tmp=tmp_path) for f in flags)]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    return argv + ["--out", str(tmp_path / "out.csv")]
+
+
+@pytest.mark.parametrize("command", ["generate", "compare"])
+@pytest.mark.parametrize("flags, config", [
+    (["--steps", "5", "--count", str(_BIG)], None),
+    (["--trace-in", "{tmp}/in.csv", "--count", str(_BIG)], None),
+    (["--steps", "5"], {"count": _BIG}),
+    (["--trace-in", "{tmp}/in.csv"], {"count": _BIG}),
+], ids=["flag", "flag-trace-in", "config", "config-trace-in"])
+def test_a_count_above_sys_maxsize_is_a_usage_error(tmp_path, capsys, command, flags, config):
+    code, err = run_in_process(_big_size_argv(tmp_path, command, flags, config), capsys)
+    assert code == 2
+    assert f"count: expected at most {sys.maxsize}, got" in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "compare"])
+@pytest.mark.parametrize("flags, config", [(["--steps", str(_BIG)], None), ([], {"steps": _BIG})],
+                         ids=["flag", "config"])
+def test_steps_above_sys_maxsize_are_a_usage_error(tmp_path, capsys, command, flags, config):
+    # Parsed only: without the bound, a trace of that many steps is built step by step until memory runs out.
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(_big_size_argv(tmp_path, command, flags, config))
+    assert exc.value.code == 2 and f"expected at most {sys.maxsize}, got" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
 def test_curves_non_positive_step_is_usage_error(tmp_path, capsys, step):
     out = tmp_path / "c.csv"
@@ -582,6 +620,17 @@ def test_estimate_fit_fails_as_estimate_does(tmp_path, capsys, content, message)
     assert results[0] == results[1]
     code, (out, err) = results[0]
     assert code == 1 and out == "" and err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rule", ROW_RULES)
+def test_every_row_rule_fails_estimate_alike_with_and_without_fit(tmp_path, capsys, rule):
+    traces = row_rule_file(tmp_path / "in.csv", rule)
+    results = []
+    for fit in ([], ["--fit", "--out-model", str(tmp_path / "m.json")]):
+        results.append((main(_estimate(tmp_path, traces, *fit)), tuple(capsys.readouterr())))
+        assert_no_child()
+    assert results == [(1, ("", f"error: line 4: {ROW_RULES[rule][1]}\n"))] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
 
 def test_a_failing_refit_writes_nothing_and_names_its_curve(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """The counter-based generation engine against a step-by-step reference.
 
 The reference below is the plain sampler: one ``SplitMix64.next_float`` per
-step, the initial state drawn from ``state_probabilities`` by inverse CDF and
-every later one from a freshly compiled transition row; the urban-micro
+step, the initial state drawn from a freshly compiled state vector by inverse
+CDF and every later one from a freshly compiled transition row; the urban-micro
 baseline draws LOS when the uniform falls below P(LOS). :func:`scalar_states`
 is the same loop over any sampler's scalar ``thresholds``. The engine, which
 samples from the array ``table`` and leaves the draws near a threshold to
@@ -41,7 +41,6 @@ from v2vlos import (
     chain,
     derive_subseed,
     effective_distance,
-    state_probabilities,
     synth_distance_trace,
     umi_los_probability,
 )
@@ -61,7 +60,7 @@ URBAN_MEDIUM = builtin_model(Environment.URBAN, Density.MEDIUM)
 def reference_states(model, trace, seed, over_range="error"):
     rng = SplitMix64(seed)
     ds = trace.distances.tolist()
-    p0, p1, _ = state_probabilities(model, ds[0], over_range=over_range).tolist()
+    p0, p1, _ = compile_vector(model.state_probs)(effective_distance(ds[0], model.d_min, model.d_max, over_range))
     u = rng.next_float()
     s = 0 if u < p0 else (1 if u < p0 + p1 else 2)
     out = [s]

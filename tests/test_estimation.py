@@ -22,8 +22,6 @@ from v2vlos import (
     OffsetMinusLogBell,
     Piecewise,
     Poly2,
-    RangeError,
-    SingularError,
     StateTrace,
     accumulate,
     builtin_model,
@@ -54,7 +52,7 @@ def reference_accumulate(occupancy, transitions, trace):
     if d.size:
         lo, hi = float(d.min()), float(d.max())
         if not (lo >= 0.0 and hi <= 500.0):
-            raise RangeError(f"trace distance {hi if lo >= 0.0 else lo} outside [0, 500.0]")
+            raise DomainError(f"trace distance {hi if lo >= 0.0 else lo} outside [0, 500.0]")
     bins = np.minimum(d // 10.0, 49).astype(np.int64)
     s = trace.states.astype(np.int64)
     occupancy, transitions = occupancy.copy(), transitions.copy()
@@ -113,11 +111,19 @@ def test_accumulate_counts_are_read_only_int64():
         counts[0][2, 0] = 5
 
 
+def test_a_distance_above_500_m_is_a_domain_error_in_generate_and_estimate():
+    grid = DistanceTrace.from_distances([400.0, 505.0])
+    with pytest.raises(DomainError, match="above model ceiling"):
+        chain(builtin_model(Environment.URBAN, Density.MEDIUM)).trace(grid, 0)
+    with pytest.raises(DomainError, match=r"trace distance 505.0 outside \[0, 500.0\]"):
+        accumulate([StateTrace(grid, np.array([0, 1], dtype=np.int8))])
+
+
 def test_accumulate_range_error():
     for bad in (500.001, 501.0, 1e300):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a huge distance must not reach the bin cast
-            with pytest.raises(RangeError, match=r"outside \[0, 500.0\]"):
+            with pytest.raises(DomainError, match=r"outside \[0, 500.0\]"):
                 accumulate([labeled([25.0, bad, 25.0], [0, 1, 2])])
     # Distances below the bins, or not finite, are rejected when the grid is built.
     for bad in (-0.001, 0.0, -math.inf, math.inf, math.nan):
@@ -280,9 +286,9 @@ def test_fit_poly2_constant_points():
 
 
 def test_fit_poly2_singular_designs():
-    with pytest.raises(SingularError):
+    with pytest.raises(DegenerateError, match="distinct"):
         fit_poly2([10.0, 10.0, 20.0], [1.0, 1.0, 2.0])
-    with pytest.raises(SingularError):
+    with pytest.raises(DegenerateError, match="distinct"):
         fit_poly2([10.0, 20.0], [1.0, 2.0])
 
 

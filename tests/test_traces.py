@@ -23,7 +23,6 @@ from v2vlos import (
     LosState,
     MobilityProfile,
     ParseError,
-    RangeError,
     StateTrace,
     builtin_model,
     chain,
@@ -550,8 +549,40 @@ def test_parse_error_reports_line(tmp_path):
 def test_invalid_distance_is_range_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,d\n0,10.0\n1,-5.0\n", encoding="utf-8")
-    with pytest.raises(RangeError, match="line 3"):
+    with pytest.raises(ParseError, match="line 3") as err:
         read_distance_trace(path)
+    assert err.value.line == 3
+
+
+# Every rule a trace-file row must meet: a row that breaks it, and the error's text.
+ROW_RULES = {
+    "columns": ("1,11.0", "expected 3 columns, got 2"),
+    "int": ("x,11.0,LOS", "invalid literal for int() with base 10: 'x'"),
+    "float": ("1,d,LOS", "could not convert string to float: 'd'"),
+    "nan": ("1,nan,LOS", "distance must be finite and positive, got nan"),
+    "inf": ("1,inf,LOS", "distance must be finite and positive, got inf"),
+    "zero": ("1,0,LOS", "distance must be finite and positive, got 0"),
+    "negative": ("1,-5.0,LOS", "distance must be finite and positive, got -5.0"),
+    "state": ("1,11.0,LOS?", "unknown state 'LOS?'"),
+    "time": ("9223372036854775808,11.0,LOS", "time 9223372036854775808 does not fit in a 64-bit integer"),
+}
+
+
+def row_rule_file(path, rule):
+    """A labelled file whose line 4 breaks ``rule``."""
+    path.write_text(f"# seed=1\nt,d,state\n0,10.0,LOS\n{ROW_RULES[rule][0]}\n2,12.0,NLOSb\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "row-by-row"])
+@pytest.mark.parametrize("read", [read_labeled_traces, read_distance_trace], ids=["labeled", "distance"])
+@pytest.mark.parametrize("rule", ROW_RULES)
+def test_every_row_rule_is_a_parse_error_naming_its_line(tmp_path, rule, read, bulk):
+    path = row_rule_file(tmp_path / "in.csv", rule)
+    with mock.patch.object(trace_io, "_USE_LOADTXT", bulk and trace_io._USE_LOADTXT):
+        with pytest.raises(ParseError) as err:
+            read(path)
+    assert err.value.line == 4 and str(err.value) == f"line 4: {ROW_RULES[rule][1]}"
 
 
 def test_distance_reader_rejects_multiple_traces(tmp_path):
@@ -615,7 +646,7 @@ def ref_parse_rows(path):
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
             if not math.isfinite(d) or d <= 0.0:
-                raise RangeError(f"line {lineno}: distance must be finite and positive, got {parts[1]}")
+                raise ParseError(f"distance must be finite and positive, got {parts[1]}", line=lineno)
             state = None
             if labeled:
                 name = parts[2].strip()
@@ -845,7 +876,7 @@ def test_undecodable_bytes_raise_after_earlier_rows(tmp_path):
         # The row error comes first, as in a reader that goes line by line.
         path.write_bytes(body.replace(b"\n7,2.5,", b"\n7,-2.5,") + b"\xff\n")
         assert_readers_agree(path)
-        with pytest.raises(RangeError, match="line 9"):
+        with pytest.raises(ParseError, match="line 9"):
             read_labeled_traces(path)
         path.write_bytes(body[:100] + b"\xff" + body[100:])
         assert_readers_agree(path)
@@ -864,7 +895,7 @@ def test_undecodable_bytes_inside_one_default_block(tmp_path):
         read_labeled_traces(path)
     # A bad row decoded before the bad byte is reported first, with its line.
     path.write_bytes(body.replace(b"\n5,2.5,", b"\n5,-2.5,") + b"\xff\n")
-    with pytest.raises(RangeError, match="line 7"):
+    with pytest.raises(ParseError, match="line 7"):
         read_labeled_traces(path)
 
 
