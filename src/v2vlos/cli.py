@@ -24,7 +24,6 @@ import argparse
 import dataclasses
 import json
 import math
-import pickle
 import sys
 from itertools import repeat, tee
 from pathlib import Path
@@ -285,46 +284,9 @@ def _refit_model(model: ScenarioModel, centers: np.ndarray, emp_state: np.ndarra
     return dataclasses.replace(model, state_probs=state_probs, rows=rows)
 
 
-def _count(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """A labelled trace file's occupancy and transition counts."""
-    return accumulate(read_labeled_traces(path))
-
-
-def _count_while_loading_scipy(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_count` in a forked child while this process imports scipy; used on Linux, where fork is tested."""
-    read, write = os.pipe()
-    if (pid := os.fork()) == 0:  # the child sends (ok, counts or error) and leaves at once, flushing no inherited buffer
-        sent = False  # a child that could not send exits 1, and the parent reports how it ended
-        try:
-            os.close(read)
-            with open(write, "wb") as pipe:
-                try:
-                    pickle.dump((True, _count(path)), pipe)
-                except BaseException as exc:
-                    pickle.dump((False, exc), pipe)
-            sent = True
-        finally:
-            os._exit(0 if sent else 1)
-    os.close(write)
-    try:
-        with open(read, "rb") as pipe:
-            import scipy.optimize  # noqa: F401 -- the refit's slow import, made while the child counts
-            message = pipe.read()
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # the pipe is closed: a child still writing fails
-    try:
-        ok, value = pickle.loads(message)
-    except Exception as exc:  # the child died early, or its error does not unpickle
-        ending = f"killed by signal {-code}" if code < 0 else f"exited with code {code}"
-        raise V2vLosError(f"counting {path} failed: the worker {ending}: {exc!r}") from exc
-    if not ok:
-        raise value
-    return value
-
-
 def _cmd_estimate(args: argparse.Namespace) -> int:
     model = _scenario(args)
-    occupancy, transitions = (_count_while_loading_scipy if args.fit and sys.platform == "linux" else _count)(args.traces)
+    occupancy, transitions = accumulate(read_labeled_traces(args.traces))
     centers = bin_centers()
     emp_state, emp_trans = frequencies(occupancy), frequencies(transitions)
     refit = _refit_model(model, centers, emp_state, emp_trans) if args.fit else None  # a failing refit writes nothing

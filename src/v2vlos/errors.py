@@ -43,6 +43,9 @@ class BatchError(V2vLosError):
         super().__init__(f"{len(failures)} trace(s) failed (indices: {idx}); "
                          f"first error: {failures[0][1]}")
 
+    def __reduce__(self):  # rebuilt from the failures, not from the message, which is ``args``
+        return type(self), (self.failures,)
+
 
 class DistanceClampWarning(UserWarning):
     """A distance below the model floor was clamped up to it."""

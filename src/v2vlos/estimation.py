@@ -11,8 +11,10 @@ than reading as zero probability. Every fit takes 1-D arrays of distances
 few or too alike to fit. Curve refitting mirrors the published families:
 plain least squares for the polynomial family, log-linear least squares for
 exponential decay, and for the log-domain bell shapes a grid search (one
-array pass, the scalar formula confirming the winner) refined locally with
-scipy, imported on first use so that the rest of the package starts without it.
+array pass, the scalar formula confirming the winner) refined by
+Levenberg-Marquardt: the port of MINPACK's ``lmder`` in ``_minpack``, which
+matches scipy's ``least_squares(method="lm")`` and is imported on first
+use, so that the rest of the package never compiles it.
 """
 
 from __future__ import annotations
@@ -195,13 +197,13 @@ def _bell(theta) -> tuple[float, float, float]:
 
 def _refine(residuals, x0: list[float], grid_sse: float) -> tuple[np.ndarray, float]:
     """Levenberg-Marquardt from the grid optimum; the solution and its SSE, which must not exceed the grid's."""
-    from scipy.optimize import least_squares  # slow import, needed only by the refits
+    from ._minpack import lmder  # compiled only by the refits
 
-    sol = least_squares(residuals, x0=x0, method="lm", xtol=1e-14, ftol=1e-14)
-    refined_sse = float(sol.fun @ sol.fun)
+    x, fun = lmder(residuals, x0, ftol=1e-14, xtol=1e-14)
+    refined_sse = float(fun @ fun)
     if refined_sse > grid_sse:
         raise ConvergenceError(f"refinement worsened the grid optimum ({refined_sse} > {grid_sse})")
-    return sol.x, refined_sse
+    return x, refined_sse
 
 
 def fit_logbell(d, y) -> FitResult:

@@ -7,14 +7,12 @@ import json
 import math
 import os
 import shlex
-import signal
 import stat
 import subprocess
 import sys
 import tempfile
 import threading
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -493,25 +491,24 @@ def test_output_files_get_the_umask_mode(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]  # no temporary file left behind
 
 
-# Only ``estimate --fit`` needs scipy, for the refit. No command needs the
-# process pools: estimate --fit forks its counting child with os.fork.
-_FIT_ONLY_MODULES = ("scipy", "multiprocessing", "concurrent.futures.process")
-_POOL_MODULES = _FIT_ONLY_MODULES[1:]
+# No command needs scipy or a process pool: the refit's solver is the
+# package's own, and estimate --fit counts and refits in one process.
+_UNUSED_MODULES = ("scipy", "multiprocessing", "concurrent.futures.process")
 
 
-def test_scipy_stays_off_the_start_path(tmp_path):
+def test_no_command_imports_scipy_or_a_process_pool(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     r = subprocess.run([sys.executable, "-X", "importtime", "-m", "v2vlos.cli", "--version"],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0 and "v2vlos" in r.stdout
     assert "v2vlos.estimation" in r.stderr
-    assert not [name for name in _FIT_ONLY_MODULES if name in r.stderr], r.stderr
+    assert not [name for name in (*_UNUSED_MODULES, "v2vlos._minpack") if name in r.stderr], r.stderr
     out = tmp_path / "t.csv"
     script = f"""
 import sys
 import v2vlos
-late = lambda: [name for name in {_FIT_ONLY_MODULES!r} if name in sys.modules]
+late = lambda: [name for name in {_UNUSED_MODULES!r} if name in sys.modules]
 assert not late(), ("import v2vlos", late())
 from v2vlos.cli import main
 base = ["--env", "urban", "--density", "low", "--seed", "2"]
@@ -520,18 +517,18 @@ assert main(["compare", *base, "--steps", "30", "--out", {str(tmp_path / "cmp.cs
 assert main(["curves", *base, "--d-step", "50", "--out", {str(tmp_path / "c.csv")!r}]) == 0
 assert main(["estimate", *base, "--traces", {str(out)!r}, "--out-report", {str(tmp_path / "r.txt")!r}]) == 0
 assert not late(), ("generate, compare, curves, estimate", late())
+assert "v2vlos._minpack" not in sys.modules, "plain estimate"
 assert main(["generate", *base, "--steps", "300", "--count", "10", "--out", {str(out)!r}]) == 0
 assert main(["estimate", *base, "--traces", {str(out)!r}, "--out-report", {str(tmp_path / "r.txt")!r},
              "--fit", "--out-model", {str(tmp_path / "m.json")!r}]) == 0
-assert "scipy.optimize" in sys.modules
-pools = [name for name in {_POOL_MODULES!r} if name in sys.modules]
-assert not pools, ("estimate --fit", pools)
+assert "v2vlos._minpack" in sys.modules
+assert not late(), ("estimate --fit", late())
 """
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
 
 
-def test_estimate_fit_still_refits_with_scipy(tmp_path):
+def test_estimate_fit_refits_without_scipy(tmp_path):
     traces = tmp_path / "t.csv"
     assert main(GENERATE + ["--steps", "300", "--seed", "1", "--count", "10", "--out", str(traces)]) == 0
     env = dict(os.environ)
@@ -539,28 +536,15 @@ def test_estimate_fit_still_refits_with_scipy(tmp_path):
     fitted = tmp_path / "fit.json"
     script = f"""
 import sys
+sys.modules["scipy"] = None  # an import of scipy now raises ImportError
 from v2vlos.cli import main
-assert main(["estimate", "--env", "urban", "--density", "low", "--traces", {str(traces)!r},
-             "--out-report", {str(tmp_path / "r.txt")!r}, "--fit", "--out-model", {str(fitted)!r}]) == 0
-assert "scipy.optimize" in sys.modules
+raise SystemExit(main(["estimate", "--env", "urban", "--density", "low", "--traces", {str(traces)!r},
+                       "--out-report", {str(tmp_path / "r.txt")!r}, "--fit", "--out-model", {str(fitted)!r}]))
 """
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     model = load_scenario(fitted)
     assert model.environment.value == "urban" and model.density.value == "low"
-
-
-_CLI_COUNT = cli._count
-
-
-def _count_noting_the_pid(path):
-    """``cli._count``, leaving the id of the process that ran it beside the file."""
-    Path(f"{path}.pid").write_text(str(os.getpid()), encoding="utf-8")
-    return _CLI_COUNT(path)
-
-
-def _die(path):
-    os._exit(3)
 
 
 def assert_no_child():
@@ -578,25 +562,18 @@ def _estimate(tmp_path, traces, *flags):
 _quiet_refit = pytest.mark.filterwarnings("ignore:excluded .* from exponential fit:UserWarning")
 
 
-# The worker is forked only on Linux, the platform where fork is tested.
-_linux_only = pytest.mark.skipif(sys.platform != "linux", reason="estimate --fit forks its worker only on Linux")
-
-
 @_quiet_refit
-@pytest.mark.parametrize("fork", [pytest.param(True, marks=_linux_only), False], ids=["fork", "not-linux"])
-def test_estimate_fit_counts_in_a_forked_worker(tmp_path, monkeypatch, capsys, fork):
-    import scipy.optimize  # noqa: F401 -- loaded before sys.platform is patched below
+def test_estimate_fit_counts_in_this_process(tmp_path, monkeypatch):
     traces = tmp_path / "t.csv"
     assert main(GENERATE + ["--steps", "450", "--seed", "11", "--count", "30", "--out", str(traces)]) == 0
-    monkeypatch.setattr(cli, "_count", _count_noting_the_pid)
-    if not fork:
-        monkeypatch.setattr(sys, "platform", "darwin")
     assert main(_estimate(tmp_path, traces)) == 0
-    plain = (tmp_path / "stats.csv").read_bytes(), Path(f"{traces}.pid").read_text(encoding="utf-8")
+    plain = (tmp_path / "stats.csv").read_bytes()
+    counted, accumulate = [], cli.accumulate
+    monkeypatch.setattr(cli, "accumulate", lambda batch: counted.append(os.getpid()) or accumulate(batch))
+    monkeypatch.setattr(os, "fork", None)  # a fork would now fail
     assert main(_estimate(tmp_path, traces, "--fit", "--out-model", str(tmp_path / "m.json"))) == 0
-    fitted = (tmp_path / "stats.csv").read_bytes(), Path(f"{traces}.pid").read_text(encoding="utf-8")
-    assert plain[1] == str(os.getpid()) and (fitted[1] != plain[1]) == fork
-    assert fitted[0] == plain[0]
+    assert counted == [os.getpid()] and threading.active_count() == 1
+    assert (tmp_path / "stats.csv").read_bytes() == plain
     assert_no_child()
 
 
@@ -662,48 +639,23 @@ def test_a_refit_error_keeps_its_type_and_names_a_transition_curve():
     assert str(err.value) == f"refit transitions.NLOSv.explicit.{state.name}: {direct.value}"
 
 
-def test_worker_keeps_the_parse_error_line(tmp_path):
+def test_estimate_fit_keeps_the_parse_error_line(tmp_path, capsys):
     bad = tmp_path / "in.csv"
     bad.write_text("t,d,state\n0,10.0,LOS\n1,11.0,LOS\n2,x,LOS\n", encoding="utf-8")
+    args = cli.build_parser().parse_args(_estimate(tmp_path, bad, "--fit", "--out-model", str(tmp_path / "m.json")))
     with pytest.raises(ParseError) as exc:
-        cli._count_while_loading_scipy(str(bad))
+        args.func(args)
     assert exc.value.line == 4
+    assert main(_estimate(tmp_path, bad, "--fit", "--out-model", str(tmp_path / "m.json"))) == 1
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
 
-@_linux_only
-@_quiet_refit
-def test_the_worker_is_forked_from_a_single_threaded_process(tmp_path, monkeypatch):
-    # A thread running at fork() may hold a lock the child then waits on forever.
-    # From Python 3.12, os.fork counts the process's threads (all of them, on
-    # Linux) just after the fork and warns if there is more than one. The fork
-    # has happened by then, so the warning is recorded here rather than turned
-    # into an error by a filter.
-    traces = tmp_path / "t.csv"
-    assert main(GENERATE + ["--steps", "450", "--seed", "11", "--count", "30", "--out", str(traces)]) == 0
-    threads, fork = [], os.fork
-
-    def counting_fork():
-        python_threads = threading.active_count()
-        pid = fork()
-        if pid:
-            threads.append((python_threads, len(os.listdir("/proc/self/task"))))
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DeprecationWarning)
-        assert main(_estimate(tmp_path, traces, "--fit", "--out-model", str(tmp_path / "m.json"))) == 0
-    assert threads == [(1, 1)]
-    assert not [w for w in caught if issubclass(w.category, DeprecationWarning) and "fork" in str(w.message)]
-
-
-@_linux_only
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="reads /dev/stdin")
 @pytest.mark.parametrize("stdin", ["file", "pipe", "owned-file"])
 def test_estimate_fit_reads_a_trace_file_on_stdin(tmp_path, stdin):
-    # All three are counted in the forked child. A bare fork keeps fd 0 as it
-    # is, so the child reads /dev/stdin as this process would, also where
-    # sys.stdin owns fd 0 ("owned-file"). A multiprocessing child would not:
-    # it closes sys.stdin and opens /dev/null in its place.
+    # The trace file is read from fd 0 through /dev/stdin, also where
+    # sys.stdin owns fd 0 ("owned-file"), with and without the refit.
     traces = tmp_path / "t.csv"
     assert main(GENERATE + ["--steps", "200", "--seed", "3", "--count", "20", "--out", str(traces)]) == 0
     env = dict(os.environ)
@@ -723,61 +675,6 @@ def test_estimate_fit_reads_a_trace_file_on_stdin(tmp_path, stdin):
         assert r.returncode == 0, r.stderr
         stats.append((tmp_path / "stats.csv").read_bytes())
     assert stats[1] == stats[0] and stats[2] == stats[0]
-
-
-class _UnpicklableError(V2vLosError):
-    def __reduce__(self):
-        raise TypeError("this error does not pickle")
-
-
-class _UnloadableError(V2vLosError):
-    """Pickles, but unpickling calls the constructor with one argument."""
-
-    def __init__(self, what, why):
-        super().__init__(f"{what}: {why}")
-
-
-def _fail_unpicklably(path):
-    raise _UnpicklableError("lost")
-
-
-def _fail_unloadably(path):
-    raise _UnloadableError("lost", "twice")
-
-
-def _be_killed(path):
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-@_linux_only
-@pytest.mark.parametrize("fail, ending", [
-    (_die, "exited with code 3"),
-    (_be_killed, "killed by signal 9"),
-    (_fail_unpicklably, "exited with code 1"),  # the child could not send its error
-    (_fail_unloadably, "exited with code 0"),  # the child sent it, but it does not load here
-], ids=["died", "killed", "unpicklable", "does-not-unpickle"])
-def test_a_dead_counting_worker_is_a_clean_error(tmp_path, monkeypatch, capsys, fail, ending):
-    traces = tmp_path / "t.csv"
-    assert main(GENERATE + ["--steps", "30", "--out", str(traces)]) == 0
-    capsys.readouterr()
-    monkeypatch.setattr(cli, "_count", fail)  # the forked child calls it
-    assert main(_estimate(tmp_path, traces, "--fit", "--out-model", str(tmp_path / "m.json"))) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error: counting {traces} failed: the worker {ending}: ")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
-    assert_no_child()
-
-
-@_linux_only
-def test_a_failing_scipy_import_leaves_no_child(tmp_path, monkeypatch):
-    traces = tmp_path / "t.csv"
-    assert main(GENERATE + ["--steps", "30", "--out", str(traces)]) == 0
-    monkeypatch.setitem(sys.modules, "scipy.optimize", None)  # the import now raises ImportError
-    with pytest.raises(ImportError):
-        main(_estimate(tmp_path, traces, "--fit", "--out-model", str(tmp_path / "m.json")))
-    assert_no_child()
 
 
 def test_non_utf8_config_is_usage_error(tmp_path, capsys):

@@ -11,6 +11,7 @@ samples from the array ``table`` and leaves the draws near a threshold to
 
 import dataclasses
 import math
+import pickle
 import warnings
 from itertools import repeat
 from unittest import mock
@@ -22,6 +23,8 @@ from hypothesis import strategies as st
 
 from v2vlos import (
     BatchError,
+    ConvergenceError,
+    DegenerateError,
     Density,
     DistanceClampWarning,
     DistanceTrace,
@@ -32,10 +35,12 @@ from v2vlos import (
     LosState,
     MobilityProfile,
     OffsetMinusLogBell,
+    ParseError,
     Poly2,
     SplitMix64,
     StateProbModel,
     UmiParams,
+    V2vLosError,
     baseline,
     builtin_model,
     chain,
@@ -44,7 +49,7 @@ from v2vlos import (
     synth_distance_trace,
     umi_los_probability,
 )
-from v2vlos import markov
+from v2vlos import errors, markov
 from v2vlos.assembly import compile_vector
 from v2vlos.params import scenario_from_dict, scenario_to_dict
 from v2vlos.rng import uniforms
@@ -164,6 +169,23 @@ def test_batch_error_lists_exactly_the_failing_indices():
         list(chain(URBAN_MEDIUM).batch(traces, 3))
     assert [i for i, _ in err.value.failures] == [1, 3]
     assert all(isinstance(e, DomainError) for _, e in err.value.failures)
+
+
+def test_every_error_survives_pickling():
+    failures = [(i, DomainError(f"trace {i} outside [0, 500.0]")) for i in range(12)]
+    errors_ = [V2vLosError("base"), DomainError("domain"), ConvergenceError("stuck"), DegenerateError("thin"),
+               ParseError("bad number", line=7), ParseError("no line"), BatchError(failures),
+               BatchError([(3, ParseError("bad state", line=2))])]
+    assert {type(e) for e in errors_} == {c for c in vars(errors).values()
+                                          if isinstance(c, type) and issubclass(c, V2vLosError)}
+    for error in errors_:
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error) and copy.args == error.args and str(copy) == str(error)
+        if isinstance(error, ParseError):
+            assert copy.line == error.line
+        if isinstance(error, BatchError):
+            assert [(i, type(e), e.args) for i, e in copy.failures] == [(i, type(e), e.args) for i, e in error.failures]
+    assert pickle.loads(pickle.dumps(errors_[-1])).failures[0][1].line == 2
 
 
 def test_clamped_distances_in_a_batch_match_reference():

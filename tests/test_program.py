@@ -81,12 +81,12 @@ def test_a_generate_process_ends_with_one_thread(tmp_path, entry):
     assert _reported(argv, entry) == ["exit threads=1 blas=1"]
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task; forks on Linux only")
-def test_an_estimate_fit_process_forks_and_ends_with_one_thread(tmp_path, trace_file):
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_an_estimate_fit_process_never_forks_and_ends_with_one_thread(tmp_path, trace_file):
     argv = ["estimate", *SCENARIO, "--traces", str(trace_file), "--out-report", str(tmp_path / "r.txt"),
             "--fit", "--out-model", str(tmp_path / "m.json")]
-    # The forked counting child leaves through os._exit too, before its parent.
-    assert _reported(argv) == ["fork threads=1 blas=1"] + ["exit threads=1 blas=1"] * 2
+    # It reads, counts and refits in this one process: no fork is reported.
+    assert _reported(argv) == ["exit threads=1 blas=1"]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
