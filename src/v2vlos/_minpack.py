@@ -36,7 +36,7 @@ def _fmin(a: float, b: float) -> float:
 
 
 def _div(a: float, b: float) -> float:
-    """``a / b``, with C's infinity or NaN where ``b`` is zero."""
+    """``a / b``, with C's infinity or NaN where ``b`` is zero; a bare ``/`` here has a divisor known to be nonzero."""
     try:
         return a / b
     except ZeroDivisionError:
@@ -79,7 +79,7 @@ def enorm(x: list[float]) -> float:
         return x3max * math.sqrt(s3)
     if s2 >= x3max:
         return math.sqrt(s2 * (1.0 + (x3max / s2) * (x3max * s3)))
-    return math.sqrt(x3max * ((s2 / x3max) + (x3max * s3)))
+    return math.sqrt(x3max * (_div(s2, x3max) + (x3max * s3)))  # x3max is 0 when s2 is NaN
 
 
 def qrfac(a: list[list[float]], m: int) -> tuple[list[int], list[float], list[float]]:
@@ -188,13 +188,13 @@ def lmpar(r: list[list[float]], ipvt: list[int], diag: list[float], qtb: list[fl
     parl = 0.0  # a lower bound from the Newton step, unless R is singular
     if nsing == n:
         for j in range(n):
-            wa1[j] = diag[ipvt[j]] * (wa2[ipvt[j]] / dxnorm)
+            wa1[j] = diag[ipvt[j]] * _div(wa2[ipvt[j]], dxnorm)
         for j in range(n):
             wa1[j] = (wa1[j] - _dot(r[j][:j], wa1)) / r[j][j]
         temp = enorm(wa1)
         parl = _div(_div(_div(fp, delta), temp), temp)
     for j in range(n):  # an upper bound
-        wa1[j] = _dot(r[j][:j + 1], qtb) / diag[ipvt[j]]
+        wa1[j] = _div(_dot(r[j][:j + 1], qtb), diag[ipvt[j]])
     gnorm = enorm(wa1)
     paru = _div(gnorm, delta)
     if paru == 0.0:

@@ -12,8 +12,8 @@ curves' ``raw`` methods, and :func:`compile_array` into its numpy twin over
 their ``values``. Each sampler compiles its scenario once
 (:func:`v2vlos.markov.chain`); :func:`state_probabilities` and
 :func:`transition_matrix` compile only what they evaluate, so nothing is
-cached, and keep to the scenario's range: below ``d_min`` a warning and a
-clamp, above ``d_max`` a :class:`~v2vlos.errors.DomainError`. They return
+cached, and keep to the [1, 500] m domain: below 1 m a warning and a
+clamp, above 500 m a :class:`~v2vlos.errors.DomainError`. They return
 read-only float64 arrays in state order, shaped ``(3,)`` and ``(3, 3)`` (rows
 by origin state), the layout of one bin of :func:`~v2vlos.estimation.frequencies`
 of :func:`~v2vlos.estimation.accumulate`'s counts; index them with
@@ -135,7 +135,7 @@ def compile_array(block: StateProbModel) -> Callable[[np.ndarray], np.ndarray]:
 
 def state_probabilities(model: ScenarioModel, d: float) -> np.ndarray:
     """Probability of LOS/NLOSv/NLOSb at distance ``d`` for one scenario: read-only, shape ``(3,)``."""
-    d = effective_distance(d, model.d_min, model.d_max)
+    d = effective_distance(d)
     p = np.array(compile_vector(model.state_probs)(d))
     p.setflags(write=False)
     return p
@@ -143,7 +143,7 @@ def state_probabilities(model: ScenarioModel, d: float) -> np.ndarray:
 
 def transition_matrix(model: ScenarioModel, d: float) -> np.ndarray:
     """Row-stochastic transition matrix at distance ``d``: read-only, shape ``(3, 3)``, rows by origin state."""
-    d = effective_distance(d, model.d_min, model.d_max)
+    d = effective_distance(d)
     m = np.array([compile_vector(row)(d) for row in model.rows])
     m.setflags(write=False)
     return m

@@ -160,12 +160,12 @@ def eval_curve(spec: CurveSpec, d: float) -> float:
 def check_range(spec: CurveSpec, lo: float, hi: float, what: str) -> None:
     """Raise ValueError unless ``spec`` is finite at both ends of [lo, hi].
 
-    A piecewise branch is checked on the sub-range where it applies. The
-    ends then rule out an error or NaN anywhere in the range. Only
-    ``exp_decay`` can overflow, and it is monotone. Only ``log_bell`` can be
-    NaN: an infinite scale 1/(s*d) times a bell that underflows to zero, and
-    that scale is largest at the low end. (A sum can still reach +-inf
-    inside the range, which the [0, 1] clamp handles.)
+    A piecewise branch is checked on the sub-range where it applies, and
+    ``lo`` is at least 1 m. The ends then rule out an error or NaN anywhere
+    in the range. Only ``exp_decay`` can overflow, and it is monotone. Only
+    ``log_bell`` can be NaN: an infinite scale 1/(s*d) times a bell that
+    underflows to zero, and that scale is largest at the low end. (A sum can
+    still reach +-inf inside the range, which the [0, 1] clamp handles.)
     """
     if isinstance(spec, Piecewise):
         if lo < spec.d_t:
@@ -175,7 +175,7 @@ def check_range(spec: CurveSpec, lo: float, hi: float, what: str) -> None:
         return
     try:
         finite = math.isfinite(spec.raw(lo)) and math.isfinite(spec.raw(hi))
-    except (OverflowError, ZeroDivisionError):  # math.exp overflows, or s*d underflows to zero
+    except OverflowError:  # math.exp overflows; s*d >= s > 0, as d >= 1
         finite = False
     if not finite:
         raise ValueError(f"{what} ({spec.family}) overflows or is not finite on [{lo!r}, {hi!r}] m")

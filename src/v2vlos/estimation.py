@@ -199,7 +199,11 @@ def _refine(residuals, x0: list[float], grid_sse: float) -> tuple[np.ndarray, fl
     """Levenberg-Marquardt from the grid optimum; the solution and its SSE, which must not exceed the grid's."""
     from ._minpack import lmder  # compiled only by the refits
 
-    x, fun = lmder(residuals, x0, ftol=1e-14, xtol=1e-14)
+    try:
+        with np.errstate(all="ignore"):  # a step to NaN or infinite residuals is the solver's to reject, quietly
+            x, fun = lmder(residuals, x0, ftol=1e-14, xtol=1e-14)
+    except ArithmeticError as exc:  # math.exp in _bell overflows on a wild step
+        raise ConvergenceError(f"refinement stepped out of range: {exc!r}") from exc
     refined_sse = float(fun @ fun)
     if refined_sse > grid_sse:
         raise ConvergenceError(f"refinement worsened the grid optimum ({refined_sse} > {grid_sse})")

@@ -17,7 +17,7 @@ splitmix64 stream, and batches give every trace its own sub-seed by index.
 One engine generates every trace (:func:`_walk`): a block of steps at a
 time, all traces together, from one numpy threshold table per distinct grid.
 The table is the scalar thresholds evaluated with numpy's ``exp`` and
-``log``; it is NaN outside [d_min, d_max] and where a repair is decided by a
+``log``; it is NaN outside [1, 500] m and where a repair is decided by a
 near tie. A draw closer than the guard band of 2**-40 to a threshold it used,
 or one that used a NaN entry, goes to the scalar thresholds instead, as does
 a block with a lone live trace. The bytes are those of the scalar thresholds
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import assembly
 from .errors import BatchError, DomainError
-from .params import ScenarioModel, effective_distance
+from .params import DEFAULT_D_MAX, DEFAULT_D_MIN, ScenarioModel, effective_distance
 from .rng import RngSeed, derive_subseed, uniforms
 
 # Draws per block of steps (table entries: a quarter per origin); bounds the
@@ -327,12 +327,12 @@ def chain(model: ScenarioModel, over_range: str = "error") -> Sampler:
 
     The state vector and the three transition rows are compiled here, once,
     in both forms; an unknown ``over_range`` policy is rejected here too, not
-    at the first draw. The table is NaN outside [d_min, d_max], so the scalar
+    at the first draw. The table is NaN outside [1, 500] m, so the scalar
     thresholds decide those steps: clamp warnings and errors come at the
     steps a trace reaches, as the scalar chain gives them.
     """
-    d_min, d_max = model.d_min, model.d_max
-    effective_distance(d_min, d_min, d_max, over_range)  # checks the policy only
+    d_min, d_max = DEFAULT_D_MIN, DEFAULT_D_MAX  # closure cells, not globals, on the per-step path
+    effective_distance(d_min, over_range)  # checks the policy only
     # Origins 0-2 index the transition rows; origin -1 is the initial draw.
     blocks = (*model.rows, model.state_probs)
     vectors = tuple(assembly.compile_vector(block) for block in blocks)
@@ -340,7 +340,7 @@ def chain(model: ScenarioModel, over_range: str = "error") -> Sampler:
 
     def thresholds(origin: int, d: float) -> tuple[float, float]:
         if not d_min <= d <= d_max:
-            d = effective_distance(d, d_min, d_max, over_range)
+            d = effective_distance(d, over_range)
         p = vectors[origin](d)
         return p[0], p[0] + p[1]
 

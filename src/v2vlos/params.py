@@ -8,7 +8,8 @@ the state probabilities and one transition row per origin state, each two
 explicit curves; the third value is always the complement to one, assembled
 in :mod:`v2vlos.assembly`. Highway transitions out of NLOSv are piecewise,
 with a density-dependent threshold: 70 m at low density, 90 m at medium and
-high.
+high. Every scenario has one domain, [1, 500] m, which a file's
+``valid_range`` must state.
 
 Models are immutable after construction and safe to share across threads.
 """
@@ -57,18 +58,14 @@ class ScenarioModel:
     density: Density
     state_probs: StateProbModel
     rows: tuple[StateProbModel, StateProbModel, StateProbModel]  # indexed by origin state
-    d_min: float = DEFAULT_D_MIN
-    d_max: float = DEFAULT_D_MAX
 
     def __post_init__(self):
         if len(self.rows) != 3:
             raise ValueError("need exactly one transition row per origin state")
-        if not (0.0 < self.d_min < self.d_max < float("inf")):  # the curve check needs finite ends
-            raise ValueError("require 0 < d_min < d_max, both finite")
         names = ("state_probs", *(f"transitions.{o.name}" for o in CANONICAL_STATES))
         for what, block in zip(names, (self.state_probs, *self.rows)):
             for state, spec in block.explicit.items():
-                check_range(spec, self.d_min, self.d_max, f"{what}.explicit.{state.name}")
+                check_range(spec, DEFAULT_D_MIN, DEFAULT_D_MAX, f"{what}.explicit.{state.name}")
 
     @property
     def tag(self) -> str:
@@ -87,36 +84,31 @@ def as_real(value, what: str = "distance") -> float:
     raise DomainError(f"{what} must be a finite real number, got {value!r}")
 
 
-def effective_distance(
-    d: float,
-    d_min: float = DEFAULT_D_MIN,
-    d_max: float = DEFAULT_D_MAX,
-    over_range: str = "error",
-) -> float:
-    """Apply the model distance policy to ``d``.
+def effective_distance(d: float, over_range: str = "error") -> float:
+    """Apply the model distance policy to ``d``: the domain of every scenario is [1, 500] m.
 
-    Distances in (0, d_min) are clamped up to d_min with a
+    Distances in (0, 1) m are clamped up to 1 m with a
     :class:`DistanceClampWarning` (the fits are meaningless below vehicle
-    length). Distances above d_max raise by default because the curves were
+    length). Distances above 500 m raise by default because the curves were
     only trained up to there; pass ``over_range="clamp"`` to pin them to
-    d_max instead.
+    500 m instead.
     """
     if over_range not in OVER_RANGE_POLICIES:
         raise ValueError(f"over_range must be one of {OVER_RANGE_POLICIES}, got {over_range!r}")
     d = as_real(d)
     if d <= 0.0:
         raise DomainError(f"distance must be positive, got {d!r}")
-    if d < d_min:
+    if d < DEFAULT_D_MIN:
         warnings.warn(
-            f"distance {d} m below model floor, clamped to {d_min} m",
+            f"distance {d} m below model floor, clamped to {DEFAULT_D_MIN} m",
             DistanceClampWarning,
             stacklevel=2,
         )
-        return d_min
-    if d > d_max:
+        return DEFAULT_D_MIN
+    if d > DEFAULT_D_MAX:
         if over_range == "clamp":
-            return d_max
-        raise DomainError(f"distance {d} m above model ceiling {d_max} m (policy 'error')")
+            return DEFAULT_D_MAX
+        raise DomainError(f"distance {d} m above model ceiling {DEFAULT_D_MAX} m (policy 'error')")
     return d
 
 
@@ -148,7 +140,7 @@ def scenario_to_dict(model: ScenarioModel) -> dict:
         "version": SCENARIO_FORMAT_VERSION,
         "environment": model.environment.value,
         "density": model.density.value,
-        "valid_range": {"d_min": model.d_min, "d_max": model.d_max},
+        "valid_range": {"d_min": DEFAULT_D_MIN, "d_max": DEFAULT_D_MAX},
         "state_probs": _block_to_dict(model.state_probs),
         "transitions": {o.name: _block_to_dict(row) for o, row in zip(CANONICAL_STATES, model.rows)},
     }
@@ -164,14 +156,11 @@ def scenario_from_dict(obj: dict) -> ScenarioModel:
     rows = tuple(StateProbModel(*_block_from_dict(transitions[o.name], f"transitions.{o.name}"))
                  for o in CANONICAL_STATES)
     valid_range = check_object(obj["valid_range"], {"d_min", "d_max"}, "valid_range")
-    return ScenarioModel(
-        Environment(obj["environment"]),
-        Density(obj["density"]),
-        StateProbModel(*_block_from_dict(obj["state_probs"], "state_probs")),
-        rows,
-        d_min=as_float(valid_range["d_min"], "valid_range.d_min"),
-        d_max=as_float(valid_range["d_max"], "valid_range.d_max"),
-    )
+    got = [as_float(valid_range[key], f"valid_range.{key}") for key in ("d_min", "d_max")]
+    if got != [DEFAULT_D_MIN, DEFAULT_D_MAX]:  # the one domain of every scenario
+        raise ValueError(f"valid_range must be [{DEFAULT_D_MIN}, {DEFAULT_D_MAX}] m, got {got}")
+    return ScenarioModel(Environment(obj["environment"]), Density(obj["density"]),
+                         StateProbModel(*_block_from_dict(obj["state_probs"], "state_probs")), rows)
 
 
 def scenario_json(model: ScenarioModel) -> str:

@@ -109,7 +109,7 @@ def compiled(model, origin, d):
 L, V, B = LosState.LOS, LosState.NLOSv, LosState.NLOSb
 
 # The builtin scenarios only put the complement on NLOSv or NLOSb; this one
-# puts it on every state, with every curve family and a d_min above 1 m.
+# puts it on every state, with every curve family.
 PERMUTED = ScenarioModel(
     Environment.URBAN,
     Density.LOW,
@@ -120,7 +120,6 @@ PERMUTED = ScenarioModel(
                         L: OffsetMinusLogBell(0.9132, LogBell(0.0484, 4.7076, 0.7480))}, complement=V),
         StateProbModel({L: LogBell(0.0346, 5.021, 1.5875), V: Poly2(-2.7e-7, 1.5e-4, -0.0031)}, complement=B),
     ),
-    d_min=2.0,
 )
 
 MODELS = all_models()
@@ -137,7 +136,7 @@ def test_compiled_rows_match_reference(model, origin, d):
 
 
 @settings(max_examples=300, deadline=None)
-@given(origin=st.sampled_from([-1, 0, 1, 2]), d=st.floats(min_value=2.0, max_value=500.0, allow_nan=False))
+@given(origin=st.sampled_from([-1, 0, 1, 2]), d=st.floats(min_value=1.0, max_value=500.0, allow_nan=False))
 def test_compiled_rows_match_reference_for_any_complement(origin, d):
     assert bits(compiled(PERMUTED, origin, d)) == bits(ref_vector(PERMUTED, origin, d))
 
@@ -146,7 +145,7 @@ def test_compiled_rows_match_reference_for_any_complement(origin, d):
 @given(
     model=st.sampled_from(MODELS + [PERMUTED]),
     origin=st.sampled_from([-1, 0, 1, 2]),
-    d=st.floats(min_value=2.0, max_value=500.0, allow_nan=False),
+    d=st.floats(min_value=1.0, max_value=500.0, allow_nan=False),
 )
 def test_chain_thresholds_match_reference(model, origin, d):
     # The chain compiles its own rows once; they must agree with the reference too.
@@ -154,9 +153,9 @@ def test_chain_thresholds_match_reference(model, origin, d):
     assert bits(chain(model).thresholds(origin, d)) == bits((p[0], p[0] + p[1]))
 
 
-def test_model_floor_is_the_models_own():
+def test_model_floor_is_one_metre():
     with pytest.warns(DistanceClampWarning):
-        assert row(PERMUTED, 0, 1.5) == row(PERMUTED, 0, 2.0)
+        assert row(PERMUTED, 0, 0.5) == row(PERMUTED, 0, 1.0)
 
 
 def _piecewise_thresholds(model):

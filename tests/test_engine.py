@@ -65,12 +65,12 @@ URBAN_MEDIUM = builtin_model(Environment.URBAN, Density.MEDIUM)
 def reference_states(model, trace, seed, over_range="error"):
     rng = SplitMix64(seed)
     ds = trace.distances.tolist()
-    p0, p1, _ = compile_vector(model.state_probs)(effective_distance(ds[0], model.d_min, model.d_max, over_range))
+    p0, p1, _ = compile_vector(model.state_probs)(effective_distance(ds[0], over_range))
     u = rng.next_float()
     s = 0 if u < p0 else (1 if u < p0 + p1 else 2)
     out = [s]
     for d in ds[1:]:
-        p0, p1, _ = compile_vector(model.rows[s])(effective_distance(d, model.d_min, model.d_max, over_range))
+        p0, p1, _ = compile_vector(model.rows[s])(effective_distance(d, over_range))
         u = rng.next_float()
         s = 0 if u < p0 else (1 if u < p0 + p1 else 2)
         out.append(s)

@@ -11,10 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from v2vlos import _minpack, estimation
+from v2vlos import _minpack, estimation, load_scenario
 from v2vlos.cli import main
 from v2vlos.curves import log_bell_values
-from v2vlos.errors import V2vLosError
+from v2vlos.errors import ConvergenceError, V2vLosError
 
 from conftest import ALL_SCENARIOS
 
@@ -22,6 +22,10 @@ SCENARIOS = [(env.value, density.value) for env, density in ALL_SCENARIOS]
 
 # (--seed, --vmax, --count) of the walk traces each scenario's refit reads.
 WALKS = [(5, 20.0, 40), (1, 5.0, 30), (7, 60.0, 25), (11, 10.0, 60), (3, 40.0, 50)]
+
+# ``generate`` flags of a short fast walk whose highway-medium and highway-high refits take a step that makes the
+# bell 0 * inf, so the residuals hold NaN there and ``enorm`` meets a NaN with no small entry.
+WILD_STEP = ["--profile", "walk", "--vmax", "60", "--d0", "250", "--steps", "40", "--count", "1", "--seed", "5"]
 
 # Where qrfac recomputes the norm of the Jacobian's last column, scipy's C sums one entry past the Jacobian, memory
 # it never wrote, so its last bits there depend on the heap (see ``_minpack._recomputed_norm``). Only such refits may
@@ -90,6 +94,8 @@ def test_every_cli_refit_matches_scipy(least_squares, env, density, tmp_path):
               for seed, vmax, count in WALKS]
     if (env, density) == ("urban", "medium"):
         inputs.append(["--seed", "11", "--count", "20"])  # the input of the estimate-fit golden
+    if (env, density) in {("highway", "medium"), ("highway", "high")}:
+        inputs.append(WILD_STEP)  # its --steps, the later one, wins
     with recorded_refits() as refits:
         for flags in inputs:
             assert main(["generate", *scenario, "--steps", "500", *flags, "--out", traces]) == 0
@@ -137,6 +143,42 @@ def test_the_corpus_matches_scipy(least_squares, corpus):
     assert len(differ) <= 10
 
 
+@pytest.mark.parametrize("seed", [186, 300, 339])
+def test_a_step_that_overflows_is_a_convergence_error(seed):
+    # A wild step sends ln s or ln k past about 709, where math.exp in the residuals overflows.
+    fit, d, y = corpus_fit(seed)
+    with pytest.raises(ConvergenceError, match=r"^refinement stepped out of range: OverflowError\("):
+        fit(d, y)
+
+
+@pytest.mark.parametrize("density", ["medium", "high"])
+def test_a_wild_step_still_ends_in_a_model(density, tmp_path, capsys):
+    scenario, traces, fitted = ["--env", "highway", "--density", density], str(tmp_path / "t.csv"), tmp_path / "m.json"
+    assert main(["generate", *scenario, *WILD_STEP, "--out", traces]) == 0
+    capsys.readouterr()
+    assert main(["estimate", *scenario, "--traces", traces, "--out-report", str(tmp_path / "r.txt"),
+                 "--fit", "--out-model", str(fitted)]) == 0
+    assert capsys.readouterr().err == ""
+    assert load_scenario(fitted).tag == f"highway-{density}"
+
+
+@pytest.mark.filterwarnings("ignore:excluded .* from exponential fit:UserWarning")
+def test_a_refit_that_overflows_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    traces = tmp_path / "t.csv"
+    assert main(["generate", "--env", "urban", "--density", "medium", *WILD_STEP, "--out", str(traces)]) == 0
+    capsys.readouterr()
+
+    def overflowing(fun, x0, **tolerances):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(_minpack, "lmder", overflowing)
+    assert main(["estimate", "--env", "urban", "--density", "medium", "--traces", str(traces), "--out-report",
+                 str(tmp_path / "r.txt"), "--fit", "--out-model", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr() == ("", "error: refit state_probs.explicit.NLOSv: refinement stepped out of range: "
+                                       "OverflowError('math range error')\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
 def test_a_non_finite_start_is_least_squares_error():
     with pytest.raises(ValueError, match=r"^Residuals are not finite in the initial point\.$"):
         _minpack.lmder(lambda x: np.array([1.0, math.inf]), [0.0], ftol=1e-14, xtol=1e-14)
@@ -155,3 +197,9 @@ def test_a_division_by_zero_is_ieee():
 def test_enorm_neither_overflows_nor_underflows(x):
     expected = math.fsum(abs(v) ** 2 for v in x) ** 0.5 if max(map(abs, x)) < 1e100 else 5e200
     assert _minpack.enorm(x) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_enorm_of_a_nan_is_nan():
+    # The NaN sums with the intermediate entries and no entry is small: C's s2 / x3max is NaN / 0.
+    assert math.isnan(_minpack.enorm([math.nan, 1.0]))
+    assert math.isnan(_minpack.enorm([math.nan]))

@@ -58,7 +58,6 @@ def test_published_coefficient_spot_checks():
 def test_structure_per_environment():
     for env, density in ALL_SCENARIOS:
         model = builtin_model(env, density)
-        assert (model.d_min, model.d_max) == (1.0, 500.0)
         if env is Environment.URBAN:
             assert set(model.state_probs.explicit) == {LosState.LOS, LosState.NLOSv}
             assert model.state_probs.complement is LosState.NLOSb
@@ -203,9 +202,20 @@ def test_model_construction_validation():
         StateProbModel(dict(model.rows[0].explicit), complement=LosState.LOS)
     with pytest.raises(ValueError):
         ScenarioModel(model.environment, model.density, model.state_probs, model.rows[:2])
-    with pytest.raises(ValueError):
-        ScenarioModel(model.environment, model.density, model.state_probs, model.rows,
-                      d_min=0.0, d_max=500.0)
+    obj = scenario_to_dict(model)
+    obj["valid_range"]["d_min"] = 0.0
+    with pytest.raises(ValueError, match=r"valid_range must be \[1\.0, 500\.0\] m, got \[0\.0, 500\.0\]"):
+        scenario_from_dict(obj)
+
+
+def test_a_scenario_file_for_another_range_is_rejected(tmp_path):
+    # Well formed and finite on [1, 300] m, but every scenario's domain is [1, 500] m.
+    obj = scenario_to_dict(builtin_model(Environment.HIGHWAY, Density.MEDIUM))
+    obj["valid_range"] = {"d_min": 1.0, "d_max": 300.0}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"got \[1\.0, 300\.0\]"):
+        load_scenario(path)
 
 
 def _urban_medium_with_exp_decay_b(b, tmp_path):
@@ -238,9 +248,9 @@ def test_piecewise_branches_are_checked_where_they_apply():
         row = model.rows[LosState.NLOSv]
         explicit = {**row.explicit, LosState.LOS: curve}
         rows = tuple(StateProbModel(explicit, r.complement) if r is row else r for r in model.rows)
-        return ScenarioModel(model.environment, model.density, model.state_probs, rows, model.d_min, model.d_max)
+        return ScenarioModel(model.environment, model.density, model.state_probs, rows)
 
-    # Below 300 m the steep branch stays finite, and it never applies above d_max.
+    # Below 300 m the steep branch stays finite, and it never applies above 500 m.
     with_los_curve(Piecewise(300.0, steep, flat))
     with_los_curve(Piecewise(600.0, flat, Piecewise(700.0, flat, steep)))
     for curve in (Piecewise(300.0, flat, steep), Piecewise(400.0, steep, flat), steep):
@@ -299,7 +309,7 @@ MALFORMED = {
         lambda o: o["valid_range"].__setitem__("d_min", "1.0"))),
     "infinite-d-max": (scenario_from_dict, lambda: _scenario_with(
         lambda o: o["valid_range"].__setitem__("d_max", math.inf))),
-    # s * d_min underflows to zero, so 1 / (s * d) divides by zero at the low end.
+    # A floor of 1e-30 m is outside the one domain; it would also make s * d underflow to zero.
     "log-bell-scale-underflows": (scenario_from_dict, lambda: _scenario_with(lambda o: (
         o["valid_range"].__setitem__("d_min", 1e-30),
         o["state_probs"]["explicit"].__setitem__("LOS", {"family": "log_bell", "s": 1e-300, "mu": 0.0, "k": 1.0})))),
