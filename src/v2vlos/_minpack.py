@@ -4,8 +4,8 @@ The port repeats MINPACK-1's ``lmder``, ``lmpar``, ``qrfac``, ``qrsolv`` and ``e
 Levenberg-Marquardt algorithm: implementation and theory", Lecture Notes in Mathematics 630, 1978; Moré, Garbow and
 Hillstrom, *User Guide for MINPACK-1*, ANL-80-74, 1980) as scipy's C translation runs them, with the Jacobian that
 ``scipy.optimize.least_squares`` (1.16 on) hands them: two-point forward differences with step
-``2**-26 * sign(x) * max(1, |x|)``. So :func:`lmder` gives ``least_squares(fun, x0, method="lm", xtol=xtol,
-ftol=ftol)``'s ``x`` and ``fun`` bit for bit, save where the C reads past the Jacobian (:func:`_recomputed_norm`).
+``2**-26 * sign(x) * max(1, |x|)``. So :func:`lmder` gives ``least_squares(fun, x0, method="lm", xtol=XTOL,
+ftol=FTOL)``'s ``x`` and ``fun`` bit for bit, save where the C reads past the Jacobian (:func:`_recomputed_norm`).
 That holds because every sum is a left-to-right loop of float operations, as in the C (never ``sum()``, which
 compensates from Python 3.12, nor a BLAS reduction), ``max`` and ``min`` are C's ``fmax`` and ``fmin``, and a
 division by zero gives the IEEE result rather than an exception. Matrices are lists of columns: ``a[j][i]`` is
@@ -24,7 +24,7 @@ import numpy as np
 EPSMCH = 2.0**-52  # machine precision
 DWARF = 2.0**-1022  # smallest positive normal magnitude
 RDWARF, RGIANT = 3.834e-20, 1.304e19  # enorm's bounds of the squares that neither underflow nor overflow
-GTOL, FACTOR = 1e-8, 100.0  # least_squares's gradient tolerance and initial step bound factor
+GTOL, FACTOR, FTOL, XTOL = 1e-8, 100.0, 1e-14, 1e-14  # least_squares's gtol and factor; the refits' ftol and xtol
 
 
 def _fmax(a: float, b: float) -> float:
@@ -239,7 +239,7 @@ def _jacobian(fun, x: np.ndarray, f: np.ndarray) -> list[list[float]]:
     return cols
 
 
-def lmder(fun, x0, ftol: float, xtol: float) -> tuple[np.ndarray, np.ndarray]:
+def lmder(fun, x0) -> tuple[np.ndarray, np.ndarray]:
     """Minimise ``sum(fun(x)**2)`` from ``x0``; returns ``x`` and ``fun(x)``, a 1-d array.
 
     The scaling is MINPACK's mode 1: ``diag`` starts at the Jacobian's column norms and rises with them. At most
@@ -312,7 +312,7 @@ def lmder(fun, x0, ftol: float, xtol: float) -> tuple[np.ndarray, np.ndarray]:
                 x, f, xl = x2, f2, wa2
                 xnorm = enorm([diag[j] * xl[j] for j in range(n)])
                 fnorm, first = fnorm1, False
-            if abs(actred) <= ftol and prered <= ftol and 0.5 * ratio <= 1.0 or delta <= xtol * xnorm:
+            if abs(actred) <= FTOL and prered <= FTOL and 0.5 * ratio <= 1.0 or delta <= XTOL * xnorm:
                 return x, f
             if nfev >= maxfev or abs(actred) <= EPSMCH and prered <= EPSMCH and 0.5 * ratio <= 1.0 \
                     or delta <= EPSMCH * xnorm or gnorm <= EPSMCH:

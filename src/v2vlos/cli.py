@@ -25,6 +25,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from itertools import repeat, tee
 from pathlib import Path
 from typing import Iterator
@@ -407,6 +408,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"  # one line, with no source path or code
     try:
         code = main()
     except SystemExit as exc:  # --help, --version and usage errors

@@ -201,7 +201,7 @@ def _refine(residuals, x0: list[float], grid_sse: float) -> tuple[np.ndarray, fl
 
     try:
         with np.errstate(all="ignore"):  # a step to NaN or infinite residuals is the solver's to reject, quietly
-            x, fun = lmder(residuals, x0, ftol=1e-14, xtol=1e-14)
+            x, fun = lmder(residuals, x0)
     except ArithmeticError as exc:  # math.exp in _bell overflows on a wild step
         raise ConvergenceError(f"refinement stepped out of range: {exc!r}") from exc
     refined_sse = float(fun @ fun)

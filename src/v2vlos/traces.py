@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -298,31 +297,23 @@ def _loadtxt_refuses_float_integers() -> bool:
 _USE_LOADTXT = _loadtxt_refuses_float_integers()
 
 
-def _umask() -> int:
-    # The umask can only be read by setting it; it is restored at once.
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
-
-
 @contextmanager
 def atomic_output(path: str | Path) -> Iterator[TextIO]:
     """Text handle whose contents replace ``path`` only once the block succeeds.
 
     The data goes to a temporary file in the same directory, which is renamed
-    over ``path`` at the end, so readers never see a partial file. The result
-    gets the mode a newly created file would get under the process umask.
+    over ``path`` at the end, so readers never see a partial file. It is made
+    with mode 0o666, which the kernel masks as it masks any new file's mode.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -332,12 +323,18 @@ def write_state_traces(traces: Iterable[StateTrace], path: str | Path, provenanc
     ``provenance`` lines (each starting with ``#``) precede the header. Of a
     run of consecutive traces on one grid (one :class:`DistanceTrace`
     object), the first is written row by row and the rest from one table of
-    the grid's rows (:func:`_grid_rows`).
+    the grid's rows (:func:`_grid_rows`). Traces must restart time: a grid that
+    starts after the one before it ends is a :class:`DomainError`.
     """
     with atomic_output(path) as handle:
         handle.write("".join(line + "\n" for line in provenance) + "t,d,state\n")
+        last = _TIME_MAX  # no trace precedes the first
         for grid, group in groupby(traces, attrgetter("grid")):
-            rows = zip(grid.times.tolist(), grid.distances.tolist(), next(group).states.tolist())
+            times = grid.times.tolist()
+            if times[0] > last:
+                raise DomainError(f"a trace from t={times[0]} after one ending at t={last} would read back as one")
+            last = times[-1]
+            rows = zip(times, grid.distances.tolist(), next(group).states.tolist())
             handle.write("".join([f"{t},{d!r},{STATE_NAMES[s]}\n" for t, d, s in rows]))
             for n, trace in enumerate(group):
                 if n == 0:

@@ -22,8 +22,10 @@ from hypothesis import strategies as st
 
 from v2vlos import (
     Density,
+    DistanceTrace,
     Environment,
     PathLossParams,
+    StateTrace,
     builtin_model,
     chain,
     cli,
@@ -31,6 +33,7 @@ from v2vlos import (
     load_scenario,
     markov,
     read_labeled_traces,
+    write_state_traces,
 )
 from v2vlos.cli import main
 from v2vlos.errors import ParseError, V2vLosError
@@ -489,6 +492,23 @@ def test_output_files_get_the_umask_mode(tmp_path):
         os.umask(old)
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]  # no temporary file left behind
+
+
+def test_output_modes_come_from_the_kernel_alone(tmp_path, monkeypatch):
+    # The writer neither reads the umask (which only setting it can do) nor sets a mode.
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    old = os.umask(0o027)
+    try:
+        monkeypatch.setattr(os, "umask", umask)
+        monkeypatch.delattr(os, "fchmod")
+        assert main(GENERATE + ["--steps", "5", "--out", str(tmp_path / "t.csv")]) == 0
+        write_state_traces([StateTrace(DistanceTrace.from_distances([5.0, 6.0]), [0, 2])], tmp_path / "w.csv")
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()} == {"t.csv": 0o640, "w.csv": 0o640}
 
 
 # No command needs scipy or a process pool: the refit's solver is the

@@ -1,6 +1,6 @@
 """The refit's Levenberg-Marquardt solver, ``v2vlos._minpack.lmder``, against the one it replaced.
 
-With scipy 1.16 or later installed, ``lmder(fun, x0, ftol=1e-14, xtol=1e-14)`` must give
+With scipy 1.16 or later installed, ``lmder(fun, x0)`` must give
 ``least_squares(fun, x0, method="lm", xtol=1e-14, ftol=1e-14)``'s ``x`` and residuals bit for bit: on every refit the
 command line makes, and on a seeded corpus of random bell and offset-minus-bell fits. The other tests need no scipy.
 """
@@ -47,9 +47,9 @@ def recorded_refits():
     """Every refit made inside, as ``(residuals, x0, outcome)``: the bytes of ``x`` and ``f`` or the error raised."""
     calls, solve = [], _minpack.lmder
 
-    def recording(fun, x0, **tolerances):
+    def recording(fun, x0):
         try:
-            x, f = solve(fun, x0, **tolerances)
+            x, f = solve(fun, x0)
         except ArithmeticError as exc:  # math.exp in the residuals overflows on a wild step
             calls.append((fun, list(x0), repr(exc)))
             raise
@@ -72,7 +72,7 @@ def reads_past_the_jacobian(fun, x0) -> bool:
     with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setattr(_minpack, "_recomputed_norm", watching)
         try:
-            _minpack.lmder(fun, x0, ftol=1e-14, xtol=1e-14)
+            _minpack.lmder(fun, x0)
         except ArithmeticError:
             pass
     return any(last)
@@ -80,7 +80,7 @@ def reads_past_the_jacobian(fun, x0) -> bool:
 
 def matches_scipy(least_squares, fun, x0, outcome) -> bool:
     try:
-        sol = least_squares(fun, x0, method="lm", xtol=1e-14, ftol=1e-14)
+        sol = least_squares(fun, x0, method="lm", xtol=_minpack.XTOL, ftol=_minpack.FTOL)
     except ArithmeticError as exc:
         return outcome == repr(exc)
     return outcome == (sol.x.tobytes(), sol.fun.tobytes())
@@ -168,7 +168,7 @@ def test_a_refit_that_overflows_exits_1_and_writes_nothing(tmp_path, capsys, mon
     assert main(["generate", "--env", "urban", "--density", "medium", *WILD_STEP, "--out", str(traces)]) == 0
     capsys.readouterr()
 
-    def overflowing(fun, x0, **tolerances):
+    def overflowing(fun, x0):
         raise OverflowError("math range error")
 
     monkeypatch.setattr(_minpack, "lmder", overflowing)
@@ -181,7 +181,7 @@ def test_a_refit_that_overflows_exits_1_and_writes_nothing(tmp_path, capsys, mon
 
 def test_a_non_finite_start_is_least_squares_error():
     with pytest.raises(ValueError, match=r"^Residuals are not finite in the initial point\.$"):
-        _minpack.lmder(lambda x: np.array([1.0, math.inf]), [0.0], ftol=1e-14, xtol=1e-14)
+        _minpack.lmder(lambda x: np.array([1.0, math.inf]), [0.0])
 
 
 def test_a_division_by_zero_is_ieee():

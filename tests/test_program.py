@@ -158,3 +158,59 @@ def test_a_closed_stdout_ends_as_it_did_before_the_fast_exit(tmp_path):
         results.append((r.returncode, r.stderr))
     assert results[0] == results[1]
     assert results[1][0] != 0 and "BrokenPipeError" in results[1][1]
+
+
+# A short fast urban walk whose refit drops 14 points from an exponential fit, with a UserWarning.
+_URBAN_WALK = ["--env", "urban", "--density", "medium", "--profile", "walk", "--vmax", "60", "--d0", "250",
+               "--steps", "40", "--count", "1", "--seed", "5"]
+_URBAN_REFIT = ["estimate", "--env", "urban", "--density", "medium", "--traces", "t.csv", "--out-report", "r.txt",
+                "--fit", "--out-model", "m.json"]
+
+
+def _outputs(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def _run_in(directory, argv, *options):
+    return subprocess.run([sys.executable, *options, "-m", "v2vlos.cli", *argv], capture_output=True, text=True,
+                          env=_env(), cwd=directory)
+
+
+def test_the_program_prints_a_warning_as_one_line(tmp_path, monkeypatch):
+    program, library = tmp_path / "program", tmp_path / "library"
+    program.mkdir(), library.mkdir()
+    generate = _run_in(program, ["generate", *_URBAN_WALK, "--out", "t.csv"])
+    refit = _run_in(program, _URBAN_REFIT)
+    assert (generate.returncode, generate.stderr) == (0, "")
+    assert (refit.returncode, refit.stderr) == (0, "warning: excluded 14 non-positive point(s) from exponential fit\n")
+    # Only stderr changes: stdout and every file are what main writes when called from Python.
+    monkeypatch.chdir(library)
+    assert _in_process(["generate", *_URBAN_WALK, "--out", "t.csv"]) == (0, generate.stdout, "")
+    assert _in_process(_URBAN_REFIT) == (0, refit.stdout, "")
+    assert _outputs(program) == _outputs(library)
+    # Warning filters still apply.
+    quiet = _run_in(program, _URBAN_REFIT, "-W", "ignore::UserWarning")
+    assert (quiet.returncode, quiet.stdout, quiet.stderr) == (0, refit.stdout, "")
+
+
+def test_each_clamped_distance_warns_on_one_line(tmp_path):
+    (tmp_path / "d.csv").write_text("t,d\n0,0.5\n1,0.7\n2,3.0\n", encoding="utf-8")
+    r = _run_in(tmp_path, ["generate", *SCENARIO, "--trace-in", "d.csv", "--out", "t.csv"])
+    assert r.returncode == 0, r.stderr
+    lines = r.stderr.splitlines()
+    assert [line.split(" m ")[0] for line in lines] == ["warning: distance 0.5", "warning: distance 0.7"]
+    assert not any(".py:" in line for line in lines)
+
+
+def test_library_use_leaves_the_warning_format_alone(tmp_path):
+    script = f"""
+import warnings
+before = warnings.formatwarning
+import v2vlos.cli
+assert v2vlos.cli.main(["generate", *{_URBAN_WALK!r}, "--out", "t.csv"]) == 0
+assert v2vlos.cli.main({_URBAN_REFIT!r}) == 0
+assert warnings.formatwarning is before
+"""
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_env(), cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "estimation.py:" in r.stderr and "UserWarning: excluded 14 non-positive point(s)" in r.stderr

@@ -478,17 +478,20 @@ def reference_labeled_file(traces, provenance):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    grids=st.lists(st.tuples(st.integers(-10**6, 10**6),
+    pivot=st.integers(-10**6, 10**6),
+    grids=st.lists(st.tuples(st.integers(0, 24),
                              st.lists(st.floats(1e-3, 1e6) | st.integers(1, 500).map(float), min_size=1, max_size=25)),
                    min_size=1, max_size=3),
     runs=st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), max_size=8),
     data=st.data(),
 )
-def test_writer_matches_row_by_row_format(grids, runs, data):
-    base = [DistanceTrace(np.arange(t0, t0 + len(ds)), ds) for t0, ds in grids]
+def test_writer_matches_row_by_row_format(pivot, grids, runs, data):
+    # Every base grid holds time ``pivot``, so time restarts wherever one follows another.
+    base = [DistanceTrace(np.arange(len(ds)) + pivot - k % len(ds), ds) for k, ds in grids]
     first = base[0]
     choices = base + [
-        DistanceTrace(first.times + 7, first.distances),  # the same distance array on other times
+        # The same distance array on other times; it holds ``pivot`` too unless ``first`` has one step.
+        DistanceTrace(first.times + (1 if first.times[0] < pivot else -1), first.distances),
         DistanceTrace(first.times.copy(), first.distances.copy()),  # equal values in other arrays
     ]
     assert choices[-2].distances is first.distances and choices[-1].distances is not first.distances
@@ -498,8 +501,65 @@ def test_writer_matches_row_by_row_format(grids, runs, data):
     provenance = ["# scenario=test", "# seed=3"]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.csv"
-        write_state_traces(iter(traces), path, provenance)
-        assert path.read_bytes() == reference_labeled_file(traces, provenance).encode("utf-8")
+        if any(b.times[0] > a.times[-1] for a, b in zip(order, order[1:])):
+            with pytest.raises(DomainError, match="would read back as one"):
+                write_state_traces(iter(traces), path, provenance)
+            assert not path.exists()
+        else:
+            write_state_traces(iter(traces), path, provenance)
+            assert path.read_bytes() == reference_labeled_file(traces, provenance).encode("utf-8")
+
+
+def test_writer_refuses_a_trace_that_would_read_back_merged(tmp_path):
+    a = StateTrace(DistanceTrace(np.arange(0, 5), np.full(5, 10.0)), [0, 0, 1, 1, 2])
+    b = StateTrace(DistanceTrace(np.arange(5, 10), np.full(5, 20.0)), [2, 2, 1, 0, 0])
+    path = tmp_path / "out.csv"
+    with pytest.raises(DomainError, match=r"^a trace from t=5 after one ending at t=4 would read back as one$"):
+        write_state_traces([a, b], path)
+    assert list(tmp_path.iterdir()) == []
+    # A grid that starts at or before the last one's end restarts time: two traces.
+    for start in (4, -3):
+        c = StateTrace(DistanceTrace(np.arange(start, start + 5), np.full(5, 20.0)), b.states)
+        write_state_traces([a, c], path)
+        assert [t.times[0] for t in read_labeled_traces(path)] == [0, start]
+
+
+_positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def trace_batches(draw):
+    """1-6 state traces on grids of random times and distances, some grid objects shared and some equal copies."""
+    grids = []
+    for _ in range(draw(st.integers(1, 3))):
+        start, ds = draw(st.integers(-4, 20)), draw(st.lists(_positive_floats, min_size=1, max_size=8))
+        grids.append(DistanceTrace(np.arange(start, start + len(ds)) + draw(st.sampled_from([0, 2**62])), ds))
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        grid = draw(st.sampled_from(grids))
+        if draw(st.booleans()):
+            grid = DistanceTrace(grid.times.copy(), grid.distances.copy())
+        batch.append(StateTrace(grid, draw(st.lists(st.integers(0, 2), min_size=len(grid), max_size=len(grid)))))
+    return batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=trace_batches())
+def test_writer_reader_round_trip_or_refusal(batch):
+    merges = any(b.times[0] > a.times[-1] for a, b in zip(batch, batch[1:]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        if merges:
+            with pytest.raises(DomainError):
+                write_state_traces(batch, path)
+            assert not path.exists()
+            return
+        write_state_traces(batch, path)
+        back = read_labeled_traces(path)
+    assert len(back) == len(batch)
+    for orig, loaded in zip(batch, back):
+        assert np.array_equal(loaded.times, orig.times) and np.array_equal(loaded.states, orig.states)
+        assert loaded.distances.tobytes() == orig.distances.tobytes()
 
 
 def test_header_variants_dispatch(tmp_path):
@@ -910,6 +970,16 @@ def test_failed_write_keeps_the_old_file(tmp_path):
         write_state_traces(chain(model).batch([good, over], 3), path)
     assert path.read_bytes() == b"old contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_a_temporary_name_collision_overwrites_nothing(tmp_path, monkeypatch):
+    taken = tmp_path / "out.csv.000000000000.tmp"
+    taken.write_bytes(b"another writer's\n")
+    monkeypatch.setattr(trace_io.os, "urandom", bytes)  # six zero bytes: the name taken above
+    with pytest.raises(FileExistsError), trace_io.atomic_output(tmp_path / "out.csv") as handle:
+        handle.write("t,d\n")
+    assert taken.read_bytes() == b"another writer's\n"
+    assert [p.name for p in tmp_path.iterdir()] == [taken.name]
 
 
 def test_time_beyond_int64_is_parse_error(tmp_path):
