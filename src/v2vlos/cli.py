@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import state_probabilities, transition_matrix
-from .errors import DegenerateError, V2vLosError
+from .errors import DegenerateError, DomainError, V2vLosError
 from .estimation import accumulate, bin_centers, fit_same_family, frequencies, pearson
 from .markov import DistanceTrace, chain
 from .params import (
@@ -52,8 +52,8 @@ from .traces import (
     DwellCount,
     MobilityProfile,
     atomic_output,
+    iter_labeled_traces,
     read_distance_trace,
-    read_labeled_traces,
     synth_distance_trace,
     synth_distance_traces,
     write_state_traces,
@@ -287,7 +287,13 @@ def _refit_model(model: ScenarioModel, centers: np.ndarray, emp_state: np.ndarra
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     model = _scenario(args)
-    occupancy, transitions = accumulate(read_labeled_traces(args.traces))
+    traces = iter_labeled_traces(args.traces)  # counted as it is read, a block at a time
+    try:
+        occupancy, transitions = accumulate(traces)
+    except DomainError:
+        for _ in traces:  # a bad row later in the file comes first, as in a file read whole
+            pass
+        raise
     centers = bin_centers()
     emp_state, emp_trans = frequencies(occupancy), frequencies(transitions)
     refit = _refit_model(model, centers, emp_state, emp_trans) if args.fit else None  # a failing refit writes nothing
@@ -398,9 +404,15 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--d-min {args.d_min:g} must not exceed --d-max {args.d_max:g}")
         if _curves_rows(args) > _CURVES_MAX_ROWS:
             parser.error(f"--d-step {args.d_step:g} gives more than {_CURVES_MAX_ROWS} rows")
-    if args.command == "estimate" and args.fit and not args.out_model:
+    if args.command == "estimate" and args.fit and args.out_model is None:
         parser.error("--fit requires --out-model")
     try:
+        for flag in ("out", "out_stats", "out_report", "out_model"):  # an unusable output path fails before any work
+            path = getattr(args, flag, None)
+            problem = path is not None and ("is empty" if not path else "is a directory" if os.path.isdir(path) else
+                                            not os.path.isdir(os.path.dirname(path) or ".") and "is in a missing directory")
+            if problem:
+                raise V2vLosError(f"--{flag.replace('_', '-')} {path!r} {problem}")
         return args.func(args)
     except (V2vLosError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

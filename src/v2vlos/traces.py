@@ -269,7 +269,7 @@ _STATE_CODES = {name: code for code, name in enumerate(STATE_NAMES)}
 _TIME_MIN, _TIME_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 # Lines per block of a trace file read; bounds the reader's memory.
-_BLOCK_LINES = 1 << 15
+_BLOCK_LINES = 1 << 12
 # One parsed row; state -1 when the file has no state column.
 _ROW_DTYPE = np.dtype([("t", np.int64), ("d", np.float64), ("state", np.int8)])
 _BULK_DTYPE = {
@@ -437,15 +437,15 @@ def _parse_block(lines: list[str], numbers: Sequence[int], labeled: bool, text: 
     return rows
 
 
-def _read_rows(path: str | Path) -> tuple[bool, np.ndarray]:
-    """Header kind and all data rows as a ``_ROW_DTYPE`` array; ``#`` lines are skipped.
+def _row_blocks(path: str | Path) -> Iterator[bool | np.ndarray]:
+    """The header kind (True with a state column), then each block's data rows as a ``_ROW_DTYPE`` array.
 
-    After the header the file is read in blocks of ``_BLOCK_LINES`` lines,
-    each converted in bulk or, when that fails, row by row, so the first bad
-    row raises the error a row-by-row reader would.
+    ``#`` lines are skipped. After the header the file is read in blocks of
+    ``_BLOCK_LINES`` lines, each converted in bulk or, when that fails, row by
+    row, so the first bad row raises the error a row-by-row reader would.
     """
     labeled: bool | None = None
-    blocks = [np.empty(0, dtype=_ROW_DTYPE)]
+    seen = False
     with open(path, "r", encoding="utf-8-sig") as handle:  # a byte-order mark is skipped
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -454,6 +454,7 @@ def _read_rows(path: str | Path) -> tuple[bool, np.ndarray]:
                 break
         if labeled is None:
             raise ParseError("no header row found")
+        yield labeled
         first = lineno + 1
         while True:
             block: list[str] = []
@@ -463,22 +464,23 @@ def _read_rows(path: str | Path) -> tuple[bool, np.ndarray]:
             except UnicodeDecodeError as exc:
                 # The lines decoded before the error are parsed first.
                 undecodable = exc
-            lines, numbers = block, range(first, first + len(block))
-            first += len(block)
+            lines, numbers, size = block, range(first, first + len(block)), len(block)
+            first += size
             text = "".join(lines)
             if "#" in text:
                 lines, numbers = _drop_comments(lines, numbers)
                 text = "".join(lines)
-            if text.strip():
-                blocks.append(_parse_block(lines, numbers, labeled, text))
+            rows = _parse_block(lines, numbers, labeled, text) if text.strip() else None
+            del block, lines, text  # garbage before the next block is read
             if undecodable is not None:
                 raise undecodable
-            if len(block) < _BLOCK_LINES:
+            if rows is not None:
+                seen = True
+                yield rows
+            if size < _BLOCK_LINES:
                 break
-    rows = np.concatenate(blocks)
-    if rows.size == 0:
+    if not seen:
         raise ParseError("no data rows found")
-    return labeled, rows
 
 
 def _trace_starts(t: np.ndarray) -> np.ndarray:
@@ -486,9 +488,15 @@ def _trace_starts(t: np.ndarray) -> np.ndarray:
     return np.flatnonzero(t[1:] <= t[:-1]) + 1
 
 
+def _joined_trace(parts: list[np.ndarray]) -> StateTrace:
+    rows = np.concatenate(parts)
+    return StateTrace(DistanceTrace(rows["t"], rows["d"]), rows["state"])
+
+
 def read_distance_trace(path: str | Path) -> DistanceTrace:
     """Read a single distance trace; a state column, when present, is ignored."""
-    _, rows = _read_rows(path)
+    _, *blocks = _row_blocks(path)
+    rows = np.concatenate(blocks)
     starts = _trace_starts(rows["t"])
     if starts.size:
         raise ParseError(f"expected a single trace, found {starts.size + 1} (time restarts)")
@@ -498,15 +506,35 @@ def read_distance_trace(path: str | Path) -> DistanceTrace:
         raise ParseError(str(exc)) from exc
 
 
-def read_labeled_traces(path: str | Path) -> list[StateTrace]:
-    """Read one or more labeled traces from a single file, each on its own :class:`DistanceTrace`."""
-    labeled, rows = _read_rows(path)
-    if not labeled:
+def iter_labeled_traces(path: str | Path) -> Iterator[StateTrace]:
+    """The labeled traces of a file, in order, each on its own :class:`DistanceTrace`, read a block at a time.
+
+    A trace is yielded once the row after it starts the next, so memory holds
+    one block of lines and the trace in progress. Errors come in the order a
+    reader of the whole file gives: a trace that breaks the grid rules, or a
+    file with no state column, is raised only once the rest of the file has
+    been read, so that a bad row anywhere in it is raised instead.
+    """
+    blocks = _row_blocks(path)
+    if not next(blocks):
+        for _ in blocks:  # a bad row, or no row at all, comes first
+            pass
         raise ParseError("file has no state column")
-    starts = _trace_starts(rows["t"])
-    # Each column is frozen once; the traces hold read-only views of it.
-    columns = [np.split(_frozen(rows[name]), starts) for name in ("t", "d", "state")]
+    parts: list[np.ndarray] = []  # the trace in progress: a slice of each block it spans, joined when it ends
     try:
-        return [StateTrace(DistanceTrace(t, d), s) for t, d, s in zip(*columns)]
+        for rows in blocks:
+            for k, piece in enumerate(np.split(rows, _trace_starts(rows["t"]))):
+                if parts and (k or piece["t"][0] <= parts[-1]["t"][-1]):
+                    yield _joined_trace(parts)
+                    parts = []
+                parts.append(piece)
+        yield _joined_trace(parts)
     except DomainError as exc:
+        for _ in blocks:  # a bad row later in the file comes first
+            pass
         raise ParseError(str(exc)) from exc
+
+
+def read_labeled_traces(path: str | Path) -> list[StateTrace]:
+    """Read one or more labeled traces from a single file (:func:`iter_labeled_traces`) into a list."""
+    return list(iter_labeled_traces(path))

@@ -630,6 +630,20 @@ def test_every_row_rule_fails_estimate_alike_with_and_without_fit(tmp_path, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
 
+@_quiet_refit
+def test_a_bad_row_beats_an_earlier_distance_above_500_m(tmp_path, capsys):
+    # The 505 m step is counted, and refused, in the first count block, long
+    # before the reader reaches the bad row: a file read whole raised the row.
+    traces = tmp_path / "in.csv"
+    rows = ["t,d,state", *(f"{k},10.0,LOS" for k in range(5)), "0,505.0,LOS", "1,499.0,LOS"]
+    rows += [f"{k},{100.0 + k},NLOSv" for _ in range(1000) for k in range(100)] + ["100,abc,LOS"]
+    traces.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    for fit in ([], ["--fit", "--out-model", str(tmp_path / "m.json")]):
+        assert main(_estimate(tmp_path, traces, *fit)) == 1
+        assert capsys.readouterr() == ("", "error: line 100009: could not convert string to float: 'abc'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
+
 def test_a_failing_refit_writes_nothing_and_names_its_curve(tmp_path, capsys):
     # Every distance lies in the first 10 m bin, too few for any curve's refit.
     traces = tmp_path / "in.csv"
@@ -848,6 +862,32 @@ def test_over_range_error_leaves_no_output_or_temporary_file(tmp_path, capsys, m
         assert out.read_text(encoding="utf-8") == "old contents\n"
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--out"), ("curves", "--out"), ("compare", "--out"),
+    ("estimate", "--out-stats"), ("estimate", "--out-report"), ("estimate", "--out-model"),
+])
+@pytest.mark.parametrize("target, problem", [
+    ("adir", "is a directory"), ("", "is empty"), ("gone/o.csv", "is in a missing directory"),
+], ids=["directory", "empty", "missing-parent"])
+def test_an_unusable_output_path_fails_before_any_work(tmp_path, capsys, monkeypatch, command, flag, target, problem):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "in.csv").write_text("t,d,state\n0,10.0,LOS\n1,11.0,NLOSv\n", encoding="utf-8")
+    argv = {
+        "generate": GENERATE + ["--steps", "5", "--out", "o.csv"],
+        "curves": ["curves", "--env", "urban", "--density", "low", "--out", "o.csv"],
+        "compare": ["compare", "--env", "urban", "--density", "low", "--steps", "5", "--out", "o.csv"],
+        "estimate": ["estimate", "--env", "urban", "--density", "low", "--traces", "in.csv", "--out-stats", "s.csv",
+                     "--out-report", "r.txt", "--fit", "--out-model", "m.json"],
+    }[command]
+    argv[argv.index(flag) + 1] = target
+    monkeypatch.setattr(cli, "_scenario", lambda args: pytest.fail("the command started its work"))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} {target!r} {problem}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "in.csv"]
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
 def test_walk_generate_memory_does_not_grow_with_the_count(tmp_path, monkeypatch):
     # Synthesis and engine chunks of 50 traces of 100 steps, dwell counts of
     # 50 traces: 800 traces stream through the same working set as 200.
@@ -868,6 +908,31 @@ def test_walk_generate_memory_does_not_grow_with_the_count(tmp_path, monkeypatch
     peak(200)  # one-time allocations
     small, large = peak(200), peak(800)
     assert large < 1.1 * small, (small, large)
+
+def test_estimate_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
+    # Blocks of 256 lines and count blocks of 20 traces of 100 steps: a file
+    # of 800 traces streams through the same working set as one of 100.
+    monkeypatch.setattr("v2vlos.traces._BLOCK_LINES", 256)
+    monkeypatch.setattr(markov, "_COUNT_BLOCK", 20 * 100)
+
+    def peak(count):
+        traces = tmp_path / f"walk{count}.csv"
+        if not traces.exists():
+            argv = ["generate", "--env", "highway", "--density", "medium", "--profile", "walk", "--vmax", "20",
+                    "--d0", "250", "--steps", "100", "--count", str(count), "--seed", "1", "--out", str(traces)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(_estimate(tmp_path, traces)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # one-time allocations
+    small, large = peak(100), peak(800)
+    assert large < 1.25 * small, (small, large)
+
 
 def test_failing_batch_memory_grows_only_by_its_error_list(tmp_path, monkeypatch):
     # Engine chunks of about 200 traces of 100 steps, every trace failing at

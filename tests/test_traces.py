@@ -27,6 +27,7 @@ from v2vlos import (
     builtin_model,
     chain,
     fresnel_clearance_radius,
+    iter_labeled_traces,
     read_distance_trace,
     read_labeled_traces,
     synth_distance_trace,
@@ -957,6 +958,58 @@ def test_undecodable_bytes_inside_one_default_block(tmp_path):
     path.write_bytes(body.replace(b"\n5,2.5,", b"\n5,-2.5,") + b"\xff\n")
     with pytest.raises(ParseError, match="line 7"):
         read_labeled_traces(path)
+
+
+def _labeled_rows(start, n, state="LOS"):
+    return "".join(f"{t},{10.0 + t},{state}\n" for t in range(start, start + n))
+
+
+def test_a_trace_is_yielded_before_the_rest_of_the_file_is_read(tmp_path, monkeypatch):
+    monkeypatch.setattr(trace_io, "_BLOCK_LINES", 4)
+    path = tmp_path / "lazy.csv"
+    # Trace 0 ends in the first block; the bad last row (line 26) is five blocks on.
+    path.write_text("t,d,state\n" + _labeled_rows(0, 3) + _labeled_rows(0, 21, "NLOSb") + "21,abc,LOS\n")
+    traces = iter_labeled_traces(path)
+    first = next(traces)
+    assert first.times.tolist() == [0, 1, 2] and first.distances.tolist() == [10.0, 11.0, 12.0]
+    assert first.states.tolist() == [0, 0, 0]
+    with pytest.raises(ParseError) as err:
+        next(traces)
+    assert err.value.line == 26
+
+
+def test_a_bad_row_later_in_the_file_beats_a_held_time_gap(tmp_path, monkeypatch):
+    monkeypatch.setattr(trace_io, "_BLOCK_LINES", 4)
+    path = tmp_path / "gap.csv"
+    gap = "t,d,state\n0,10.0,LOS\n1,11.0,LOS\n3,13.0,LOS\n" + _labeled_rows(0, 30)
+    path.write_text(gap + "30,abc,LOS\n")
+    with pytest.raises(ParseError, match="could not convert string to float: 'abc'") as err:
+        next(iter_labeled_traces(path))
+    assert err.value.line == 35
+    # Without the bad row the gap is the error, and no trace comes before it.
+    path.write_text(gap)
+    traces = iter_labeled_traces(path)
+    with pytest.raises(ParseError, match="exactly one second") as err:
+        next(traces)
+    assert err.value.line is None
+    assert list(traces) == []
+
+
+@pytest.mark.parametrize("block", [1, 3, 8, 64])
+def test_a_trace_spanning_blocks_reads_back_bit_for_bit(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(trace_io, "_BLOCK_LINES", block)
+    rng = np.random.default_rng(block)
+    long = StateTrace(DistanceTrace(np.arange(-20, 180), rng.uniform(1.0, 500.0, 200)), rng.integers(0, 3, 200))
+    short = StateTrace(DistanceTrace(np.arange(5, 8), rng.uniform(1.0, 500.0, 3)), rng.integers(0, 3, 3))
+    path = tmp_path / "long.csv"
+    write_state_traces([short, long, short], path, provenance=["# seed=3"])
+    back = list(iter_labeled_traces(path))
+    assert len(back) == 3
+    for got, want in zip(back, [short, long, short]):
+        for column in ("times", "distances", "states"):
+            a, b = getattr(got, column), getattr(want, column)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
 
 
 def test_failed_write_keeps_the_old_file(tmp_path):
