@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import state_probabilities, transition_matrix
-from .errors import DegenerateError, DomainError, V2vLosError
+from .errors import DegenerateError, V2vLosError
 from .estimation import accumulate, bin_centers, fit_same_family, frequencies, pearson
 from .markov import DistanceTrace, chain
 from .params import (
@@ -52,7 +52,6 @@ from .traces import (
     DwellCount,
     MobilityProfile,
     atomic_output,
-    iter_labeled_traces,
     read_distance_trace,
     synth_distance_trace,
     synth_distance_traces,
@@ -287,13 +286,7 @@ def _refit_model(model: ScenarioModel, centers: np.ndarray, emp_state: np.ndarra
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     model = _scenario(args)
-    traces = iter_labeled_traces(args.traces)  # counted as it is read, a block at a time
-    try:
-        occupancy, transitions = accumulate(traces)
-    except DomainError:
-        for _ in traces:  # a bad row later in the file comes first, as in a file read whole
-            pass
-        raise
+    occupancy, transitions = accumulate(args.traces)  # counted as it is read, a block at a time
     centers = bin_centers()
     emp_state, emp_trans = frequencies(occupancy), frequencies(transitions)
     refit = _refit_model(model, centers, emp_state, emp_trans) if args.fit else None  # a failing refit writes nothing

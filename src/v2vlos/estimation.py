@@ -1,9 +1,9 @@
 """Empirical estimation from labeled traces and curve refitting.
 
-Counting runs over 10 m distance bins, once per batch of labelled traces
-(:func:`accumulate`). A transition between steps t and t+1 of one trace is
-attributed to the bin of the distance at step t; state occurrences are
-counted per step in each step's own bin.
+Counting runs over 10 m distance bins (:func:`accumulate`), over a batch of
+labelled traces or over the rows of a trace file, a block at a time. A
+transition between steps t and t+1 of one trace is attributed to the bin of
+the distance at step t; each step is counted in its own bin.
 
 Frequencies are plain arrays, NaN in a bin or row that saw no data rather
 than reading as zero probability. Every fit takes 1-D arrays of distances
@@ -20,9 +20,14 @@ use, so that the rest of the package never compiles it.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import takewhile
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,24 +40,39 @@ from .curves import (
     Poly2,
     log_bell_values,
 )
-from .errors import ConvergenceError, DegenerateError, DomainError
+from .errors import ConvergenceError, DegenerateError, DomainError, ParseError, V2vLosError
 from .markov import StateTrace, _frozen, count_blocks
 from .params import DEFAULT_D_MAX
+from .traces import _row_blocks
 
 BIN_WIDTH = 10.0
 N_BINS = int(DEFAULT_D_MAX / BIN_WIDTH)
+
+# Smaller trace files are counted in one process. Counting alone (2-core Xeon, numpy 2.4.6, medians of 21), a split
+# cost 2.6 ms at 0.26 MiB (7.9 against 5.3 ms), broke even at 0.5 MiB and saved 2.6 ms at 1 MiB (16.3 against 18.9).
+_SHARD_BYTES = 1 << 20
 
 
 def bin_centers() -> np.ndarray:
     return BIN_WIDTH * np.arange(N_BINS) + BIN_WIDTH / 2.0
 
 
-def accumulate(traces: Iterable[StateTrace]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin counts of a batch of labelled traces, read once and counted by :func:`count_blocks`.
+def _count(d: np.ndarray, s: np.ndarray, continues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat occupancy and transition counts of steps ``d``, ``s`` (pairs k, k + 1 where ``continues[k]``), and cells."""
+    cell = np.minimum(d // BIN_WIDTH, N_BINS - 1).astype(np.intp) * 3 + s  # bin * 3 + state
+    pairs = (cell[:-1] * 3 + s[1:])[continues]
+    return np.bincount(cell, minlength=N_BINS * 3), np.bincount(pairs, minlength=N_BINS * 9), cell
+
+
+def accumulate(traces: Iterable[StateTrace] | str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin counts of a batch of labelled traces, read once and counted by :func:`count_blocks`, or of a trace file.
 
     Returns read-only int64 ``occupancy[bin, state]`` and ``transitions[bin, from, to]``. No pair of steps spans two
-    traces. An empty batch gives zero counts; a distance above 500 m is a :class:`DomainError`, as in the chain.
+    traces. An empty batch gives zero counts; a distance above 500 m is a :class:`DomainError`, as in the chain. A
+    file is counted as ``read_labeled_traces`` would read it, errors included, but builds no trace.
     """
+    if isinstance(traces, (str, os.PathLike)):
+        return _count_file(traces, _split_point(traces))
     occupancy = np.zeros(N_BINS * 3, dtype=np.int64)
     transitions = np.zeros(N_BINS * 9, dtype=np.int64)
     for block in count_blocks(traces):
@@ -61,15 +81,124 @@ def accumulate(traces: Iterable[StateTrace]) -> tuple[np.ndarray, np.ndarray]:
         if not inside.all():
             raise DomainError(f"trace distance {float(d[~inside][0])} outside [0, {DEFAULT_D_MAX}]")
         s = np.concatenate([trace.states for trace in block]).astype(np.intp)
-        cell = np.minimum(d // BIN_WIDTH, N_BINS - 1).astype(np.intp) * 3 + s  # bin * 3 + state
-        occupancy += np.bincount(cell, minlength=occupancy.size)
-        # A pair goes in the bin of its earlier step, unless its later step starts a trace.
-        sizes = np.array([len(trace) for trace in block])
-        starts = np.zeros(d.size, dtype=bool)
-        starts[np.cumsum(sizes) - sizes] = True
-        pairs = (cell[:-1] * 3 + s[1:])[~starts[1:]]
-        transitions += np.bincount(pairs, minlength=transitions.size)
+        continues = np.ones(d.size - 1, dtype=bool)
+        continues[np.cumsum([len(trace) for trace in block])[:-1] - 1] = False  # the last step of a trace
+        block_occupancy, block_transitions, _ = _count(d, s, continues)
+        occupancy += block_occupancy
+        transitions += block_transitions
     return _frozen(occupancy.reshape(N_BINS, 3)), _frozen(transitions.reshape(N_BINS, 3, 3))
+
+
+# Counts of a run of a file's rows: flat occupancy and transitions, the first row's (t, state), the last row's
+# (t, bin * 3 + state), whether a time step skipped a second, and the first distance above 500 m (or None).
+_Rows = namedtuple("_Rows", "occupancy transitions head tail gap above")
+
+
+def _join(a: _Rows | None, b: _Rows | None) -> _Rows | None:
+    """The counts of rows ``a`` then rows ``b`` (None: no rows), the step from one to the other counted here."""
+    if a is None or b is None:
+        return b if a is None else a
+    (t, cell), (t_next, s_next) = a.tail, b.head
+    transitions = a.transitions + b.transitions
+    transitions[cell * 3 + s_next] += t_next == t + 1
+    return _Rows(a.occupancy + b.occupancy, transitions, a.head, b.tail, a.gap or t_next > t + 1 or b.gap,
+                 b.above if a.above is None else a.above)
+
+
+def _count_rows(blocks: Iterator) -> tuple[bool, _Rows | None]:
+    """The header kind and the counts of the row blocks after it, as :func:`traces._row_blocks` yields them."""
+    labeled, counts = next(blocks), None
+    for rows in blocks:
+        t, d = rows["t"], rows["d"]
+        s = rows["state"].astype(np.intp) if labeled else np.zeros(t.size, np.intp)  # no states: counted to find rows
+        rises = t[1:] > t[:-1]
+        continues = rises & (np.diff(t) == 1)  # compared as well: a difference can wrap around
+        occupancy, transitions, cell = _count(d, s, continues)
+        above = d[d > DEFAULT_D_MAX]
+        counts = _join(counts, _Rows(occupancy, transitions, (int(t[0]), int(s[0])), (int(t[-1]), int(cell[-1])),
+                                     bool((rises != continues).any()), float(above[0]) if above.size else None))
+    return labeled, counts
+
+
+def _split_point(path: str | os.PathLike) -> int | None:
+    """Half the size of a regular file of ``_SHARD_BYTES`` or more, for a forked child to count the rest, else None.
+
+    A child is forked only on Linux with two CPUs to run on, by a process with no other thread (the CLI's).
+    """
+    try:
+        if sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1:
+            size = os.path.getsize(path) if os.path.isfile(path) else -1  # a pipe can be read only once
+            return size // 2 if size >= _SHARD_BYTES else None
+    except OSError:  # no /proc, say, or no file: counted in one process, whose reader reports a missing file
+        pass
+    return None
+
+
+def _in_two(first: Callable[[], Any], second: Callable[[], Any]) -> tuple[Any, Any]:
+    """``(first(), second())``, ``second`` run by a forked child while this process runs ``first``.
+
+    The child sends its result or exception through a pipe and leaves by ``os._exit``, writing nothing else. It is
+    reaped on every path, killed first if ``first`` raises; one that ends without a result is a :class:`V2vLosError`.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        try:
+            os.close(read)
+            try:
+                sent = second()
+            except BaseException as exc:
+                sent = exc
+            with open(write, "wb") as pipe:
+                pickle.dump(sent, pipe)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+    try:
+        with open(read, "rb") as pipe:
+            mine, sent = first(), pipe.read()
+    except BaseException:
+        os.kill(pid, 9)  # SIGKILL, then the reaping below
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        raise V2vLosError(f"forked child ended without a result ({f'signal {-code}' if code < 0 else f'exit {code}'})")
+    sent = pickle.loads(sent)
+    if isinstance(sent, BaseException):
+        raise sent
+    return mine, sent
+
+
+def _count_file(path: str | os.PathLike, split: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`accumulate` of a trace file; with ``split``, a forked child counts the blocks after it (``_row_blocks``).
+
+    Errors come in the order of a whole read: the first bad row or undecodable byte, then no data rows or no state
+    column, then a time gap, then the first distance above 500 m.
+    """
+    if split is None:
+        labeled, counts = _count_rows(_row_blocks(path))
+    else:
+        parent = os.getpid()  # a child whose parent is gone stops at its next block
+        (labeled, counts), (_, later) = _in_two(
+            lambda: _count_rows(_row_blocks(path, split)),
+            lambda: _count_rows(takewhile(lambda _: os.getppid() == parent, _row_blocks(path, split, second=True))))
+        counts = _join(counts, later)
+    if counts is None:
+        raise ParseError("no data rows found")
+    if not labeled:
+        raise ParseError("file has no state column")
+    if counts.gap:
+        raise ParseError("time steps must increase by exactly one second")
+    if counts.above is not None:
+        raise DomainError(f"trace distance {counts.above} outside [0, {DEFAULT_D_MAX}]")
+    return _frozen(counts.occupancy.reshape(N_BINS, 3)), _frozen(counts.transitions.reshape(N_BINS, 3, 3))
 
 
 def frequencies(counts: np.ndarray) -> np.ndarray:
@@ -116,8 +245,9 @@ def fit_poly2(d, y) -> FitResult:
     conditioned; the coefficients are mapped back exactly.
     """
     d, y = _points(d, y)
-    if np.unique(d).size < 3:
-        raise DegenerateError(f"need at least 3 distinct distances, got {np.unique(d).size}")
+    distinct = np.unique(d, return_counts=True)[0].size  # counts take np.unique's path that loads no numpy.ma
+    if distinct < 3:
+        raise DegenerateError(f"need at least 3 distinct distances, got {distinct}")
     scale = float(np.max(np.abs(d))) or 1.0
     u = d / scale
     X = np.column_stack([u * u, u, np.ones_like(u)])
@@ -138,7 +268,7 @@ def fit_expdecay(d, y) -> FitResult:
     if dropped:
         warnings.warn(f"excluded {dropped} non-positive point(s) from exponential fit", UserWarning)
     d, y = d[pos], y[pos]
-    if np.unique(d).size < 2:
+    if np.unique(d, return_counts=True)[0].size < 2:  # as in fit_poly2
         raise DegenerateError("need at least 2 distinct distances with positive values")
     X = np.column_stack([np.ones_like(d), -d])
     beta, *_ = np.linalg.lstsq(X, np.log(y), rcond=None)

@@ -437,12 +437,18 @@ def _parse_block(lines: list[str], numbers: Sequence[int], labeled: bool, text: 
     return rows
 
 
-def _row_blocks(path: str | Path) -> Iterator[bool | np.ndarray]:
+def _row_blocks(path: str | Path, split: int | None = None, second: bool = False) -> Iterator[bool | np.ndarray]:
     """The header kind (True with a state column), then each block's data rows as a ``_ROW_DTYPE`` array.
 
     ``#`` lines are skipped. After the header the file is read in blocks of
     ``_BLOCK_LINES`` lines, each converted in bulk or, when that fails, row by
     row, so the first bad row raises the error a row-by-row reader would.
+
+    With ``split``, the blocks are cut in two at the first block edge with
+    ``split`` or more characters of blocks before it; those before the cut are
+    yielded, or with ``second`` those after it, the rest read but not parsed,
+    so that line numbers and decoding errors are a whole read's. A part may
+    then have no rows.
     """
     labeled: bool | None = None
     seen = False
@@ -455,7 +461,7 @@ def _row_blocks(path: str | Path) -> Iterator[bool | np.ndarray]:
         if labeled is None:
             raise ParseError("no header row found")
         yield labeled
-        first = lineno + 1
+        first, chars, skip = lineno + 1, 0, second
         while True:
             block: list[str] = []
             undecodable = None
@@ -467,19 +473,24 @@ def _row_blocks(path: str | Path) -> Iterator[bool | np.ndarray]:
             lines, numbers, size = block, range(first, first + len(block)), len(block)
             first += size
             text = "".join(lines)
-            if "#" in text:
-                lines, numbers = _drop_comments(lines, numbers)
-                text = "".join(lines)
-            rows = _parse_block(lines, numbers, labeled, text) if text.strip() else None
+            chars += len(text)
+            rows = None
+            if not skip:
+                if "#" in text:
+                    lines, numbers = _drop_comments(lines, numbers)
+                    text = "".join(lines)
+                rows = _parse_block(lines, numbers, labeled, text) if text.strip() else None
             del block, lines, text  # garbage before the next block is read
             if undecodable is not None:
                 raise undecodable
             if rows is not None:
                 seen = True
                 yield rows
-            if size < _BLOCK_LINES:
+            cut = split is not None and chars >= split
+            if size < _BLOCK_LINES or cut and not second:
                 break
-    if not seen:
+            skip = skip and not cut
+    if not seen and split is None:
         raise ParseError("no data rows found")
 
 
@@ -513,7 +524,8 @@ def iter_labeled_traces(path: str | Path) -> Iterator[StateTrace]:
     one block of lines and the trace in progress. Errors come in the order a
     reader of the whole file gives: a trace that breaks the grid rules, or a
     file with no state column, is raised only once the rest of the file has
-    been read, so that a bad row anywhere in it is raised instead.
+    been read, so that a bad row anywhere in it is raised instead. Counting a
+    file needs no traces: ``estimation.accumulate(path)`` bins its rows.
     """
     blocks = _row_blocks(path)
     if not next(blocks):

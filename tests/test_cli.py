@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -512,7 +513,10 @@ def test_output_modes_come_from_the_kernel_alone(tmp_path, monkeypatch):
 
 
 # No command needs scipy or a process pool: the refit's solver is the
-# package's own, and estimate --fit counts and refits in one process.
+# package's own, and a count in two processes forks bare. Nor does one load
+# numpy.ma (a name the --version import log cannot be searched for, as
+# numpy.matrixlib contains it): the refit counts distinct distances by the
+# path of np.unique that never loads it.
 _UNUSED_MODULES = ("scipy", "multiprocessing", "concurrent.futures.process")
 
 
@@ -528,7 +532,7 @@ def test_no_command_imports_scipy_or_a_process_pool(tmp_path):
     script = f"""
 import sys
 import v2vlos
-late = lambda: [name for name in {_UNUSED_MODULES!r} if name in sys.modules]
+late = lambda: [name for name in {(*_UNUSED_MODULES, "numpy.ma")!r} if name in sys.modules]
 assert not late(), ("import v2vlos", late())
 from v2vlos.cli import main
 base = ["--env", "urban", "--density", "low", "--seed", "2"]
@@ -642,6 +646,171 @@ def test_a_bad_row_beats_an_earlier_distance_above_500_m(tmp_path, capsys):
         assert main(_estimate(tmp_path, traces, *fit)) == 1
         assert capsys.readouterr() == ("", "error: line 100009: could not convert string to float: 'abc'\n")
     assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
+
+def test_a_time_gap_beats_an_earlier_distance_above_500_m(tmp_path, capsys):
+    # The 505 m step is in the first block and the gap 100,000 steps later, in
+    # the second half of the file: a file read whole raised the gap.
+    traces = tmp_path / "in.csv"
+    rows = ["t,d,state", *(f"{k},10.0,LOS" for k in range(5)), "5,505.0,LOS"]
+    rows += [f"{k},{100.0 + k % 100},NLOSv" for k in range(6, 100_006)] + ["100007,50.0,LOS"]
+    traces.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    for fit in ([], ["--fit", "--out-model", str(tmp_path / "m.json")]):
+        assert main(_estimate(tmp_path, traces, *fit)) == 1
+        assert capsys.readouterr() == ("", "error: time steps must increase by exactly one second\n")
+        assert_no_child()
+        r = _forking_estimate(tmp_path, traces, "", *fit)
+        assert (r.returncode, r.stdout) == (1, "forks=1\n")
+        assert r.stderr == "error: time steps must increase by exactly one second\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
+
+_can_split = pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                                reason="a count splits in two on Linux with two CPUs")
+
+
+def _forking_command(tmp_path, traces, setup, *flags):
+    """``estimate`` through ``cli.main`` in a process of one thread, which splits every regular file's count.
+
+    ``setup`` runs first; ``forks=N`` ends stdout, and exit code 99 means that a child was left behind.
+    """
+    argv = _estimate(tmp_path, traces, *flags)
+    script = f"""
+import os, sys, time, warnings
+from v2vlos import cli, estimation, traces
+estimation._SHARD_BYTES = 0
+traces._BLOCK_LINES = 64
+warnings.filterwarnings("ignore", "excluded .* from exponential fit")
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+{setup}
+code = cli.main({argv!r})
+try:
+    os.waitpid(-1, os.WNOHANG)
+    code = 99
+except ChildProcessError:
+    pass
+print(f"forks={{len(forks)}}")
+sys.exit(code)
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return [sys.executable, "-c", script], env
+
+
+def _forking_estimate(tmp_path, traces, setup, *flags, timeout=60):
+    command, env = _forking_command(tmp_path, traces, setup, *flags)
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=timeout)
+
+
+# In the child only, each count block first runs ``{0}``.
+_IN_CHILD = """
+parent, count = os.getpid(), estimation._count
+def _count(*args):
+    if os.getpid() != parent:
+        {0}
+    return count(*args)
+estimation._count = _count
+"""
+
+
+def _outputs(tmp_path):
+    return [(tmp_path / name).read_bytes() for name in ("stats.csv", "report.txt", "m.json")]
+
+
+@_can_split
+@_quiet_refit
+def test_a_count_in_two_processes_writes_the_same_bytes_as_one(tmp_path):
+    traces = tmp_path / "t.csv"
+    assert main(GENERATE + ["--steps", "450", "--seed", "11", "--count", "30", "--out", str(traces)]) == 0
+    fit = ["--fit", "--out-model", str(tmp_path / "m.json")]
+    assert main(_estimate(tmp_path, traces, *fit)) == 0
+    one = _outputs(tmp_path)
+    r = _forking_estimate(tmp_path, traces, "", *fit)
+    assert (r.returncode, r.stderr, r.stdout.splitlines()[-1]) == (0, "", "forks=1")
+    assert _outputs(tmp_path) == one
+    # Under one-CPU affinity, and from a FIFO, the count stays in one process.
+    one_cpu = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})"
+    r = _forking_estimate(tmp_path, traces, one_cpu, *fit)
+    assert (r.returncode, r.stderr, r.stdout.splitlines()[-1]) == (0, "", "forks=0")
+    assert _outputs(tmp_path) == one
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(traces.read_bytes()), daemon=True)
+    writer.start()
+    try:
+        r = _forking_estimate(tmp_path, fifo, "", *fit)
+    finally:
+        writer.join(timeout=60)
+    assert (r.returncode, r.stderr, r.stdout.splitlines()[-1]) == (0, "", "forks=0")
+    assert _outputs(tmp_path) == one
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "m.json", "report.txt", "stats.csv", "t.csv"]
+    assert_no_child()
+
+
+@_can_split
+def test_a_counting_child_killed_mid_count_fails_the_run_and_writes_nothing(tmp_path):
+    traces = tmp_path / "t.csv"
+    assert main(GENERATE + ["--steps", "450", "--seed", "11", "--count", "30", "--out", str(traces)]) == 0
+    r = _forking_estimate(tmp_path, traces, _IN_CHILD.format("os.kill(os.getpid(), 9)"),
+                          "--fit", "--out-model", str(tmp_path / "m.json"))
+    assert (r.returncode, r.stdout) == (1, "forks=1\n")
+    assert r.stderr == "error: forked child ended without a result (signal 9)\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert_no_child()
+
+
+@_can_split
+def test_a_bad_row_in_the_first_half_kills_and_reaps_the_counting_child(tmp_path):
+    # The child sleeps 30 s on its first block, then exits with no result: the run ends sooner only if it is killed.
+    traces = tmp_path / "t.csv"
+    traces.write_text("t,d,state\n" + "".join(f"{k},{10.0 + k % 400},LOS\n" for k in range(5000)) + "5000,abc,LOS\n"
+                      + "".join(f"{k},{10.0 + k % 400},NLOSb\n" for k in range(5001, 20_000)), encoding="utf-8")
+    started = time.monotonic()
+    r = _forking_estimate(tmp_path, traces, _IN_CHILD.format("time.sleep(30); os._exit(3)"))
+    assert time.monotonic() - started < 20
+    assert (r.returncode, r.stdout, r.stderr) == (
+        1, "forks=1\n", "error: line 5002: could not convert string to float: 'abc'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert_no_child()
+
+
+@_can_split
+def test_a_counting_child_stops_at_its_next_block_once_its_parent_is_killed(tmp_path):
+    # The parent stalls on its first block; the child counts a block each 0.2 s, 100 blocks in all.
+    traces = tmp_path / "t.csv"
+    traces.write_text("t,d,state\n" + "".join(f"{k},{10.0 + k % 400},LOS\n" for k in range(12_800)), encoding="utf-8")
+    setup = _IN_CHILD.format("time.sleep(0.2)") + """
+stall, shown = estimation._count, os.fork
+estimation._count = lambda *args: (os.getpid() == parent and time.sleep(3600)) or stall(*args)
+def show():
+    pid = shown()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = show
+"""
+    command, env = _forking_command(tmp_path, traces, setup)
+    with subprocess.Popen(command, stdout=subprocess.PIPE, text=True, env=env) as proc:
+        child = int(proc.stdout.readline())
+        time.sleep(1.0)  # the child is counting by now
+        proc.kill()
+        proc.wait()
+    gone = time.monotonic() + 5.0  # a whole count would take the child 19 s more
+    while _running(child) and time.monotonic() < gone:
+        time.sleep(0.05)
+    assert not _running(child)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert_no_child()
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and has not yet exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def test_a_failing_refit_writes_nothing_and_names_its_curve(tmp_path, capsys):

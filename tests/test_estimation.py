@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import sys
 import warnings
 from unittest import mock
 
@@ -33,6 +35,7 @@ from v2vlos import (
     fit_same_family,
     frequencies,
     pearson,
+    read_labeled_traces,
     stationary_distribution,
     transition_matrix,
 )
@@ -129,6 +132,35 @@ def test_accumulate_range_error():
     for bad in (-0.001, 0.0, -math.inf, math.inf, math.nan):
         with pytest.raises(DomainError, match="finite and positive"):
             labeled([25.0, bad, 25.0], [0, 1, 2])
+
+
+def test_a_file_counts_as_its_traces_do_across_the_ends_of_int64(tmp_path):
+    # From the largest time to the smallest, a difference of times wraps around to 1; that row starts a trace.
+    path = tmp_path / "ends.csv"
+    path.write_text("t,d,state\n9223372036854775806,10.0,LOS\n9223372036854775807,20.0,NLOSv\n"
+                    "-9223372036854775808,30.0,NLOSb\n-9223372036854775807,40.0,LOS\n", encoding="utf-8")
+    counts = accumulate(str(path))
+    assert counts[1].sum() == 2
+    for got, want in zip(counts, accumulate(read_labeled_traces(path))):
+        assert got.dtype == want.dtype and np.array_equal(got, want) and not got.flags.writeable
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
+def test_a_file_count_that_cannot_fork_fails_cleanly_or_stays_in_one_process(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_text("t,d,state\n0,10.0,LOS\n1,11.0,NLOSv\n", encoding="utf-8")
+    monkeypatch.setattr(estimation, "_SHARD_BYTES", 0)
+    # A failed fork raises and leaves no pipe open.
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with mock.patch.object(os, "fork", side_effect=OSError(11, "Resource temporarily unavailable")):
+        with pytest.raises(OSError, match="Resource temporarily unavailable"):
+            estimation._count_file(path, 0)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    # Without /proc the threads cannot be counted, so the count stays in one process.
+    with mock.patch.object(os, "listdir", side_effect=FileNotFoundError(2, "No such file or directory")):
+        assert estimation._split_point(path) is None
+    counts = accumulate(path)
+    assert counts[0].sum() == 2 and counts[1].sum() == 1
 
 
 def test_accumulate_counts_d_max_in_last_bin():
@@ -330,6 +362,20 @@ def test_fit_expdecay_needs_two_distinct_positive_points():
         fit_expdecay([10.0, 10.0], [0.5, 0.4])
     with pytest.warns(UserWarning, match="non-positive"), pytest.raises(DegenerateError, match="2 distinct"):
         fit_expdecay([10.0, 20.0, 30.0], [0.5, 0.0, -0.1])
+
+
+_ODD_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.5, math.nan, -math.nan, math.inf, -math.inf, 5e-324])
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=hnp.arrays(np.float64, st.integers(0, 12), elements=_ODD_FLOATS | st.floats(allow_nan=True)))
+def test_the_fits_count_distinct_distances_as_np_unique_does(d):
+    # The fits take np.unique's sorting path (return_counts), which loads no numpy.ma; its default may hash instead.
+    assert np.unique(d, return_counts=True)[0].size == np.unique(d).size
+    n = np.unique(d).size
+    if n < 3:
+        with pytest.raises(DegenerateError, match=f"need at least 3 distinct distances, got {n}$"):
+            fit_poly2(d, np.ones(d.size))
 
 
 def test_fit_logbell_self_recovery_on_bins():

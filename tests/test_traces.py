@@ -1,6 +1,11 @@
 """Synthetic mobility, dwell statistics, trace files, Fresnel clearance."""
 
+import itertools
 import math
+import os
+import pickle
+import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +41,7 @@ from v2vlos import (
 from v2vlos.traces import DwellCount, synth_distance_traces
 
 SPEED_OF_LIGHT = 299792458.0
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_constant_profile_is_figure_input():
@@ -815,14 +821,21 @@ def _time_text(draw, t, clean):
     return "".join(chr(ord(c) - ord("0") + ord("０")) for c in str(t))
 
 
+# The first mutation of a trace file; a count's tests draw more valid files and held faults.
+_MUTATIONS = (None, None, "columns", "time", "float", "distance", "state", "gap", "no data", "no header")
+_COUNT_MUTATIONS = (None, None, None, "gap", "gap", "float")
+
+
 @st.composite
-def trace_files(draw):
-    """Text of a trace file: comments and blank lines anywhere, several traces, one mutation at most.
+def trace_files(draw, mutations=_MUTATIONS, labeled=None):
+    """Text of a trace file: comments and blank lines anywhere, several traces, two mutations at most.
 
     Half the files pad no field and spell every time plainly, so that whole
-    blocks reach the bulk conversion.
+    blocks reach the bulk conversion. The second mutation is a held fault, a
+    time gap or restart, often with a bad row after it, which a whole read
+    reports instead.
     """
-    labeled = draw(st.booleans())
+    labeled = draw(st.booleans()) if labeled is None else labeled
     clean = draw(st.booleans())
     pad = st.just("") if clean else _PAD
     lines = []  # each entry a string, or a data row as a list of fields
@@ -835,18 +848,28 @@ def trace_files(draw):
     lines.append(",".join(draw(_PAD) + draw(st.sampled_from([n, n.upper(), n.title()])) + draw(_PAD) for n in names))
     header = len(lines) - 1
     rows = []
+    traces = []  # the indices of each trace's rows
     last = None
     for _ in range(draw(st.integers(1, 4))):
         start = draw(st.integers(-3, 12)) if last is None else last - draw(st.integers(0, 3))
+        traces.append([])
         for k in range(draw(st.integers(1, 6))):
             filler()
             fields = [start + k, draw(_DISTANCE)] + ([draw(st.sampled_from(_STATE_NAMES))] if labeled else [])
             lines.append(fields)
             rows.append(len(lines) - 1)
+            traces[-1].append(len(lines) - 1)
             last = start + k
     filler()
 
-    mutation = draw(st.sampled_from([None, None, "columns", "time", "float", "distance", "state", "gap", "no data", "no header"]))
+    if len(traces) > 1 and draw(st.booleans()):
+        # A held fault in an earlier trace, then often a bad row in the last.
+        held = draw(st.sampled_from([row for trace in traces[:-1] for row in trace]))
+        lines[held][0] += draw(st.sampled_from([2, 3, -1, -4]))  # a gap, or a restart and the gap after it
+        if draw(st.booleans()):
+            lines[draw(st.sampled_from(traces[-1]))][1] = draw(_BAD_FLOAT)
+
+    mutation = draw(st.sampled_from(mutations))
     row = lines[draw(st.sampled_from(rows))]
     if mutation == "columns":
         if draw(st.booleans()):
@@ -885,6 +908,109 @@ def test_block_reader_matches_row_reader(text, block):
         path = Path(tmp) / "trace.csv"
         path.write_bytes(text.encode("utf-8"))
         assert_readers_agree(path)
+
+
+# The file counter against the pipeline it replaced in estimate: accumulate over
+# iter_labeled_traces, the reader drained when accumulate raises, as the command
+# line did. A worker process with one thread, so that it may fork, counts each
+# file in one process, split at each block edge, split at none, and split where
+# accumulate(path) splits it; every result, counts or exception, must agree.
+_COUNT_WORKER = """
+import os, pickle, sys
+from v2vlos import estimation, traces
+from v2vlos.errors import DomainError
+
+
+def outcome(count):
+    try:
+        occupancy, transitions = count()
+    except Exception as exc:
+        return ("raises", type(exc).__name__, str(exc), getattr(exc, "line", None))
+    return ("counts", occupancy.dtype.str, occupancy.tolist(), transitions.tolist())
+
+
+def read_then_accumulate(path):
+    found = traces.iter_labeled_traces(path)
+    try:
+        return estimation.accumulate(found)
+    except DomainError:
+        for _ in found:
+            pass
+        raise
+
+
+estimation._SHARD_BYTES = 0
+while True:
+    try:
+        path, block, splits = pickle.load(sys.stdin.buffer)
+    except EOFError:
+        break
+    traces._BLOCK_LINES = block
+    got = [outcome(lambda: read_then_accumulate(path)), outcome(lambda: estimation.accumulate(path))]
+    got += [outcome(lambda: estimation._count_file(path, split)) for split in splits]
+    try:
+        got.append(("a child is left", os.waitpid(-1, os.WNOHANG)))
+    except ChildProcessError:
+        pass
+    pickle.dump(got, sys.stdout.buffer)
+    sys.stdout.buffer.flush()
+"""
+
+
+@pytest.fixture(scope="module")
+def count_worker():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    worker = subprocess.Popen([sys.executable, "-c", _COUNT_WORKER], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              env=env)
+    yield worker
+    worker.stdin.close()
+    assert worker.wait(timeout=60) == 0
+    worker.stdout.close()
+
+
+def block_edges(path, block):
+    """Split points that cut the file's blocks (``traces._row_blocks``) at each edge, and one that cuts none."""
+    with open(path, encoding="utf-8-sig") as handle:
+        lines = list(handle)
+    header = next((i for i, raw in enumerate(lines) if raw.strip() and not raw.strip().startswith("#")), len(lines))
+    sizes = [len(raw) for raw in lines[header + 1:]]
+    edges = itertools.accumulate(sum(sizes[i:i + block]) for i in range(0, len(sizes), block))
+    return [0, *edges, sum(sizes) + 1]
+
+
+def assert_counted_as_before(worker, text, block):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        pickle.dump((str(path), block, block_edges(path, block)), worker.stdin)
+        worker.stdin.flush()
+        reference, *got = pickle.load(worker.stdout)
+    assert got == [reference] * len(got)
+    return reference
+
+
+_can_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="splits the count with os.fork")
+
+
+@_can_fork
+@settings(max_examples=100, deadline=None)
+@given(text=st.one_of(trace_files(), trace_files(_COUNT_MUTATIONS, labeled=True)), block=st.integers(1, 5))
+def test_the_file_counter_counts_as_the_trace_pipeline_did_at_every_split(count_worker, text, block):
+    assert_counted_as_before(count_worker, text, block)
+
+
+@_can_fork
+@pytest.mark.parametrize("text, error", [
+    ("t,d\n# no rows\n", "no data rows found"),
+    ("t,d\n0,1.0\n1,2.0\n", "file has no state column"),
+    ("t,d,state\n0,600.0,LOS\n1,10.0,LOS\n2,700.0,LOS\n3,20.0,LOS\n", "trace distance 600.0 outside [0, 500.0]"),
+    ("t,d,state\n0,600.0,LOS\n1,10.0,LOS\n2,700.0,LOS\n4,20.0,LOS\n", "time steps must increase by exactly one second"),
+    ("t,d,state\n0,600.0,LOS\n2,10.0,LOS\n0,7.0,LOS\n1,x,LOS\n", "line 5: could not convert string to float: 'x'"),
+])
+@pytest.mark.parametrize("block", [1, 2])
+def test_the_file_counter_keeps_the_fault_order_at_every_split(count_worker, text, error, block):
+    assert assert_counted_as_before(count_worker, text, block)[2] == error
 
 
 @pytest.mark.parametrize("field, value", [
