@@ -25,8 +25,8 @@ _EXPORTS = {
     "pathloss": "LogDistance PathLossParams free_space_pl render_path_loss state_path_loss",
     "rng": "RngSeed SplitMix64 derive_subseed mix64",
     "states": "CANONICAL_STATES Density Environment LosState",
-    "traces": "DwellCount MobilityProfile fresnel_clearance_radius iter_labeled_traces read_distance_trace "
-              "read_labeled_traces synth_distance_trace synth_distance_traces write_state_traces",
+    "traces": "DwellCount MobilityProfile fresnel_clearance_radius read_distance_trace read_labeled_traces "
+              "synth_distance_trace synth_distance_traces write_state_traces",
     "umi": "UmiParams baseline umi_los_probability",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -14,7 +14,8 @@ distance traces, ``t,d,state`` for labeled traces, one row per step, with
 ``#`` comment lines skipped wherever they stand and not parsed: provenance
 headers are for whoever reads the file. A non-increasing time value starts a new trace,
 so several traces can live in one labeled file; a trace that breaks the
-:class:`DistanceTrace` rules is a :class:`ParseError`.
+:class:`DistanceTrace` rules is a :class:`ParseError`. The readers parse the
+whole file before they build a trace.
 """
 
 from __future__ import annotations
@@ -442,16 +443,15 @@ def _row_blocks(path: str | Path, split: int | None = None, second: bool = False
 
     ``#`` lines are skipped. After the header the file is read in blocks of
     ``_BLOCK_LINES`` lines, each converted in bulk or, when that fails, row by
-    row, so the first bad row raises the error a row-by-row reader would.
+    row, so the first bad row raises the error a row-by-row reader would. With
+    no data rows only the header kind is yielded; the caller says what that means.
 
     With ``split``, the blocks are cut in two at the first block edge with
     ``split`` or more characters of blocks before it; those before the cut are
     yielded, or with ``second`` those after it, the rest read but not parsed,
-    so that line numbers and decoding errors are a whole read's. A part may
-    then have no rows.
+    so that line numbers and decoding errors are a whole read's.
     """
     labeled: bool | None = None
-    seen = False
     with open(path, "r", encoding="utf-8-sig") as handle:  # a byte-order mark is skipped
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -484,14 +484,11 @@ def _row_blocks(path: str | Path, split: int | None = None, second: bool = False
             if undecodable is not None:
                 raise undecodable
             if rows is not None:
-                seen = True
                 yield rows
             cut = split is not None and chars >= split
             if size < _BLOCK_LINES or cut and not second:
                 break
             skip = skip and not cut
-    if not seen and split is None:
-        raise ParseError("no data rows found")
 
 
 def _trace_starts(t: np.ndarray) -> np.ndarray:
@@ -499,15 +496,17 @@ def _trace_starts(t: np.ndarray) -> np.ndarray:
     return np.flatnonzero(t[1:] <= t[:-1]) + 1
 
 
-def _joined_trace(parts: list[np.ndarray]) -> StateTrace:
-    rows = np.concatenate(parts)
-    return StateTrace(DistanceTrace(rows["t"], rows["d"]), rows["state"])
+def _read_rows(path: str | Path) -> tuple[bool, np.ndarray]:
+    """The header kind and every data row of a trace file (:func:`_row_blocks`), joined."""
+    labeled, *blocks = _row_blocks(path)
+    if not blocks:
+        raise ParseError("no data rows found")
+    return labeled, np.concatenate(blocks)
 
 
 def read_distance_trace(path: str | Path) -> DistanceTrace:
     """Read a single distance trace; a state column, when present, is ignored."""
-    _, *blocks = _row_blocks(path)
-    rows = np.concatenate(blocks)
+    _, rows = _read_rows(path)
     starts = _trace_starts(rows["t"])
     if starts.size:
         raise ParseError(f"expected a single trace, found {starts.size + 1} (time restarts)")
@@ -517,36 +516,20 @@ def read_distance_trace(path: str | Path) -> DistanceTrace:
         raise ParseError(str(exc)) from exc
 
 
-def iter_labeled_traces(path: str | Path) -> Iterator[StateTrace]:
-    """The labeled traces of a file, in order, each on its own :class:`DistanceTrace`, read a block at a time.
-
-    A trace is yielded once the row after it starts the next, so memory holds
-    one block of lines and the trace in progress. Errors come in the order a
-    reader of the whole file gives: a trace that breaks the grid rules, or a
-    file with no state column, is raised only once the rest of the file has
-    been read, so that a bad row anywhere in it is raised instead. Counting a
-    file needs no traces: ``estimation.accumulate(path)`` bins its rows.
-    """
-    blocks = _row_blocks(path)
-    if not next(blocks):
-        for _ in blocks:  # a bad row, or no row at all, comes first
-            pass
-        raise ParseError("file has no state column")
-    parts: list[np.ndarray] = []  # the trace in progress: a slice of each block it spans, joined when it ends
-    try:
-        for rows in blocks:
-            for k, piece in enumerate(np.split(rows, _trace_starts(rows["t"]))):
-                if parts and (k or piece["t"][0] <= parts[-1]["t"][-1]):
-                    yield _joined_trace(parts)
-                    parts = []
-                parts.append(piece)
-        yield _joined_trace(parts)
-    except DomainError as exc:
-        for _ in blocks:  # a bad row later in the file comes first
-            pass
-        raise ParseError(str(exc)) from exc
-
-
 def read_labeled_traces(path: str | Path) -> list[StateTrace]:
-    """Read one or more labeled traces from a single file (:func:`iter_labeled_traces`) into a list."""
-    return list(iter_labeled_traces(path))
+    """The labeled traces of a file, in order, each on its own :class:`DistanceTrace`.
+
+    Every row is parsed before any trace is built, so errors come in this
+    order: the first bad row or undecodable byte, no data rows, no state
+    column, then the first trace that breaks the grid rules. Counting a file
+    needs no traces: ``estimation.accumulate(path)`` bins its rows a block at
+    a time.
+    """
+    labeled, rows = _read_rows(path)
+    if not labeled:
+        raise ParseError("file has no state column")
+    try:
+        return [StateTrace(DistanceTrace(part["t"], part["d"]), part["state"])
+                for part in np.split(rows, _trace_starts(rows["t"]))]
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc

@@ -20,7 +20,7 @@ def test_each_public_name_is_the_defining_modules_object(name):
 
 
 def test_public_names_are_unique_and_listed_by_dir():
-    assert len(set(v2vlos.__all__)) == len(v2vlos.__all__) == 64
+    assert len(set(v2vlos.__all__)) == len(v2vlos.__all__) == 63
     assert set(v2vlos.__all__) <= set(dir(v2vlos))
     assert {"__version__", "markov", "traces"} <= set(dir(v2vlos))
 

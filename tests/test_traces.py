@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2vlos import markov
+from v2vlos import estimation, markov
 from v2vlos import traces as trace_io
 from v2vlos.rng import mix64
 from v2vlos import (
@@ -32,7 +32,6 @@ from v2vlos import (
     builtin_model,
     chain,
     fresnel_clearance_radius,
-    iter_labeled_traces,
     read_distance_trace,
     read_labeled_traces,
     synth_distance_trace,
@@ -652,6 +651,16 @@ def test_every_row_rule_is_a_parse_error_naming_its_line(tmp_path, rule, read, b
     assert err.value.line == 4 and str(err.value) == f"line 4: {ROW_RULES[rule][1]}"
 
 
+@pytest.mark.parametrize("header", ["t,d", "t,d,state"])
+def test_a_header_with_only_comments_and_blank_lines_after_it_has_no_data_rows(tmp_path, header):
+    path = tmp_path / "empty.csv"
+    path.write_text(f"# seed=1\n{header}\n# no rows\n\n  \n#\n", encoding="utf-8")
+    for read in (read_labeled_traces, read_distance_trace, lambda p: estimation._count_file(p, None)):
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert str(err.value) == "no data rows found" and err.value.line is None
+
+
 def test_distance_reader_rejects_multiple_traces(tmp_path):
     path = tmp_path / "two.csv"
     path.write_text("t,d\n0,10.0\n1,11.0\n0,20.0\n1,21.0\n", encoding="utf-8")
@@ -911,14 +920,14 @@ def test_block_reader_matches_row_reader(text, block):
 
 
 # The file counter against the pipeline it replaced in estimate: accumulate over
-# iter_labeled_traces, the reader drained when accumulate raises, as the command
-# line did. A worker process with one thread, so that it may fork, counts each
-# file in one process, split at each block edge, split at none, and split where
-# accumulate(path) splits it; every result, counts or exception, must agree.
+# read_labeled_traces, which parses the whole file first, so only a distance above
+# 500 m is left for accumulate to raise. A worker process with one thread, so that
+# it may fork, counts each file in one process, split at each block edge, split at
+# none, and split where accumulate(path) splits it; every result, counts or
+# exception, must agree.
 _COUNT_WORKER = """
 import os, pickle, sys
 from v2vlos import estimation, traces
-from v2vlos.errors import DomainError
 
 
 def outcome(count):
@@ -929,16 +938,6 @@ def outcome(count):
     return ("counts", occupancy.dtype.str, occupancy.tolist(), transitions.tolist())
 
 
-def read_then_accumulate(path):
-    found = traces.iter_labeled_traces(path)
-    try:
-        return estimation.accumulate(found)
-    except DomainError:
-        for _ in found:
-            pass
-        raise
-
-
 estimation._SHARD_BYTES = 0
 while True:
     try:
@@ -946,7 +945,8 @@ while True:
     except EOFError:
         break
     traces._BLOCK_LINES = block
-    got = [outcome(lambda: read_then_accumulate(path)), outcome(lambda: estimation.accumulate(path))]
+    got = [outcome(lambda: estimation.accumulate(traces.read_labeled_traces(path))),
+           outcome(lambda: estimation.accumulate(path))]
     got += [outcome(lambda: estimation._count_file(path, split)) for split in splits]
     try:
         got.append(("a child is left", os.waitpid(-1, os.WNOHANG)))
@@ -1003,6 +1003,7 @@ def test_the_file_counter_counts_as_the_trace_pipeline_did_at_every_split(count_
 @_can_fork
 @pytest.mark.parametrize("text, error", [
     ("t,d\n# no rows\n", "no data rows found"),
+    ("t,d,state\n# no rows\n\n  \n#\n", "no data rows found"),
     ("t,d\n0,1.0\n1,2.0\n", "file has no state column"),
     ("t,d,state\n0,600.0,LOS\n1,10.0,LOS\n2,700.0,LOS\n3,20.0,LOS\n", "trace distance 600.0 outside [0, 500.0]"),
     ("t,d,state\n0,600.0,LOS\n1,10.0,LOS\n2,700.0,LOS\n4,20.0,LOS\n", "time steps must increase by exactly one second"),
@@ -1090,35 +1091,19 @@ def _labeled_rows(start, n, state="LOS"):
     return "".join(f"{t},{10.0 + t},{state}\n" for t in range(start, start + n))
 
 
-def test_a_trace_is_yielded_before_the_rest_of_the_file_is_read(tmp_path, monkeypatch):
-    monkeypatch.setattr(trace_io, "_BLOCK_LINES", 4)
-    path = tmp_path / "lazy.csv"
-    # Trace 0 ends in the first block; the bad last row (line 26) is five blocks on.
-    path.write_text("t,d,state\n" + _labeled_rows(0, 3) + _labeled_rows(0, 21, "NLOSb") + "21,abc,LOS\n")
-    traces = iter_labeled_traces(path)
-    first = next(traces)
-    assert first.times.tolist() == [0, 1, 2] and first.distances.tolist() == [10.0, 11.0, 12.0]
-    assert first.states.tolist() == [0, 0, 0]
-    with pytest.raises(ParseError) as err:
-        next(traces)
-    assert err.value.line == 26
-
-
 def test_a_bad_row_later_in_the_file_beats_a_held_time_gap(tmp_path, monkeypatch):
     monkeypatch.setattr(trace_io, "_BLOCK_LINES", 4)
     path = tmp_path / "gap.csv"
     gap = "t,d,state\n0,10.0,LOS\n1,11.0,LOS\n3,13.0,LOS\n" + _labeled_rows(0, 30)
     path.write_text(gap + "30,abc,LOS\n")
     with pytest.raises(ParseError, match="could not convert string to float: 'abc'") as err:
-        next(iter_labeled_traces(path))
+        read_labeled_traces(path)
     assert err.value.line == 35
-    # Without the bad row the gap is the error, and no trace comes before it.
+    # Without the bad row the gap is the error.
     path.write_text(gap)
-    traces = iter_labeled_traces(path)
     with pytest.raises(ParseError, match="exactly one second") as err:
-        next(traces)
+        read_labeled_traces(path)
     assert err.value.line is None
-    assert list(traces) == []
 
 
 @pytest.mark.parametrize("block", [1, 3, 8, 64])
@@ -1129,7 +1114,7 @@ def test_a_trace_spanning_blocks_reads_back_bit_for_bit(tmp_path, monkeypatch, b
     short = StateTrace(DistanceTrace(np.arange(5, 8), rng.uniform(1.0, 500.0, 3)), rng.integers(0, 3, 3))
     path = tmp_path / "long.csv"
     write_state_traces([short, long, short], path, provenance=["# seed=3"])
-    back = list(iter_labeled_traces(path))
+    back = read_labeled_traces(path)
     assert len(back) == 3
     for got, want in zip(back, [short, long, short]):
         for column in ("times", "distances", "states"):
