@@ -1,7 +1,8 @@
 """Empirical estimation from labeled traces and curve refitting.
 
 Counting runs over 10 m distance bins (:func:`accumulate`), over a batch of
-labelled traces or over the rows of a trace file, a block at a time. A
+labelled traces or over a trace file a chunk at a time, whose plain rows are
+binned straight from their bytes and any other row parsed exactly. A
 transition between steps t and t+1 of one trace is attributed to the bin of
 the distance at step t; each step is counted in its own bin.
 
@@ -43,7 +44,7 @@ from .curves import (
 from .errors import ConvergenceError, DegenerateError, DomainError, ParseError, V2vLosError
 from .markov import StateTrace, _frozen, count_blocks
 from .params import DEFAULT_D_MAX
-from .traces import _row_blocks
+from .traces import _chunks, _parse_chunk
 
 BIN_WIDTH = 10.0
 N_BINS = int(DEFAULT_D_MAX / BIN_WIDTH)
@@ -57,11 +58,53 @@ def bin_centers() -> np.ndarray:
     return BIN_WIDTH * np.arange(N_BINS) + BIN_WIDTH / 2.0
 
 
-def _count(d: np.ndarray, s: np.ndarray, continues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat occupancy and transition counts of steps ``d``, ``s`` (pairs k, k + 1 where ``continues[k]``), and cells."""
-    cell = np.minimum(d // BIN_WIDTH, N_BINS - 1).astype(np.intp) * 3 + s  # bin * 3 + state
+def _count(cell: np.ndarray, s: np.ndarray, continues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat counts of steps in cells ``cell`` (bin * 3 + state ``s``) and of pairs k, k + 1 where ``continues[k]``."""
     pairs = (cell[:-1] * 3 + s[1:])[continues]
-    return np.bincount(cell, minlength=N_BINS * 3), np.bincount(pairs, minlength=N_BINS * 9), cell
+    return np.bincount(cell, minlength=N_BINS * 3), np.bincount(pairs, minlength=N_BINS * 9)
+
+
+_KEYS = {name: int.from_bytes(name.encode("ascii"), "little") for name in (",LOS", ",NLO", "LOSv", "LOSb")}
+
+
+def _bin_plain(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Times, cells and states of a chunk of plain rows, read straight from its bytes; None for any other chunk.
+
+    A plain row is ``T,I.F,S`` and a newline (or the data's end): T 1 to 18 ASCII digits, I 1 to 3 digits of value
+    v in [1, 499], or 500 with F all zeros, F digits, S a state name. ``float`` rounds to nearest and doubles below
+    512 are 2^-44 apart, so the distance is in bin v // 10 (49 for 500 m) unless it lies within 2^-45 below the next
+    multiple of 10, where v ends in 9 and F starts with 13 nines: such a chunk is refused. A refused chunk, one with a
+    blank or ``#`` line, a space, sign, exponent, CR, other byte or a distance without a dot, say, goes to the exact
+    parse.
+    """
+    if not data.endswith(b"\n"):  # the file's last line
+        data += b"\n"
+    a = np.frombuffer(data, np.uint8)
+    sep = np.flatnonzero(a <= 46)  # the only bytes below "/" a plain row holds are ",", "." and the newline
+    n = sep.size // 4
+    if sep.size != 4 * n or not (a[sep].reshape(n, 4) == (44, 46, 44, 10)).all():
+        return None
+    c1, dot, c2, nl = sep.reshape(n, 4).T
+    t_len, i_len = c1 - np.concatenate(([-1], nl[:-1])) - 1, dot - c1 - 1
+    if t_len.min() < 1 or t_len.max() > 18 or i_len.min() < 1 or i_len.max() > 3:
+        return None
+    u4 = np.ndarray((a.size - 3,), "<u4", data, 0, (1,))  # the four bytes from each offset
+    # A comma four or six bytes before a newline is the row's second, so S is the rest. The first row's newline is
+    # at 5 or later; at -1 are the last four bytes, which end in a newline and match no key.
+    last = u4[nl - 4]
+    los = last == _KEYS[",LOS"]
+    s = ((last == _KEYS["LOSv"]) + 2 * (last == _KEYS["LOSb"])) * (u4[nl - 6] == _KEYS[",NLO"])
+    if not (los | (s > 0)).all() or np.count_nonzero(a - 48 > 9) != 9 * n - 2 * np.count_nonzero(los):
+        return None  # so every byte but the separators and state names is a digit
+    t, v = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    for digits, end, value in ((t_len, c1, t), (i_len, dot, v)):
+        for k in range(int(digits.max())):  # the k-th digit from the right
+            value += (np.where(digits > k, a[end - 1 - k], 48) - 48).astype(np.int64) * 10**k
+    near = dot[(a[dot - 1] == 57) & (c2 - dot > 13)]  # v ends in 9, and F has 13 digits or more
+    if v.min() < 1 or v.max() > 500 or (a[near[:, None] + np.arange(1, 14)] == 57).all(axis=1).any() or any(
+            data[i + 1:j].strip(b"0") for i, j in zip(dot[v == 500], c2[v == 500])):  # above 500 m
+        return None
+    return t, np.minimum(v // 10, N_BINS - 1) * 3 + s, s  # 500 m is in the last bin
 
 
 def accumulate(traces: Iterable[StateTrace] | str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +126,8 @@ def accumulate(traces: Iterable[StateTrace] | str | os.PathLike) -> tuple[np.nda
         s = np.concatenate([trace.states for trace in block]).astype(np.intp)
         continues = np.ones(d.size - 1, dtype=bool)
         continues[np.cumsum([len(trace) for trace in block])[:-1] - 1] = False  # the last step of a trace
-        block_occupancy, block_transitions, _ = _count(d, s, continues)
+        cell = np.minimum(d // BIN_WIDTH, N_BINS - 1).astype(np.intp) * 3 + s  # bin * 3 + state
+        block_occupancy, block_transitions = _count(cell, s, continues)
         occupancy += block_occupancy
         transitions += block_transitions
     return _frozen(occupancy.reshape(N_BINS, 3)), _frozen(transitions.reshape(N_BINS, 3, 3))
@@ -105,18 +149,24 @@ def _join(a: _Rows | None, b: _Rows | None) -> _Rows | None:
                  b.above if a.above is None else a.above)
 
 
-def _count_rows(blocks: Iterator) -> tuple[bool, _Rows | None]:
-    """The header kind and the counts of the row blocks after it, as :func:`traces._row_blocks` yields them."""
-    labeled, counts = next(blocks), None
-    for rows in blocks:
-        t, d = rows["t"], rows["d"]
-        s = rows["state"].astype(np.intp) if labeled else np.zeros(t.size, np.intp)  # no states: counted to find rows
+def _count_rows(chunks: Iterator) -> tuple[bool, _Rows | None]:
+    """The header kind and the counts of the chunks after it (:func:`traces._chunks`), binned or parsed exactly."""
+    labeled, counts = next(chunks), None
+    for chunk in chunks:
+        if labeled and (binned := _bin_plain(chunk[0])) is not None:
+            (t, cell, s), above = binned, None
+        elif (rows := _parse_chunk(chunk, labeled)) is not None:
+            t, d = rows["t"], rows["d"]
+            s = rows["state"].astype(np.intp) if labeled else np.zeros(t.size, np.intp)  # no states: rows still found
+            cell, above = np.minimum(d // BIN_WIDTH, N_BINS - 1).astype(np.intp) * 3 + s, d[d > DEFAULT_D_MAX]
+            above = float(above[0]) if above.size else None
+        else:
+            continue
         rises = t[1:] > t[:-1]
         continues = rises & (np.diff(t) == 1)  # compared as well: a difference can wrap around
-        occupancy, transitions, cell = _count(d, s, continues)
-        above = d[d > DEFAULT_D_MAX]
+        occupancy, transitions = _count(cell, s, continues)
         counts = _join(counts, _Rows(occupancy, transitions, (int(t[0]), int(s[0])), (int(t[-1]), int(cell[-1])),
-                                     bool((rises != continues).any()), float(above[0]) if above.size else None))
+                                     bool((rises != continues).any()), above))
     return labeled, counts
 
 
@@ -177,18 +227,18 @@ def _in_two(first: Callable[[], Any], second: Callable[[], Any]) -> tuple[Any, A
 
 
 def _count_file(path: str | os.PathLike, split: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`accumulate` of a trace file; with ``split``, a forked child counts the blocks after it (``_row_blocks``).
+    """:func:`accumulate` of a trace file; with ``split``, a forked child counts the chunks after it (``_chunks``).
 
     Errors come in the order of a whole read: the first bad row or undecodable byte, then no data rows or no state
     column, then a time gap, then the first distance above 500 m.
     """
     if split is None:
-        labeled, counts = _count_rows(_row_blocks(path))
+        labeled, counts = _count_rows(_chunks(path))
     else:
-        parent = os.getpid()  # a child whose parent is gone stops at its next block
+        parent = os.getpid()  # a child whose parent is gone stops at its next chunk
         (labeled, counts), (_, later) = _in_two(
-            lambda: _count_rows(_row_blocks(path, split)),
-            lambda: _count_rows(takewhile(lambda _: os.getppid() == parent, _row_blocks(path, split, second=True))))
+            lambda: _count_rows(_chunks(path, split)),
+            lambda: _count_rows(takewhile(lambda _: os.getppid() == parent, _chunks(path, split, second=True))))
         counts = _join(counts, later)
     if counts is None:
         raise ParseError("no data rows found")

@@ -679,7 +679,7 @@ def _forking_command(tmp_path, traces, setup, *flags):
 import os, sys, time, warnings
 from v2vlos import cli, estimation, traces
 estimation._SHARD_BYTES = 0
-traces._BLOCK_LINES = 64
+traces._BLOCK_BYTES = 1024
 warnings.filterwarnings("ignore", "excluded .* from exponential fit")
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
@@ -1079,9 +1079,9 @@ def test_walk_generate_memory_does_not_grow_with_the_count(tmp_path, monkeypatch
     assert large < 1.1 * small, (small, large)
 
 def test_estimate_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
-    # Blocks of 256 lines and count blocks of 20 traces of 100 steps: a file
+    # Chunks of 8 KiB and count blocks of 20 traces of 100 steps: a file
     # of 800 traces streams through the same working set as one of 100.
-    monkeypatch.setattr("v2vlos.traces._BLOCK_LINES", 256)
+    monkeypatch.setattr("v2vlos.traces._BLOCK_BYTES", 1 << 13)
     monkeypatch.setattr(markov, "_COUNT_BLOCK", 20 * 100)
 
     def peak(count):

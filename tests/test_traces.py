@@ -911,9 +911,9 @@ def trace_files(draw, mutations=_MUTATIONS, labeled=None):
 
 
 @settings(max_examples=500, deadline=None)
-@given(text=trace_files(), block=st.integers(1, 5))
+@given(text=trace_files(), block=st.integers(1, 64))
 def test_block_reader_matches_row_reader(text, block):
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(trace_io, "_BLOCK_LINES", block):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(trace_io, "_BLOCK_BYTES", block):
         path = Path(tmp) / "trace.csv"
         path.write_bytes(text.encode("utf-8"))
         assert_readers_agree(path)
@@ -923,8 +923,9 @@ def test_block_reader_matches_row_reader(text, block):
 # read_labeled_traces, which parses the whole file first, so only a distance above
 # 500 m is left for accumulate to raise. A worker process with one thread, so that
 # it may fork, counts each file in one process, split at each block edge, split at
-# none, and split where accumulate(path) splits it; every result, counts or
-# exception, must agree.
+# none, and split where accumulate(path) splits it, and then again in one process
+# and at each split with the plain-row kernel refusing every chunk, so that every
+# row goes through the exact parse; every result, counts or exception, must agree.
 _COUNT_WORKER = """
 import os, pickle, sys
 from v2vlos import estimation, traces
@@ -939,15 +940,19 @@ def outcome(count):
 
 
 estimation._SHARD_BYTES = 0
+kernel = estimation._bin_plain
 while True:
     try:
         path, block, splits = pickle.load(sys.stdin.buffer)
     except EOFError:
         break
-    traces._BLOCK_LINES = block
+    traces._BLOCK_BYTES = block
     got = [outcome(lambda: estimation.accumulate(traces.read_labeled_traces(path))),
            outcome(lambda: estimation.accumulate(path))]
     got += [outcome(lambda: estimation._count_file(path, split)) for split in splits]
+    estimation._bin_plain = lambda data: None
+    got += [outcome(lambda: estimation._count_file(path, split)) for split in [None, *splits]]
+    estimation._bin_plain = kernel
     try:
         got.append(("a child is left", os.waitpid(-1, os.WNOHANG)))
     except ChildProcessError:
@@ -970,13 +975,13 @@ def count_worker():
 
 
 def block_edges(path, block):
-    """Split points that cut the file's blocks (``traces._row_blocks``) at each edge, and one that cuts none."""
-    with open(path, encoding="utf-8-sig") as handle:
-        lines = list(handle)
-    header = next((i for i, raw in enumerate(lines) if raw.strip() and not raw.strip().startswith("#")), len(lines))
-    sizes = [len(raw) for raw in lines[header + 1:]]
-    edges = itertools.accumulate(sum(sizes[i:i + block]) for i in range(0, len(sizes), block))
-    return [0, *edges, sum(sizes) + 1]
+    """Split points that cut the file's chunks of ``block`` bytes (``traces._chunks``) at each edge, and one that cuts none."""
+    with mock.patch.object(trace_io, "_BLOCK_BYTES", block):
+        try:
+            sizes = [len(data) for data, *_ in itertools.islice(trace_io._chunks(path), 1, None)]
+        except ParseError:  # no header
+            sizes = []
+    return [0, *itertools.accumulate(sizes), sum(sizes) + 1]
 
 
 def assert_counted_as_before(worker, text, block):
@@ -995,7 +1000,7 @@ _can_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="splits the count
 
 @_can_fork
 @settings(max_examples=100, deadline=None)
-@given(text=st.one_of(trace_files(), trace_files(_COUNT_MUTATIONS, labeled=True)), block=st.integers(1, 5))
+@given(text=st.one_of(trace_files(), trace_files(_COUNT_MUTATIONS, labeled=True)), block=st.integers(1, 64))
 def test_the_file_counter_counts_as_the_trace_pipeline_did_at_every_split(count_worker, text, block):
     assert_counted_as_before(count_worker, text, block)
 
@@ -1009,9 +1014,101 @@ def test_the_file_counter_counts_as_the_trace_pipeline_did_at_every_split(count_
     ("t,d,state\n0,600.0,LOS\n1,10.0,LOS\n2,700.0,LOS\n4,20.0,LOS\n", "time steps must increase by exactly one second"),
     ("t,d,state\n0,600.0,LOS\n2,10.0,LOS\n0,7.0,LOS\n1,x,LOS\n", "line 5: could not convert string to float: 'x'"),
 ])
-@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize("block", [1, 16])
 def test_the_file_counter_keeps_the_fault_order_at_every_split(count_worker, text, error, block):
     assert assert_counted_as_before(count_worker, text, block)[2] == error
+
+
+# Distances a hair below each multiple of 10 m (12 to 14 nines), the largest below 500 m, one that float rounds up
+# to 10 m, 500 m, one that rounds down to it and one above it, one below 1 m, leading zeros, a bare dot and no dot.
+_EDGE_DISTANCES = [f"{m - 1}.{'9' * k}" for m in range(10, 501, 10) for k in (12, 13, 14)] + [
+    "499.99999999999997", "9.9999999999999995", "500.0", "500.", "500.000", "500.00000000000001", "500.5", "0.5",
+    "007.5", "01.25", "09.5", "5.", "12"]
+# Spellings the exact parse reads, or rejects, that the kernel must leave to it.
+_ODD_DISTANCES = ["1e2", "2.5E1", "2.5e-1", "+3.5", "-3.5", " 3.5", "3.5 ", "1_0.5", "１２.5", "１.5", "١٢.5",
+                  "1\x1c2.5", "12.5\x1c", ".5", "0.0", "0007.5", "12a.5", "3.5x", "1:5.5", "nan", "x", "500.0000000000001",
+                  "501.0", "999.0"]
+_ODD_TIMES = ["", "+{}", " {}", "{} ", "1{:0>18}", "99{:0>17}", "{}.0", "{}_0", "١{}"]
+_ODD_STATES = ["LOS ", " NLOSv", "los", "NLOSx", "NLOS", "LOS\x00", "LOSv", "XLOSv", "NLOSbb"]
+_ODD_ENDS = ["\r\n", "\n\n", "\n# note\n", "\n  \n", "\n#\n", "\n123"]
+
+
+@st.composite
+def plain_files(draw):
+    """A labelled file of plain rows at edge distances, with up to two mutations that the kernel must refuse."""
+    lines = draw(st.lists(st.sampled_from(["# seed=1", ""]), max_size=2)) + ["t,d,state"]
+    rows, t = [], draw(st.sampled_from([0, 7, 10**17 - 3, 10**18 - 4]))  # the last runs from 18 digits into 19
+    for _ in range(draw(st.integers(1, 40))):
+        t = t + 1 if draw(st.integers(0, 7)) else draw(st.integers(0, 3))
+        d = draw(st.floats(1.0, 500.0).map(repr) if draw(st.integers(0, 15)) else st.sampled_from(_EDGE_DISTANCES))
+        rows.append([str(t), d, draw(st.sampled_from(_STATE_NAMES)), "\n"])
+    for _ in range(draw(st.integers(0, 2))):
+        row, field = draw(st.sampled_from(rows)), draw(st.integers(0, 3))
+        odd = draw(st.sampled_from([_ODD_TIMES, _ODD_DISTANCES, _ODD_STATES, _ODD_ENDS][field]))
+        row[field] = odd.format(row[0]) if field == 0 else odd
+    text = "".join(line + "\n" for line in lines) + "".join(",".join(row[:3]) + row[3] for row in rows)
+    return text if draw(st.booleans()) else text[:-len(rows[-1][3])]  # with or without the last line end
+
+
+@_can_fork
+@settings(max_examples=150, deadline=None)
+@given(text=plain_files(), block=st.integers(16, 512))
+def test_the_kernel_counts_as_the_exact_parse_in_one_process_and_split(count_worker, text, block):
+    assert_counted_as_before(count_worker, text, block)
+
+
+@pytest.mark.parametrize("field, odd", [(field, odd) for field, spellings in enumerate(
+    [_ODD_TIMES, _ODD_DISTANCES, _ODD_STATES, _ODD_ENDS]) for odd in spellings])
+def test_the_kernel_leaves_each_odd_spelling_to_the_exact_parse(tmp_path, field, odd):
+    rows = [[str(t), f"{10.5 + t}", "NLOSv", "\n"] for t in range(6)]
+    row = rows[5 if field == 3 else 3]  # a line end or what follows it, last in the file
+    row[field] = odd.format(row[0]) if field == 0 else odd
+    text = "".join(",".join(row[:3]) + row[3] for row in rows)
+    assert estimation._bin_plain(text.encode("utf-8")) is None
+    path = tmp_path / "odd.csv"
+    path.write_text("t,d,state\n" + text, encoding="utf-8")
+    kernel = counted_in_one_process(path)
+    with mock.patch.object(estimation, "_bin_plain", lambda data: None):
+        assert counted_in_one_process(path) == kernel
+
+
+def counted_in_one_process(path):
+    """The counts of a file, or its exception's type, message and line."""
+    try:
+        return [counts.tolist() for counts in estimation._count_file(path, None)]
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None))
+
+
+@pytest.mark.parametrize("distance, bin_", [("9.9999999999999995", 1), ("19.99999999999999", 1),
+                                            ("19.9999999999999", 1), ("19.999999999999", 1), ("499.99999999999997", 49),
+                                            ("500.0", 49), ("500.", 49), ("500.000", 49)],
+                         ids=["9.9999999999999995", "19.99999999999999", "19.9999999999999", "19.999999999999",
+                              "499.99999999999997", "500.0", "500.", "500.000"])
+def test_a_distance_a_hair_below_a_bin_edge_counts_in_the_bin_of_its_float(tmp_path, distance, bin_):
+    # float rounds the first up to 10.0; the others stay below their multiple of 10 or are 500 m, in the last bin.
+    path = tmp_path / "edge.csv"
+    path.write_text(f"t,d,state\n0,{distance},NLOSb\n", encoding="utf-8")
+    occupancy, _ = estimation.accumulate(path)
+    assert occupancy[bin_, 2] == occupancy.sum() == 1 and bin_ == min(int(float(distance) // 10), 49)
+    # The kernel refuses an integer part ending in 9 whose fraction starts with 13 nines, and takes the others.
+    refused = estimation._bin_plain(f"0,{distance},NLOSb\n".encode()) is None
+    assert refused == distance.partition(".")[2].startswith("9" * 13)
+
+
+@pytest.mark.parametrize("block", [1 << 10, 1 << 17])
+def test_the_kernel_takes_every_chunk_a_walk_or_fleet_file_holds(tmp_path, monkeypatch, block):
+    from v2vlos.cli import main
+
+    monkeypatch.setattr(trace_io, "_BLOCK_BYTES", block)
+    walk, fleet = tmp_path / "walk.csv", tmp_path / "fleet.csv"
+    generate = ["generate", "--env", "highway", "--density", "medium", "--steps", "500", "--count", "40"]
+    assert main([*generate, "--profile", "walk", "--vmax", "20", "--d0", "250", "--out", str(walk)]) == 0
+    assert main([*generate, "--out", str(fleet)]) == 0  # separate1ms, from 1.0 to 500.0 m
+    for path in (walk, fleet):
+        chunks = list(trace_io._chunks(path))[1:]
+        assert len(chunks) > 1 and all(estimation._bin_plain(data) is not None for data, *_ in chunks)
+    assert any(b",500.0," in data for data, *_ in chunks)  # separate1ms traces end at 500 m
 
 
 @pytest.mark.parametrize("field, value", [
@@ -1025,14 +1122,14 @@ def test_fields_np_loadtxt_reads_differently(tmp_path, field, value):
     rows[3][field] = value
     path = tmp_path / "quirk.csv"
     path.write_text("t,d,state\n" + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
-    for block in (2, 4, 1 << 15):
-        with mock.patch.object(trace_io, "_BLOCK_LINES", block):
+    for block in (16, 40, 1 << 17):
+        with mock.patch.object(trace_io, "_BLOCK_BYTES", block):
             assert_readers_agree(path)
 
 
 def test_block_reader_matches_row_reader_across_full_blocks(tmp_path):
     rng = np.random.default_rng(5)
-    n = trace_io._BLOCK_LINES
+    n = 6000  # about 0.35 MB of rows in all: three default chunks
     traces = [
         StateTrace(DistanceTrace(np.arange(size), rng.uniform(1.0, 500.0, size)), rng.integers(0, 3, size))
         for size in (n - 3, 7, n + 11)
@@ -1060,7 +1157,7 @@ def test_block_reader_matches_row_reader_across_full_blocks(tmp_path):
 def test_undecodable_bytes_raise_after_earlier_rows(tmp_path):
     body = b"t,d,state\n0,1.5,LOS\n" + b"".join(b"%d,2.5,NLOSv\n" % t for t in range(1, 3000))
     path = tmp_path / "bad.csv"
-    with mock.patch.object(trace_io, "_BLOCK_LINES", 64):
+    with mock.patch.object(trace_io, "_BLOCK_BYTES", 1024):
         # The row error comes first, as in a reader that goes line by line.
         path.write_bytes(body.replace(b"\n7,2.5,", b"\n7,-2.5,") + b"\xff\n")
         assert_readers_agree(path)
@@ -1076,7 +1173,7 @@ def test_undecodable_bytes_inside_one_default_block(tmp_path):
     # About 36 kB of rows: the bad byte lies past the first 8 KiB decode
     # chunk, so it is met while a block of the default size is being read.
     body = b"t,d,state\n" + b"".join(b"%d,2.5,NLOSv\n" % t for t in range(3000))
-    assert len(body) > 8192 and body.count(b"\n") < trace_io._BLOCK_LINES
+    assert 8192 < len(body) < trace_io._BLOCK_BYTES
     path = tmp_path / "bad.csv"
     path.write_bytes(body + b"\xff\n")
     with pytest.raises(UnicodeDecodeError):
@@ -1087,12 +1184,25 @@ def test_undecodable_bytes_inside_one_default_block(tmp_path):
         read_labeled_traces(path)
 
 
+def test_lone_cr_line_ends_count_as_lines_in_every_chunk(tmp_path, monkeypatch):
+    # Text mode ends a line at a lone CR too; the chunks end only at LF, so a chunk's lone CRs set later line numbers.
+    monkeypatch.setattr(trace_io, "_BLOCK_BYTES", 16)
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(b"t,d,state\r\n" + b"".join(b"%d,1.5,LOS\r%d,2.5,NLOSv\n" % (2 * k, 2 * k + 1) for k in range(20))
+                     + b"40,x,LOS\n")
+    assert_readers_agree(path)
+    for read in (read_labeled_traces, lambda p: estimation._count_file(p, None)):
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert err.value.line == 42
+
+
 def _labeled_rows(start, n, state="LOS"):
     return "".join(f"{t},{10.0 + t},{state}\n" for t in range(start, start + n))
 
 
 def test_a_bad_row_later_in_the_file_beats_a_held_time_gap(tmp_path, monkeypatch):
-    monkeypatch.setattr(trace_io, "_BLOCK_LINES", 4)
+    monkeypatch.setattr(trace_io, "_BLOCK_BYTES", 48)
     path = tmp_path / "gap.csv"
     gap = "t,d,state\n0,10.0,LOS\n1,11.0,LOS\n3,13.0,LOS\n" + _labeled_rows(0, 30)
     path.write_text(gap + "30,abc,LOS\n")
@@ -1108,7 +1218,7 @@ def test_a_bad_row_later_in_the_file_beats_a_held_time_gap(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("block", [1, 3, 8, 64])
 def test_a_trace_spanning_blocks_reads_back_bit_for_bit(tmp_path, monkeypatch, block):
-    monkeypatch.setattr(trace_io, "_BLOCK_LINES", block)
+    monkeypatch.setattr(trace_io, "_BLOCK_BYTES", 25 * block)  # about ``block`` rows
     rng = np.random.default_rng(block)
     long = StateTrace(DistanceTrace(np.arange(-20, 180), rng.uniform(1.0, 500.0, 200)), rng.integers(0, 3, 200))
     short = StateTrace(DistanceTrace(np.arange(5, 8), rng.uniform(1.0, 500.0, 3)), rng.integers(0, 3, 3))
